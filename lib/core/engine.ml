@@ -8,7 +8,6 @@ type t = {
   stopwords : Inquery.Stopwords.t option;
   stem : bool;
   reserve : bool;
-  block_cache : Util.Block_cache.t option;
   quarantine : repair_ticket list ref; (* newest first *)
   quarantined_terms : (string, unit) Hashtbl.t; (* O(1) dedup of the list above *)
 }
@@ -21,7 +20,7 @@ type result = {
 }
 
 let create ~vfs ~store ~dict ~n_docs ?max_doc_id ~avg_doc_len ~doc_len ?stopwords ?(stem = false)
-    ?(reserve = true) ?(salvage = true) ?block_cache () =
+    ?(reserve = true) ?(salvage = true) () =
   let quarantine = ref [] in
   let quarantined_terms = Hashtbl.create 8 in
   (* Salvage mode: a record whose segment fails its CRC32 is quarantined
@@ -44,8 +43,7 @@ let create ~vfs ~store ~dict ~n_docs ?max_doc_id ~avg_doc_len ~doc_len ?stopword
   in
   let max_doc_id = match max_doc_id with Some m -> m | None -> n_docs - 1 in
   let source = { Inquery.Infnet.fetch; n_docs; max_doc_id; avg_doc_len; doc_len } in
-  { vfs; store; dict; source; stopwords; stem; reserve; block_cache; quarantine;
-    quarantined_terms }
+  { vfs; store; dict; source; stopwords; stem; reserve; quarantine; quarantined_terms }
 
 let store t = t.store
 let epoch t = t.store.Index_store.epoch ()
@@ -145,21 +143,15 @@ type topk_result = {
   topk_est_blocks : int;
 }
 
-let run_topk ?(audit = false) ?(exhaustive = false) ?plan ?(k = 10) t query =
+let run_topk ?(audit = false) ?plan ?(k = 10) t query =
   let release =
     if t.reserve then t.store.Index_store.reserve (query_entries t query)
     else Index_store.no_reserve []
   in
-  (* Decoded blocks are keyed by the session's current published epoch:
-     a reopened session on a newer epoch stops hitting the old entries
-     without any flush. *)
-  let block_cache =
-    Option.map (fun bc -> (bc, t.store.Index_store.epoch ())) t.block_cache
-  in
   let scored, stats, tk =
     Fun.protect ~finally:release (fun () ->
         Inquery.Infnet.eval_topk t.source t.dict ?stopwords:t.stopwords ~stem:t.stem ~audit
-          ~exhaustive ?plan ?block_cache ~k query)
+          ?plan ~k query)
   in
   let model = Vfs.cost_model t.vfs in
   let cpu_ms =
@@ -188,5 +180,5 @@ let run_topk ?(audit = false) ?(exhaustive = false) ?plan ?(k = 10) t query =
     topk_est_blocks = tk.Inquery.Infnet.tk_est_blocks;
   }
 
-let run_topk_string ?audit ?exhaustive ?plan ?k t text =
-  run_topk ?audit ?exhaustive ?plan ?k t (Inquery.Query.parse_exn text)
+let run_topk_string ?audit ?plan ?k t text =
+  run_topk ?audit ?plan ?k t (Inquery.Query.parse_exn text)

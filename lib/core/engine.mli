@@ -30,7 +30,6 @@ val create :
   ?stem:bool ->
   ?reserve:bool ->
   ?salvage:bool ->
-  ?block_cache:Util.Block_cache.t ->
   unit ->
   t
 (** [max_doc_id] (default [n_docs - 1]) bounds the document id space;
@@ -41,11 +40,7 @@ val create :
     [salvage] (default true) keeps the engine answering when a record's
     segment fails its CRC32: the term is {e quarantined} (treated as
     not indexed, reported via {!quarantined}) instead of the query
-    aborting with [Mneme.Store.Corrupt].
-    [block_cache] shares decoded postings blocks across this engine's
-    top-k queries (and with any other engine handed the same cache over
-    the same index image), keyed by record locator and the session's
-    published epoch — see {!Inquery.Infnet.eval_topk}. *)
+    aborting with [Mneme.Store.Corrupt]. *)
 
 val store : t -> Index_store.t
 
@@ -117,7 +112,6 @@ type topk_result = {
 
 val run_topk :
   ?audit:bool ->
-  ?exhaustive:bool ->
   ?plan:Inquery.Planner.choice ->
   ?k:int ->
   t ->
@@ -128,14 +122,13 @@ val run_topk :
     cheapest applicable executor (max-score, intersection-first, or
     exhaustive) from header statistics; [plan] forces one instead.
     [audit] re-runs the exhaustive evaluator and raises
-    {!Inquery.Infnet.Audit_mismatch} on any divergence; [exhaustive]
-    forces the exhaustive plan (the benchmark baseline).  CPU is
+    {!Inquery.Infnet.Audit_mismatch} on any divergence;
+    [~plan:(Forced Exhaustive)] is the benchmark baseline.  CPU is
     charged to the {!Vfs} clock per posting actually scored, so pruning
     shows up in the simulated timings too. *)
 
 val run_topk_string :
   ?audit:bool ->
-  ?exhaustive:bool ->
   ?plan:Inquery.Planner.choice ->
   ?k:int ->
   t ->

@@ -197,18 +197,13 @@ let hedge_candidate t ~exclude =
     t.replicas;
   !found
 
-let preferred t =
-  match route t with
-  | Some i -> t.replicas.(i).spec.name
-  | None -> t.replicas.(0).spec.name
-
-(* The epoch a cache entry is tagged with: what the replica the next
-   fetch would route to is serving.  Replicas of one image publish the
-   same epoch; a replica serving something else simply never gets cache
-   hits for its answers. *)
-let current_epoch t =
-  let i = match route t with Some i -> i | None -> 0 in
-  t.replicas.(i).spec.store.Index_store.epoch ()
+(* The replica the next fetch would route to, or the first one when
+   every breaker is open.  A query's cache entries are tagged with the
+   epoch it serves: replicas of one image publish the same epoch, and a
+   replica serving something else simply never gets cache hits for its
+   answers. *)
+let routed t = match route t with Some i -> t.replicas.(i) | None -> t.replicas.(0)
+let preferred t = (routed t).spec.name
 
 (* The canonical result-cache key: the query re-printed after the same
    lex/stem normalisation evaluation applies, so surface variants that
@@ -251,8 +246,11 @@ let cache_tiers t =
   let result_tier =
     match t.rcache with Some rc -> [ ("result", Result_cache.stats rc) ] | None -> []
   in
-  let block_tier =
-    match t.bcache with Some bc -> [ ("block", Util.Block_cache.stats bc) ] | None -> []
+  let block_tiers =
+    match t.bcache with
+    | Some bc ->
+      [ ("block", Util.Block_cache.stats bc); ("record", Util.Block_cache.record_stats bc) ]
+    | None -> []
   in
   let buffer_tier =
     let per_replica =
@@ -261,7 +259,7 @@ let cache_tiers t =
     in
     [ ("buffer", Mneme.Buffer_pool.merge_stats per_replica) ]
   in
-  result_tier @ block_tier @ buffer_tier
+  result_tier @ block_tiers @ buffer_tier
 
 let retain_cached_epochs t ~keep =
   let r = match t.rcache with Some rc -> Result_cache.retain rc ~keep | None -> 0 in
@@ -323,7 +321,8 @@ let run_query ?(top_k = 100) ?deadline_ms ?floor ?plan t query =
   (match deadline_ms with
   | Some d when d <= 0.0 -> invalid_arg "Frontend.run_query: deadline must be positive"
   | _ -> ());
-  let epoch_now = current_epoch t in
+  let home = routed t in
+  let epoch_now = home.spec.store.Index_store.epoch () in
   (* A floor changes which documents the evaluator may return, so
      floored queries bypass the result cache in both directions. *)
   let ckey =
@@ -350,7 +349,7 @@ let run_query ?(top_k = 100) ?deadline_ms ?floor ?plan t query =
       skipped_terms = [];
       failed_terms = [];
       hedged_fetches = 0;
-      served_by = preferred t;
+      served_by = home.spec.name;
       epoch = epoch_now;
       elapsed_ms = 0.0;
       postings_decoded = 0;
@@ -478,7 +477,9 @@ let run_query ?(top_k = 100) ?deadline_ms ?floor ?plan t query =
   let serving =
     let best = ref 0 in
     Array.iteri (fun i n -> if n > served.(!best) then best := i) served;
-    t.replicas.(!best)
+    (* A query that fetched nothing — every record cached, or no term
+       in the vocabulary — is served by the replica it was routed to. *)
+    if served.(!best) = 0 then home else t.replicas.(!best)
   in
   let model = Vfs.cost_model serving.spec.vfs in
   let cpu_ms =

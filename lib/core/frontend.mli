@@ -74,10 +74,15 @@ val create :
     [result_cache_bytes] and [block_cache_bytes] (both default 0 =
     disabled) size the frontend's two read-path caches: a
     {!Result_cache} of finished rankings keyed by the normalised query
-    (see {!run_query}), and a {!Util.Block_cache} of decoded postings
-    blocks shared across queries and replicas, keyed by record locator
-    and epoch.  Raises [Invalid_argument] on an empty or duplicate-name
-    replica list, or nonsensical knobs. *)
+    (see {!run_query}), and a {!Util.Block_cache} shared across queries
+    and replicas that holds fetched postings records under
+    [(locator, epoch)] and their decoded blocks under
+    [(locator, block, epoch)].  [block_cache_bytes] bounds records and
+    decoded blocks together, in one LRU.  A record hit skips the whole
+    fetch — replica routing, the Mneme store, its buffer pools and the
+    file system — and a block hit skips the decode.  Raises
+    [Invalid_argument] on an empty or duplicate-name replica list, or
+    nonsensical knobs. *)
 
 val of_prepared :
   ?buffers:Buffer_sizing.t ->
@@ -138,9 +143,14 @@ type result = {
   skipped_terms : string list;  (** in first-skip order *)
   failed_terms : (string * string) list;  (** [(term, reason)] *)
   hedged_fetches : int;
-  served_by : string;  (** replica that served the most fetches *)
+  served_by : string;
+      (** replica that served the most fetches; the replica the query
+          was routed to when it fetched nothing (a result-cache hit, or
+          every record cached or out of vocabulary) *)
   epoch : int;  (** published epoch of the serving replica's store *)
-  elapsed_ms : float;  (** perceived query latency, CPU included *)
+  elapsed_ms : float;
+      (** perceived query latency, CPU included; the CPU is charged to
+          [served_by]'s clock *)
   postings_decoded : int;
       (** postings the evaluator's cursors actually decoded — the
           scatter-gather bench's per-shard work measure; decoded-block
@@ -172,8 +182,11 @@ val run_query :
     scoring CPU is priced against the budget), so a degraded result
     overshoots the deadline by at most the cost of the fetch in flight
     when it expired.  Evidence already fetched when the deadline fires
-    is still ranked.  Raises [Invalid_argument] on a non-positive
-    deadline.
+    is still ranked.  A record served from the block cache costs no
+    simulated time, so it is used even after the deadline has passed:
+    only terms that still need a physical fetch are skipped, and only
+    those make the result degraded.  Raises [Invalid_argument] on a
+    non-positive deadline.
 
     {b The overshoot bound is per frontend instance.}  When this
     frontend is one shard of a scatter-gather group, the bound holds
@@ -206,8 +219,11 @@ val run_query :
     changes the answer).  The probe and the fill both re-check the
     deadline, so a stalled replica cannot smuggle a blown budget into
     the cache (see the [Vfs.Fault.Stall] regression test).  The
-    decoded-block cache needs no such care: it changes which bytes are
-    re-decoded, never what any query answers. *)
+    block cache needs no such care: it changes which records are
+    re-fetched and which blocks re-decoded, never what any query
+    answers.  It is filled only with the bytes a query actually used —
+    for a hedged fetch, the copy the query consumed — so a skipped
+    term, a failed one or a [Corrupt] read never enters it. *)
 
 val run_query_string :
   ?top_k:int ->
@@ -222,15 +238,17 @@ val run_query_string :
 (** {2 Cache tiers} *)
 
 val cache_tiers : t -> (string * Util.Cache_stats.t) list
-(** Per-tier counters, top down: [("result", …)] and [("block", …)]
-    when the respective cache is enabled, then [("buffer", …)] — the
-    replica buffer pools merged with {!Mneme.Buffer_pool.merge_stats}.
-    The Table-6-style tier report of [repro cache]. *)
+(** Per-tier counters, top down: [("result", …)] when the result cache
+    is enabled; [("block", …)] (decoded blocks) and [("record", …)]
+    (whole fetched records) when the block cache is — one budget, two
+    rows; then [("buffer", …)] — the replica buffer pools merged with
+    {!Mneme.Buffer_pool.merge_stats}.  The Table-6-style tier report of
+    [repro cache]. *)
 
 val retain_cached_epochs : t -> keep:(int -> bool) -> int
-(** Drop every result- and block-cache entry whose epoch fails [keep];
-    returns how many entries were dropped.  The target of an
-    epoch-publication or post-GC hook
+(** Drop every result-cache entry, cached record and decoded block
+    whose epoch fails [keep]; returns how many entries were dropped.
+    The target of an epoch-publication or post-GC hook
     ({!Live_index.on_publish}): pass a predicate keeping the live epoch
     and any pinned ones. *)
 

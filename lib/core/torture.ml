@@ -1872,7 +1872,11 @@ let run_shard ?(seed = 42) ?(docs = 24) ?(shards = 2) ?(replicas = 2) ?(top_k = 
   let oracle =
     Array.of_list
       (List.map
-         (fun q -> pairs (Engine.run_topk_string ~exhaustive:true ~k:docs engine q).Engine.topk_ranked)
+         (fun q ->
+           pairs
+             (Engine.run_topk_string ~plan:(Inquery.Planner.Forced Inquery.Planner.Exhaustive)
+                ~k:docs engine q)
+               .Engine.topk_ranked)
          shard_queries)
   in
   let firstk l = List.filteri (fun i _ -> i < top_k) l in
@@ -2096,12 +2100,14 @@ type cache_outcome = {
   ct_comparisons : int;
   ct_result_hits : int;
   ct_block_hits : int;
+  ct_record_hits : int;
   ct_invalidations : int;
   ct_problems : (int * string) list; (* (mutation, violation); 0 = audit phase *)
 }
 
 let cache_ok o =
-  o.ct_problems = [] && o.ct_result_hits > 0 && o.ct_block_hits > 0 && o.ct_invalidations > 0
+  o.ct_problems = [] && o.ct_result_hits > 0 && o.ct_block_hits > 0 && o.ct_record_hits > 0
+  && o.ct_invalidations > 0
 
 let cache_file = "cache.mneme"
 let cache_log = "cache.log"
@@ -2123,20 +2129,20 @@ let run_cache ?(seed = 42) ?(docs = 18) () =
   let pinned_epochs () = List.map fst !pins in
   let rc_hook_drops = ref 0 in
   (* The publication hook, exactly as a serving frontend would register
-     it: decoded blocks of any epoch no pin protects are dead the moment
-     a new epoch publishes.  Results get a one-epoch grace window on
-     purpose, so stale entries survive into the next epoch and the
-     probe-time epoch check has something to purge — both invalidation
-     mechanisms run in every churn step. *)
+     it: records and decoded blocks of any epoch no pin protects are dead
+     the moment a new epoch publishes.  Results get a one-epoch grace
+     window on purpose, so stale entries survive into the next epoch and
+     the probe-time epoch check has something to purge — both
+     invalidation mechanisms run in every churn step. *)
   Live_index.on_publish live (fun ~epoch ->
       ignore
         (Util.Block_cache.retain bc ~keep:(fun e ->
              e = epoch || List.mem e (pinned_epochs ())));
       rc_hook_drops := !rc_hook_drops + Result_cache.retain rc ~keep:(fun e -> e >= epoch - 1));
   (* Stable term ids for block-cache keys: within one epoch a term has
-     exactly one record, so (term id, block, epoch) uniquely names the
-     decoded bytes — the same reasoning the frontend applies with Mneme
-     locators. *)
+     exactly one record, so (term id, epoch) uniquely names its bytes and
+     (term id, block, epoch) its decoded blocks — the same reasoning the
+     frontend applies with Mneme locators. *)
   let term_ids = Hashtbl.create 64 in
   let term_id term =
     match Hashtbl.find_opt term_ids term with
@@ -2158,8 +2164,10 @@ let run_cache ?(seed = 42) ?(docs = 18) () =
     done;
     List.rev !acc
   in
-  (* Read a pinned epoch through the block cache and bit-compare every
-     (doc, tf) against a plain uncached decode of the same record. *)
+  (* Read a pinned epoch through the block cache — the record from the
+     record tier (filled on a miss, as the frontend fills it), its blocks
+     from the block tier — and bit-compare the bytes and every (doc, tf)
+     against the pinned lookup and a plain uncached decode. *)
   let audit_pin m (e, p) =
     List.iter
       (fun (term, _, _) ->
@@ -2167,7 +2175,17 @@ let run_cache ?(seed = 42) ?(docs = 18) () =
         | None -> ()
         | Some (record, _, _) ->
           incr comparisons;
-          if stream ~cache:(bc, term_id term, e) record <> stream record then
+          let id = term_id term in
+          let cached =
+            match Util.Block_cache.find_record bc ~locator:id ~epoch:e with
+            | Some b -> b
+            | None ->
+              Util.Block_cache.insert_record bc ~locator:id ~epoch:e record;
+              record
+          in
+          if not (Bytes.equal cached record) then
+            note m "pinned epoch %d: term %S's cached record differs from the pinned one" e term;
+          if stream ~cache:(bc, id, e) cached <> stream record then
             note m "pinned epoch %d: term %S reads differently through the block cache" e term)
       (List.filteri (fun i _ -> i < 4) (Live_index.pin_directory p))
   in
@@ -2220,7 +2238,7 @@ let run_cache ?(seed = 42) ?(docs = 18) () =
   List.iter
     (fun e ->
       if not (List.mem e allowed) then
-        note 0 "block cache holds collected epoch %d after gc under pins" e)
+        note 0 "block cache holds a record or block of collected epoch %d after gc under pins" e)
     (Util.Block_cache.epochs bc);
   List.iter (fun (_, p) -> Live_index.release live p) !pins;
   ignore (Live_index.gc live);
@@ -2232,6 +2250,7 @@ let run_cache ?(seed = 42) ?(docs = 18) () =
   (* The grace window means probe-time purges must have fired over and
      above the hook's drops. *)
   let rc_stats = Result_cache.stats rc and bc_stats = Util.Block_cache.stats bc in
+  let rec_stats = Util.Block_cache.record_stats bc in
   if rc_stats.Util.Cache_stats.invalidations <= !rc_hook_drops then
     note 0 "probe-time epoch check never purged a stale result";
   {
@@ -2239,16 +2258,19 @@ let run_cache ?(seed = 42) ?(docs = 18) () =
     ct_comparisons = !comparisons;
     ct_result_hits = rc_stats.Util.Cache_stats.hits;
     ct_block_hits = bc_stats.Util.Cache_stats.hits;
+    ct_record_hits = rec_stats.Util.Cache_stats.hits;
     ct_invalidations =
-      rc_stats.Util.Cache_stats.invalidations + bc_stats.Util.Cache_stats.invalidations;
+      rc_stats.Util.Cache_stats.invalidations + bc_stats.Util.Cache_stats.invalidations
+      + rec_stats.Util.Cache_stats.invalidations;
     ct_problems = List.rev !problems;
   }
 
 let pp_cache_outcome fmt o =
   Format.fprintf fmt
     "%d mutations, %d cached-vs-uncached comparisons: %d result hits, %d block hits, %d \
-     invalidations"
-    o.ct_mutations o.ct_comparisons o.ct_result_hits o.ct_block_hits o.ct_invalidations;
+     record hits, %d invalidations"
+    o.ct_mutations o.ct_comparisons o.ct_result_hits o.ct_block_hits o.ct_record_hits
+    o.ct_invalidations;
   if o.ct_problems <> [] then begin
     Format.fprintf fmt "@.%d problem(s):" (List.length o.ct_problems);
     List.iter

@@ -486,19 +486,21 @@ val pp_shard_outcome : Format.formatter -> shard_outcome -> unit
 (** {1 Cache coherence under churn}
 
     The tiered-cache torture: a journaled Mneme live index under an
-    add/delete churn workload, with a query-result cache and a
-    decoded-block cache riding the epoch-publication hook
-    ({!Live_index.on_publish}) the way a serving frontend would.  At
-    every published epoch the harness compares the cached read path
-    against the uncached one bit-for-bit:
+    add/delete churn workload, with a query-result cache and a block
+    cache (whole records and decoded blocks) riding the
+    epoch-publication hook ({!Live_index.on_publish}) the way a serving
+    frontend would.  At every published epoch the harness compares the
+    cached read path against the uncached one bit-for-bit:
 
     - every result-cache hit must equal the uncached latest-view
       ranking, and every entry filled at an epoch must hit for the rest
       of that epoch;
     - every pinned epoch, read through the shared block cache while
-      later mutations and a gc run under the pins, must stream exactly
-      the (doc, tf) pairs of a private uncached decode;
-    - after gc, no cache holds an entry tagged with a collected epoch;
+      later mutations and a gc run under the pins, must hand back
+      exactly the pinned record's bytes from the record tier and stream
+      exactly the (doc, tf) pairs of a private uncached decode;
+    - after gc, no cache holds an entry (result, record or decoded
+      block) tagged with a collected epoch;
     - both invalidation mechanisms fire: the publication hook's eager
       drop and the probe-time epoch-mismatch purge (the harness gives
       results a one-epoch grace window precisely so the latter has
@@ -508,14 +510,15 @@ type cache_outcome = {
   ct_mutations : int;
   ct_comparisons : int;  (** cached-vs-uncached rankings / streams compared *)
   ct_result_hits : int;
-  ct_block_hits : int;
-  ct_invalidations : int;  (** hook drops + probe-time purges, both caches *)
+  ct_block_hits : int;  (** decoded-block hits *)
+  ct_record_hits : int;  (** whole-record hits in the block cache's record tier *)
+  ct_invalidations : int;  (** hook drops + probe-time purges, every tier *)
   ct_problems : (int * string) list;  (** (mutation, violation); 0 = audit phase *)
 }
 
 val cache_ok : cache_outcome -> bool
 (** No problems, and the run actually exercised the machinery: at least
-    one hit in each cache and at least one invalidation. *)
+    one hit in each tier and at least one invalidation. *)
 
 val run_cache : ?seed:int -> ?docs:int -> unit -> cache_outcome
 (** Run the churn (defaults: seed 42, 18 documents — roughly 24

@@ -509,8 +509,7 @@ let linear_shape query =
   | _ -> None
 
 let eval_topk source dict ?df_of ?floor ?stopwords ?(stem = false) ?(audit = false)
-    ?(exhaustive = false) ?(plan = Planner.Auto)
-    ?(should_stop = fun (_ : stats) -> false) ?block_cache ~k query =
+    ?(plan = Planner.Auto) ?(should_stop = fun (_ : stats) -> false) ?block_cache ~k query =
   if k < 0 then invalid_arg "Infnet.eval_topk: negative k";
   (match floor with
   | Some f when not (Float.is_finite f) -> invalid_arg "Infnet.eval_topk: floor must be finite"
@@ -519,16 +518,37 @@ let eval_topk source dict ?df_of ?floor ?stopwords ?(stem = false) ?(audit = fal
        drops documents below it, so the two contracts cannot be compared. *)
     invalid_arg "Infnet.eval_topk: audit cannot be combined with floor"
   | _ -> ());
-  (* One physical fetch per dictionary entry, shared by the planner's
+  (* The shared-cache key of an entry's record and its blocks: only
+     entries with a stable locator (>= 0) participate; others (e.g.
+     B-tree-resident records) are fetched and decoded privately. *)
+  let cache_of entry =
+    match block_cache with
+    | Some (bc, epoch) when entry.Dictionary.locator >= 0 ->
+      Some (bc, entry.Dictionary.locator, epoch)
+    | _ -> None
+  in
+  (* At most one fetch per dictionary entry, shared by the planner's
      statistics probes, the chosen executor and the audit oracle — the
-     cost model never adds store reads, only O(1) header parses. *)
+     cost model never adds store reads, only O(1) header parses.  A
+     record already in the shared cache is not fetched at all; a
+     fetched one is cached only when the fetch produced bytes. *)
   let memo : (int, bytes option) Hashtbl.t = Hashtbl.create 8 in
   let raw_fetch = source.fetch in
   let fetch_memo entry =
     match Hashtbl.find_opt memo entry.Dictionary.id with
     | Some r -> r
     | None ->
-      let r = raw_fetch entry in
+      let r =
+        match cache_of entry with
+        | None -> raw_fetch entry
+        | Some (bc, locator, epoch) -> (
+          match Util.Block_cache.find_record bc ~locator ~epoch with
+          | Some _ as hit -> hit
+          | None ->
+            let r = raw_fetch entry in
+            Option.iter (Util.Block_cache.insert_record bc ~locator ~epoch) r;
+            r)
+      in
       Hashtbl.add memo entry.Dictionary.id r;
       r
   in
@@ -550,7 +570,6 @@ let eval_topk source dict ?df_of ?floor ?stopwords ?(stem = false) ?(audit = fal
       | Some entry -> Option.map Postings.record_stats (fetch_memo entry))
   in
   let requested =
-    let plan = if exhaustive then Planner.Forced Planner.Exhaustive else plan in
     match plan with
     | Planner.Auto -> (Planner.decide ~stats_of ~k query).Planner.e_plan
     | Planner.Forced p ->
@@ -576,10 +595,7 @@ let eval_topk source dict ?df_of ?floor ?stopwords ?(stem = false) ?(audit = fal
     end
   in
   (* Fetch a bare term's record and open a seekable cursor on it; [None]
-     for stop words, OOV terms and unfetchable records.  Blocks are
-     shared across queries keyed by the record's stable locator; entries
-     without one (locator < 0, e.g. B-tree-resident records) bypass the
-     cache. *)
+     for stop words, OOV terms and unfetchable records. *)
   let term_cursor stats w =
     match normalize w with
     | None -> None
@@ -590,14 +606,7 @@ let eval_topk source dict ?df_of ?floor ?stopwords ?(stem = false) ?(audit = fal
         stats.record_lookups <- stats.record_lookups + 1;
         match fetch_memo entry with
         | None -> None
-        | Some record ->
-          let cache =
-            match block_cache with
-            | Some (bc, epoch) when entry.Dictionary.locator >= 0 ->
-              Some (bc, entry.Dictionary.locator, epoch)
-            | _ -> None
-          in
-          Some (entry, record, Postings.cursor ?cache record)))
+        | Some record -> Some (entry, record, Postings.cursor ?cache:(cache_of entry) record)))
   in
   let cursor_counters curs =
     List.fold_left

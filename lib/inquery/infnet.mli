@@ -123,7 +123,6 @@ val eval_topk :
   ?stopwords:Stopwords.t ->
   ?stem:bool ->
   ?audit:bool ->
-  ?exhaustive:bool ->
   ?plan:Planner.choice ->
   ?should_stop:(stats -> bool) ->
   ?block_cache:Util.Block_cache.t * int ->
@@ -133,8 +132,8 @@ val eval_topk :
 (** Cost-planned top-k document-at-a-time evaluation.
 
     The {!Planner} prices every applicable plan from the query records'
-    header statistics (one memoized fetch per entry — planning adds no
-    store reads) and the cheapest one executes:
+    header statistics (at most one memoized fetch per entry — planning
+    adds no store reads) and the cheapest one executes:
 
     - {e Maxscore}, for flat additive queries (a bare term, [#sum] of
       terms, [#wsum] of terms): terms sorted by belief upper bound
@@ -175,8 +174,6 @@ val eval_topk :
     @param audit re-run the exhaustive evaluator and raise
     {!Audit_mismatch} if the executed plan's ranking diverges (docs or
     beliefs) — any plan, including a forced one.
-    @param exhaustive force the exhaustive plan (equivalent to
-    [~plan:(Forced Exhaustive)]; kept for existing callers).
     @param plan {!Planner.Auto} (default) picks the cheapest applicable
     plan; [Forced p] executes [p], falling back to the exhaustive plan
     when [p] does not apply to the query's shape.  Plan choice never
@@ -186,10 +183,16 @@ val eval_topk :
     counters accrued so far — enough to price the work against a
     deadline; when it fires, evaluation stops and the heap contents so
     far are returned with [tk_stopped = true].
-    @param block_cache [(cache, epoch)]: share decoded postings blocks
-    across queries through a {!Util.Block_cache}, keyed by each term
-    record's dictionary locator and the given epoch.  Only leaves whose
-    entry carries a stable locator ([>= 0]) participate; others decode
-    privately as before.  Results are unaffected — a hit returns the
-    same arrays the decoder would produce — but cache hits are not
-    counted in [tk_postings_decoded]. *)
+    @param block_cache [(cache, epoch)]: share postings records and
+    their decoded blocks across queries through a {!Util.Block_cache},
+    keyed by each term record's dictionary locator and the given epoch.
+    The per-query fetch memo probes the cache's record tier before it
+    calls [source.fetch]: a hit is not fetched at all (the planner's
+    probes, the executor and the audit oracle all read the cached
+    bytes), and a fetch that returns [Some bytes] is inserted — a
+    [None] (a skipped, failed or unfetchable record) never is.  Only
+    entries with a stable locator ([>= 0]) participate; others are
+    fetched and decoded privately.  Results are unaffected — a hit
+    returns the bytes the store would, and the arrays the decoder would
+    produce — but decoded-block hits are not counted in
+    [tk_postings_decoded]. *)

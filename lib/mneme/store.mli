@@ -64,7 +64,8 @@ val allocate : pool -> bytes -> Oid.t
     if the 28-bit id space is exhausted. *)
 
 val get : t -> Oid.t -> bytes
-(** Retrieve an object's bytes.  Raises [Not_found] if the id was never
+(** Retrieve an object's bytes, as a fresh copy the caller owns (a
+    cache may keep it).  Raises [Not_found] if the id was never
     allocated or was deleted, and [Corrupt] if the object's physical
     segment fails its CRC32 when faulted from disk — corrupted data is
     never silently returned. *)

@@ -1,12 +1,27 @@
+(* A whole record lives under block index [-1]: decoded blocks are
+   numbered from 0, so the two kinds never share a key. *)
 type key = { k_src : int; k_blk : int; k_epoch : int }
+
+let record_blk = -1
+
+type entry = Block of int array * int array | Record of bytes
 
 type node = {
   key : key;
-  docs : int array;
-  tfs : int array;
+  entry : entry;
   cost : int; (* bytes charged against the budget *)
   mutable prev : node option;
   mutable next : node option;
+}
+
+(* Per-kind counters and residency. *)
+type tally = {
+  mutable refs : int;
+  mutable hits : int;
+  mutable evictions : int;
+  mutable invalidations : int;
+  mutable bytes : int;
+  mutable entries : int;
 }
 
 type t = {
@@ -15,15 +30,20 @@ type t = {
   table : (key, node) Hashtbl.t;
   mutable head : node option; (* most recently used *)
   mutable tail : node option; (* eviction end *)
-  mutable used : int;
-  mutable n_refs : int;
-  mutable n_hits : int;
-  mutable n_evictions : int;
-  mutable n_invalidations : int;
+  blocks : tally;
+  records : tally;
 }
 
-(* Two unboxed int arrays: 8 bytes per element plus two block headers. *)
-let cost_of ~docs ~tfs = (8 * (Array.length docs + Array.length tfs)) + 48
+(* Node, key and array headers. *)
+let overhead = 48
+
+(* Two unboxed int arrays: 8 bytes per element. *)
+let cost_of = function
+  | Block (docs, tfs) -> (8 * (Array.length docs + Array.length tfs)) + overhead
+  | Record b -> Bytes.length b + overhead
+
+let new_tally () =
+  { refs = 0; hits = 0; evictions = 0; invalidations = 0; bytes = 0; entries = 0 }
 
 let create ?(capacity_bytes = 1 lsl 20) ~name () =
   if capacity_bytes < 0 then invalid_arg "Block_cache.create: negative capacity";
@@ -33,15 +53,13 @@ let create ?(capacity_bytes = 1 lsl 20) ~name () =
     table = Hashtbl.create 256;
     head = None;
     tail = None;
-    used = 0;
-    n_refs = 0;
-    n_hits = 0;
-    n_evictions = 0;
-    n_invalidations = 0;
+    blocks = new_tally ();
+    records = new_tally ();
   }
 
 let name t = t.bc_name
 let capacity t = t.capacity
+let tally_of t node = match node.entry with Block _ -> t.blocks | Record _ -> t.records
 
 let unlink t node =
   (match node.prev with Some p -> p.next <- node.next | None -> t.head <- node.next);
@@ -58,35 +76,59 @@ let push_front t node =
 let remove_node t node =
   unlink t node;
   Hashtbl.remove t.table node.key;
-  t.used <- t.used - node.cost
+  let c = tally_of t node in
+  c.bytes <- c.bytes - node.cost;
+  c.entries <- c.entries - 1
 
-let find t ~src ~blk ~epoch =
-  t.n_refs <- t.n_refs + 1;
-  match Hashtbl.find_opt t.table { k_src = src; k_blk = blk; k_epoch = epoch } with
+let probe t c key =
+  c.refs <- c.refs + 1;
+  match Hashtbl.find_opt t.table key with
   | None -> None
   | Some node ->
-    t.n_hits <- t.n_hits + 1;
+    c.hits <- c.hits + 1;
     unlink t node;
     push_front t node;
-    Some (node.docs, node.tfs)
+    Some node.entry
 
-let insert t ~src ~blk ~epoch ~docs ~tfs =
+let add t key entry =
   if t.capacity > 0 then begin
-    let key = { k_src = src; k_blk = blk; k_epoch = epoch } in
     (match Hashtbl.find_opt t.table key with Some old -> remove_node t old | None -> ());
-    let cost = cost_of ~docs ~tfs in
-    let node = { key; docs; tfs; cost; prev = None; next = None } in
+    let node = { key; entry; cost = cost_of entry; prev = None; next = None } in
     Hashtbl.add t.table key node;
     push_front t node;
-    t.used <- t.used + cost;
-    while t.used > t.capacity && t.tail <> None do
+    let c = tally_of t node in
+    c.bytes <- c.bytes + node.cost;
+    c.entries <- c.entries + 1;
+    while t.blocks.bytes + t.records.bytes > t.capacity && t.tail <> None do
       match t.tail with
       | None -> ()
       | Some victim ->
         remove_node t victim;
-        t.n_evictions <- t.n_evictions + 1
+        let v = tally_of t victim in
+        v.evictions <- v.evictions + 1
     done
   end
+
+let check_blk fn blk = if blk < 0 then invalid_arg ("Block_cache." ^ fn ^ ": negative block")
+
+let find t ~src ~blk ~epoch =
+  check_blk "find" blk;
+  match probe t t.blocks { k_src = src; k_blk = blk; k_epoch = epoch } with
+  | Some (Block (docs, tfs)) -> Some (docs, tfs)
+  | Some (Record _) | None -> None
+
+let insert t ~src ~blk ~epoch ~docs ~tfs =
+  check_blk "insert" blk;
+  add t { k_src = src; k_blk = blk; k_epoch = epoch } (Block (docs, tfs))
+
+let find_record t ~locator ~epoch =
+  match probe t t.records { k_src = locator; k_blk = record_blk; k_epoch = epoch } with
+  | Some (Record b) -> Some b
+  | Some (Block _) | None -> None
+
+let insert_record t ~locator ~epoch b =
+  if locator < 0 then invalid_arg "Block_cache.insert_record: negative locator";
+  add t { k_src = locator; k_blk = record_blk; k_epoch = epoch } (Record b)
 
 let retain t ~keep =
   let doomed =
@@ -95,34 +137,36 @@ let retain t ~keep =
   List.iter
     (fun node ->
       remove_node t node;
-      t.n_invalidations <- t.n_invalidations + 1)
+      let c = tally_of t node in
+      c.invalidations <- c.invalidations + 1)
     doomed;
   List.length doomed
 
-let clear t =
-  t.n_invalidations <- t.n_invalidations + Hashtbl.length t.table;
-  Hashtbl.reset t.table;
-  t.head <- None;
-  t.tail <- None;
-  t.used <- 0
+let clear t = ignore (retain t ~keep:(fun _ -> false))
 
 let epochs t =
   let seen = Hashtbl.create 8 in
   Hashtbl.iter (fun key _ -> Hashtbl.replace seen key.k_epoch ()) t.table;
   Hashtbl.fold (fun e () acc -> e :: acc) seen [] |> List.sort compare
 
-let stats t =
+let stats_of c =
   {
-    Cache_stats.refs = t.n_refs;
-    hits = t.n_hits;
-    evictions = t.n_evictions;
-    invalidations = t.n_invalidations;
-    resident_bytes = t.used;
-    resident_entries = Hashtbl.length t.table;
+    Cache_stats.refs = c.refs;
+    hits = c.hits;
+    evictions = c.evictions;
+    invalidations = c.invalidations;
+    resident_bytes = c.bytes;
+    resident_entries = c.entries;
   }
 
+let stats t = stats_of t.blocks
+let record_stats t = stats_of t.records
+
 let reset_stats t =
-  t.n_refs <- 0;
-  t.n_hits <- 0;
-  t.n_evictions <- 0;
-  t.n_invalidations <- 0
+  List.iter
+    (fun c ->
+      c.refs <- 0;
+      c.hits <- 0;
+      c.evictions <- 0;
+      c.invalidations <- 0)
+    [ t.blocks; t.records ]

@@ -45,15 +45,91 @@ let test_block_cache_retain () =
   let docs = [| 1 |] and tfs = [| 1 |] in
   let bc = Util.Block_cache.create ~name:"t" () in
   List.iter (fun e -> Util.Block_cache.insert bc ~src:e ~blk:0 ~epoch:e ~docs ~tfs) [ 1; 2; 3 ];
-  Alcotest.(check (list int)) "epochs" [ 1; 2; 3 ] (Util.Block_cache.epochs bc);
-  Alcotest.(check int) "two dropped" 2 (Util.Block_cache.retain bc ~keep:(fun e -> e = 2));
+  (* Records of their own epochs, so retain, clear and epochs must see
+     both kinds. *)
+  List.iter
+    (fun e -> Util.Block_cache.insert_record bc ~locator:e ~epoch:e (Bytes.make 8 'r'))
+    [ 2; 4 ];
+  Alcotest.(check (list int)) "epochs" [ 1; 2; 3; 4 ] (Util.Block_cache.epochs bc);
+  Alcotest.(check int) "three dropped" 3 (Util.Block_cache.retain bc ~keep:(fun e -> e = 2));
   Alcotest.(check (list int)) "only kept epoch" [ 2 ] (Util.Block_cache.epochs bc);
-  Alcotest.(check int) "invalidations counted" 2
+  Alcotest.(check int) "block invalidations counted" 2
     (Util.Block_cache.stats bc).Util.Cache_stats.invalidations;
+  Alcotest.(check int) "record invalidations counted" 1
+    (Util.Block_cache.record_stats bc).Util.Cache_stats.invalidations;
+  Alcotest.(check bool) "kept record still hits" true
+    (Util.Block_cache.find_record bc ~locator:2 ~epoch:2 <> None);
+  Util.Block_cache.clear bc;
+  Alcotest.(check (list int)) "clear empties both kinds" [] (Util.Block_cache.epochs bc);
+  Alcotest.(check int) "clear counts the record" 2
+    (Util.Block_cache.record_stats bc).Util.Cache_stats.invalidations;
+  Alcotest.(check int) "nothing resident" 0
+    ((Util.Block_cache.stats bc).Util.Cache_stats.resident_bytes
+    + (Util.Block_cache.record_stats bc).Util.Cache_stats.resident_bytes);
+  let off = Util.Block_cache.create ~capacity_bytes:0 ~name:"off" () in
+  Util.Block_cache.insert off ~src:1 ~blk:0 ~epoch:1 ~docs ~tfs;
+  Util.Block_cache.insert_record off ~locator:1 ~epoch:1 (Bytes.make 8 'r');
   Alcotest.(check int) "zero capacity disables" 0
-    (let off = Util.Block_cache.create ~capacity_bytes:0 ~name:"off" () in
-     Util.Block_cache.insert off ~src:1 ~blk:0 ~epoch:1 ~docs ~tfs;
-     (Util.Block_cache.stats off).Util.Cache_stats.resident_entries)
+    ((Util.Block_cache.stats off).Util.Cache_stats.resident_entries
+    + (Util.Block_cache.record_stats off).Util.Cache_stats.resident_entries);
+  Alcotest.(check bool) "zero capacity misses records" true
+    (Util.Block_cache.find_record off ~locator:1 ~epoch:1 = None)
+
+let test_record_tier_basics () =
+  let bc = Util.Block_cache.create ~capacity_bytes:4096 ~name:"t" () in
+  Alcotest.(check bool) "miss on empty" true
+    (Util.Block_cache.find_record bc ~locator:1 ~epoch:1 = None);
+  let record = Bytes.of_string "an inverted record" in
+  Util.Block_cache.insert_record bc ~locator:1 ~epoch:1 record;
+  (match Util.Block_cache.find_record bc ~locator:1 ~epoch:1 with
+  | Some b -> Alcotest.(check bool) "same bytes back" true (b == record)
+  | None -> Alcotest.fail "expected a hit");
+  Alcotest.(check bool) "other locator misses" true
+    (Util.Block_cache.find_record bc ~locator:2 ~epoch:1 = None);
+  Alcotest.(check bool) "other epoch misses" true
+    (Util.Block_cache.find_record bc ~locator:1 ~epoch:2 = None);
+  (* A record and block 0 of the same locator are separate entries. *)
+  Alcotest.(check bool) "record is not block 0" true
+    (Util.Block_cache.find bc ~src:1 ~blk:0 ~epoch:1 = None);
+  let r = Util.Block_cache.record_stats bc and b = Util.Block_cache.stats bc in
+  Alcotest.(check int) "record refs" 4 r.Util.Cache_stats.refs;
+  Alcotest.(check int) "record hits" 1 r.Util.Cache_stats.hits;
+  Alcotest.(check int) "record resident" 1 r.Util.Cache_stats.resident_entries;
+  Alcotest.(check int) "charged length plus overhead" (Bytes.length record + 48)
+    r.Util.Cache_stats.resident_bytes;
+  Alcotest.(check int) "block counters untouched by records" 1 b.Util.Cache_stats.refs;
+  Alcotest.(check int) "no block resident" 0 b.Util.Cache_stats.resident_entries;
+  Alcotest.(check bool) "negative locator rejected" true
+    (match Util.Block_cache.insert_record bc ~locator:(-1) ~epoch:1 record with
+    | () -> false
+    | exception Invalid_argument _ -> true)
+
+let test_records_and_blocks_share_budget () =
+  (* One block and one record of equal cost; the budget holds two
+     entries of either kind. *)
+  let docs = Array.make 100 0 and tfs = Array.make 100 0 in
+  let cost = (8 * 200) + 48 in
+  let record = Bytes.make (cost - 48) 'r' in
+  let bc = Util.Block_cache.create ~capacity_bytes:(2 * cost) ~name:"t" () in
+  Util.Block_cache.insert bc ~src:1 ~blk:0 ~epoch:1 ~docs ~tfs;
+  Util.Block_cache.insert_record bc ~locator:2 ~epoch:1 record;
+  ignore (Util.Block_cache.find_record bc ~locator:2 ~epoch:1);
+  Util.Block_cache.insert_record bc ~locator:3 ~epoch:1 record;
+  Alcotest.(check bool) "a record insert evicts the cold block" true
+    (Util.Block_cache.find bc ~src:1 ~blk:0 ~epoch:1 = None);
+  Alcotest.(check int) "counted as a block eviction" 1
+    (Util.Block_cache.stats bc).Util.Cache_stats.evictions;
+  ignore (Util.Block_cache.find_record bc ~locator:3 ~epoch:1);
+  Util.Block_cache.insert bc ~src:1 ~blk:1 ~epoch:1 ~docs ~tfs;
+  Alcotest.(check bool) "a block insert evicts the cold record" true
+    (Util.Block_cache.find_record bc ~locator:2 ~epoch:1 = None);
+  Alcotest.(check bool) "the recent record survives" true
+    (Util.Block_cache.find_record bc ~locator:3 ~epoch:1 <> None);
+  Alcotest.(check int) "counted as a record eviction" 1
+    (Util.Block_cache.record_stats bc).Util.Cache_stats.evictions;
+  Alcotest.(check int) "the budget holds across kinds" (2 * cost)
+    ((Util.Block_cache.stats bc).Util.Cache_stats.resident_bytes
+    + (Util.Block_cache.record_stats bc).Util.Cache_stats.resident_bytes)
 
 (* --- Core.Result_cache --------------------------------------------- *)
 
@@ -206,6 +282,48 @@ let test_frontend_block_cache () =
   | None -> Alcotest.fail "block tier missing from the report"
   | Some s -> Alcotest.(check bool) "block hits" true (s.Util.Cache_stats.hits > 0)
 
+(* With the block cache on, a query's second run is served from cached
+   records: no store read at all, so its latency is its CPU alone.  With
+   the block cache off the second run fetches again. *)
+let test_frontend_record_tier () =
+  let p = Lazy.force prepared in
+  let second_run ~block_cache_bytes =
+    let fe =
+      Core.Frontend.of_prepared p ~names:[ "a" ] ~buffers:Core.Buffer_sizing.no_cache
+        ~block_cache_bytes
+    in
+    let vfs = Core.Frontend.replica_vfs fe ~name:"a" in
+    let r1 = Core.Frontend.run_query_string ~top_k:15 fe query in
+    let c0 = Vfs.counters vfs and k0 = Vfs.Clock.snapshot (Vfs.clock vfs) in
+    let r2 = Core.Frontend.run_query_string ~top_k:15 fe query in
+    ( fe,
+      r1,
+      r2,
+      Vfs.diff_counters ~later:(Vfs.counters vfs) ~earlier:c0,
+      Vfs.Clock.diff ~later:(Vfs.Clock.snapshot (Vfs.clock vfs)) ~earlier:k0 )
+  in
+  let fe, r1, r2, c, k = second_run ~block_cache_bytes:(1 lsl 22) in
+  Alcotest.(check bool) "bit-identical ranking" true
+    (fingerprint r2.Core.Frontend.ranked = fingerprint r1.Core.Frontend.ranked);
+  Alcotest.(check int) "no file access" 0 c.Vfs.file_accesses;
+  Alcotest.(check int) "no bytes read" 0 c.Vfs.bytes_read;
+  Alcotest.(check (float 0.0)) "no disk, syscall or copy time" 0.0 (Vfs.Clock.sys_io_ms k);
+  Alcotest.(check bool) "the query did cost CPU" true (r2.Core.Frontend.elapsed_ms > 0.0);
+  Alcotest.(check (float 1e-9)) "latency is the CPU charge alone" r2.Core.Frontend.elapsed_ms
+    k.Vfs.Clock.engine_cpu_ms;
+  Alcotest.(check string) "served by the routed replica" "a" r2.Core.Frontend.served_by;
+  (match List.assoc_opt "record" (Core.Frontend.cache_tiers fe) with
+  | None -> Alcotest.fail "record tier missing from the report"
+  | Some s ->
+    Alcotest.(check int) "first run misses, second run hits" s.Util.Cache_stats.hits
+      (Util.Cache_stats.misses s);
+    Alcotest.(check bool) "records hit" true (s.Util.Cache_stats.hits > 0));
+  let _, r1, r2, c, _ = second_run ~block_cache_bytes:0 in
+  Alcotest.(check bool) "block cache off: the second run fetches again" true
+    (c.Vfs.file_accesses > 0 && c.Vfs.bytes_read > 0);
+  Alcotest.(check bool) "same ranking either way" true
+    (fingerprint r2.Core.Frontend.ranked = fingerprint r1.Core.Frontend.ranked)
+
 (* Satellite regression: a stalled replica blowing the deadline yields a
    degraded partial — the fill path must refuse to cache it as a full
    answer, and the healthy recomputation must overwrite it. *)
@@ -266,8 +384,30 @@ let prop_churn_coherence =
           ignore (Util.Block_cache.retain bc ~keep:(fun e -> e = epoch)));
       let queries = [ "alpha"; "#sum( retrieval the gamma )" ] in
       let ok = ref true in
+      (* Every vocabulary word's record at the current epoch, read through
+         the record tier under the word's index as its stable locator:
+         the first read fills, the second must hit, and both must be the
+         latest view's bytes. *)
+      let read_records epoch =
+        Array.iteri
+          (fun locator word ->
+            match Core.Live_index.normalise_term live word with
+            | None -> ()
+            | Some term -> (
+              match Core.Live_index.lookup live term with
+              | None -> ()
+              | Some (record, _, _) ->
+                (match Util.Block_cache.find_record bc ~locator ~epoch with
+                | Some cached -> if not (Bytes.equal cached record) then ok := false
+                | None -> Util.Block_cache.insert_record bc ~locator ~epoch record);
+                match Util.Block_cache.find_record bc ~locator ~epoch with
+                | Some cached -> if not (Bytes.equal cached record) then ok := false
+                | None -> ok := false))
+          vocab
+      in
       let check_epoch () =
         let epoch = Core.Live_index.epoch live in
+        read_records epoch;
         (* Keep the block cache populated under the current epoch so the
            publication hook has real entries to invalidate. *)
         Util.Block_cache.insert bc ~src:1 ~blk:0 ~epoch ~docs:[| epoch |] ~tfs:[| 1 |];
@@ -304,6 +444,7 @@ let prop_churn_coherence =
       let final = Core.Live_index.epoch live in
       List.iter (fun e -> if e <> final then ok := false) (Core.Result_cache.epochs rc);
       List.iter (fun e -> if e <> final then ok := false) (Util.Block_cache.epochs bc);
+      if (Util.Block_cache.record_stats bc).Util.Cache_stats.hits = 0 then ok := false;
       !ok)
 
 let suite =
@@ -311,6 +452,10 @@ let suite =
     Alcotest.test_case "block cache: probe, fill, key separation" `Quick test_block_cache_basics;
     Alcotest.test_case "block cache: byte-budget lru" `Quick test_block_cache_evicts_lru;
     Alcotest.test_case "block cache: retain by epoch" `Quick test_block_cache_retain;
+    Alcotest.test_case "block cache: record probe, fill, key separation" `Quick
+      test_record_tier_basics;
+    Alcotest.test_case "block cache: records and blocks share one budget" `Quick
+      test_records_and_blocks_share_budget;
     Alcotest.test_case "result cache: epoch mismatch purges" `Quick test_result_cache_epoch_purge;
     Alcotest.test_case "result cache: partial never served as full" `Quick
       test_result_cache_coverage;
@@ -320,6 +465,8 @@ let suite =
       test_frontend_result_cache;
     Alcotest.test_case "frontend: block cache cuts decodes on reuse" `Quick
       test_frontend_block_cache;
+    Alcotest.test_case "frontend: cached records skip the store on reuse" `Quick
+      test_frontend_record_tier;
     Alcotest.test_case "frontend: stalled deadline result never cached" `Quick
       test_stalled_deadline_result_never_cached;
     Alcotest.test_case "torture: coherence under churn" `Slow test_torture_cache;

@@ -157,6 +157,22 @@ let test_unroutable_terms_degrade () =
   Alcotest.(check bool) "breaker closed again" true
     (Core.Frontend.breaker fe ~name:"solo" = Core.Frontend.Closed)
 
+(* The file extent [(off, len)] of [term]'s physical segment in one
+   replica's copy of the store. *)
+let segment_extent p vfs term =
+  let catalog = Core.Catalog.load p.Core.Experiment.vfs ~file:p.Core.Experiment.catalog_file in
+  let entry = Option.get (Inquery.Dictionary.find catalog.Core.Catalog.dict term) in
+  let probe = Mneme.Store.open_existing vfs p.Core.Experiment.mneme_file in
+  List.iter
+    (fun name ->
+      Mneme.Store.attach_buffer (Mneme.Store.pool probe name)
+        (Mneme.Buffer_pool.create ~name ~capacity:500_000 ()))
+    [ "small"; "medium"; "large" ];
+  let locator = entry.Inquery.Dictionary.locator in
+  let pool = Option.get (Mneme.Store.pool_of_oid probe locator) in
+  let pseg = Option.get (Mneme.Store.locate_pseg probe locator) in
+  List.assoc pseg (Mneme.Store.pool_segments pool)
+
 (* A corrupt fetch is reported once per (replica, term), recorded on the
    frontend's read-repair worklist, and served via a healthy replica —
    the query itself never sees the damage. *)
@@ -167,21 +183,10 @@ let test_corrupt_fetch_recorded_and_hedged () =
     Core.Frontend.of_prepared p ~names:[ "a"; "b" ] ~buffers:Core.Buffer_sizing.no_cache
       ~on_corrupt:(fun ~replica ~term ~reason -> events := (replica, term, reason) :: !events)
   in
-  (* Locate ba's physical segment in replica a's copy of the store and
-     flip a byte in the middle of it. *)
-  let catalog = Core.Catalog.load p.Core.Experiment.vfs ~file:p.Core.Experiment.catalog_file in
-  let entry = Option.get (Inquery.Dictionary.find catalog.Core.Catalog.dict "ba") in
+  (* Flip a byte in the middle of ba's physical segment in replica a's
+     copy of the store. *)
   let vfs_a = Core.Frontend.replica_vfs fe ~name:"a" in
-  let probe = Mneme.Store.open_existing vfs_a p.Core.Experiment.mneme_file in
-  List.iter
-    (fun name ->
-      Mneme.Store.attach_buffer (Mneme.Store.pool probe name)
-        (Mneme.Buffer_pool.create ~name ~capacity:500_000 ()))
-    [ "small"; "medium"; "large" ];
-  let locator = entry.Inquery.Dictionary.locator in
-  let pool = Option.get (Mneme.Store.pool_of_oid probe locator) in
-  let pseg = Option.get (Mneme.Store.locate_pseg probe locator) in
-  let off, len = List.assoc pseg (Mneme.Store.pool_segments pool) in
+  let off, len = segment_extent p vfs_a "ba" in
   let f = Vfs.open_file vfs_a p.Core.Experiment.mneme_file in
   let target = off + (len / 2) in
   let byte = Bytes.get (Vfs.read f ~off:target ~len:1) 0 in
@@ -220,6 +225,133 @@ let test_corrupt_fetch_recorded_and_hedged () =
   Alcotest.(check bool) "unknown entry is false" false
     (Core.Frontend.mark_repaired fe ~replica:"b" ~term:"ba")
 
+(* A query that fetches nothing is attributed to the replica it was
+   routed to, not to the first one: here every term is out of
+   vocabulary and the first replica's breaker is open. *)
+let test_zero_fetch_query_served_by_routed_replica () =
+  let p = Lazy.force prepared in
+  let fe =
+    Core.Frontend.of_prepared p ~names:[ "a"; "b" ] ~buffers:Core.Buffer_sizing.no_cache
+      ~window:4 ~trip_after:2 ~cooldown_ms:1.0e6
+  in
+  Vfs.set_fault
+    (Core.Frontend.replica_vfs fe ~name:"a")
+    (Vfs.Fault.degraded_device ~file:p.Core.Experiment.mneme_file ~ms:150.0);
+  ignore (Core.Frontend.run_query_string fe big_query);
+  Alcotest.(check bool) "a's breaker open" true
+    (Core.Frontend.breaker fe ~name:"a" = Core.Frontend.Open);
+  let clock name = Vfs.Clock.snapshot (Vfs.clock (Core.Frontend.replica_vfs fe ~name)) in
+  let a0 = clock "a" and b0 = clock "b" in
+  let r = Core.Frontend.run_query_string fe "#sum( zzqx zzqy )" in
+  let a = Vfs.Clock.diff ~later:(clock "a") ~earlier:a0 in
+  let b = Vfs.Clock.diff ~later:(clock "b") ~earlier:b0 in
+  Alcotest.(check string) "served by the routed replica" "b" r.Core.Frontend.served_by;
+  Alcotest.(check bool) "the query did cost CPU" true (r.Core.Frontend.elapsed_ms > 0.0);
+  Alcotest.(check (float 0.0)) "nothing charged to the open replica" 0.0 (Vfs.Clock.wall_ms a);
+  Alcotest.(check (float 1e-9)) "the CPU charged to the routed one" r.Core.Frontend.elapsed_ms
+    b.Vfs.Clock.engine_cpu_ms
+
+let cached_records fe =
+  match List.assoc_opt "record" (Core.Frontend.cache_tiers fe) with
+  | Some s -> s.Util.Cache_stats.resident_entries
+  | None -> Alcotest.fail "record tier missing from the report"
+
+let file_accesses vfs = (Vfs.counters vfs).Vfs.file_accesses
+
+(* Rot ba's segment in [vfs]'s copy at the next physical read. *)
+let rot_ba p vfs =
+  let off, len = segment_extent p vfs "ba" in
+  Vfs.set_fault vfs
+    (Vfs.Fault.flip_bits_on_read ~io:1 ~seed:7 ~first:off ~last:(off + len - 1) ~bits:3 ())
+
+(* The record tier is filled only with bytes a query used: a read that
+   failed its CRC on every replica is never cached, and a hedged read
+   caches the healthy replica's copy. *)
+let test_record_tier_never_caches_corrupt_reads () =
+  let p = Lazy.force prepared in
+  let solo =
+    Core.Frontend.of_prepared p ~names:[ "solo" ] ~buffers:Core.Buffer_sizing.no_cache
+      ~block_cache_bytes:(1 lsl 22)
+  in
+  let vfs = Core.Frontend.replica_vfs solo ~name:"solo" in
+  rot_ba p vfs;
+  let r = Core.Frontend.run_query_string ~top_k:20 solo big_query in
+  Alcotest.(check (list string)) "ba failed" [ "ba" ] (List.map fst r.Core.Frontend.failed_terms);
+  Alcotest.(check int) "every other record cached" (List.length terms - 1) (cached_records solo);
+  Vfs.clear_fault vfs;
+  let before = file_accesses vfs in
+  let r2 = Core.Frontend.run_query_string ~top_k:20 solo big_query in
+  Alcotest.(check (list string)) "ba is fetched again and fails again" [ "ba" ]
+    (List.map fst r2.Core.Frontend.failed_terms);
+  Alcotest.(check bool) "the failed record went back to the store" true
+    (file_accesses vfs > before);
+  let fe =
+    Core.Frontend.of_prepared p ~names:[ "a"; "b" ] ~buffers:Core.Buffer_sizing.no_cache
+      ~block_cache_bytes:(1 lsl 22)
+  in
+  let vfs_a = Core.Frontend.replica_vfs fe ~name:"a" in
+  let vfs_b = Core.Frontend.replica_vfs fe ~name:"b" in
+  rot_ba p vfs_a;
+  let r = Core.Frontend.run_query_string ~top_k:20 fe big_query in
+  Alcotest.(check bool) "hedged, not degraded" true
+    (r.Core.Frontend.hedged_fetches >= 1 && not r.Core.Frontend.degraded);
+  Alcotest.(check (list string)) "a's copy of ba was corrupt" [ "ba" ]
+    (List.map (fun e -> e.Core.Frontend.term) (Core.Frontend.corrupt_fetches fe));
+  Alcotest.(check int) "every record cached, ba from b" (List.length terms) (cached_records fe);
+  Vfs.clear_fault vfs_a;
+  let a0 = file_accesses vfs_a and b0 = file_accesses vfs_b in
+  let r2 = Core.Frontend.run_query_string ~top_k:20 fe big_query in
+  Alcotest.(check int) "rerun reads nothing from a" a0 (file_accesses vfs_a);
+  Alcotest.(check int) "rerun reads nothing from b" b0 (file_accesses vfs_b);
+  Alcotest.(check bool) "rerun ranks bit-identically" true
+    (fingerprint r2.Core.Frontend.ranked = fingerprint r.Core.Frontend.ranked);
+  Alcotest.(check bool) "and matches a healthy engine" true
+    (fingerprint r2.Core.Frontend.ranked = engine_fingerprint ())
+
+(* A term the deadline skipped is never cached; a cached record costs no
+   simulated time, so it is used even once the deadline has passed. *)
+let test_record_tier_under_deadline () =
+  let p = Lazy.force prepared in
+  let fe =
+    Core.Frontend.of_prepared p ~names:[ "solo" ] ~buffers:Core.Buffer_sizing.no_cache
+      ~window:1000 ~trip_after:1000 ~block_cache_bytes:(1 lsl 22)
+  in
+  let vfs = Core.Frontend.replica_vfs fe ~name:"solo" in
+  let stall () =
+    Vfs.set_fault vfs (Vfs.Fault.degraded_device ~file:p.Core.Experiment.mneme_file ~ms:120.0)
+  in
+  stall ();
+  let r = Core.Frontend.run_query_string ~top_k:20 ~deadline_ms:100.0 fe big_query in
+  Alcotest.(check bool) "deadline skipped terms" true (r.Core.Frontend.skipped_terms <> []);
+  Alcotest.(check int) "only fetched terms are cached"
+    (List.length terms - List.length r.Core.Frontend.skipped_terms)
+    (cached_records fe);
+  Vfs.clear_fault vfs;
+  let healthy = Core.Frontend.run_query_string ~top_k:20 fe big_query in
+  Alcotest.(check bool) "healed run is complete" false healthy.Core.Frontend.degraded;
+  stall ();
+  let before = file_accesses vfs in
+  let warm = Core.Frontend.run_query_string ~top_k:20 ~deadline_ms:100.0 fe big_query in
+  Alcotest.(check int) "a warm query touches no device" before (file_accesses vfs);
+  Alcotest.(check bool) "warm query is full on the stalled device" false
+    warm.Core.Frontend.degraded;
+  Alcotest.(check bool) "warm ranking bit-identical" true
+    (fingerprint warm.Core.Frontend.ranked = fingerprint healthy.Core.Frontend.ranked);
+  (* A cold term first: its stalled fetch carries the query past the
+     deadline, and the warm terms after it are still served. *)
+  let mixed = "#sum( ci " ^ String.concat " " terms ^ " )" in
+  let r = Core.Frontend.run_query_string ~top_k:20 ~deadline_ms:100.0 fe mixed in
+  Alcotest.(check bool)
+    (Printf.sprintf "past the deadline (%.1f ms)" r.Core.Frontend.elapsed_ms)
+    true
+    (r.Core.Frontend.elapsed_ms > 100.0);
+  Alcotest.(check (list string)) "nothing skipped" [] r.Core.Frontend.skipped_terms;
+  Alcotest.(check bool) "not degraded" false r.Core.Frontend.degraded;
+  let e = Core.Experiment.open_engine p Core.Experiment.Mneme_cache in
+  Alcotest.(check bool) "full ranking" true
+    (fingerprint r.Core.Frontend.ranked
+    = fingerprint (Core.Engine.run_query_string ~top_k:20 e mixed).Core.Engine.ranked)
+
 let test_validation () =
   let p = Lazy.force prepared in
   let invalid f = match f () with _ -> false | exception Invalid_argument _ -> true in
@@ -248,5 +380,10 @@ let suite =
     Alcotest.test_case "unroutable terms degrade" `Quick test_unroutable_terms_degrade;
     Alcotest.test_case "corrupt fetch recorded and hedged" `Quick
       test_corrupt_fetch_recorded_and_hedged;
+    Alcotest.test_case "zero-fetch query served by the routed replica" `Quick
+      test_zero_fetch_query_served_by_routed_replica;
+    Alcotest.test_case "record tier never caches corrupt reads" `Quick
+      test_record_tier_never_caches_corrupt_reads;
+    Alcotest.test_case "record tier under a deadline" `Quick test_record_tier_under_deadline;
     Alcotest.test_case "validation" `Quick test_validation;
   ]

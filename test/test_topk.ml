@@ -139,7 +139,10 @@ let test_forced_plans_identical () =
 let test_exhaustive_flag () =
   let source, dict = make () in
   let q = Inquery.Query.parse_exn "#sum( apple banana )" in
-  let got, _, t = Inquery.Infnet.eval_topk source dict ~exhaustive:true ~k:3 q in
+  let got, _, t =
+    Inquery.Infnet.eval_topk source dict
+      ~plan:(Inquery.Planner.Forced Inquery.Planner.Exhaustive) ~k:3 q
+  in
   Alcotest.(check bool) "forced fallback" false t.Inquery.Infnet.tk_pruned;
   Alcotest.(check bool) "identical" true (got = reference source dict q ~k:3)
 
