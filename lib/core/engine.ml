@@ -85,16 +85,15 @@ let heal_pending t ~store ~sources =
 let query_entries t query =
   Inquery.Query.terms query
   |> List.filter_map (fun term ->
-         let drop =
-           match t.stopwords with
-           | Some sw -> Inquery.Stopwords.is_stopword sw term
-           | None -> false
-         in
-         if drop then None
-         else begin
-           let term = if t.stem then Inquery.Stemmer.stem term else term in
-           Inquery.Dictionary.find t.dict term
-         end)
+         Option.bind
+           (Inquery.Stopwords.normalize ?stopwords:t.stopwords ~stem:t.stem term)
+           (Inquery.Dictionary.find t.dict))
+
+let charge_cpu t stats =
+  Vfs.Clock.charge_engine_cpu (Vfs.clock t.vfs)
+    (Vfs.Cost_model.engine_cpu_ms (Vfs.cost_model t.vfs)
+       ~postings:stats.Inquery.Infnet.postings_scored
+       ~nodes:stats.Inquery.Infnet.nodes_visited)
 
 let run_query ?(top_k = 100) t query =
   let release =
@@ -108,14 +107,7 @@ let run_query ?(top_k = 100) t query =
     Fun.protect ~finally:release (fun () ->
         Inquery.Infnet.eval t.source t.dict ?stopwords:t.stopwords ~stem:t.stem query)
   in
-  let model = Vfs.cost_model t.vfs in
-  let cpu_ms =
-    (float_of_int stats.Inquery.Infnet.postings_scored
-     *. model.Vfs.Cost_model.cpu_ns_per_posting /. 1.0e6)
-    +. (float_of_int stats.Inquery.Infnet.nodes_visited
-        *. model.Vfs.Cost_model.cpu_us_per_query_node /. 1.0e3)
-  in
-  Vfs.Clock.charge_engine_cpu (Vfs.clock t.vfs) cpu_ms;
+  charge_cpu t stats;
   {
     ranked = Inquery.Ranking.top_k beliefs ~k:top_k;
     postings_scored = stats.Inquery.Infnet.postings_scored;
@@ -153,14 +145,7 @@ let run_topk ?(audit = false) ?plan ?(k = 10) t query =
         Inquery.Infnet.eval_topk t.source t.dict ?stopwords:t.stopwords ~stem:t.stem ~audit
           ?plan ~k query)
   in
-  let model = Vfs.cost_model t.vfs in
-  let cpu_ms =
-    (float_of_int stats.Inquery.Infnet.postings_scored
-     *. model.Vfs.Cost_model.cpu_ns_per_posting /. 1.0e6)
-    +. (float_of_int stats.Inquery.Infnet.nodes_visited
-        *. model.Vfs.Cost_model.cpu_us_per_query_node /. 1.0e3)
-  in
-  Vfs.Clock.charge_engine_cpu (Vfs.clock t.vfs) cpu_ms;
+  charge_cpu t stats;
   {
     topk_ranked =
       List.map

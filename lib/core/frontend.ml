@@ -205,22 +205,19 @@ let hedge_candidate t ~exclude =
 let routed t = match route t with Some i -> t.replicas.(i) | None -> t.replicas.(0)
 let preferred t = (routed t).spec.name
 
-(* The canonical result-cache key: the query re-printed after the same
-   lex/stem normalisation evaluation applies, so surface variants that
-   must rank identically ("Retrieval" vs its stem, a stopword present
-   or absent) share one entry.  k is part of the key; the per-frontend
-   evaluation preset (df_of, stem, stopword list) is fixed at create
-   time, so it needs no key bytes. *)
+(* The canonical result-cache key: the query re-printed after
+   [Stopwords.normalize], the rule evaluation itself applies, so surface
+   variants that must rank identically ("Retrieval" vs its stem, a
+   stopword present or absent) share one entry.  k is part of the key;
+   the per-frontend evaluation preset (df_of, stem, stopword list) is
+   fixed at create time, so it needs no key bytes. *)
 let canonical_key t ~top_k query =
   let norm term =
-    let dropped =
-      match t.stopwords with
-      | Some sw -> Inquery.Stopwords.is_stopword sw term
-      | None -> false
-    in
+    match Inquery.Stopwords.normalize ?stopwords:t.stopwords ~stem:t.stem term with
+    | Some term -> term
     (* A token no tokenizer emits, so dropped terms cannot collide with
        a real vocabulary word. *)
-    if dropped then "\x00stop" else if t.stem then Inquery.Stemmer.stem term else term
+    | None -> "\x00stop"
   in
   let rec go q =
     match q with
@@ -456,10 +453,8 @@ let run_query ?(top_k = 100) ?deadline_ms ?floor ?plan t query =
       if start >= d then false
       else begin
         let cpu =
-          (float_of_int s.Inquery.Infnet.postings_scored
-           *. stop_model.Vfs.Cost_model.cpu_ns_per_posting /. 1.0e6)
-          +. (float_of_int s.Inquery.Infnet.nodes_visited
-              *. stop_model.Vfs.Cost_model.cpu_us_per_query_node /. 1.0e3)
+          Vfs.Cost_model.engine_cpu_ms stop_model ~postings:s.Inquery.Infnet.postings_scored
+            ~nodes:s.Inquery.Infnet.nodes_visited
         in
         if start +. cpu >= d then begin
           deadline_hit := true;
@@ -481,12 +476,9 @@ let run_query ?(top_k = 100) ?deadline_ms ?floor ?plan t query =
        in the vocabulary — is served by the replica it was routed to. *)
     if served.(!best) = 0 then home else t.replicas.(!best)
   in
-  let model = Vfs.cost_model serving.spec.vfs in
   let cpu_ms =
-    (float_of_int stats.Inquery.Infnet.postings_scored
-     *. model.Vfs.Cost_model.cpu_ns_per_posting /. 1.0e6)
-    +. (float_of_int stats.Inquery.Infnet.nodes_visited
-        *. model.Vfs.Cost_model.cpu_us_per_query_node /. 1.0e3)
+    Vfs.Cost_model.engine_cpu_ms (Vfs.cost_model serving.spec.vfs)
+      ~postings:stats.Inquery.Infnet.postings_scored ~nodes:stats.Inquery.Infnet.nodes_visited
   in
   Vfs.Clock.charge_engine_cpu (Vfs.clock serving.spec.vfs) cpu_ms;
   advance cpu_ms;

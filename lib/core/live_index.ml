@@ -456,11 +456,7 @@ let mutate t st f =
 (* ------------------------------------------------------------------ *)
 (* Addition                                                            *)
 
-let normalise t term =
-  let stopped =
-    match t.stopwords with Some sw -> Inquery.Stopwords.is_stopword sw term | None -> false
-  in
-  if stopped then None else Some (if t.stem then Inquery.Stemmer.stem term else term)
+let normalise t term = Inquery.Stopwords.normalize ?stopwords:t.stopwords ~stem:t.stem term
 
 (* Tokenize [text] through the index's stopword/stemming configuration:
    per-term ascending position lists in first-occurrence order, plus the

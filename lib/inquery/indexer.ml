@@ -92,15 +92,11 @@ let add_document t ~doc_id text =
   let touched = ref [] in
   let indexed =
     Lexer.fold_tokens text ~init:0 ~f:(fun n term position ->
-        let keep =
-          match t.stopwords with Some sw -> not (Stopwords.is_stopword sw term) | None -> true
-        in
-        if keep then begin
-          let term = if t.stem then Stemmer.stem term else term in
+        match Stopwords.normalize ?stopwords:t.stopwords ~stem:t.stem term with
+        | Some term ->
           occurrence touched (acc_for t term) position;
           n + 1
-        end
-        else n)
+        | None -> n)
   in
   finish_document t touched doc_id indexed;
   t.collection_bytes <- t.collection_bytes + String.length text

@@ -158,62 +158,60 @@ let record_df ?df_of entry record =
     let df, _ = Postings.stats record in
     df
 
+(* The dictionary entry a raw query term scores with, after the one
+   stop-word/stem rule; [None] for a dropped or out-of-vocabulary term. *)
+let lookup dict ?stopwords ~stem term =
+  match Stopwords.normalize ?stopwords ~stem term with
+  | None -> None
+  | Some term -> Dictionary.find dict term
+
+(* A positional leaf's member records, each lookup counted: #phrase /
+   #od / #uw need every member's record, #syn takes the union of
+   whichever members have one. *)
+let member_records source dict ?stopwords ~stem stats ~require_all words =
+  let records =
+    List.map
+      (fun w ->
+        match lookup dict ?stopwords ~stem w with
+        | None -> None
+        | Some entry ->
+          stats.record_lookups <- stats.record_lookups + 1;
+          source.fetch entry)
+      words
+  in
+  if require_all then
+    if List.for_all Option.is_some records && records <> [] then
+      Some (List.map Option.get records)
+    else None
+  else begin
+    match List.filter_map Fun.id records with [] -> None | rs -> Some rs
+  end
+
 let eval source dict ?df_of ?stopwords ?(stem = false) query =
   let n = source.max_doc_id + 1 in
   let stats = { postings_scored = 0; nodes_visited = 0; record_lookups = 0 } in
-  let normalize term =
-    let drop =
-      match stopwords with Some sw -> Stopwords.is_stopword sw term | None -> false
-    in
-    if drop then None else Some (if stem then Stemmer.stem term else term)
-  in
   let default_array () = Array.make n default_belief in
   let term_beliefs term =
     let beliefs = default_array () in
-    (match normalize term with
+    (match lookup dict ?stopwords ~stem term with
     | None -> ()
-    | Some term -> (
-      match Dictionary.find dict term with
+    | Some entry -> (
+      stats.record_lookups <- stats.record_lookups + 1;
+      match source.fetch entry with
       | None -> ()
-      | Some entry -> (
-        stats.record_lookups <- stats.record_lookups + 1;
-        match source.fetch entry with
-        | None -> ()
-        | Some record ->
-          let df = record_df ?df_of entry record in
-          Postings.fold_docs record ~init:() ~f:(fun () ~doc ~tf ->
-              stats.postings_scored <- stats.postings_scored + 1;
-              if doc < n then
-                beliefs.(doc) <-
-                  belief ~n_docs:source.n_docs ~df ~tf ~dl:(source.doc_len doc)
-                    ~avg_dl:source.avg_doc_len))));
+      | Some record ->
+        let df = record_df ?df_of entry record in
+        Postings.fold_docs record ~init:() ~f:(fun () ~doc ~tf ->
+            stats.postings_scored <- stats.postings_scored + 1;
+            if doc < n then
+              beliefs.(doc) <-
+                belief ~n_docs:source.n_docs ~df ~tf ~dl:(source.doc_len doc)
+                  ~avg_dl:source.avg_doc_len)));
     beliefs
   in
-  let fetch_member w =
-    match normalize w with
-    | None -> None
-    | Some w -> (
-      match Dictionary.find dict w with
-      | None -> None
-      | Some entry ->
-        stats.record_lookups <- stats.record_lookups + 1;
-        source.fetch entry)
-  in
-  (* Positional leaves (#phrase/#od/#uw) require every member record;
-     #syn takes the union of whichever members exist. *)
   let positional_beliefs ~require_all matcher words =
     let beliefs = default_array () in
-    let records = List.map fetch_member words in
-    let usable =
-      if require_all then
-        if List.for_all Option.is_some records && records <> [] then
-          Some (List.map Option.get records)
-        else None
-      else begin
-        match List.filter_map Fun.id records with [] -> None | rs -> Some rs
-      end
-    in
-    (match usable with
+    (match member_records source dict ?stopwords ~stem stats ~require_all words with
     | None -> ()
     | Some records ->
       let matches, examined = matcher records in
@@ -296,55 +294,24 @@ type dnode =
 let eval_daat_with ?(on_record = fun (_ : bytes) ~positional:(_ : bool) -> ()) source dict
     ?df_of ?stopwords ?(stem = false) query =
   let stats = { postings_scored = 0; nodes_visited = 0; record_lookups = 0 } in
-  let normalize term =
-    let drop =
-      match stopwords with Some sw -> Stopwords.is_stopword sw term | None -> false
-    in
-    if drop then None else Some (if stem then Stemmer.stem term else term)
-  in
   let term_leaf term =
-    match normalize term with
+    match lookup dict ?stopwords ~stem term with
     | None -> DAbsent
-    | Some term -> (
-      match Dictionary.find dict term with
+    | Some entry -> (
+      stats.record_lookups <- stats.record_lookups + 1;
+      match source.fetch entry with
       | None -> DAbsent
-      | Some entry -> (
-        stats.record_lookups <- stats.record_lookups + 1;
-        match source.fetch entry with
-        | None -> DAbsent
-        | Some record ->
-          on_record record ~positional:false;
-          let df = record_df ?df_of entry record in
-          let docs =
-            Postings.fold_docs record ~init:[] ~f:(fun acc ~doc ~tf -> (doc, tf) :: acc)
-            |> List.rev |> Array.of_list
-          in
-          DLeaf { docs; df; pos = 0 }))
+      | Some record ->
+        on_record record ~positional:false;
+        let df = record_df ?df_of entry record in
+        let docs =
+          Postings.fold_docs record ~init:[] ~f:(fun acc ~doc ~tf -> (doc, tf) :: acc)
+          |> List.rev |> Array.of_list
+        in
+        DLeaf { docs; df; pos = 0 })
   in
   let positional_leaf ~require_all ~positions matcher words =
-    let records =
-      List.map
-        (fun w ->
-          match normalize w with
-          | None -> None
-          | Some w -> (
-            match Dictionary.find dict w with
-            | None -> None
-            | Some entry ->
-              stats.record_lookups <- stats.record_lookups + 1;
-              source.fetch entry))
-        words
-    in
-    let usable =
-      if require_all then
-        if List.for_all Option.is_some records && records <> [] then
-          Some (List.map Option.get records)
-        else None
-      else begin
-        match List.filter_map Fun.id records with [] -> None | rs -> Some rs
-      end
-    in
-    match usable with
+    match member_records source dict ?stopwords ~stem stats ~require_all words with
     | None -> DAbsent
     | Some records ->
       List.iter (fun r -> on_record r ~positional:positions) records;
@@ -450,7 +417,7 @@ let eval_daat source dict ?df_of ?stopwords ?(stem = false) query =
   eval_daat_with source dict ?df_of ?stopwords ~stem query
 
 (* ------------------------------------------------------------------ *)
-(* Max-score top-k document-at-a-time evaluation                       *)
+(* Cost-planned top-k document-at-a-time evaluation                   *)
 
 type topk_stats = {
   tk_plan : Planner.plan;
@@ -480,33 +447,20 @@ let take_n n xs =
 let rank_order a b =
   if a.belief = b.belief then compare a.doc b.doc else compare b.belief a.belief
 
-(* One leaf of a max-score-evaluable query: a weighted term cursor.  The
-   pruned path only handles flat additive shapes (a bag of terms under
-   #sum/#wsum, or a bare term) because only there is a child's maximum
-   contribution independent of the others; anything else falls back to
-   the exhaustive evaluator. *)
-type lin_leaf = {
-  lc_weight : float;
-  lc_cur : Postings.cursor option; (* None: stop word / OOV / unfetchable *)
-  lc_df : int;
-  lc_ub : float; (* upper-bound belief from df and max_tf *)
-  lc_coeff : float; (* w * 0.6 * idf / norm — contribution scale *)
-  lc_mtf : float; (* max_tf as a float; 0 when the record has no header *)
-}
+(* How the essential-set driver folds its leaves' beliefs: [Add norm]
+   is (sum_i w_i * b_i) / norm — a bare term, #sum or #wsum of terms —
+   and [Mul] is prod_i b_i — #and of terms. *)
+type combiner = Add of float | Mul
 
-(* [Some (children, norm)] iff the query scores as
-   (sum_i w_i * b_i) / norm with every child a plain term — bit-for-bit
-   the fold [eval_daat] performs on these shapes. *)
-let linear_shape query =
-  let term_only ns = List.for_all (function Query.Term _ -> true | _ -> false) ns in
-  match query with
-  | Query.Term _ -> Some ([ (1.0, query) ], 1.0)
-  | Query.Sum ns when ns <> [] && term_only ns ->
-    Some (List.map (fun n -> (1.0, n)) ns, float_of_int (List.length ns))
-  | Query.Wsum ps when ps <> [] && term_only (List.map snd ps) ->
-    let total = List.fold_left (fun acc (w, _) -> acc +. w) 0.0 ps in
-    if total > 0.0 then Some (ps, total) else None
-  | _ -> None
+(* One leaf of the driver: a weighted term cursor. *)
+type leaf = {
+  lf_weight : float;
+  lf_cur : Postings.cursor option; (* None: stop word / OOV / unfetchable *)
+  lf_df : int;
+  lf_cap : float; (* bounds this leaf's step in any document; the sort key *)
+  lf_coeff : float; (* scale of its per-document cap *)
+  lf_mtf : float; (* max_tf as a float; 0 when the record has no header *)
+}
 
 let eval_topk source dict ?df_of ?floor ?stopwords ?(stem = false) ?(audit = false)
     ?(plan = Planner.Auto) ?(should_stop = fun (_ : stats) -> false) ?block_cache ~k query =
@@ -553,21 +507,12 @@ let eval_topk source dict ?df_of ?floor ?stopwords ?(stem = false) ?(audit = fal
       r
   in
   let source = { source with fetch = fetch_memo } in
-  let normalize term =
-    let drop =
-      match stopwords with Some sw -> Stopwords.is_stopword sw term | None -> false
-    in
-    if drop then None else Some (if stem then Stemmer.stem term else term)
-  in
   (* Planner probes: header statistics only, no lookup accounting (the
      executor's own fetches are the ones the engine charges for). *)
   let stats_of w =
-    match normalize w with
+    match lookup dict ?stopwords ~stem w with
     | None -> None
-    | Some w -> (
-      match Dictionary.find dict w with
-      | None -> None
-      | Some entry -> Option.map Postings.record_stats (fetch_memo entry))
+    | Some entry -> Option.map Postings.record_stats (fetch_memo entry)
   in
   let requested =
     match plan with
@@ -597,16 +542,13 @@ let eval_topk source dict ?df_of ?floor ?stopwords ?(stem = false) ?(audit = fal
   (* Fetch a bare term's record and open a seekable cursor on it; [None]
      for stop words, OOV terms and unfetchable records. *)
   let term_cursor stats w =
-    match normalize w with
+    match lookup dict ?stopwords ~stem w with
     | None -> None
-    | Some w -> (
-      match Dictionary.find dict w with
+    | Some entry -> (
+      stats.record_lookups <- stats.record_lookups + 1;
+      match fetch_memo entry with
       | None -> None
-      | Some entry -> (
-        stats.record_lookups <- stats.record_lookups + 1;
-        match fetch_memo entry with
-        | None -> None
-        | Some record -> Some (entry, record, Postings.cursor ?cache:(cache_of entry) record)))
+      | Some record -> Some (entry, record, Postings.cursor ?cache:(cache_of entry) record))
   in
   let cursor_counters curs =
     List.fold_left
@@ -633,93 +575,88 @@ let eval_topk source dict ?df_of ?floor ?stopwords ?(stem = false) ?(audit = fal
     let results, dstats = eval_daat_with ~on_record source dict ?df_of ?stopwords ~stem query in
     let heap = Util.Topk.create ~k in
     List.iter (fun s -> ignore (Util.Topk.offer heap ~doc:s.doc ~score:s.belief)) results;
-    let ranked =
-      List.map
-        (fun e -> { doc = e.Util.Topk.doc; belief = e.Util.Topk.score })
-        (Util.Topk.sorted_desc heap)
-    in
-    ( ranked,
-      dstats,
-      {
-        tk_plan = Planner.Exhaustive;
-        tk_pruned = false;
-        tk_postings_total = !total;
-        tk_postings_decoded = !total;
-        tk_blocks_skipped = 0;
-        tk_seeks = 0;
-        tk_bytes_read = !bytes;
-        tk_blocks_read = !blocks;
-        tk_est_bytes = 0;
-        tk_est_blocks = 0;
-        tk_stopped = false;
-      } )
+    (heap, dstats, (!total, !total, 0, 0, !bytes, !blocks), false)
   in
-  (* --- plan: additive max-score (flat shapes) ----------------------- *)
-  let maxscore_exec () =
-    match linear_shape query with
-    | None -> assert false (* the planner only picks Maxscore for Flat *)
-    | Some (children, norm) ->
+  (* --- plans: Maxscore and #and-Intersect (the essential-set driver) --
+
+     #and is a soft conjunction: a document missing a member still
+     scores, that member contributing the 0.4 default factor, so both
+     combiners are monotone in every leaf's belief and one bound serves
+     both.  Leaves are sorted by cap, largest first; a document absent
+     from the first i sorted leaves scores at most [absent.(i)].  The
+     leaves whose absence alone keeps a document at or under the
+     threshold drop out of the essential prefix: only essential cursors
+     drive the frontier, and the rest are seeked to a candidate only
+     while its partial score and their per-document caps could still
+     beat the threshold.  With k results banked, #and's essential set
+     shrinks toward its rarest member and the driver becomes the
+     intersection-first scan the planner priced.  A surviving candidate
+     is rescored by eval_daat's fold in child order, so beliefs are
+     bit-identical, and that rescore is the only place a posting is
+     charged. *)
+  let essential_exec comb children =
     let stats = { postings_scored = 0; nodes_visited = 0; record_lookups = 0 } in
-    let m = List.length children in
-    stats.nodes_visited <- (match query with Query.Term _ -> 1 | _ -> 1 + m);
-    let absent w =
-      { lc_weight = w; lc_cur = None; lc_df = 0; lc_ub = default_belief; lc_coeff = 0.0;
-        lc_mtf = 0.0 }
+    let n = List.length children in
+    stats.nodes_visited <- (match query with Query.Term _ -> 1 | _ -> 1 + n);
+    (* The combiner's pieces match on [comb] inline, so the per-posting
+       loops allocate no closure and box no float. *)
+    let neutral = match comb with Add _ -> 0.0 | Mul -> 1.0 in
+    let[@inline] join acc w b = match comb with Add _ -> acc +. (w *. b) | Mul -> acc *. b in
+    let[@inline] step acc w b =
+      match comb with Add norm -> acc +. (w *. (b -. default_belief) /. norm) | Mul -> acc *. b
+    in
+    let[@inline] combine cap rest = match comb with Add _ -> cap +. rest | Mul -> cap *. rest in
+    let make_leaf w cur ~df ~idf ~mtf =
+      (* tf_w = tf/(tf + 0.5 + 1.5*dl/avg) <= max_tf/(max_tf + 0.5);
+         without a max_tf header (v1 record) the bound degrades to the
+         idf-only cap tf_w <= 1. *)
+      let tf_bound = if mtf > 0.0 then mtf /. (mtf +. 0.5) else 1.0 in
+      let ub = default_belief +. (0.6 *. tf_bound *. idf) in
+      match comb with
+      | Add norm ->
+        { lf_weight = w; lf_cur = cur; lf_df = df; lf_cap = w *. (ub -. default_belief) /. norm;
+          lf_coeff = w *. 0.6 *. idf /. norm; lf_mtf = mtf }
+      | Mul ->
+        { lf_weight = w; lf_cur = cur; lf_df = df; lf_cap = ub; lf_coeff = 0.6 *. idf;
+          lf_mtf = mtf }
     in
     let leaves =
       Array.of_list
         (List.map
-           (fun (w, child) ->
-             let term = match child with Query.Term t -> t | _ -> assert false in
+           (fun (w, term) ->
              match term_cursor stats term with
-             | None -> absent w
+             | None -> make_leaf w None ~df:0 ~idf:0.0 ~mtf:0.0
              | Some (entry, record, cur) ->
                let df = record_df ?df_of entry record in
-               (* tf_w = tf/(tf + 0.5 + 1.5*dl/avg) <= max_tf/(max_tf + 0.5);
-                  without a max_tf header (v1 record) the bound degrades
-                  to the idf-only cap tf_w <= 1. *)
                let mtf =
                  match Postings.max_tf record with
                  | Some mt when mt > 0 -> float_of_int mt
                  | _ -> 0.0
                in
-               let tf_bound = if mtf > 0.0 then mtf /. (mtf +. 0.5) else 1.0 in
-               let idf = idf_weight ~n_docs:source.n_docs ~df in
-               let ub = default_belief +. (0.6 *. tf_bound *. idf) in
-               { lc_weight = w; lc_cur = Some cur; lc_df = df;
-                 lc_ub = ub; lc_coeff = w *. 0.6 *. idf /. norm; lc_mtf = mtf })
+               make_leaf w (Some cur) ~df ~idf:(idf_weight ~n_docs:source.n_docs ~df) ~mtf)
            children)
     in
-    (* The no-evidence score, by the same fold eval_daat uses. *)
-    let baseline =
-      List.fold_left (fun acc (w, _) -> acc +. (w *. default_belief)) 0.0 children /. norm
-    in
-    let leaf_belief lf d =
-      match lf.lc_cur with
+    let[@inline] belief_at ~charge lf d =
+      match lf.lf_cur with
       | Some cur when Postings.cur_doc cur = d ->
-        stats.postings_scored <- stats.postings_scored + 1;
-        belief ~n_docs:source.n_docs ~df:lf.lc_df ~tf:(Postings.cur_tf cur)
+        if charge then stats.postings_scored <- stats.postings_scored + 1;
+        belief ~n_docs:source.n_docs ~df:lf.lf_df ~tf:(Postings.cur_tf cur)
           ~dl:(source.doc_len d) ~avg_dl:source.avg_doc_len
       | _ -> default_belief
     in
-    (* Exact final score, replicating eval_daat's child-order fold so
-       pruned and exhaustive beliefs are bit-identical. *)
-    let final_score d =
-      Array.fold_left (fun acc lf -> acc +. (lf.lc_weight *. leaf_belief lf d)) 0.0 leaves
-      /. norm
+    let[@inline] close s = match comb with Add norm -> s /. norm | Mul -> s in
+    let rescore d =
+      let s = ref neutral in
+      for j = 0 to n - 1 do
+        let lf = leaves.(j) in
+        s := join !s lf.lf_weight (belief_at ~charge:true lf d)
+      done;
+      close !s
     in
-    (* A leaf's score contribution above baseline, for bounding only. *)
-    let leaf_contrib lf d =
-      match lf.lc_cur with
-      | Some cur when Postings.cur_doc cur = d ->
-        let b =
-          belief ~n_docs:source.n_docs ~df:lf.lc_df ~tf:(Postings.cur_tf cur)
-            ~dl:(source.doc_len d) ~avg_dl:source.avg_doc_len
-        in
-        lf.lc_weight *. (b -. default_belief) /. norm
-      | _ -> 0.0
+    (* The no-evidence score, by the same fold. *)
+    let baseline =
+      close (Array.fold_left (fun acc lf -> join acc lf.lf_weight default_belief) neutral leaves)
     in
-    let n = Array.length leaves in
     let heap = Util.Topk.create ~k in
     let thr () =
       let base = baseline +. 1e-12 in
@@ -736,20 +673,24 @@ let eval_topk source dict ?df_of ?floor ?stopwords ?(stem = false) ?(audit = fal
     (* Floating-point slack on upper bounds: a candidate is pruned only
        when its bound clears the threshold by more than this. *)
     let margin = 1e-9 in
-    let contrib_bound =
-      Array.map (fun lf -> lf.lc_weight *. (lf.lc_ub -. default_belief) /. norm) leaves
-    in
-    let order = Array.init n (fun i -> i) in
-    Array.sort (fun a b -> compare contrib_bound.(b) contrib_bound.(a)) order;
-    (* rem.(i) = sum of bounds of sorted leaves i.. — what documents
-       containing none of the first i sorted terms can still add. *)
-    let rem = Array.make (n + 1) 0.0 in
+    let sorted = Array.copy leaves in
+    Array.sort (fun a b -> compare b.lf_cap a.lf_cap) sorted;
+    (* The best score of a document whose first i sorted leaves stepped
+       the partial score to [acc], when [r] combines the caps of the
+       rest. *)
+    let[@inline] bound acc r = match comb with Add _ -> baseline +. acc +. r | Mul -> acc *. r in
+    (* rem.(i) combines the caps of sorted leaves i..; absent.(i) bounds
+       a document missing sorted leaves 0..i-1, each at the default. *)
+    let rem = Array.make (n + 1) neutral in
     for i = n - 1 downto 0 do
-      rem.(i) <- contrib_bound.(order.(i)) +. rem.(i + 1)
+      rem.(i) <- combine sorted.(i).lf_cap rem.(i + 1)
     done;
-    (* Leaves order.(ess..) are non-essential: alone they cannot lift a
-       document over the current threshold, so the frontier ignores them
-       and they are only probed via seek.  Monotone: thr only rises. *)
+    let absent = Array.make n 0.0 in
+    let acc = ref neutral in
+    for i = 0 to n - 1 do
+      absent.(i) <- bound !acc rem.(i);
+      acc := step !acc sorted.(i).lf_weight default_belief
+    done;
     (* Per-candidate refinement of [rem]: once a concrete document is on
        the table its length is known, so the tf bound tightens from
        max_tf/(max_tf + 0.5) (the dl -> 0 limit) to
@@ -758,9 +699,7 @@ let eval_topk source dict ?df_of ?floor ?stopwords ?(stem = false) ?(audit = fal
        in tf and exact in dl), so pruning with it cannot change results;
        the essential set keeps the global bounds, which must hold for
        every document. *)
-    let coeff_s = Array.map (fun j -> leaves.(j).lc_coeff) order in
-    let mtf_s = Array.map (fun j -> leaves.(j).lc_mtf) order in
-    let rem_d = Array.make (n + 1) 0.0 in
+    let rem_d = Array.make (n + 1) neutral in
     let fill_rem_d d =
       let dnorm =
         if source.avg_doc_len > 0.0 then
@@ -769,24 +708,30 @@ let eval_topk source dict ?df_of ?floor ?stopwords ?(stem = false) ?(audit = fal
       in
       let kd = 0.5 +. (1.5 *. dnorm) in
       for i = n - 1 downto 0 do
-        let b =
-          if mtf_s.(i) > 0.0 then coeff_s.(i) *. (mtf_s.(i) /. (mtf_s.(i) +. kd))
-          else coeff_s.(i)
+        let lf = sorted.(i) in
+        let tfb = if lf.lf_mtf > 0.0 then lf.lf_mtf /. (lf.lf_mtf +. kd) else 1.0 in
+        let cap =
+          match comb with
+          | Add _ -> lf.lf_coeff *. tfb
+          | Mul -> default_belief +. (lf.lf_coeff *. tfb)
         in
-        rem_d.(i) <- b +. rem_d.(i + 1)
+        rem_d.(i) <- combine cap rem_d.(i + 1)
       done
     in
+    (* Sorted leaves ess.. are non-essential: alone they cannot lift a
+       document over the current threshold, so the frontier ignores them
+       and they are only probed via seek.  Monotone: thr only rises. *)
     let ess = ref n in
     let update_ess () =
       let t = thr () in
-      while !ess > 0 && baseline +. rem.(!ess - 1) +. margin <= t do
+      while !ess > 0 && absent.(!ess - 1) +. margin <= t do
         decr ess
       done
     in
     let stopped = ref false in
     (* With a seeded floor the essential set can shrink before any
        candidate is scored; without one this is a no-op (thr() starts at
-       the baseline, which no bound sum undercuts). *)
+       the baseline, which no bound undercuts). *)
     update_ess ();
     let running = ref true in
     while !running do
@@ -798,7 +743,7 @@ let eval_topk source dict ?df_of ?floor ?stopwords ?(stem = false) ?(audit = fal
         let ess_now = !ess in
         let d = ref max_int in
         for j = 0 to ess_now - 1 do
-          match leaves.(order.(j)).lc_cur with
+          match sorted.(j).lf_cur with
           | Some cur ->
             let cd = Postings.cur_doc cur in
             if cd < !d then d := cd
@@ -808,28 +753,25 @@ let eval_topk source dict ?df_of ?floor ?stopwords ?(stem = false) ?(audit = fal
         else begin
           let d = !d in
           if ess_now < n then fill_rem_d d;
-          let acc = ref 0.0 and pruned = ref false and i = ref 0 in
+          let acc = ref neutral and pruned = ref false and i = ref 0 in
           while (not !pruned) && !i < n do
-            let lf = leaves.(order.(!i)) in
-            if !i < ess_now then acc := !acc +. leaf_contrib lf d
-            else if baseline +. !acc +. rem_d.(!i) +. margin <= thr () then pruned := true
-            else begin
-              (match lf.lc_cur with
-              | Some cur -> Postings.cursor_seek cur d
-              | None -> ());
-              acc := !acc +. leaf_contrib lf d
+            let lf = sorted.(!i) in
+            if !i >= ess_now then begin
+              if bound !acc rem_d.(!i) +. margin <= thr () then pruned := true
+              else match lf.lf_cur with Some cur -> Postings.cursor_seek cur d | None -> ()
             end;
+            if not !pruned then acc := step !acc lf.lf_weight (belief_at ~charge:false lf d);
             incr i
           done;
           let changed = ref false in
           if not !pruned then begin
-            let s = final_score d in
+            let s = rescore d in
             if s > baseline +. 1e-12 then changed := Util.Topk.offer heap ~doc:d ~score:s
           end;
           (* Advance past d before the essential set shrinks, so the
              cursor that supplied this frontier doc always moves. *)
           for j = 0 to ess_now - 1 do
-            match leaves.(order.(j)).lc_cur with
+            match sorted.(j).lf_cur with
             | Some cur when Postings.cur_doc cur = d -> Postings.cursor_next cur
             | _ -> ()
           done;
@@ -837,215 +779,8 @@ let eval_topk source dict ?df_of ?floor ?stopwords ?(stem = false) ?(audit = fal
         end
       end
     done;
-    let ranked =
-      List.map
-        (fun e -> { doc = e.Util.Topk.doc; belief = e.Util.Topk.score })
-        (Util.Topk.sorted_desc heap)
-    in
-    let curs =
-      Array.to_list leaves
-      |> List.filter_map (fun lf -> lf.lc_cur)
-    in
-    let total, decoded, blocks, seeks, bytes, loaded = cursor_counters curs in
-    ( ranked,
-      stats,
-      {
-        tk_plan = Planner.Maxscore;
-        tk_pruned = true;
-        tk_postings_total = total;
-        tk_postings_decoded = decoded;
-        tk_blocks_skipped = blocks;
-        tk_seeks = seeks;
-        tk_bytes_read = bytes;
-        tk_blocks_read = loaded;
-        tk_est_bytes = 0;
-        tk_est_blocks = 0;
-        tk_stopped = !stopped;
-      } )
-  in
-  (* --- plan: intersection-first #and (multiplicative max-score) -----
-
-     #and is a soft conjunction: a document missing a member still
-     scores, every missing member contributing exactly the 0.4 default
-     factor.  So a pure document intersection would be wrong — instead
-     this is the max-score idea carried to a product: sort leaves by
-     upper-bound belief descending, keep an essential prefix whose
-     absence alone caps a document below the threshold (a document
-     absent from the first j sorted leaves scores at most
-     0.4^j * prod_{i>=j} ub_i), drive the essential cursors and only
-     seek the rest.  With k results banked the essential set shrinks
-     toward the rarest (highest-idf) member and the executor degenerates
-     into exactly the intersection-first scan the planner priced. *)
-  let and_intersect_exec terms0 =
-    let stats = { postings_scored = 0; nodes_visited = 0; record_lookups = 0 } in
-    stats.nodes_visited <- 1 + List.length terms0;
-    (* One leaf per child, in original child order: the exact final
-       score folds in this order, like eval_daat's DAnd.  [lc_coeff]
-       holds the idf here (the refined per-document bound needs it);
-       weights and norms don't exist under #and. *)
-    let leaves =
-      Array.of_list
-        (List.map
-           (fun term ->
-             match term_cursor stats term with
-             | None ->
-               { lc_weight = 1.0; lc_cur = None; lc_df = 0; lc_ub = default_belief;
-                 lc_coeff = 0.0; lc_mtf = 0.0 }
-             | Some (entry, record, cur) ->
-               let df = record_df ?df_of entry record in
-               let mtf =
-                 match Postings.max_tf record with
-                 | Some mt when mt > 0 -> float_of_int mt
-                 | _ -> 0.0
-               in
-               let tf_bound = if mtf > 0.0 then mtf /. (mtf +. 0.5) else 1.0 in
-               let idf = idf_weight ~n_docs:source.n_docs ~df in
-               { lc_weight = 1.0; lc_cur = Some cur; lc_df = df;
-                 lc_ub = default_belief +. (0.6 *. tf_bound *. idf);
-                 lc_coeff = idf; lc_mtf = mtf })
-           terms0)
-    in
-    let n = Array.length leaves in
-    (* eval_daat's DAnd no-evidence score: every leaf defaults. *)
-    let baseline = Array.fold_left (fun acc _ -> acc *. default_belief) 1.0 leaves in
-    let leaf_belief lf d =
-      match lf.lc_cur with
-      | Some cur when Postings.cur_doc cur = d ->
-        stats.postings_scored <- stats.postings_scored + 1;
-        belief ~n_docs:source.n_docs ~df:lf.lc_df ~tf:(Postings.cur_tf cur)
-          ~dl:(source.doc_len d) ~avg_dl:source.avg_doc_len
-      | _ -> default_belief
-    in
-    (* Exact final score, replicating eval_daat's child-order fold so
-       intersected and exhaustive beliefs are bit-identical. *)
-    let final_score d =
-      Array.fold_left (fun acc lf -> acc *. leaf_belief lf d) 1.0 leaves
-    in
-    let heap = Util.Topk.create ~k in
-    let thr () =
-      let base = baseline +. 1e-12 in
-      (* Same strictly-below-floor pruning contract as the additive
-         path: the scatter-gather coordinator's global kth score can
-         only drop documents that cannot enter the global top-k. *)
-      let base = match floor with Some f -> Float.max f base | None -> base in
-      match Util.Topk.threshold heap with Some t -> Float.max t base | None -> base
-    in
-    let margin = 1e-9 in
-    (* Largest upper bound first: missing a high-ub (rare) member caps
-       the product hardest, so those leaves gate the frontier. *)
-    let order = Array.init n (fun i -> i) in
-    Array.sort (fun a b -> compare leaves.(b).lc_ub leaves.(a).lc_ub) order;
-    let pow04 = Array.make (n + 1) 1.0 in
-    for i = 1 to n do
-      pow04.(i) <- pow04.(i - 1) *. default_belief
-    done;
-    (* sub.(i) = product of sorted upper bounds i.. — a document absent
-       from every leaf before i scores at most pow04.(i) *. sub.(i). *)
-    let sub = Array.make (n + 1) 1.0 in
-    for i = n - 1 downto 0 do
-      sub.(i) <- leaves.(order.(i)).lc_ub *. sub.(i + 1)
-    done;
-    (* Per-candidate refinement, as in the additive path: once the
-       document's length is known the tf bound tightens from
-       mtf/(mtf + 0.5) to mtf/(mtf + kd); still a true upper bound, so
-       pruning with it cannot change results. *)
-    let idf_s = Array.map (fun j -> leaves.(j).lc_coeff) order in
-    let mtf_s = Array.map (fun j -> leaves.(j).lc_mtf) order in
-    let rem_d = Array.make (n + 1) 1.0 in
-    let fill_rem_d d =
-      let dnorm =
-        if source.avg_doc_len > 0.0 then
-          float_of_int (source.doc_len d) /. source.avg_doc_len
-        else 1.0
-      in
-      let kd = 0.5 +. (1.5 *. dnorm) in
-      for i = n - 1 downto 0 do
-        let tfb = if mtf_s.(i) > 0.0 then mtf_s.(i) /. (mtf_s.(i) +. kd) else 1.0 in
-        rem_d.(i) <- (default_belief +. (0.6 *. idf_s.(i) *. tfb)) *. rem_d.(i + 1)
-      done
-    in
-    let ess = ref n in
-    let update_ess () =
-      let t = thr () in
-      while !ess > 0 && pow04.(!ess - 1) *. sub.(!ess - 1) +. margin <= t do
-        decr ess
-      done
-    in
-    let stopped = ref false in
-    (* With a seeded floor the essential set can shrink before any
-       candidate is scored, exactly as on the additive path. *)
-    update_ess ();
-    let running = ref true in
-    while !running do
-      if should_stop stats then begin
-        stopped := true;
-        running := false
-      end
-      else begin
-        let ess_now = !ess in
-        let d = ref max_int in
-        for j = 0 to ess_now - 1 do
-          match leaves.(order.(j)).lc_cur with
-          | Some cur ->
-            let cd = Postings.cur_doc cur in
-            if cd < !d then d := cd
-          | None -> ()
-        done;
-        if !d = max_int then running := false
-        else begin
-          let d = !d in
-          if ess_now < n then fill_rem_d d;
-          let acc = ref 1.0 and pruned = ref false and i = ref 0 in
-          while (not !pruned) && !i < n do
-            let lf = leaves.(order.(!i)) in
-            if !i < ess_now then acc := !acc *. leaf_belief lf d
-            else if !acc *. rem_d.(!i) +. margin <= thr () then pruned := true
-            else begin
-              (match lf.lc_cur with
-              | Some cur -> Postings.cursor_seek cur d
-              | None -> ());
-              acc := !acc *. leaf_belief lf d
-            end;
-            incr i
-          done;
-          let changed = ref false in
-          if not !pruned then begin
-            let s = final_score d in
-            if s > baseline +. 1e-12 then changed := Util.Topk.offer heap ~doc:d ~score:s
-          end;
-          (* Advance past d before the essential set shrinks, so the
-             cursor that supplied this frontier doc always moves. *)
-          for j = 0 to ess_now - 1 do
-            match leaves.(order.(j)).lc_cur with
-            | Some cur when Postings.cur_doc cur = d -> Postings.cursor_next cur
-            | _ -> ()
-          done;
-          if !changed then update_ess ()
-        end
-      end
-    done;
-    let ranked =
-      List.map
-        (fun e -> { doc = e.Util.Topk.doc; belief = e.Util.Topk.score })
-        (Util.Topk.sorted_desc heap)
-    in
-    let curs = Array.to_list leaves |> List.filter_map (fun lf -> lf.lc_cur) in
-    let total, decoded, blocks, seeks, bytes, loaded = cursor_counters curs in
-    ( ranked,
-      stats,
-      {
-        tk_plan = Planner.Intersect;
-        tk_pruned = true;
-        tk_postings_total = total;
-        tk_postings_decoded = decoded;
-        tk_blocks_skipped = blocks;
-        tk_seeks = seeks;
-        tk_bytes_read = bytes;
-        tk_blocks_read = loaded;
-        tk_est_bytes = 0;
-        tk_est_blocks = 0;
-        tk_stopped = !stopped;
-      } )
+    let curs = Array.to_list leaves |> List.filter_map (fun lf -> lf.lf_cur) in
+    (heap, stats, cursor_counters curs, !stopped)
   in
   (* --- plan: intersection-first positional (#phrase/#od/#uw) --------
 
@@ -1136,46 +871,46 @@ let eval_topk source dict ?df_of ?floor ?stopwords ?(stem = false) ?(audit = fal
            the tree is one leaf. *)
         if b > default_belief +. 1e-12 then ignore (Util.Topk.offer heap ~doc:d ~score:b))
       matches;
-    let ranked =
-      List.map
-        (fun e -> { doc = e.Util.Topk.doc; belief = e.Util.Topk.score })
-        (Util.Topk.sorted_desc heap)
-    in
     let curs = List.filter_map (fun m -> Option.map (fun (_, _, c) -> c) m) members in
-    let total, decoded, blocks, seeks, bytes, loaded = cursor_counters curs in
-    ( ranked,
-      stats,
-      {
-        tk_plan = Planner.Intersect;
-        tk_pruned = true;
-        tk_postings_total = total;
-        tk_postings_decoded = decoded;
-        tk_blocks_skipped = blocks;
-        tk_seeks = seeks;
-        tk_bytes_read = bytes;
-        tk_blocks_read = loaded;
-        tk_est_bytes = 0;
-        tk_est_blocks = 0;
-        tk_stopped = !stopped;
-      } )
+    (heap, stats, cursor_counters curs, !stopped)
   in
-  let ranked, stats, tk =
+  let heap, stats, (total, decoded, skipped, seeks, bytes, blocks), stopped =
     match requested with
     | Planner.Exhaustive -> exhaustive_exec ()
-    | Planner.Maxscore -> maxscore_exec ()
+    | Planner.Maxscore -> (
+      match Planner.flat query with
+      | Some (terms, norm) -> essential_exec (Add norm) terms
+      | None -> assert false (* the planner only picks Maxscore for Flat *))
     | Planner.Intersect -> (
       match query with
       | Query.And ns ->
-        and_intersect_exec (List.map (function Query.Term t -> t | _ -> assert false) ns)
+        essential_exec Mul (List.map (function Query.Term t -> (1.0, t) | _ -> assert false) ns)
       | Query.Phrase ws -> positional_intersect_exec ~window:1 ~unordered:false ws
       | Query.Od (window, ws) -> positional_intersect_exec ~window ~unordered:false ws
       | Query.Uw (window, ws) -> positional_intersect_exec ~window ~unordered:true ws
       | _ -> assert false)
   in
-  audit_check ~stopped:tk.tk_stopped ranked;
+  let ranked =
+    List.map
+      (fun e -> { doc = e.Util.Topk.doc; belief = e.Util.Topk.score })
+      (Util.Topk.sorted_desc heap)
+  in
+  audit_check ~stopped ranked;
   (* Uniform estimated-vs-actual reporting: the executed plan's estimate
      from the same memoized header statistics the decision used. *)
   let est = Planner.estimate ~stats_of ~k query requested in
   ( ranked,
     stats,
-    { tk with tk_est_bytes = est.Planner.e_bytes; tk_est_blocks = est.Planner.e_blocks } )
+    {
+      tk_plan = requested;
+      tk_pruned = requested <> Planner.Exhaustive;
+      tk_postings_total = total;
+      tk_postings_decoded = decoded;
+      tk_blocks_skipped = skipped;
+      tk_seeks = seeks;
+      tk_bytes_read = bytes;
+      tk_blocks_read = blocks;
+      tk_est_bytes = est.Planner.e_bytes;
+      tk_est_blocks = est.Planner.e_blocks;
+      tk_stopped = stopped;
+    } )

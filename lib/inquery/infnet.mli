@@ -135,22 +135,27 @@ val eval_topk :
     header statistics (at most one memoized fetch per entry — planning
     adds no store reads) and the cheapest one executes:
 
-    - {e Maxscore}, for flat additive queries (a bare term, [#sum] of
-      terms, [#wsum] of terms): terms sorted by belief upper bound
-      (from [df] and the v2 [max_tf] header alone), the frontier driven
-      over the {e essential} prefix — the terms that can still lift a
-      document past the current k-th score — the rest probed via
+    - {e Maxscore}, for the queries {!Planner.flat} accepts (a bare
+      term, [#sum] of terms, [#wsum] of terms with non-negative
+      weights), and {e Intersect} for [#and] of terms, run one
+      essential-set driver with two combiners: [Add norm] folds
+      [(sum_i w_i * b_i) / norm], [Mul] folds [prod_i b_i].  Both are
+      monotone in every leaf's belief, so one bound serves both.  Leaves
+      are sorted by their belief cap (from [df] and the v2 [max_tf]
+      header alone); the frontier is driven over the {e essential}
+      prefix — a document containing none of those leaves cannot beat
+      the current k-th score — and the rest are probed via
       {!Postings.cursor_seek} only while the candidate's partial score
-      plus the remaining upper bounds beats the threshold.  Whole skip
-      blocks of non-essential terms are never decoded.
-    - {e Intersect}, for [#and] of terms and top-level
-      [#phrase]/[#od]/[#uw]: [#and] runs the max-score idea as a
-      product (a document absent from the highest-upper-bound members
-      cannot beat the banked k-th score, so their cursors gate the
-      frontier and the rest are only seeked); the positional operators
-      are hard conjunctions, evaluated by leapfrog intersection driven
-      from the rarest member with position bytes decoded lazily, only
-      for co-occurring documents.
+      and the remaining per-document caps beat the threshold.
+      Whole skip blocks of non-essential leaves are never decoded.  For
+      [#and] this shrinks the essential set toward the rarest member,
+      i.e. an intersection-first scan.  A [#wsum] with a negative weight
+      is not flat (its leaf's cap would be negative, which no bound
+      absorbs) and plans {e Exhaustive}.
+    - {e Intersect} for top-level [#phrase]/[#od]/[#uw]: these are hard
+      conjunctions, evaluated by leapfrog intersection driven from the
+      rarest member with position bytes decoded lazily, only for
+      co-occurring documents.
     - {e Exhaustive}, for every other shape ([#or], [#not], nested
       operators, …) and whenever it prices no worse: full
       {!eval_daat} plus bounded top-k selection ([tk_pruned = false]).
@@ -160,6 +165,12 @@ val eval_topk :
     (doc ascending on ties): surviving candidates are rescored by the
     same fold in the same order, and pruning thresholds carry a
     conservative floating-point margin.
+
+    Every plan charges a posting to [postings_scored] at most once, as
+    the exhaustive plan does: the essential-set driver charges a leaf's
+    posting only when a surviving candidate is rescored, never for the
+    partial scores that decide pruning, so a planned run never charges
+    more than the exhaustive one.
 
     @param df_of override the df a term leaf scores with, as in {!eval}
     (the sharding hook: global statistics over local records).
@@ -180,9 +191,10 @@ val eval_topk :
     changes results, only the bytes touched.
     @param should_stop polled once per candidate document (i.e. between
     postings blocks, not between whole terms), with the evaluation
-    counters accrued so far — enough to price the work against a
-    deadline; when it fires, evaluation stops and the heap contents so
-    far are returned with [tk_stopped = true].
+    counters accrued so far — the same counters the caller charges
+    afterwards, so a deadline is priced from exactly what the final
+    charge will be; when it fires, evaluation stops and the heap
+    contents so far are returned with [tk_stopped = true].
     @param block_cache [(cache, epoch)]: share postings records and
     their decoded blocks across queries through a {!Util.Block_cache},
     keyed by each term record's dictionary locator and the given epoch.

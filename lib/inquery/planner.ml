@@ -19,22 +19,29 @@ let plan_of_string = function
 
 type shape = Flat | Conjunctive | Positional | Other
 
-let term_only ns = List.for_all (function Query.Term _ -> true | _ -> false) ns
+let is_term = function Query.Term _ -> true | _ -> false
+let term_only ns = List.for_all is_term ns
+let term_of = function Query.Term w -> w | _ -> assert false
 
-(* Flat must match Infnet.linear_shape exactly (including the
-   positive-total requirement on #wsum) or the planner would promise a
-   Maxscore execution the evaluator then refuses. *)
-let shape_of = function
-  | Query.Term _ -> Flat
-  | Query.Sum ns when ns <> [] && term_only ns -> Flat
-  | Query.Wsum ps
-    when ps <> []
-         && term_only (List.map snd ps)
-         && List.fold_left (fun acc (w, _) -> acc +. w) 0.0 ps > 0.0 ->
-    Flat
-  | Query.And ns when ns <> [] && term_only ns -> Conjunctive
-  | Query.Phrase _ | Query.Od _ | Query.Uw _ -> Positional
-  | _ -> Other
+(* The norm is the same fold eval_daat divides by.  A negative weight
+   would give its leaf a negative upper bound, which no pruning bound
+   can absorb, so such a #wsum is not Flat. *)
+let flat = function
+  | Query.Term w -> Some ([ (1.0, w) ], 1.0)
+  | Query.Sum ns when ns <> [] && term_only ns ->
+    Some (List.map (fun n -> (1.0, term_of n)) ns, float_of_int (List.length ns))
+  | Query.Wsum ps when ps <> [] && List.for_all (fun (w, n) -> w >= 0.0 && is_term n) ps ->
+    let total = List.fold_left (fun acc (w, _) -> acc +. w) 0.0 ps in
+    if total > 0.0 then Some (List.map (fun (w, n) -> (w, term_of n)) ps, total) else None
+  | _ -> None
+
+let shape_of q =
+  if Option.is_some (flat q) then Flat
+  else
+    match q with
+    | Query.And ns when ns <> [] && term_only ns -> Conjunctive
+    | Query.Phrase _ | Query.Od _ | Query.Uw _ -> Positional
+    | _ -> Other
 
 let applicable q =
   match shape_of q with
@@ -69,13 +76,6 @@ let exhaustive_cost stats_of q =
   in
   go q;
   (!bytes, !blocks)
-
-let flat_terms = function
-  | Query.Term w -> [ w ]
-  | Query.Sum ns -> List.filter_map (function Query.Term w -> Some w | _ -> None) ns
-  | Query.Wsum ps ->
-    List.filter_map (function _, Query.Term w -> Some w | _ -> None) ps
-  | _ -> []
 
 let min_df present =
   List.fold_left (fun m s -> min m s.Postings.rs_df) max_int present
@@ -158,12 +158,13 @@ let estimate ~stats_of ~k q plan =
   let bytes, blocks =
     match plan with
     | Exhaustive -> exhaustive_cost stats_of q
-    | Maxscore -> maxscore_cost stats_of ~k (flat_terms q)
+    | Maxscore -> (
+      match flat q with
+      | Some (terms, _) -> maxscore_cost stats_of ~k (List.map snd terms)
+      | None -> assert false)
     | Intersect -> (
       match q with
-      | Query.And ns ->
-        intersect_cost stats_of ~k ~positional:false
-          (List.filter_map (function Query.Term w -> Some w | _ -> None) ns)
+      | Query.And ns -> intersect_cost stats_of ~k ~positional:false (List.map term_of ns)
       | Query.Phrase ws | Query.Od (_, ws) | Query.Uw (_, ws) ->
         intersect_cost stats_of ~k ~positional:true ws
       | _ -> assert false)

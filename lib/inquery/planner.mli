@@ -46,16 +46,27 @@ val plan_of_string : string -> plan option
 (** Inverse of {!plan_name}. *)
 
 type shape =
-  | Flat  (** bare term, or [#sum]/[#wsum] of bare terms *)
+  | Flat  (** {!flat} accepts it *)
   | Conjunctive  (** [#and] of bare terms *)
   | Positional  (** top-level [#phrase], [#od] or [#uw] *)
   | Other  (** anything else: only {!Exhaustive} applies *)
 
+val flat : Query.t -> ((float * string) list * float) option
+(** The one owner of the Flat rule: [Some (terms, norm)] iff the query
+    scores as [(sum_i w_i * b_i) / norm] over bare terms — a bare term
+    ([w = 1], [norm = 1]), [#sum] of terms ([w = 1], [norm] the child
+    count) or [#wsum] of terms whose weights are all [>= 0] with a
+    positive total ([norm] the total, summed in child order as the
+    evaluators do).  The terms are raw, in child order.  A negative
+    weight would give its leaf a negative upper bound, which no pruning
+    bound can absorb, so such a [#wsum] is not flat and plans
+    {!Exhaustive}.  {!Infnet.eval_topk}'s {!Maxscore} executor runs on
+    exactly these terms and norm. *)
+
 val shape_of : Query.t -> shape
-(** The planner's shape classes.  [Flat] matches exactly the queries
-    the additive max-score path accepts (including the positive-weight
-    requirement on [#wsum]); [Conjunctive]/[Positional] are the shapes
-    the intersection executor accepts. *)
+(** The planner's shape classes: [Flat] when {!flat} accepts the query;
+    [Conjunctive] and [Positional] are the shapes the {!Intersect}
+    executors accept. *)
 
 val applicable : Query.t -> plan list
 (** The plans that can execute this query, cheapest-machinery first;

@@ -47,4 +47,10 @@ let default_words =
 let default = of_list default_words
 
 let is_stopword t word = Hashtbl.mem t word
+
+let normalize ?stopwords ~stem term =
+  match stopwords with
+  | Some sw when is_stopword sw term -> None
+  | _ -> Some (if stem then Stemmer.stem term else term)
+
 let size t = Hashtbl.length t

@@ -19,4 +19,9 @@ val of_file_contents : string -> t
 val is_stopword : t -> string -> bool
 (** The probe must already be lowercase (tokens from {!Lexer} are). *)
 
+val normalize : ?stopwords:t -> stem:bool -> string -> string option
+(** The one term normalisation rule shared by indexing, evaluation and
+    the result-cache key: [None] if the term is in [stopwords], else the
+    term, Porter-stemmed when [stem]. *)
+
 val size : t -> int

@@ -47,3 +47,7 @@ let create ?(block_size = default.block_size) ?(disk_read_ms = default.disk_read
     cpu_us_per_query_node;
     os_cache_blocks;
   }
+
+let engine_cpu_ms t ~postings ~nodes =
+  (float_of_int postings *. t.cpu_ns_per_posting /. 1.0e6)
+  +. (float_of_int nodes *. t.cpu_us_per_query_node /. 1.0e3)

@@ -47,3 +47,8 @@ val create :
 (** [create ()] is [default]; each argument overrides one field.
     Raises [Invalid_argument] if [block_size <= 0] or
     [os_cache_blocks <= 0]. *)
+
+val engine_cpu_ms : t -> postings:int -> nodes:int -> float
+(** Simulated engine CPU for one evaluation: [postings] scored at
+    [cpu_ns_per_posting] plus [nodes] query-tree node visits at
+    [cpu_us_per_query_node], in milliseconds. *)

@@ -98,6 +98,8 @@ let test_shapes () =
   Alcotest.(check bool) "wsum" true (shape "#wsum( 2 rare 1 common )" = Inquery.Planner.Flat);
   Alcotest.(check bool) "wsum zero total is not flat" true
     (shape "#wsum( 0 rare 0 common )" = Inquery.Planner.Other);
+  Alcotest.(check bool) "wsum negative weight is not flat" true
+    (shape "#wsum( 1.0 rare -0.5 common )" = Inquery.Planner.Other);
   Alcotest.(check bool) "and" true
     (shape "#and( rare common )" = Inquery.Planner.Conjunctive);
   Alcotest.(check bool) "phrase" true

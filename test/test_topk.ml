@@ -77,7 +77,7 @@ let intersect_queries =
 let fallback_queries =
   [ "#or( date grape )"; "#max( apple elderberry )"; "#not( apple )";
     "#sum( retrieval #phrase( information retrieval ) )";
-    "#sum( apple #and( banana cherry ) )" ]
+    "#sum( apple #and( banana cherry ) )"; "#wsum( 1.0 banana -0.5 elderberry )" ]
 
 let test_pruned_path_runs () =
   let source, dict = make () in
@@ -216,6 +216,29 @@ let test_v1_records_still_exact () =
   Alcotest.(check bool) "identical over v1 records" true
     (got = reference v1_source dict q ~k:5)
 
+(* alpha in every second document, beta in every third. *)
+let alpha_beta_docs =
+  List.init 400 (fun d ->
+      ( d,
+        (if d mod 2 = 0 then "alpha " else "")
+        ^ (if d mod 3 = 0 then "beta " else "")
+        ^ "filler" ))
+
+let test_intersect_charges_once () =
+  (* k >= matches: the heap never fills, nothing prunes, so every
+     document in either record is rescored once — exactly what the
+     exhaustive plan charges. *)
+  let source, dict = source_of_docs alpha_beta_docs in
+  let q = Inquery.Query.parse_exn "#and( alpha beta )" in
+  let run plan = Inquery.Infnet.eval_topk source dict ~audit:true ~plan ~k:400 q in
+  let got, st, t = run (Inquery.Planner.Forced Inquery.Planner.Intersect) in
+  let expect, ex, _ = run (Inquery.Planner.Forced Inquery.Planner.Exhaustive) in
+  Alcotest.(check bool) "intersect ran" true (t.Inquery.Infnet.tk_plan = Inquery.Planner.Intersect);
+  Alcotest.(check bool) "identical" true (got = expect);
+  Alcotest.(check int) "exhaustive charges every posting" 334 ex.Inquery.Infnet.postings_scored;
+  Alcotest.(check int) "intersect charges each posting once" ex.Inquery.Infnet.postings_scored
+    st.Inquery.Infnet.postings_scored
+
 (* --- property: eval_topk = first k of exhaustive, random everything --- *)
 
 let vocab = [| "alpha"; "beta"; "gamma"; "delta"; "echo"; "foxtrot"; "golf"; "hotel" |]
@@ -233,10 +256,10 @@ let gen_query =
         (4, map (fun ts -> "#sum( " ^ String.concat " " ts ^ " )") (terms 2 6));
         (3,
           map
-            (fun ts ->
-              let parts = List.mapi (fun i t -> string_of_int (1 + (i mod 3)) ^ " " ^ t) ts in
+            (fun wts ->
+              let parts = List.map (fun (w, t) -> w ^ " " ^ t) wts in
               "#wsum( " ^ String.concat " " parts ^ " )")
-            (terms 2 5));
+            (list_size (int_range 2 5) (pair (oneofl [ "1"; "2"; "3"; "-0.5" ]) term)));
         (1, map (fun ts -> "#and( " ^ String.concat " " ts ^ " )") (terms 2 3));
         (1, map (fun ts -> "#or( " ^ String.concat " " ts ^ " )") (terms 2 3));
         (1, map (fun t -> "#not( " ^ t ^ " )") term);
@@ -253,6 +276,8 @@ let gen_query =
             (terms 1 3) (pair term term));
       ])
 
+(* Each plan charges a posting at most once, so the planned run never
+   charges more than the exhaustive one. *)
 let prop_topk_is_first_k =
   QCheck.Test.make ~name:"eval_topk = first k of exhaustive eval_daat" ~count:300
     (QCheck.make QCheck.Gen.(triple gen_docs gen_query (int_range 0 12)))
@@ -263,8 +288,13 @@ let prop_topk_is_first_k =
       let source, dict = source_of_docs docs in
       let q = Inquery.Query.parse_exn query in
       let expect = reference source dict q ~k in
-      let got, _, _ = Inquery.Infnet.eval_topk source dict ~audit:true ~k q in
-      got = expect)
+      let got, st, _ = Inquery.Infnet.eval_topk source dict ~audit:true ~k q in
+      let _, ex, _ =
+        Inquery.Infnet.eval_topk source dict
+          ~plan:(Inquery.Planner.Forced Inquery.Planner.Exhaustive) ~k q
+      in
+      got = expect
+      && st.Inquery.Infnet.postings_scored <= ex.Inquery.Infnet.postings_scored)
 
 let suite =
   List.map
@@ -280,5 +310,7 @@ let suite =
       Alcotest.test_case "pruning decodes fewer" `Quick test_pruning_decodes_fewer;
       Alcotest.test_case "should_stop cuts evaluation" `Quick test_should_stop;
       Alcotest.test_case "v1 records still exact" `Quick test_v1_records_still_exact;
+      Alcotest.test_case "intersect charges each posting once" `Quick
+        test_intersect_charges_once;
       QCheck_alcotest.to_alcotest prop_topk_is_first_k;
     ]
