@@ -3,6 +3,7 @@ type t = {
   log : Vfs.file;
   data : Vfs.file;
   mutable batch : (int * bytes) list option; (* newest first, None = no batch *)
+  mutable boundary : int; (* the open batch's split point, see [begin_batch] *)
   mutable logged_bytes : int;
   mutable committed_lsn : int;
   mutable subscribers : (lsn:int -> bytes -> unit) list; (* reverse order *)
@@ -18,6 +19,7 @@ let create vfs ~log_file ~data_file =
     log;
     data = Vfs.open_file vfs data_file;
     batch = None;
+    boundary = 0;
     logged_bytes = 0;
     committed_lsn = 0;
     subscribers = [];
@@ -29,6 +31,7 @@ let attach vfs ~log_file ~data_file =
     log = Vfs.open_file vfs log_file;
     data = Vfs.open_file vfs data_file;
     batch = None;
+    boundary = 0;
     logged_bytes = 0;
     committed_lsn = 0;
     subscribers = [];
@@ -41,8 +44,13 @@ let on_commit t f = t.subscribers <- f :: t.subscribers
 
 let in_batch t = t.batch <> None
 
+(* The boundary is the data file's committed end rounded up to a whole
+   block: no block at or past it holds a committed byte, so writes there
+   can reach the device before the commit point without tearing one. *)
 let begin_batch t =
   if in_batch t then invalid_arg "Journal.begin_batch: batch already open";
+  let bs = (Vfs.cost_model t.vfs).Vfs.Cost_model.block_size in
+  t.boundary <- (Vfs.size t.data + bs - 1) / bs * bs;
   t.batch <- Some []
 
 let write t ~off b =
@@ -87,41 +95,76 @@ let log_bytes_written t = t.logged_bytes
 
 let apply_to_data t writes = List.iter (fun (off, b) -> Vfs.write t.data ~off b) writes
 
+(* A batch's sealed log image: every record, then the commit marker
+   sealing them with a CRC32 over their serialised image. *)
+let seal writes =
+  let buf = Buffer.create 4096 in
+  List.iter
+    (fun (off, b) ->
+      Util.Bin.buf_u64 buf off;
+      Util.Bin.buf_u32 buf (Bytes.length b);
+      Buffer.add_bytes buf b)
+    writes;
+  let records = Buffer.to_bytes buf in
+  Util.Bin.buf_u64 buf terminator;
+  Util.Bin.buf_u32 buf (Util.Crc32.digest_bytes records);
+  Buffer.to_bytes buf
+
+(* Split the pending writes (newest first) at [boundary] into the part
+   below it and the part at or past it, each in batch order; a write
+   straddling the boundary contributes a piece to each. *)
+let split_at boundary pending =
+  List.fold_left
+    (fun (below, above) (off, b) ->
+      let len = Bytes.length b in
+      if off + len <= boundary then ((off, b) :: below, above)
+      else if off >= boundary then (below, (off, b) :: above)
+      else
+        let k = boundary - off in
+        ((off, Bytes.sub b 0 k) :: below, (boundary, Bytes.sub b k (len - k)) :: above))
+    ([], []) pending
+
 let commit t =
   match t.batch with
   | None -> invalid_arg "Journal.commit: no batch open"
   | Some pending ->
-    let writes = List.rev pending in
-    (* 1. Write-ahead: every record, then the commit marker sealing the
-       records with a CRC32 over their serialised image.  The batch is
-       committed the instant the log fsync completes — a torn log tail
-       or a bit-flipped record fails the CRC and is discarded. *)
-    let buf = Buffer.create 4096 in
-    List.iter
-      (fun (off, b) ->
-        Util.Bin.buf_u64 buf off;
-        Util.Bin.buf_u32 buf (Bytes.length b);
-        Buffer.add_bytes buf b)
-      writes;
-    let records = Buffer.to_bytes buf in
-    Util.Bin.buf_u64 buf terminator;
-    Util.Bin.buf_u32 buf (Util.Crc32.digest_bytes records);
-    let log_image = Buffer.to_bytes buf in
-    Vfs.truncate t.log 0;
-    ignore (Vfs.append t.log log_image);
-    Vfs.fsync t.log;
-    t.logged_bytes <- t.logged_bytes + Bytes.length log_image;
-    (* The batch is now committed: stream the sealed image to
-       subscribers before the apply phase, so a crash while applying
+    let below, above = split_at t.boundary pending in
+    (* 1. Copy-on-write extents: nothing durable reaches a byte at or
+       past the boundary until the logged writes below it say so, so
+       these go straight to the data file and are made durable before
+       the commit point.  A crash from here to the log fsync leaves
+       them unreachable past the committed end. *)
+    if above <> [] then begin
+      apply_to_data t above;
+      Vfs.fsync t.data
+    end;
+    (* 2. Write-ahead: only the writes that overwrite committed bytes.
+       The batch is committed the instant the log fsync completes — a
+       torn log tail or a bit-flipped record fails the CRC and is
+       discarded. *)
+    if below <> [] then begin
+      let log_image = seal below in
+      Vfs.truncate t.log 0;
+      ignore (Vfs.append t.log log_image);
+      Vfs.fsync t.log;
+      t.logged_bytes <- t.logged_bytes + Bytes.length log_image
+    end;
+    (* The batch is now committed: stream a sealed image of every write
+       to subscribers before the apply phase, so a crash while applying
        still leaves every replica holding the committed batch. *)
     t.committed_lsn <- t.committed_lsn + 1;
-    List.iter (fun f -> f ~lsn:t.committed_lsn log_image) (List.rev t.subscribers);
-    (* 2. Apply to the data file, and make it durable before the log is
-       dropped — otherwise the checkpoint could outlive the data. *)
-    apply_to_data t writes;
-    Vfs.fsync t.data;
-    (* 3. Checkpoint: the batch is durable, drop the log. *)
-    Vfs.truncate t.log 0;
+    if t.subscribers <> [] then begin
+      let image = seal (List.rev pending) in
+      List.iter (fun f -> f ~lsn:t.committed_lsn image) (List.rev t.subscribers)
+    end;
+    (* 3. Apply the logged writes to the data file, and make them
+       durable before the log is dropped — otherwise the checkpoint
+       could outlive the data. *)
+    if below <> [] then begin
+      apply_to_data t below;
+      Vfs.fsync t.data;
+      Vfs.truncate t.log 0
+    end;
     t.batch <- None
 
 let abort t =

@@ -4,16 +4,17 @@
     simulated disk cannot survive that disk.  A replica group keeps N
     {e standbys} — each a byte-level copy of the primary's data file on
     its own {!Vfs.t} (its own disk) — caught up by {e journal shipping}:
-    every batch the primary's {!Journal} commits is streamed, as the
-    sealed CRC32-bearing log image, to each standby, which lands it in
-    its own log, fsyncs (the standby's commit point), and replays it
-    through the same CRC-verified recovery path a crashed primary would
-    use.  A shipped batch that fails its CRC is rejected and the standby
-    marked unhealthy — divergence is never applied silently.
+    every batch the primary's {!Journal} commits is streamed, as a
+    sealed CRC32-bearing image of all its writes in the log's format,
+    to each standby, which lands it in its own log, fsyncs (the
+    standby's commit point), and replays it through the same
+    CRC-verified recovery path a crashed primary would use.  A shipped
+    batch that fails its CRC is rejected and the standby marked
+    unhealthy — divergence is never applied silently.
 
     Standbys therefore hold, at every instant, a transaction-consistent
-    prefix of the primary's history: exactly the batches whose log fsync
-    completed on the primary.  When the primary's device dies
+    prefix of the primary's history: exactly the batches whose commit
+    point passed on the primary.  When the primary's device dies
     ({!Vfs.Crash}), {!promote} selects the most-caught-up healthy
     standby; opening its store yields byte-identical contents to a
     non-crashed primary at that standby's applied LSN.  The failover

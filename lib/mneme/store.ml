@@ -750,8 +750,9 @@ let finalize t =
   t.finalized <- true;
   write_header t;
   (* Durability: an unjournaled finalize syncs the file itself; under a
-     journal the enclosing commit is the durability point (the batch is
-     fsynced to the log before any of it reaches the data file). *)
+     journal the enclosing commit is the durability point (the header
+     written above is logged, so nothing names the new tables before
+     the log fsync). *)
   match t.journal with None -> Vfs.fsync t.file | Some _ -> ()
 
 let vfs t = t.vfs
@@ -805,8 +806,20 @@ let transact t f =
       raise e)
 
 let recover_journal vfs ~file ~log_file =
-  let j = Journal.attach vfs ~log_file ~data_file:file in
-  Journal.recover j
+  let recovery = Journal.recover (Journal.attach vfs ~log_file ~data_file:file) in
+  (* A crash before the commit point can leave the batch's copy-on-write
+     extents past the committed tail, where nothing reaches them: cut
+     them off so the file holds exactly what its finalized header names.
+     The truncation is metadata, durable at once, so a crash here is
+     harmless and a second recovery finds nothing to do. *)
+  let f = Vfs.open_file vfs file in
+  (if Vfs.size f >= header_size then
+     let b = Vfs.read f ~off:0 ~len:header_size in
+     if Bytes.sub_string b 0 4 = magic && Util.Bin.get_u8 b 6 = 1 then
+       match Util.Bin.get_u64 b 23 with
+       | tail when tail >= header_size && Vfs.size f > tail -> Vfs.truncate f tail
+       | _ | (exception Invalid_argument _) -> ());
+  recovery
 
 (* ------------------------------------------------------------------ *)
 (* Introspection                                                       *)

@@ -152,6 +152,18 @@ val pool_of_oid : t -> Oid.t -> pool option
     {!transact} reach the data file atomically: after a crash,
     {!recover_journal} replays a committed batch or discards an
     uncommitted one, so the store is always transaction-consistent.
+
+    The store meets the journal's reader contract, so each new byte is
+    written once, not logged and then copied: it allocates only by
+    advancing its data tail, and reaches every object through the
+    header, then the auxiliary tables, then the segments.  New segments
+    and tables therefore land past the committed end, where nothing
+    durable names them until the header switch — a write below the
+    journal's boundary, and so logged — commits.  Only the header,
+    in-place rewrites ({!modify} within an extent, {!repair_segment})
+    and new bytes that share the last committed block go through the
+    log.
+
     The ablation harness measures the overhead (the paper's conjecture:
     "we expect that the addition of these services would not introduce
     excessive overhead"). *)
@@ -173,7 +185,12 @@ val transact : t -> (unit -> 'a) -> 'a
 
 val recover_journal : Vfs.t -> file:string -> log_file:string -> Journal.recovery
 (** Run crash recovery for a store file and its journal log before
-    re-opening the store. *)
+    re-opening the store.  After {!Journal.recover}, if the file holds a
+    finalized header and runs past the data tail it names, the file is
+    truncated to that tail: a crash before a batch's commit point
+    leaves its already-flushed extents there, unreachable.  The
+    truncation is a metadata operation — durable at once, and a second
+    recovery finds nothing to cut. *)
 
 (** {2 Introspection}
 

@@ -9,6 +9,10 @@ let setup () =
 
 let read_data data = Bytes.to_string (Vfs.read data ~off:0 ~len:(Vfs.size data))
 
+(* Every file system here uses the default cost model: a batch's
+   boundary is a multiple of this block size. *)
+let bs = Vfs.Cost_model.default.Vfs.Cost_model.block_size
+
 let test_passthrough_outside_batch () =
   let _, data, j = setup () in
   Mneme.Journal.write j ~off:0 (Bytes.of_string "XX");
@@ -45,6 +49,35 @@ let test_commit_applies () =
   Alcotest.(check string) "applied" "AA234567BB" (read_data data);
   Alcotest.(check bool) "batch closed" false (Mneme.Journal.in_batch j);
   Alcotest.(check bool) "log bytes recorded" true (Mneme.Journal.log_bytes_written j > 0)
+
+(* Only bytes below the boundary (the data file's size when the batch
+   opened, rounded up to a block) overwrite committed state and go
+   through the log; an extent at or past it reaches the data file
+   directly, before the commit point. *)
+let test_appends_are_not_logged () =
+  let _, data, j = setup () in
+  let extent = Bytes.init 20_000 (fun i -> Char.chr (97 + (i mod 26))) in
+  Mneme.Journal.begin_batch j;
+  Mneme.Journal.write j ~off:0 (Bytes.of_string "AB");
+  Mneme.Journal.write j ~off:bs extent;
+  Mneme.Journal.commit j;
+  (* One record (u64 offset, u32 length, 2 bytes) and the commit marker
+     (u64 terminator, u32 CRC32). *)
+  Alcotest.(check int) "only the overwrite is logged" (12 + 2 + 12)
+    (Mneme.Journal.log_bytes_written j);
+  Alcotest.(check string) "both writes applied"
+    ("AB23456789" ^ String.make (bs - 10) '\000' ^ Bytes.to_string extent)
+    (read_data data);
+  (* A batch wholly past the new boundary writes no log record at all. *)
+  let size = Vfs.size data in
+  let next = (size + bs - 1) / bs * bs in
+  Mneme.Journal.begin_batch j;
+  Mneme.Journal.write j ~off:next (Bytes.of_string "MORE");
+  Mneme.Journal.commit j;
+  Alcotest.(check int) "append-only batch logs nothing" 26 (Mneme.Journal.log_bytes_written j);
+  Alcotest.(check string) "append applied" "MORE"
+    (Bytes.to_string (Vfs.read data ~off:next ~len:4));
+  Alcotest.(check int) "hole before the append" (next + 4) (Vfs.size data)
 
 let test_abort_discards () =
   let _, data, j = setup () in
@@ -224,6 +257,60 @@ let test_store_recover_journal () =
   Alcotest.(check bool) "clean after commit" true
     (Mneme.Store.recover_journal vfs ~file:"r.mneme" ~log_file:"r.jnl" = Mneme.Journal.Clean)
 
+(* A journaled store's second publication under a fault plan: the
+   first commits a one-object baseline, the second allocates well past
+   the block boundary and re-finalizes. *)
+let publishing_run fault =
+  let vfs = Vfs.create () in
+  let store = Mneme.Store.create vfs "p.mneme" in
+  let pool = Mneme.Store.add_pool store Mneme.Policy.medium in
+  Mneme.Store.attach_buffer pool (Mneme.Buffer_pool.create ~name:"m" ~capacity:100_000 ());
+  Mneme.Store.enable_journal store ~log_file:"p.jnl";
+  Mneme.Store.transact store (fun () ->
+      ignore (Mneme.Store.allocate pool (Bytes.of_string "baseline"));
+      Mneme.Store.finalize store);
+  Vfs.set_fault vfs fault;
+  (try
+     Mneme.Store.transact store (fun () ->
+         for i = 0 to 19 do
+           ignore (Mneme.Store.allocate pool (Bytes.make 3000 (Char.chr (97 + i))))
+         done;
+         Mneme.Store.finalize store)
+   with Vfs.Crash -> ());
+  vfs
+
+(* The data tail recorded in a store file's header (a u64 at byte 23). *)
+let header_tail vfs file =
+  Util.Bin.get_u64 (Vfs.read (Vfs.open_file vfs file) ~off:0 ~len:64) 23
+
+(* Crashing before the commit point strands the pre-flushed extents past
+   the committed tail; recovery must cut them off, leaving the file
+   exactly as long as its header says, fsck-clean, old or new. *)
+let test_store_recovery_trims_tail () =
+  let total = Vfs.fault_io_count (publishing_run (Vfs.Fault.none ())) in
+  let stranded = ref 0 in
+  for k = 1 to total do
+    let img = Vfs.crash_image (publishing_run (Vfs.Fault.crash_at_io k)) in
+    if Vfs.size (Vfs.open_file img "p.mneme") > header_tail img "p.mneme" then incr stranded;
+    ignore (Mneme.Store.recover_journal img ~file:"p.mneme" ~log_file:"p.jnl");
+    Alcotest.(check int)
+      (Printf.sprintf "crash at io %d: file ends at the header's tail" k)
+      (header_tail img "p.mneme")
+      (Vfs.size (Vfs.open_file img "p.mneme"));
+    let store = Mneme.Store.open_existing img "p.mneme" in
+    Mneme.Store.attach_buffer (Mneme.Store.pool store "medium")
+      (Mneme.Buffer_pool.create ~name:"m" ~capacity:100_000 ());
+    let report = Mneme.Check.run store in
+    Alcotest.(check bool)
+      (Format.asprintf "crash at io %d: fsck clean: %a" k Mneme.Check.pp_report report)
+      true (Mneme.Check.ok report);
+    Alcotest.(check bool)
+      (Printf.sprintf "crash at io %d: wholly old or wholly new" k)
+      true
+      (List.mem (Mneme.Store.object_count store) [ 1; 21 ])
+  done;
+  Alcotest.(check bool) "some crash points strand bytes past the tail" true (!stranded > 0)
+
 let test_commit_stream () =
   let _, data, j = setup () in
   let received = ref [] in
@@ -235,8 +322,16 @@ let test_commit_stream () =
   Mneme.Journal.begin_batch j;
   Mneme.Journal.write j ~off:4 (Bytes.of_string "BB");
   Mneme.Journal.commit j;
-  Alcotest.(check int) "two commits numbered" 2 (Mneme.Journal.lsn j);
-  Alcotest.(check (list int)) "stream in order" [ 1; 2 ]
+  (* A batch straddling the boundary, then one wholly past it: their
+     extents skip the log, yet every write must still ship. *)
+  Mneme.Journal.begin_batch j;
+  Mneme.Journal.write j ~off:6 (Bytes.make (bs + 800) 'C');
+  Mneme.Journal.commit j;
+  Mneme.Journal.begin_batch j;
+  Mneme.Journal.write j ~off:(2 * bs) (Bytes.of_string "END");
+  Mneme.Journal.commit j;
+  Alcotest.(check int) "four commits numbered" 4 (Mneme.Journal.lsn j);
+  Alcotest.(check (list int)) "stream in order" [ 1; 2; 3; 4 ]
     (List.rev_map fst !received);
   (* Each shipped image is a sealed, replayable log: landing it in a
      fresh journal's log file and recovering replays the batch. *)
@@ -271,15 +366,20 @@ let test_commit_stream () =
    always yields the same physical I/O sequence. *)
 let committing_run fault =
   let vfs = Vfs.create () in
+  let data = Vfs.open_file vfs "data" in
+  ignore (Vfs.append data (Bytes.make 32 '.'));
+  Vfs.fsync data;
+  (* The 32-byte baseline is durable; crash points start with the batch.
+     Besides two overwrites, the batch appends an extent from the old
+     end across the first block boundary: the part below it is logged,
+     the part past it is flushed ahead of the commit point. *)
   Vfs.set_fault vfs fault;
   (try
-     let data = Vfs.open_file vfs "data" in
-     ignore (Vfs.append data (Bytes.make 32 '.'));
-     Vfs.fsync data;
      let j = Mneme.Journal.create vfs ~log_file:"log" ~data_file:"data" in
      Mneme.Journal.begin_batch j;
      Mneme.Journal.write j ~off:0 (Bytes.of_string "HELLO");
      Mneme.Journal.write j ~off:27 (Bytes.of_string "WORLD");
+     Mneme.Journal.write j ~off:32 (Bytes.init 10_000 (fun i -> Char.chr (65 + (i mod 26))));
      Mneme.Journal.commit j
    with Vfs.Crash -> ());
   vfs
@@ -298,6 +398,16 @@ let whole_file vfs name =
 
 let recover_image img = Mneme.Journal.recover (Mneme.Journal.attach img ~log_file:"log" ~data_file:"data")
 
+(* The data file after the fault-free run: the committed state. *)
+let committed_data () = whole_file (committing_run (Vfs.Fault.none ())) "data"
+
+(* The bytes below the batch's boundary (the first block), zero-padded
+   past the end of the file. *)
+let below_boundary vfs =
+  let s = whole_file vfs "data" in
+  let n = min bs (String.length s) in
+  String.sub s 0 n ^ String.make (bs - n) '\000'
+
 (* Crash images whose log holds a sealed commit the recovery replays. *)
 let replayable_images () =
   let total = Vfs.fault_io_count (committing_run (Vfs.Fault.none ())) in
@@ -311,6 +421,7 @@ let replayable_images () =
 
 let test_replaying_twice_is_idempotent () =
   let images = replayable_images () in
+  let committed = committed_data () in
   Alcotest.(check bool) "some crash points seal a commit" true (images <> []);
   List.iter
     (fun (k, img) ->
@@ -318,9 +429,11 @@ let test_replaying_twice_is_idempotent () =
       | Mneme.Journal.Replayed _ -> ()
       | _ -> Alcotest.failf "crash at io %d: first recovery did not replay" k);
       let once = whole_file img "data" in
+      (* The logged writes replay; the extent past the boundary was
+         durable before the log was sealed. *)
       Alcotest.(check string)
         (Printf.sprintf "crash at io %d: committed writes landed" k)
-        "HELLO" (String.sub once 0 5);
+        committed once;
       (* A second recovery finds a clean (truncated) log and must not
          move a byte. *)
       (match recover_image img with
@@ -330,6 +443,32 @@ let test_replaying_twice_is_idempotent () =
         (Printf.sprintf "crash at io %d: replaying twice is byte-identical" k)
         once (whole_file img "data"))
     images
+
+(* Crash the batch at every physical I/O: after recovery the bytes
+   below the boundary are wholly the baseline or wholly the batch's,
+   and a recovered batch carries its pre-flushed extent with it. *)
+let test_every_crash_point_old_or_new () =
+  let total = Vfs.fault_io_count (committing_run (Vfs.Fault.none ())) in
+  let committed = committed_data () in
+  let old = String.make 32 '.' ^ String.make (bs - 32) '\000' in
+  let fresh = String.sub committed 0 bs in
+  let outcomes =
+    List.init total (fun i ->
+        let k = i + 1 in
+        let img = Vfs.crash_image (committing_run (Vfs.Fault.crash_at_io k)) in
+        ignore (recover_image img);
+        let below = below_boundary img in
+        if below = fresh then begin
+          Alcotest.(check string)
+            (Printf.sprintf "crash at io %d: new state is whole" k)
+            committed (whole_file img "data");
+          `New
+        end
+        else if below = old then `Old
+        else Alcotest.failf "crash at io %d: below-boundary bytes are a torn mix" k)
+  in
+  Alcotest.(check bool) "some crash points recover the old state" true (List.mem `Old outcomes);
+  Alcotest.(check bool) "some crash points recover the new state" true (List.mem `New outcomes)
 
 let test_crash_during_recovery_is_idempotent () =
   let images = replayable_images () in
@@ -367,10 +506,12 @@ let suite =
     Alcotest.test_case "replaying twice is idempotent" `Quick test_replaying_twice_is_idempotent;
     Alcotest.test_case "crash during recovery is idempotent" `Quick
       test_crash_during_recovery_is_idempotent;
+    Alcotest.test_case "every crash point old or new" `Quick test_every_crash_point_old_or_new;
     Alcotest.test_case "commit stream" `Quick test_commit_stream;
     Alcotest.test_case "read your writes" `Quick test_read_your_writes;
     Alcotest.test_case "read past data end" `Quick test_read_extends_past_data_end;
     Alcotest.test_case "commit applies" `Quick test_commit_applies;
+    Alcotest.test_case "appends are not logged" `Quick test_appends_are_not_logged;
     Alcotest.test_case "abort discards" `Quick test_abort_discards;
     Alcotest.test_case "batch discipline" `Quick test_batch_discipline;
     Alcotest.test_case "recover clean" `Quick test_recover_clean;
@@ -379,4 +520,5 @@ let suite =
     Alcotest.test_case "store transact commit" `Quick test_store_transact_commit;
     Alcotest.test_case "store transact abort" `Quick test_store_transact_abort_leaves_disk_clean;
     Alcotest.test_case "store recover_journal" `Quick test_store_recover_journal;
+    Alcotest.test_case "store recovery trims the tail" `Quick test_store_recovery_trims_tail;
   ]
