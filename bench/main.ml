@@ -320,16 +320,21 @@ let bench_parallel =
            Util.Wsq.steal q));
   ]
 
+(* The parallel and shard summaries' models are not paper collections,
+   so [Presets.query_sets] has no set for them: both draw flat queries
+   shaped like CACM's. *)
+let summary_queries model ~n =
+  Collections.Querygen.generate model
+    (Collections.Querygen.make ~set_name:model.Collections.Docmodel.name ~n_queries:n
+       ~mean_terms:8.0 ~pool_size:120 ~pool_top_bias:300 ~fresh_prob:0.20 ~seed:201 ())
+
 let parallel_summary () =
   let model =
     Collections.Docmodel.make ~name:"par" ~n_docs:800 ~core_vocab:4000 ~mean_doc_len:100.0
       ~seed:29 ()
   in
   let prepared = Core.Experiment.prepare model in
-  let _, spec = List.hd (Collections.Presets.query_sets model) in
-  let queries =
-    List.filteri (fun i _ -> i < 16) (Collections.Querygen.generate model spec)
-  in
+  let queries = summary_queries model ~n:16 in
   let base = ref 0.0 in
   Printf.printf "\n[parallel query serving, %d queries]\n" (List.length queries);
   List.iter
@@ -358,10 +363,7 @@ let shard_summary () =
       ~seed:29 ()
   in
   let prepared = Core.Experiment.prepare model in
-  let _, spec = List.hd (Collections.Presets.query_sets model) in
-  let queries =
-    List.filteri (fun i _ -> i < 12) (Collections.Querygen.generate model spec)
-  in
+  let queries = summary_queries model ~n:12 in
   let engine = Core.Experiment.open_engine prepared Core.Experiment.Mneme_cache in
   let oracle =
     List.map

@@ -579,7 +579,7 @@ let cache_cmd =
     in
     (* Table-6-style tier hit-rate table: the buffer pool was the
        paper's only tier; the result cache and the block cache's decoded
-       blocks and whole records sit above it. *)
+       blocks sit above it, and its segment frames catch its misses. *)
     Printf.printf "%-10s %-8s %10s %10s %8s\n" "collection" "tier" "refs" "hits" "rate";
     List.iter
       (fun (name, _, _, tiers, _, _, _, _) ->
@@ -592,7 +592,7 @@ let cache_cmd =
           tiers)
       rows;
     (* Fetches are the replica's file accesses: with caches on, a
-       record-tier hit makes none. *)
+       record read from a resident frame makes none. *)
     Printf.printf "\n%-10s %8s %7s %12s %12s %7s %12s %12s %7s %12s %12s %7s\n" "collection"
       "queries" "rhits" "decoded:off" "decoded:on" "ratio" "bytes:off" "bytes:on" "ratio"
       "fetches:off" "fetches:on" "ratio";
@@ -654,11 +654,11 @@ let cache_cmd =
           Printf.sprintf
             ",\n\
             \  \"churn_audit\": { \"mutations\": %d, \"comparisons\": %d, \
-             \"result_hits\": %d, \"block_hits\": %d, \"record_hits\": %d, \
+             \"result_hits\": %d, \"block_hits\": %d, \"frame_hits\": %d, \
              \"invalidations\": %d, \"problems\": %d }"
             o.Core.Torture.ct_mutations o.Core.Torture.ct_comparisons
             o.Core.Torture.ct_result_hits o.Core.Torture.ct_block_hits
-            o.Core.Torture.ct_record_hits o.Core.Torture.ct_invalidations
+            o.Core.Torture.ct_frame_hits o.Core.Torture.ct_invalidations
             (List.length o.Core.Torture.ct_problems)
       in
       Printf.fprintf oc "{ \"collections\": [\n%s\n]%s\n}\n"
@@ -669,7 +669,7 @@ let cache_cmd =
   in
   let doc =
     "Measure the tiered read-path caches on reuse-heavy query replays: \
-     per-tier (result / block / record / buffer) hit rates in the style \
+     per-tier (result / block / frame / buffer) hit rates in the style \
      of the paper's Table 6, plus postings-decoded, bytes-read and \
      file-access deltas against a caches-off baseline, with an optional \
      bit-identity audit and churn torture."

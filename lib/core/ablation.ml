@@ -369,6 +369,8 @@ let btree_cache_table ctx =
           reset_buffer_stats = (fun () -> ());
           file_size = (fun () -> Btree.file_size tree);
           epoch = (fun () -> 0);
+          attach_frames = Index_store.no_frames;
+          fetch_resident = Index_store.never_resident;
         }
       in
       let engine =

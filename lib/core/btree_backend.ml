@@ -13,4 +13,6 @@ let open_session ?cached_levels vfs ~file =
     reset_buffer_stats = (fun () -> ());
     file_size = (fun () -> Btree.file_size tree);
     epoch = (fun () -> 0);
+    attach_frames = Index_store.no_frames;
+    fetch_resident = Index_store.never_resident;
   }

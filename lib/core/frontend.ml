@@ -71,6 +71,16 @@ let create ~replicas ~dict ?df_of ~n_docs ~avg_doc_len ~doc_len ?stopwords ?(ste
     |> List.map (fun spec -> { spec; state = Closed; outcomes = []; opened_at = 0.0 })
     |> Array.of_list
   in
+  let bcache =
+    if block_cache_bytes = 0 then None
+    else
+      Some (Util.Block_cache.create ~capacity_bytes:block_cache_bytes ~name:"frontend.blocks" ())
+  in
+  (* One budget: every replica's store holds its verified segments as
+     frames in the cache that holds the decoded blocks. *)
+  Option.iter
+    (fun bc -> Array.iter (fun r -> r.spec.store.Index_store.attach_frames bc) replicas)
+    bcache;
   {
     replicas;
     dict;
@@ -92,11 +102,7 @@ let create ~replicas ~dict ?df_of ~n_docs ~avg_doc_len ~doc_len ?stopwords ?(ste
        else
          Some
            (Result_cache.create ~capacity_bytes:result_cache_bytes ~name:"frontend.results" ()));
-    bcache =
-      (if block_cache_bytes = 0 then None
-       else
-         Some
-           (Util.Block_cache.create ~capacity_bytes:block_cache_bytes ~name:"frontend.blocks" ()));
+    bcache;
     now = 0.0;
   }
 
@@ -246,7 +252,7 @@ let cache_tiers t =
   let block_tiers =
     match t.bcache with
     | Some bc ->
-      [ ("block", Util.Block_cache.stats bc); ("record", Util.Block_cache.record_stats bc) ]
+      [ ("block", Util.Block_cache.stats bc); ("frame", Util.Block_cache.frame_stats bc) ]
     | None -> []
   in
   let buffer_tier =
@@ -363,7 +369,18 @@ let run_query ?(top_k = 100) ?deadline_ms ?floor ?plan t query =
     t.now <- t.now +. ms
   in
   let skip term = if not (List.mem term !skipped) then skipped := term :: !skipped in
-  let fetch entry =
+  (* A record whose segment is resident on some replica — the routed one
+     first — is a memory read: no I/O, no simulated time, no routing and
+     no breaker outcome, so it is used even past the deadline.  Frames
+     hold only verified segments, so this is a healthy copy whichever
+     replica holds it.  Only a frontend with frames reads this way. *)
+  let resident entry =
+    let read (r : replica) = r.spec.store.Index_store.fetch_resident entry in
+    match read home with
+    | Some _ as hit -> hit
+    | None -> Array.find_map (fun r -> if r == home then None else read r) t.replicas
+  in
+  let physical_fetch entry =
     let term = entry.Inquery.Dictionary.term in
     match deadline_ms with
     | Some d when !elapsed >= d ->
@@ -421,6 +438,11 @@ let run_query ?(top_k = 100) ?deadline_ms ?floor ?plan t query =
               failed := (term, err_msg e) :: !failed;
               None)))
   in
+  let fetch entry =
+    match if t.bcache = None then None else resident entry with
+    | Some _ as hit -> hit
+    | None -> physical_fetch entry
+  in
   let source =
     {
       Inquery.Infnet.fetch;
@@ -472,7 +494,7 @@ let run_query ?(top_k = 100) ?deadline_ms ?floor ?plan t query =
   let serving =
     let best = ref 0 in
     Array.iteri (fun i n -> if n > served.(!best) then best := i) served;
-    (* A query that fetched nothing — every record cached, or no term
+    (* A query that fetched nothing — every record resident, or no term
        in the vocabulary — is served by the replica it was routed to. *)
     if served.(!best) = 0 then home else t.replicas.(!best)
   in

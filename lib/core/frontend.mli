@@ -75,12 +75,17 @@ val create :
     disabled) size the frontend's two read-path caches: a
     {!Result_cache} of finished rankings keyed by the normalised query
     (see {!run_query}), and a {!Util.Block_cache} shared across queries
-    and replicas that holds fetched postings records under
-    [(locator, epoch)] and their decoded blocks under
-    [(locator, block, epoch)].  [block_cache_bytes] bounds records and
-    decoded blocks together, in one LRU.  A record hit skips the whole
-    fetch — replica routing, the Mneme store, its buffer pools and the
-    file system — and a block hit skips the decode.  Raises
+    and replicas.  The block cache holds decoded postings blocks under
+    [(locator, block, epoch)] and, as {e frames}, the CRC-verified Mneme
+    segments the replicas' stores read: [create] attaches it to every
+    replica's store session ({!Index_store.t.attach_frames}), so
+    [block_cache_bytes] bounds frames and decoded blocks together, in
+    one LRU, and each fetched byte is cached once.  A store session
+    serves one frontend's budget: a second frontend created over the
+    same session takes it over, and the first's frames of it go cold.
+    A record whose segment is
+    resident skips the fetch — replica routing, breakers and the file
+    system — and a block hit skips the decode.  Raises
     [Invalid_argument] on an empty or duplicate-name replica list, or
     nonsensical knobs. *)
 
@@ -146,7 +151,7 @@ type result = {
   served_by : string;
       (** replica that served the most fetches; the replica the query
           was routed to when it fetched nothing (a result-cache hit, or
-          every record cached or out of vocabulary) *)
+          every record resident or out of vocabulary) *)
   epoch : int;  (** published epoch of the serving replica's store *)
   elapsed_ms : float;
       (** perceived query latency, CPU included; the CPU is charged to
@@ -182,9 +187,13 @@ val run_query :
     scoring CPU is priced against the budget), so a degraded result
     overshoots the deadline by at most the cost of the fetch in flight
     when it expired.  Evidence already fetched when the deadline fires
-    is still ranked.  A record served from the block cache costs no
-    simulated time, so it is used even after the deadline has passed:
-    only terms that still need a physical fetch are skipped, and only
+    is still ranked.  The deadline counts physical fetches only: with
+    the block cache on, each record is first asked of the replicas'
+    {!Index_store.t.fetch_resident} (the routed replica first), and a
+    record whose segment is resident — a frame, or the buffered copy —
+    is read from memory with no routing, no breaker outcome and no
+    simulated time, so it is used even after the deadline has passed.
+    Only terms that still need a physical fetch are skipped, and only
     those make the result degraded.  Raises [Invalid_argument] on a
     non-positive deadline.
 
@@ -219,11 +228,12 @@ val run_query :
     changes the answer).  The probe and the fill both re-check the
     deadline, so a stalled replica cannot smuggle a blown budget into
     the cache (see the [Vfs.Fault.Stall] regression test).  The
-    block cache needs no such care: it changes which records are
-    re-fetched and which blocks re-decoded, never what any query
-    answers.  It is filled only with the bytes a query actually used —
-    for a hedged fetch, the copy the query consumed — so a skipped
-    term, a failed one or a [Corrupt] read never enters it. *)
+    block cache needs no such care: it changes which segments are
+    re-read and which blocks re-decoded, never what any query answers.
+    A segment becomes a frame only after it passes its CRC32 check, so
+    a [Corrupt] read never enters it and the next query reads that
+    segment from the device again, while a hedged read leaves the
+    healthy replica's segment as a frame that serves the next query. *)
 
 val run_query_string :
   ?top_k:int ->
@@ -239,14 +249,14 @@ val run_query_string :
 
 val cache_tiers : t -> (string * Util.Cache_stats.t) list
 (** Per-tier counters, top down: [("result", …)] when the result cache
-    is enabled; [("block", …)] (decoded blocks) and [("record", …)]
-    (whole fetched records) when the block cache is — one budget, two
-    rows; then [("buffer", …)] — the replica buffer pools merged with
-    {!Mneme.Buffer_pool.merge_stats}.  The Table-6-style tier report of
-    [repro cache]. *)
+    is enabled; [("block", …)] (decoded blocks) and [("frame", …)]
+    (verified segments, probed after a buffer miss) when the block
+    cache is — one budget, two rows; then [("buffer", …)] — the replica
+    buffer pools merged with {!Mneme.Buffer_pool.merge_stats}.  The
+    Table-6-style tier report of [repro cache]. *)
 
 val retain_cached_epochs : t -> keep:(int -> bool) -> int
-(** Drop every result-cache entry, cached record and decoded block
+(** Drop every result-cache entry, segment frame and decoded block
     whose epoch fails [keep]; returns how many entries were dropped.
     The target of an epoch-publication or post-GC hook
     ({!Live_index.on_publish}): pass a predicate keeping the live epoch

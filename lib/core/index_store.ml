@@ -6,6 +6,10 @@ type t = {
   reset_buffer_stats : unit -> unit;
   file_size : unit -> int;
   epoch : unit -> int;
+  attach_frames : Util.Block_cache.t -> unit;
+  fetch_resident : Inquery.Dictionary.entry -> bytes option;
 }
 
 let no_reserve _entries () = ()
+let no_frames _cache = ()
+let never_resident _entry = None

@@ -21,7 +21,23 @@ type t = {
   epoch : unit -> int;
       (** The published epoch this session serves ({!Mneme.Store.epoch};
           0 for backends without epoch versioning). *)
+  attach_frames : Util.Block_cache.t -> unit;
+      (** Hold this session's verified segments as frames in the given
+          cache ({!Mneme.Store.set_frames}), replacing any cache
+          attached before: a session serves one frontend's budget.  A
+          no-op for backends without segments. *)
+  fetch_resident : Inquery.Dictionary.entry -> bytes option;
+      (** The record {!fetch} would return, if it can be had without
+          I/O ({!Mneme.Store.fetch_resident}): no file access and no
+          simulated time.  [None] when it cannot, and always for
+          backends without segments. *)
 }
 
 val no_reserve : Inquery.Dictionary.entry list -> unit -> unit
 (** The trivial reservation. *)
+
+val no_frames : Util.Block_cache.t -> unit
+(** The trivial [attach_frames]. *)
+
+val never_resident : Inquery.Dictionary.entry -> bytes option
+(** The trivial [fetch_resident]: always [None]. *)

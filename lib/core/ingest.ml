@@ -708,6 +708,8 @@ let session t =
           | Some store -> Mneme.Store.file_size store
           | None -> 0);
       epoch = (fun () -> pin_epoch p);
+      attach_frames = Index_store.no_frames;
+      fetch_resident = Index_store.never_resident;
     }
   in
   {

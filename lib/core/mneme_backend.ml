@@ -50,6 +50,10 @@ let open_session ?(policy = Mneme.Buffer_pool.Lru) vfs ~file ~buffers =
     let locator = entry.Inquery.Dictionary.locator in
     if locator < 0 then None else Mneme.Store.get_opt store locator
   in
+  let fetch_resident entry =
+    let locator = entry.Inquery.Dictionary.locator in
+    if locator < 0 then None else Mneme.Store.fetch_resident store locator
+  in
   let reserve entries =
     let oids =
       List.filter_map
@@ -68,4 +72,6 @@ let open_session ?(policy = Mneme.Buffer_pool.Lru) vfs ~file ~buffers =
     reset_buffer_stats = (fun () -> List.iter (fun (_, b) -> Mneme.Buffer_pool.reset_stats b) bufs);
     file_size = (fun () -> Mneme.Store.file_size store);
     epoch = (fun () -> Mneme.Store.epoch store);
+    attach_frames = (fun cache -> Mneme.Store.set_frames store (Some cache));
+    fetch_resident;
   }

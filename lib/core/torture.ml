@@ -289,6 +289,8 @@ let session_over store =
     reset_buffer_stats = (fun () -> ());
     file_size = (fun () -> Mneme.Store.file_size store);
     epoch = (fun () -> Mneme.Store.epoch store);
+    attach_frames = Index_store.no_frames;
+    fetch_resident = Index_store.never_resident;
   }
 
 let score_fingerprint ranked =
@@ -2100,13 +2102,13 @@ type cache_outcome = {
   ct_comparisons : int;
   ct_result_hits : int;
   ct_block_hits : int;
-  ct_record_hits : int;
+  ct_frame_hits : int;
   ct_invalidations : int;
   ct_problems : (int * string) list; (* (mutation, violation); 0 = audit phase *)
 }
 
 let cache_ok o =
-  o.ct_problems = [] && o.ct_result_hits > 0 && o.ct_block_hits > 0 && o.ct_record_hits > 0
+  o.ct_problems = [] && o.ct_result_hits > 0 && o.ct_block_hits > 0 && o.ct_frame_hits > 0
   && o.ct_invalidations > 0
 
 let cache_file = "cache.mneme"
@@ -2121,15 +2123,21 @@ let run_cache ?(seed = 42) ?(docs = 18) () =
   let doc_arr = Array.of_seq (Collections.Synth.documents model) in
   let vfs = Vfs.create () in
   Vfs.set_fault vfs (Vfs.Fault.none ());
-  let live = Live_index.create_mneme ~journal:cache_log vfs ~file:cache_file () in
+  (* Transient buffers: a segment read twice comes from its frame. *)
+  let live =
+    Live_index.create_mneme ~buffers:Buffer_sizing.no_cache ~journal:cache_log vfs
+      ~file:cache_file ()
+  in
+  let store = Option.get (Live_index.mneme_store live) in
   let rc = Result_cache.create ~capacity_bytes:(1 lsl 16) ~name:"torture.results" () in
   let bc = Util.Block_cache.create ~capacity_bytes:(1 lsl 18) ~name:"torture.blocks" () in
+  Mneme.Store.set_frames store (Some bc);
   let pins = ref [] in
   (* newest first *)
   let pinned_epochs () = List.map fst !pins in
   let rc_hook_drops = ref 0 in
   (* The publication hook, exactly as a serving frontend would register
-     it: records and decoded blocks of any epoch no pin protects are dead
+     it: frames and decoded blocks of any epoch no pin protects are dead
      the moment a new epoch publishes.  Results get a one-epoch grace
      window on purpose, so stale entries survive into the next epoch and
      the probe-time epoch check has something to purge — both
@@ -2140,9 +2148,9 @@ let run_cache ?(seed = 42) ?(docs = 18) () =
              e = epoch || List.mem e (pinned_epochs ())));
       rc_hook_drops := !rc_hook_drops + Result_cache.retain rc ~keep:(fun e -> e >= epoch - 1));
   (* Stable term ids for block-cache keys: within one epoch a term has
-     exactly one record, so (term id, epoch) uniquely names its bytes and
-     (term id, block, epoch) its decoded blocks — the same reasoning the
-     frontend applies with Mneme locators. *)
+     exactly one record, so (term id, block, epoch) uniquely names its
+     decoded blocks — the same reasoning the frontend applies with Mneme
+     locators. *)
   let term_ids = Hashtbl.create 64 in
   let term_id term =
     match Hashtbl.find_opt term_ids term with
@@ -2164,29 +2172,28 @@ let run_cache ?(seed = 42) ?(docs = 18) () =
     done;
     List.rev !acc
   in
-  (* Read a pinned epoch through the block cache — the record from the
-     record tier (filled on a miss, as the frontend fills it), its blocks
-     from the block tier — and bit-compare the bytes and every (doc, tf)
-     against the pinned lookup and a plain uncached decode. *)
+  (* Read a pinned epoch's records through the store with frames
+     attached — a resident segment comes from its frame, as a serving
+     frontend reads it — and again with frames detached, from the
+     device; bit-compare the bytes, and every (doc, tf) streamed through
+     the decoded-block cache against a plain uncached decode. *)
   let audit_pin m (e, p) =
     List.iter
       (fun (term, _, _) ->
         match Live_index.pin_lookup live p term with
         | None -> ()
-        | Some (record, _, _) ->
+        | Some (framed, _, _) -> (
           incr comparisons;
-          let id = term_id term in
-          let cached =
-            match Util.Block_cache.find_record bc ~locator:id ~epoch:e with
-            | Some b -> b
-            | None ->
-              Util.Block_cache.insert_record bc ~locator:id ~epoch:e record;
-              record
-          in
-          if not (Bytes.equal cached record) then
-            note m "pinned epoch %d: term %S's cached record differs from the pinned one" e term;
-          if stream ~cache:(bc, id, e) cached <> stream record then
-            note m "pinned epoch %d: term %S reads differently through the block cache" e term)
+          Mneme.Store.set_frames store None;
+          let plain = Live_index.pin_lookup live p term in
+          Mneme.Store.set_frames store (Some bc);
+          match plain with
+          | None -> note m "pinned epoch %d: term %S is gone with frames off" e term
+          | Some (record, _, _) ->
+            if not (Bytes.equal framed record) then
+              note m "pinned epoch %d: term %S's record differs through frames" e term;
+            if stream ~cache:(bc, term_id term, e) framed <> stream record then
+              note m "pinned epoch %d: term %S reads differently through the block cache" e term))
       (List.filteri (fun i _ -> i < 4) (Live_index.pin_directory p))
   in
   (* One pass over the query set: the uncached latest-view search is the
@@ -2238,7 +2245,7 @@ let run_cache ?(seed = 42) ?(docs = 18) () =
   List.iter
     (fun e ->
       if not (List.mem e allowed) then
-        note 0 "block cache holds a record or block of collected epoch %d after gc under pins" e)
+        note 0 "block cache holds a frame or block of collected epoch %d after gc under pins" e)
     (Util.Block_cache.epochs bc);
   List.iter (fun (_, p) -> Live_index.release live p) !pins;
   ignore (Live_index.gc live);
@@ -2250,7 +2257,7 @@ let run_cache ?(seed = 42) ?(docs = 18) () =
   (* The grace window means probe-time purges must have fired over and
      above the hook's drops. *)
   let rc_stats = Result_cache.stats rc and bc_stats = Util.Block_cache.stats bc in
-  let rec_stats = Util.Block_cache.record_stats bc in
+  let frame_stats = Util.Block_cache.frame_stats bc in
   if rc_stats.Util.Cache_stats.invalidations <= !rc_hook_drops then
     note 0 "probe-time epoch check never purged a stale result";
   {
@@ -2258,18 +2265,18 @@ let run_cache ?(seed = 42) ?(docs = 18) () =
     ct_comparisons = !comparisons;
     ct_result_hits = rc_stats.Util.Cache_stats.hits;
     ct_block_hits = bc_stats.Util.Cache_stats.hits;
-    ct_record_hits = rec_stats.Util.Cache_stats.hits;
+    ct_frame_hits = frame_stats.Util.Cache_stats.hits;
     ct_invalidations =
       rc_stats.Util.Cache_stats.invalidations + bc_stats.Util.Cache_stats.invalidations
-      + rec_stats.Util.Cache_stats.invalidations;
+      + frame_stats.Util.Cache_stats.invalidations;
     ct_problems = List.rev !problems;
   }
 
 let pp_cache_outcome fmt o =
   Format.fprintf fmt
     "%d mutations, %d cached-vs-uncached comparisons: %d result hits, %d block hits, %d \
-     record hits, %d invalidations"
-    o.ct_mutations o.ct_comparisons o.ct_result_hits o.ct_block_hits o.ct_record_hits
+     frame hits, %d invalidations"
+    o.ct_mutations o.ct_comparisons o.ct_result_hits o.ct_block_hits o.ct_frame_hits
     o.ct_invalidations;
   if o.ct_problems <> [] then begin
     Format.fprintf fmt "@.%d problem(s):" (List.length o.ct_problems);

@@ -487,19 +487,23 @@ val pp_shard_outcome : Format.formatter -> shard_outcome -> unit
 
     The tiered-cache torture: a journaled Mneme live index under an
     add/delete churn workload, with a query-result cache and a block
-    cache (whole records and decoded blocks) riding the
-    epoch-publication hook ({!Live_index.on_publish}) the way a serving
-    frontend would.  At every published epoch the harness compares the
-    cached read path against the uncached one bit-for-bit:
+    cache riding the epoch-publication hook ({!Live_index.on_publish})
+    the way a serving frontend would.  The block cache is attached to
+    the live index's store as its frame cache ({!Mneme.Store.set_frames})
+    and its buffers are transient, so every segment the churn reads
+    after its first read comes from a frame.  At every published epoch
+    the harness compares the cached read path against the uncached one
+    bit-for-bit:
 
     - every result-cache hit must equal the uncached latest-view
       ranking, and every entry filled at an epoch must hit for the rest
       of that epoch;
-    - every pinned epoch, read through the shared block cache while
-      later mutations and a gc run under the pins, must hand back
-      exactly the pinned record's bytes from the record tier and stream
-      exactly the (doc, tf) pairs of a private uncached decode;
-    - after gc, no cache holds an entry (result, record or decoded
+    - every pinned epoch, read through the frames while later mutations
+      and a gc run under the pins, must hand back exactly the bytes a
+      frames-off read of the same pin returns, and stream through the
+      decoded-block cache exactly the (doc, tf) pairs of a private
+      uncached decode;
+    - after gc, no cache holds an entry (result, frame or decoded
       block) tagged with a collected epoch;
     - both invalidation mechanisms fire: the publication hook's eager
       drop and the probe-time epoch-mismatch purge (the harness gives
@@ -511,7 +515,7 @@ type cache_outcome = {
   ct_comparisons : int;  (** cached-vs-uncached rankings / streams compared *)
   ct_result_hits : int;
   ct_block_hits : int;  (** decoded-block hits *)
-  ct_record_hits : int;  (** whole-record hits in the block cache's record tier *)
+  ct_frame_hits : int;  (** segment-frame hits in the block cache *)
   ct_invalidations : int;  (** hook drops + probe-time purges, every tier *)
   ct_problems : (int * string) list;  (** (mutation, violation); 0 = audit phase *)
 }

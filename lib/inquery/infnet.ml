@@ -472,9 +472,9 @@ let eval_topk source dict ?df_of ?floor ?stopwords ?(stem = false) ?(audit = fal
        drops documents below it, so the two contracts cannot be compared. *)
     invalid_arg "Infnet.eval_topk: audit cannot be combined with floor"
   | _ -> ());
-  (* The shared-cache key of an entry's record and its blocks: only
-     entries with a stable locator (>= 0) participate; others (e.g.
-     B-tree-resident records) are fetched and decoded privately. *)
+  (* The shared-cache key of an entry's decoded blocks: only entries
+     with a stable locator (>= 0) participate; others (e.g.
+     B-tree-resident records) are decoded privately. *)
   let cache_of entry =
     match block_cache with
     | Some (bc, epoch) when entry.Dictionary.locator >= 0 ->
@@ -483,26 +483,14 @@ let eval_topk source dict ?df_of ?floor ?stopwords ?(stem = false) ?(audit = fal
   in
   (* At most one fetch per dictionary entry, shared by the planner's
      statistics probes, the chosen executor and the audit oracle — the
-     cost model never adds store reads, only O(1) header parses.  A
-     record already in the shared cache is not fetched at all; a
-     fetched one is cached only when the fetch produced bytes. *)
+     cost model never adds store reads, only O(1) header parses. *)
   let memo : (int, bytes option) Hashtbl.t = Hashtbl.create 8 in
   let raw_fetch = source.fetch in
   let fetch_memo entry =
     match Hashtbl.find_opt memo entry.Dictionary.id with
     | Some r -> r
     | None ->
-      let r =
-        match cache_of entry with
-        | None -> raw_fetch entry
-        | Some (bc, locator, epoch) -> (
-          match Util.Block_cache.find_record bc ~locator ~epoch with
-          | Some _ as hit -> hit
-          | None ->
-            let r = raw_fetch entry in
-            Option.iter (Util.Block_cache.insert_record bc ~locator ~epoch) r;
-            r)
-      in
+      let r = raw_fetch entry in
       Hashtbl.add memo entry.Dictionary.id r;
       r
   in

@@ -195,16 +195,13 @@ val eval_topk :
     afterwards, so a deadline is priced from exactly what the final
     charge will be; when it fires, evaluation stops and the heap
     contents so far are returned with [tk_stopped = true].
-    @param block_cache [(cache, epoch)]: share postings records and
-    their decoded blocks across queries through a {!Util.Block_cache},
-    keyed by each term record's dictionary locator and the given epoch.
-    The per-query fetch memo probes the cache's record tier before it
-    calls [source.fetch]: a hit is not fetched at all (the planner's
-    probes, the executor and the audit oracle all read the cached
-    bytes), and a fetch that returns [Some bytes] is inserted — a
-    [None] (a skipped, failed or unfetchable record) never is.  Only
-    entries with a stable locator ([>= 0]) participate; others are
-    fetched and decoded privately.  Results are unaffected — a hit
-    returns the bytes the store would, and the arrays the decoder would
-    produce — but decoded-block hits are not counted in
-    [tk_postings_decoded]. *)
+    @param block_cache [(cache, epoch)]: share decoded postings blocks
+    across queries through a {!Util.Block_cache}, keyed by each term
+    record's dictionary locator, the block index and the given epoch.
+    Only entries with a stable locator ([>= 0]) participate; others are
+    decoded privately.  Records themselves are always fetched through
+    [source.fetch], once per entry per query: caching their bytes is
+    the source's business (a serving frontend reads warm ones from
+    Mneme segment frames in the same cache).  Results are unaffected —
+    a hit returns the arrays the decoder would produce — but
+    decoded-block hits are not counted in [tk_postings_decoded]. *)

@@ -32,6 +32,7 @@ type open_pseg =
 type pool = {
   store : t;
   pname : string;
+  owner : int; (* names this pool of this session in a frame cache *)
   mutable policy : Policy.t option; (* None until the aux blob is loaded *)
   mutable loaded : bool;
   mutable blob : (int * int) option; (* persisted blob extent, for lazy load *)
@@ -60,6 +61,7 @@ and t = {
   mutable finalized : bool;
   mutable epoch : int;
   mutable root : int; (* oid of the sealed root object, -1 = none *)
+  mutable frames : Util.Block_cache.t option; (* verified segment images *)
 }
 
 (* All data-file I/O goes through the optional journal so that batched
@@ -105,15 +107,21 @@ let create vfs name =
       finalized = false;
       epoch = 0;
       root = -1;
+      frames = None;
     }
   in
   write_header t;
   t
 
+(* Frame owners are unique across every session in the process, so two
+   sessions over copies of one file never alias in a shared cache. *)
+let next_owner = Atomic.make 0
+
 let fresh_pool t name =
   {
     store = t;
     pname = name;
+    owner = Atomic.fetch_and_add next_owner 1;
     policy = None;
     loaded = false;
     blob = None;
@@ -153,6 +161,7 @@ let open_existing vfs name =
       finalized = true;
       epoch = Util.Bin.get_u32 b 51;
       root = Util.Bin.get_u32 b 55 - 1;
+      frames = None;
     }
   in
   (* The auxiliary directory (top level of the multi-level tables): pool
@@ -507,6 +516,31 @@ let open_pseg_id = function
   | Open_fixed { pseg_id; _ } -> pseg_id
   | Open_packed { pseg_id; _ } -> pseg_id
 
+let is_open pool pseg =
+  match pool.open_pseg with Some op -> open_pseg_id op = pseg | None -> false
+
+(* A buffer miss takes the segment from its frame when one is resident,
+   else from the file.  A segment read from the file becomes a frame
+   only once it passes its CRC32 check, so corrupted bytes never
+   outlive the read that found them. *)
+let load_segment pool pseg ~off ~len ~crc =
+  let framed =
+    match pool.store.frames with
+    | Some fr -> Util.Block_cache.find_frame fr ~owner:pool.owner ~seg:pseg
+    | None -> None
+  in
+  match framed with
+  | Some bytes -> bytes
+  | None ->
+    let bytes = st_read pool.store ~off ~len in
+    if Util.Crc32.digest_bytes bytes <> crc then
+      raise (Corrupt (Printf.sprintf "Store: pseg %d of pool %s fails its CRC32" pseg pool.pname));
+    (match pool.store.frames with
+    | Some fr ->
+      Util.Block_cache.insert_frame fr ~owner:pool.owner ~seg:pseg ~epoch:pool.store.epoch bytes
+    | None -> ());
+    bytes
+
 (* Fetch segment bytes: from the still-open creation segment, or by
    faulting through the pool's attached buffer. *)
 let segment_bytes pool pseg =
@@ -523,13 +557,20 @@ let segment_bytes pool pseg =
       | None -> invalid_arg ("Store: pool has no buffer attached: " ^ pool.pname)
       | Some buffer ->
         `Disk
-          (Buffer_pool.fault buffer ~pseg ~load:(fun () ->
-               let bytes = st_read pool.store ~off ~len in
-               if Util.Crc32.digest_bytes bytes <> crc then
-                 raise
-                   (Corrupt
-                      (Printf.sprintf "Store: pseg %d of pool %s fails its CRC32" pseg pool.pname));
-               bytes))))
+          (Buffer_pool.fault buffer ~pseg ~load:(fun () -> load_segment pool pseg ~off ~len ~crc))))
+
+(* Whether [segment_bytes] can answer without I/O. *)
+let resident pool pseg =
+  is_open pool pseg
+  ||
+  match pool.pbuffer with
+  | None -> false
+  | Some buffer -> (
+    Buffer_pool.resident buffer ~pseg
+    ||
+    match pool.store.frames with
+    | Some fr -> Util.Block_cache.frame_resident fr ~owner:pool.owner ~seg:pseg
+    | None -> false)
 
 let extract_object pool oid seg =
   let policy = policy_of pool in
@@ -556,6 +597,21 @@ let get_opt t oid =
 let get t oid =
   match get_opt t oid with Some b -> b | None -> raise Not_found
 
+(* [locate_slot] would load the pool's tables — a charged read — so the
+   slot is looked up only in tables already resident. *)
+let fetch_resident t oid =
+  match Hashtbl.find_opt t.lseg_owner (Oid.lseg oid) with
+  | Some pool when pool.loaded -> (
+    match Hashtbl.find_opt pool.lsegs (Oid.lseg oid) with
+    | Some slots ->
+      let pseg = slots.(Oid.slot oid) in
+      if pseg >= 0 && resident pool pseg then extract_object pool oid (segment_bytes pool pseg)
+      else None
+    | None -> None)
+  | Some _ | None -> None
+
+let set_frames t frames = t.frames <- frames
+
 let object_size t oid =
   match locate_slot t oid with
   | None -> None
@@ -575,6 +631,16 @@ let object_size t oid =
 (* ------------------------------------------------------------------ *)
 (* Modification                                                        *)
 
+(* A flushed segment rewritten in place: the buffered copy and a
+   resident frame both take the new image, or a later read would serve
+   the old one. *)
+let replace_resident pool pseg bytes =
+  (match pool.pbuffer with Some buffer -> Buffer_pool.update buffer ~pseg bytes | None -> ());
+  match pool.store.frames with
+  | Some fr when Util.Block_cache.frame_resident fr ~owner:pool.owner ~seg:pseg ->
+    Util.Block_cache.insert_frame fr ~owner:pool.owner ~seg:pseg ~epoch:pool.store.epoch bytes
+  | Some _ | None -> ()
+
 let write_back pool pseg bytes =
   match Hashtbl.find_opt pool.psegs pseg with
   | None -> raise (Corrupt "Store.write_back: unknown pseg")
@@ -582,9 +648,7 @@ let write_back pool pseg bytes =
     assert (Bytes.length bytes = len);
     st_write pool.store ~off bytes;
     Hashtbl.replace pool.psegs pseg (off, len, Util.Crc32.digest_bytes bytes);
-    (match pool.pbuffer with
-    | Some buffer -> Buffer_pool.update buffer ~pseg bytes
-    | None -> ())
+    replace_resident pool pseg bytes
 
 (* Move an object (keeping its id) into fresh segment space of the same
    pool; the old extent becomes wasted space. *)
@@ -596,7 +660,7 @@ let modify t oid bytes_v =
   | Some (pool, pseg) -> (
     let policy = policy_of pool in
     let new_len = Bytes.length bytes_v in
-    let in_open = match pool.open_pseg with Some op -> open_pseg_id op = pseg | None -> false in
+    let in_open = is_open pool pseg in
     match policy.Policy.layout with
     | Policy.Fixed_slots { slot_size } ->
       let bound = slot_size - 4 in
@@ -613,7 +677,10 @@ let modify t oid bytes_v =
       end
       else begin
         match segment_bytes pool pseg with
-        | `Disk buf ->
+        | `Disk shared ->
+          (* Patch a private copy: the faulted image may be a frame other
+             readers share.  [write_back] installs the patched one. *)
+          let buf = Bytes.copy shared in
           Util.Bin.put_u32 buf base new_len;
           Bytes.blit bytes_v 0 buf (base + 4) new_len;
           write_back pool pseg buf
@@ -643,7 +710,9 @@ let modify t oid bytes_v =
           | None -> raise (Corrupt "Store.modify: object missing from its segment")
           | Some (dir_index, off, old_len) ->
             if new_len <= old_len then begin
-              (* Fits in place: patch data and directory length. *)
+              (* Fits in place: patch data and directory length, in a
+                 private copy as above. *)
+              let buf = Bytes.copy buf in
               Bytes.blit bytes_v 0 buf off new_len;
               Util.Bin.put_u32 buf (2 + (dir_index * 12) + 8) new_len;
               t.wasted <- t.wasted + (old_len - new_len);
@@ -664,7 +733,7 @@ let delete t oid =
   | None -> raise Not_found
   | Some (pool, pseg) ->
     let stranded = match object_size t oid with Some n -> n | None -> 0 in
-    let in_open = match pool.open_pseg with Some op -> open_pseg_id op = pseg | None -> false in
+    let in_open = is_open pool pseg in
     if in_open then begin
       match pool.open_pseg with
       | Some (Open_packed p) ->
@@ -873,9 +942,7 @@ let repair_segment pool ~pseg replacement =
       | None ->
         st_write t ~off replacement;
         Vfs.fsync t.file);
-      (match pool.pbuffer with
-      | Some buffer -> Buffer_pool.update buffer ~pseg replacement
-      | None -> ());
+      replace_resident pool pseg replacement;
       Ok ()
     end
 

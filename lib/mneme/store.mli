@@ -72,6 +72,38 @@ val get : t -> Oid.t -> bytes
 
 val get_opt : t -> Oid.t -> bytes option
 
+(** {2 Segment frames}
+
+    A serving session can share a {!Util.Block_cache} with its
+    frontend, which then holds whole physical segments — {e frames} —
+    in the frontend's byte budget, beside decoded postings blocks.  A
+    fault that misses the pool's buffer takes the segment from its
+    frame when one is resident, and reads the file otherwise.  A
+    segment read from the file becomes a frame only after it passes its
+    CRC32 check.  Frames are keyed by this session's pool and the
+    segment id, and tagged with {!epoch} at insertion.
+
+    {b Invariant.}  A flushed segment id names one immutable image per
+    store session: allocation writes only the open segment or new
+    segments, never a flushed one.  The two paths that do rewrite a
+    flushed segment in place — {!modify} within an extent and
+    {!repair_segment} — replace a resident frame, as they refresh the
+    buffered copy.  A frame therefore matches the segment on disk for
+    as long as it is resident, whichever epoch is being served.  Like
+    the session, the cache is single-domain. *)
+
+val set_frames : t -> Util.Block_cache.t option -> unit
+(** Attach ([Some]) or detach ([None]) the frame cache.  Frames outlive
+    a detach: re-attach only if no segment was rewritten meanwhile. *)
+
+val fetch_resident : t -> Oid.t -> bytes option
+(** The object's bytes, as {!get_opt} returns them, when they can be
+    had without I/O: from the open segment, the buffered copy or a
+    frame (counted as {!get_opt} counts them).  [None], with nothing
+    counted, when the segment is not resident, and also when the owning
+    pool's auxiliary tables are not loaded yet, since loading them is a
+    charged read.  Never touches the file and costs no simulated time. *)
+
 val exists : t -> Oid.t -> bool
 (** Consults only the (cached) auxiliary tables — no segment fault. *)
 
@@ -80,10 +112,12 @@ val object_size : t -> Oid.t -> int option
 
 val modify : t -> Oid.t -> bytes -> unit
 (** Replace an object's contents in place when the new value fits the
-    old extent; otherwise the object is relocated to fresh segment
-    space (the old space is wasted — see [wasted_bytes]).  Fixed-slot
-    objects may grow up to the slot payload.  Raises [Not_found] or
-    [Invalid_argument] like [allocate]. *)
+    old extent (the segment's buffered copy and resident frame are
+    replaced by the patched image); otherwise the object is relocated
+    to fresh segment space (the old space is wasted — see
+    [wasted_bytes]).  Fixed-slot objects may grow up to the slot
+    payload.  Raises [Not_found] or [Invalid_argument] like
+    [allocate]. *)
 
 val delete : t -> Oid.t -> unit
 (** Drop the object.  Raises [Not_found] if absent. *)
@@ -226,8 +260,9 @@ val repair_segment : pool -> pseg:int -> bytes -> (unit, string) result
     that batch), so a crash mid-heal recovers to either the damaged or
     the healed image, never a torn mix — and the rewrite ships to any
     attached replica group like any other commit.  Without a journal the
-    segment is written and fsynced directly.  Any buffered copy is
-    refreshed.  [Error] for a segment with no on-disk image. *)
+    segment is written and fsynced directly.  Any buffered copy and any
+    resident frame are refreshed.  [Error] for a segment with no
+    on-disk image. *)
 
 val pool_slot_tables : pool -> (int * int array) list
 (** [(lseg, slots)] pairs, ascending by lseg; each slot holds the

@@ -1,14 +1,16 @@
-(* A whole record lives under block index [-1]: decoded blocks are
-   numbered from 0, so the two kinds never share a key. *)
-type key = { k_src : int; k_blk : int; k_epoch : int }
+(* A block's epoch is part of its key.  A frame's is only a tag — the
+   segment invariant makes it irrelevant to the bytes — so it lives in
+   the node, where [retain] and [epochs] read it for both kinds. *)
+type key =
+  | Blk of { src : int; blk : int; epoch : int }
+  | Frm of { owner : int; seg : int }
 
-let record_blk = -1
-
-type entry = Block of int array * int array | Record of bytes
+type entry = Block of int array * int array | Frame of bytes
 
 type node = {
   key : key;
   entry : entry;
+  epoch : int;
   cost : int; (* bytes charged against the budget *)
   mutable prev : node option;
   mutable next : node option;
@@ -31,7 +33,7 @@ type t = {
   mutable head : node option; (* most recently used *)
   mutable tail : node option; (* eviction end *)
   blocks : tally;
-  records : tally;
+  frames : tally;
 }
 
 (* Node, key and array headers. *)
@@ -40,7 +42,7 @@ let overhead = 48
 (* Two unboxed int arrays: 8 bytes per element. *)
 let cost_of = function
   | Block (docs, tfs) -> (8 * (Array.length docs + Array.length tfs)) + overhead
-  | Record b -> Bytes.length b + overhead
+  | Frame b -> Bytes.length b + overhead
 
 let new_tally () =
   { refs = 0; hits = 0; evictions = 0; invalidations = 0; bytes = 0; entries = 0 }
@@ -54,12 +56,12 @@ let create ?(capacity_bytes = 1 lsl 20) ~name () =
     head = None;
     tail = None;
     blocks = new_tally ();
-    records = new_tally ();
+    frames = new_tally ();
   }
 
 let name t = t.bc_name
 let capacity t = t.capacity
-let tally_of t node = match node.entry with Block _ -> t.blocks | Record _ -> t.records
+let tally_of t node = match node.entry with Block _ -> t.blocks | Frame _ -> t.frames
 
 let unlink t node =
   (match node.prev with Some p -> p.next <- node.next | None -> t.head <- node.next);
@@ -90,16 +92,16 @@ let probe t c key =
     push_front t node;
     Some node.entry
 
-let add t key entry =
+let add t key ~epoch entry =
   if t.capacity > 0 then begin
     (match Hashtbl.find_opt t.table key with Some old -> remove_node t old | None -> ());
-    let node = { key; entry; cost = cost_of entry; prev = None; next = None } in
+    let node = { key; entry; epoch; cost = cost_of entry; prev = None; next = None } in
     Hashtbl.add t.table key node;
     push_front t node;
     let c = tally_of t node in
     c.bytes <- c.bytes + node.cost;
     c.entries <- c.entries + 1;
-    while t.blocks.bytes + t.records.bytes > t.capacity && t.tail <> None do
+    while t.blocks.bytes + t.frames.bytes > t.capacity && t.tail <> None do
       match t.tail with
       | None -> ()
       | Some victim ->
@@ -113,26 +115,25 @@ let check_blk fn blk = if blk < 0 then invalid_arg ("Block_cache." ^ fn ^ ": neg
 
 let find t ~src ~blk ~epoch =
   check_blk "find" blk;
-  match probe t t.blocks { k_src = src; k_blk = blk; k_epoch = epoch } with
+  match probe t t.blocks (Blk { src; blk; epoch }) with
   | Some (Block (docs, tfs)) -> Some (docs, tfs)
-  | Some (Record _) | None -> None
+  | Some (Frame _) | None -> None
 
 let insert t ~src ~blk ~epoch ~docs ~tfs =
   check_blk "insert" blk;
-  add t { k_src = src; k_blk = blk; k_epoch = epoch } (Block (docs, tfs))
+  add t (Blk { src; blk; epoch }) ~epoch (Block (docs, tfs))
 
-let find_record t ~locator ~epoch =
-  match probe t t.records { k_src = locator; k_blk = record_blk; k_epoch = epoch } with
-  | Some (Record b) -> Some b
+let find_frame t ~owner ~seg =
+  match probe t t.frames (Frm { owner; seg }) with
+  | Some (Frame b) -> Some b
   | Some (Block _) | None -> None
 
-let insert_record t ~locator ~epoch b =
-  if locator < 0 then invalid_arg "Block_cache.insert_record: negative locator";
-  add t { k_src = locator; k_blk = record_blk; k_epoch = epoch } (Record b)
+let frame_resident t ~owner ~seg = Hashtbl.mem t.table (Frm { owner; seg })
+let insert_frame t ~owner ~seg ~epoch b = add t (Frm { owner; seg }) ~epoch (Frame b)
 
 let retain t ~keep =
   let doomed =
-    Hashtbl.fold (fun key node acc -> if keep key.k_epoch then acc else node :: acc) t.table []
+    Hashtbl.fold (fun _ node acc -> if keep node.epoch then acc else node :: acc) t.table []
   in
   List.iter
     (fun node ->
@@ -146,7 +147,7 @@ let clear t = ignore (retain t ~keep:(fun _ -> false))
 
 let epochs t =
   let seen = Hashtbl.create 8 in
-  Hashtbl.iter (fun key _ -> Hashtbl.replace seen key.k_epoch ()) t.table;
+  Hashtbl.iter (fun _ node -> Hashtbl.replace seen node.epoch ()) t.table;
   Hashtbl.fold (fun e () acc -> e :: acc) seen [] |> List.sort compare
 
 let stats_of c =
@@ -160,7 +161,7 @@ let stats_of c =
   }
 
 let stats t = stats_of t.blocks
-let record_stats t = stats_of t.records
+let frame_stats t = stats_of t.frames
 
 let reset_stats t =
   List.iter
@@ -169,4 +170,4 @@ let reset_stats t =
       c.hits <- 0;
       c.evictions <- 0;
       c.invalidations <- 0)
-    [ t.blocks; t.records ]
+    [ t.blocks; t.frames ]

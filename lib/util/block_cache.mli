@@ -1,32 +1,45 @@
-(** Bounded LRU of postings records and their decoded blocks.
+(** Bounded LRU of verified Mneme segment images and decoded postings
+    blocks.
 
     High-df terms recur across queries (the paper's Figure 2 skew), so
-    both forms of their inverted lists are worth keeping:
+    two forms of their inverted lists are worth keeping:
 
-    - a {e record} entry holds the whole record as fetched from the
-      store: a hit hands back the bytes and skips the fetch — replica
-      routing, the object store, its buffer pools and the file system;
-    - a {e block} entry holds one decoded block's [(docs, tfs)] arrays:
-      a hit skips the decode.
+    - a {e frame} holds one physical segment image, exactly as the
+      Mneme store read it and after it passed its CRC32 check: a store
+      that misses in its Table-2 buffer takes the segment from here
+      instead of the file, and every record in that segment becomes a
+      memory read;
+    - a {e block} holds one decoded block's [(docs, tfs)] arrays: a hit
+      skips the decode.
 
-    Records are keyed by [(locator, epoch)], blocks by
-    [(source object id, block index, epoch)] where the source id is the
-    record's locator.  Both rest on one invariant: {b within one epoch,
-    a locator names exactly one immutable store object}, so equal keys
-    always name equal bytes.  The epoch tag makes entries from
-    superseded index versions unreachable the moment a new epoch is
-    probed, and {!retain} lets the publication hook drop them eagerly
-    (keeping epochs still pinned by snapshot readers, whose objects are
-    immutable and therefore still byte-correct).
+    Blocks are keyed by [(source object id, block index, epoch)], where
+    the source id is the record's locator.  They rest on one invariant:
+    {b within one epoch, a locator names exactly one immutable store
+    object}, so equal keys always name equal arrays.
 
-    The cache never returns an entry for a key it was not given: a
-    reader serving a pinned epoch and a reader serving the latest epoch
-    share the cache without ever seeing each other's entries, which is
-    what keeps pinned-epoch rankings bit-identical under churn.
+    Frames are keyed by [(owner, segment id)]: the owner names one pool
+    of one store session, so replicas of an image, or a compacted copy,
+    never share a frame.  They rest on the store's invariant: {b a
+    flushed segment id names one immutable image per store session} —
+    allocation writes only the open segment or new ones, and the two
+    paths that rewrite a flushed segment in place replace its frame.  A
+    frame therefore needs no epoch in its key; it carries the epoch it
+    was inserted under as a tag, so {!retain} and {!epochs} treat both
+    kinds alike.
 
-    Records and blocks share one byte budget and one recency order, so
-    a record insert can evict a cold block and vice versa.  Their
-    counters are kept apart ({!stats} and {!record_stats}).
+    The epoch makes blocks of superseded index versions unreachable the
+    moment a new epoch is probed, and {!retain} lets the publication
+    hook drop entries of either kind eagerly (keeping epochs still
+    pinned by snapshot readers, whose objects are immutable and
+    therefore still byte-correct).  The cache never returns a block for
+    a key it was not given: a reader serving a pinned epoch and a reader
+    serving the latest epoch share the cache without ever seeing each
+    other's blocks, which is what keeps pinned-epoch rankings
+    bit-identical under churn.
+
+    Frames and blocks share one byte budget and one recency order, so a
+    frame insert can evict a cold block and vice versa.  Their counters
+    are kept apart ({!stats} and {!frame_stats}).
 
     Like the buffer pool, a [t] is single-domain; give each worker its
     own and {!Cache_stats.merge} the counters. *)
@@ -34,7 +47,7 @@
 type t
 
 val create : ?capacity_bytes:int -> name:string -> unit -> t
-(** [capacity_bytes] (default 1 MiB) bounds the resident records and
+(** [capacity_bytes] (default 1 MiB) bounds the resident frames and
     decoded blocks together; [0] disables the cache (probes miss,
     inserts drop).  Raises [Invalid_argument] if negative. *)
 
@@ -55,26 +68,28 @@ val insert : t -> src:int -> blk:int -> epoch:int -> docs:int array -> tfs:int a
     end until the budget holds.  Raises [Invalid_argument] if [blk] is
     negative. *)
 
-(** {2 Whole records} *)
+(** {2 Segment frames} *)
 
-val find_record : t -> locator:int -> epoch:int -> bytes option
-(** The record fetched under [(locator, epoch)], refreshed to
-    most-recent.  Counts one record reference, plus a hit when
-    resident.  The bytes are shared with every other reader of the
-    entry: callers must not mutate them. *)
+val find_frame : t -> owner:int -> seg:int -> bytes option
+(** The segment image under [(owner, seg)], refreshed to most-recent.
+    Counts one frame reference, plus a hit when resident.  The bytes
+    are shared with every other reader of the frame: callers must not
+    mutate them. *)
 
-val insert_record : t -> locator:int -> epoch:int -> bytes -> unit
-(** Insert (replacing any entry under the same key), charged the
-    record's length plus the same fixed overhead as a block, and evict
-    from the cold end until the budget holds.  The cache keeps the
-    bytes, not a copy: the caller hands over ownership.  Raises
-    [Invalid_argument] if [locator] is negative (such records have no
-    stable name). *)
+val frame_resident : t -> owner:int -> seg:int -> bool
+(** Residency test; counts nothing and does not disturb recency. *)
+
+val insert_frame : t -> owner:int -> seg:int -> epoch:int -> bytes -> unit
+(** Insert (replacing any frame under the same key), tagged with
+    [epoch], charged the image's length plus the same fixed overhead as
+    a block, and evict from the cold end until the budget holds.  The
+    cache keeps the bytes, not a copy: the caller hands over ownership
+    and must insert only an image that passed its CRC check. *)
 
 (** {2 Invalidation and statistics} *)
 
 val retain : t -> keep:(int -> bool) -> int
-(** [retain t ~keep] drops every entry, record or block, whose epoch
+(** [retain t ~keep] drops every entry, frame or block, whose epoch
     fails [keep], returning how many were dropped (counted as
     invalidations) — the epoch-publication/gc invalidation hook. *)
 
@@ -90,8 +105,8 @@ val stats : t -> Cache_stats.t
     evictions, invalidations and residency count block entries —
     whichever insert made the room. *)
 
-val record_stats : t -> Cache_stats.t
-(** The same counters for record entries. *)
+val frame_stats : t -> Cache_stats.t
+(** The same counters for frames. *)
 
 val reset_stats : t -> unit
 (** Zero the counters of both kinds; residency is kept. *)

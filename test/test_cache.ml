@@ -1,5 +1,6 @@
-(* The tiered read-path caches: decoded-block and query-result LRUs,
-   unified tier statistics, frontend integration, churn coherence. *)
+(* The tiered read-path caches: the block cache (segment frames and
+   decoded blocks) and the query-result LRU, unified tier statistics,
+   frontend integration, churn coherence. *)
 
 (* --- Util.Block_cache ---------------------------------------------- *)
 
@@ -45,91 +46,101 @@ let test_block_cache_retain () =
   let docs = [| 1 |] and tfs = [| 1 |] in
   let bc = Util.Block_cache.create ~name:"t" () in
   List.iter (fun e -> Util.Block_cache.insert bc ~src:e ~blk:0 ~epoch:e ~docs ~tfs) [ 1; 2; 3 ];
-  (* Records of their own epochs, so retain, clear and epochs must see
-     both kinds. *)
+  (* Frames tagged with epochs of their own, so retain, clear and epochs
+     must see both kinds. *)
   List.iter
-    (fun e -> Util.Block_cache.insert_record bc ~locator:e ~epoch:e (Bytes.make 8 'r'))
+    (fun e -> Util.Block_cache.insert_frame bc ~owner:e ~seg:0 ~epoch:e (Bytes.make 8 'f'))
     [ 2; 4 ];
   Alcotest.(check (list int)) "epochs" [ 1; 2; 3; 4 ] (Util.Block_cache.epochs bc);
   Alcotest.(check int) "three dropped" 3 (Util.Block_cache.retain bc ~keep:(fun e -> e = 2));
   Alcotest.(check (list int)) "only kept epoch" [ 2 ] (Util.Block_cache.epochs bc);
   Alcotest.(check int) "block invalidations counted" 2
     (Util.Block_cache.stats bc).Util.Cache_stats.invalidations;
-  Alcotest.(check int) "record invalidations counted" 1
-    (Util.Block_cache.record_stats bc).Util.Cache_stats.invalidations;
-  Alcotest.(check bool) "kept record still hits" true
-    (Util.Block_cache.find_record bc ~locator:2 ~epoch:2 <> None);
+  Alcotest.(check int) "frame invalidations counted" 1
+    (Util.Block_cache.frame_stats bc).Util.Cache_stats.invalidations;
+  Alcotest.(check bool) "kept frame still hits" true
+    (Util.Block_cache.find_frame bc ~owner:2 ~seg:0 <> None);
   Util.Block_cache.clear bc;
   Alcotest.(check (list int)) "clear empties both kinds" [] (Util.Block_cache.epochs bc);
-  Alcotest.(check int) "clear counts the record" 2
-    (Util.Block_cache.record_stats bc).Util.Cache_stats.invalidations;
+  Alcotest.(check int) "clear counts the frame" 2
+    (Util.Block_cache.frame_stats bc).Util.Cache_stats.invalidations;
   Alcotest.(check int) "nothing resident" 0
     ((Util.Block_cache.stats bc).Util.Cache_stats.resident_bytes
-    + (Util.Block_cache.record_stats bc).Util.Cache_stats.resident_bytes);
+    + (Util.Block_cache.frame_stats bc).Util.Cache_stats.resident_bytes);
   let off = Util.Block_cache.create ~capacity_bytes:0 ~name:"off" () in
   Util.Block_cache.insert off ~src:1 ~blk:0 ~epoch:1 ~docs ~tfs;
-  Util.Block_cache.insert_record off ~locator:1 ~epoch:1 (Bytes.make 8 'r');
+  Util.Block_cache.insert_frame off ~owner:1 ~seg:0 ~epoch:1 (Bytes.make 8 'f');
   Alcotest.(check int) "zero capacity disables" 0
     ((Util.Block_cache.stats off).Util.Cache_stats.resident_entries
-    + (Util.Block_cache.record_stats off).Util.Cache_stats.resident_entries);
-  Alcotest.(check bool) "zero capacity misses records" true
-    (Util.Block_cache.find_record off ~locator:1 ~epoch:1 = None)
+    + (Util.Block_cache.frame_stats off).Util.Cache_stats.resident_entries);
+  Alcotest.(check bool) "zero capacity misses frames" true
+    (Util.Block_cache.find_frame off ~owner:1 ~seg:0 = None)
 
-let test_record_tier_basics () =
+let test_frame_basics () =
   let bc = Util.Block_cache.create ~capacity_bytes:4096 ~name:"t" () in
   Alcotest.(check bool) "miss on empty" true
-    (Util.Block_cache.find_record bc ~locator:1 ~epoch:1 = None);
-  let record = Bytes.of_string "an inverted record" in
-  Util.Block_cache.insert_record bc ~locator:1 ~epoch:1 record;
-  (match Util.Block_cache.find_record bc ~locator:1 ~epoch:1 with
-  | Some b -> Alcotest.(check bool) "same bytes back" true (b == record)
+    (Util.Block_cache.find_frame bc ~owner:1 ~seg:1 = None);
+  let image = Bytes.of_string "a verified segment image" in
+  Util.Block_cache.insert_frame bc ~owner:1 ~seg:1 ~epoch:3 image;
+  (match Util.Block_cache.find_frame bc ~owner:1 ~seg:1 with
+  | Some b -> Alcotest.(check bool) "same bytes back" true (b == image)
   | None -> Alcotest.fail "expected a hit");
-  Alcotest.(check bool) "other locator misses" true
-    (Util.Block_cache.find_record bc ~locator:2 ~epoch:1 = None);
-  Alcotest.(check bool) "other epoch misses" true
-    (Util.Block_cache.find_record bc ~locator:1 ~epoch:2 = None);
-  (* A record and block 0 of the same locator are separate entries. *)
-  Alcotest.(check bool) "record is not block 0" true
-    (Util.Block_cache.find bc ~src:1 ~blk:0 ~epoch:1 = None);
-  let r = Util.Block_cache.record_stats bc and b = Util.Block_cache.stats bc in
-  Alcotest.(check int) "record refs" 4 r.Util.Cache_stats.refs;
-  Alcotest.(check int) "record hits" 1 r.Util.Cache_stats.hits;
-  Alcotest.(check int) "record resident" 1 r.Util.Cache_stats.resident_entries;
-  Alcotest.(check int) "charged length plus overhead" (Bytes.length record + 48)
-    r.Util.Cache_stats.resident_bytes;
-  Alcotest.(check int) "block counters untouched by records" 1 b.Util.Cache_stats.refs;
+  Alcotest.(check bool) "other owner misses" true
+    (Util.Block_cache.find_frame bc ~owner:2 ~seg:1 = None);
+  Alcotest.(check bool) "other segment misses" true
+    (Util.Block_cache.find_frame bc ~owner:1 ~seg:2 = None);
+  (* A frame and block 1 of source 1 are separate entries. *)
+  Alcotest.(check bool) "frame is not a block" true
+    (Util.Block_cache.find bc ~src:1 ~blk:1 ~epoch:3 = None);
+  Alcotest.(check bool) "residency test" true
+    (Util.Block_cache.frame_resident bc ~owner:1 ~seg:1
+    && not (Util.Block_cache.frame_resident bc ~owner:1 ~seg:2));
+  let f = Util.Block_cache.frame_stats bc and b = Util.Block_cache.stats bc in
+  Alcotest.(check int) "frame refs (residency tests count nothing)" 4 f.Util.Cache_stats.refs;
+  Alcotest.(check int) "frame hits" 1 f.Util.Cache_stats.hits;
+  Alcotest.(check int) "frame resident" 1 f.Util.Cache_stats.resident_entries;
+  Alcotest.(check int) "charged length plus overhead" (Bytes.length image + 48)
+    f.Util.Cache_stats.resident_bytes;
+  Alcotest.(check int) "block counters untouched by frames" 1 b.Util.Cache_stats.refs;
   Alcotest.(check int) "no block resident" 0 b.Util.Cache_stats.resident_entries;
-  Alcotest.(check bool) "negative locator rejected" true
-    (match Util.Block_cache.insert_record bc ~locator:(-1) ~epoch:1 record with
-    | () -> false
-    | exception Invalid_argument _ -> true)
+  (* The epoch is a tag, not part of the key: re-inserting replaces the
+     frame and re-tags it. *)
+  Alcotest.(check (list int)) "tagged" [ 3 ] (Util.Block_cache.epochs bc);
+  let patched = Bytes.of_string "a patched segment image" in
+  Util.Block_cache.insert_frame bc ~owner:1 ~seg:1 ~epoch:4 patched;
+  Alcotest.(check (list int)) "re-tagged" [ 4 ] (Util.Block_cache.epochs bc);
+  Alcotest.(check int) "still one frame" 1
+    (Util.Block_cache.frame_stats bc).Util.Cache_stats.resident_entries;
+  match Util.Block_cache.find_frame bc ~owner:1 ~seg:1 with
+  | Some b -> Alcotest.(check bool) "the new image" true (b == patched)
+  | None -> Alcotest.fail "expected the replaced frame"
 
-let test_records_and_blocks_share_budget () =
-  (* One block and one record of equal cost; the budget holds two
+let test_frames_and_blocks_share_budget () =
+  (* One block and one frame of equal cost; the budget holds two
      entries of either kind. *)
   let docs = Array.make 100 0 and tfs = Array.make 100 0 in
   let cost = (8 * 200) + 48 in
-  let record = Bytes.make (cost - 48) 'r' in
+  let image = Bytes.make (cost - 48) 'f' in
   let bc = Util.Block_cache.create ~capacity_bytes:(2 * cost) ~name:"t" () in
   Util.Block_cache.insert bc ~src:1 ~blk:0 ~epoch:1 ~docs ~tfs;
-  Util.Block_cache.insert_record bc ~locator:2 ~epoch:1 record;
-  ignore (Util.Block_cache.find_record bc ~locator:2 ~epoch:1);
-  Util.Block_cache.insert_record bc ~locator:3 ~epoch:1 record;
-  Alcotest.(check bool) "a record insert evicts the cold block" true
+  Util.Block_cache.insert_frame bc ~owner:1 ~seg:2 ~epoch:1 image;
+  ignore (Util.Block_cache.find_frame bc ~owner:1 ~seg:2);
+  Util.Block_cache.insert_frame bc ~owner:1 ~seg:3 ~epoch:1 image;
+  Alcotest.(check bool) "a frame insert evicts the cold block" true
     (Util.Block_cache.find bc ~src:1 ~blk:0 ~epoch:1 = None);
   Alcotest.(check int) "counted as a block eviction" 1
     (Util.Block_cache.stats bc).Util.Cache_stats.evictions;
-  ignore (Util.Block_cache.find_record bc ~locator:3 ~epoch:1);
+  ignore (Util.Block_cache.find_frame bc ~owner:1 ~seg:3);
   Util.Block_cache.insert bc ~src:1 ~blk:1 ~epoch:1 ~docs ~tfs;
-  Alcotest.(check bool) "a block insert evicts the cold record" true
-    (Util.Block_cache.find_record bc ~locator:2 ~epoch:1 = None);
-  Alcotest.(check bool) "the recent record survives" true
-    (Util.Block_cache.find_record bc ~locator:3 ~epoch:1 <> None);
-  Alcotest.(check int) "counted as a record eviction" 1
-    (Util.Block_cache.record_stats bc).Util.Cache_stats.evictions;
+  Alcotest.(check bool) "a block insert evicts the cold frame" true
+    (Util.Block_cache.find_frame bc ~owner:1 ~seg:2 = None);
+  Alcotest.(check bool) "the recent frame survives" true
+    (Util.Block_cache.find_frame bc ~owner:1 ~seg:3 <> None);
+  Alcotest.(check int) "counted as a frame eviction" 1
+    (Util.Block_cache.frame_stats bc).Util.Cache_stats.evictions;
   Alcotest.(check int) "the budget holds across kinds" (2 * cost)
     ((Util.Block_cache.stats bc).Util.Cache_stats.resident_bytes
-    + (Util.Block_cache.record_stats bc).Util.Cache_stats.resident_bytes)
+    + (Util.Block_cache.frame_stats bc).Util.Cache_stats.resident_bytes)
 
 (* --- Core.Result_cache --------------------------------------------- *)
 
@@ -282,11 +293,16 @@ let test_frontend_block_cache () =
   | None -> Alcotest.fail "block tier missing from the report"
   | Some s -> Alcotest.(check bool) "block hits" true (s.Util.Cache_stats.hits > 0)
 
-(* With the block cache on, a query's second run is served from cached
-   records: no store read at all, so its latency is its CPU alone.  With
-   the block cache off the second run fetches again. *)
-let test_frontend_record_tier () =
+(* With the block cache on, a query's second run reads every record from
+   a resident segment frame: no store read at all, so its latency is its
+   CPU alone.  With the block cache off the second run fetches again. *)
+let test_frontend_frames () =
   let p = Lazy.force prepared in
+  let frames fe =
+    match List.assoc_opt "frame" (Core.Frontend.cache_tiers fe) with
+    | Some s -> s
+    | None -> Alcotest.fail "frame tier missing from the report"
+  in
   let second_run ~block_cache_bytes =
     let fe =
       Core.Frontend.of_prepared p ~names:[ "a" ] ~buffers:Core.Buffer_sizing.no_cache
@@ -295,14 +311,16 @@ let test_frontend_record_tier () =
     let vfs = Core.Frontend.replica_vfs fe ~name:"a" in
     let r1 = Core.Frontend.run_query_string ~top_k:15 fe query in
     let c0 = Vfs.counters vfs and k0 = Vfs.Clock.snapshot (Vfs.clock vfs) in
+    let f0 = if block_cache_bytes > 0 then Some (frames fe) else None in
     let r2 = Core.Frontend.run_query_string ~top_k:15 fe query in
     ( fe,
+      f0,
       r1,
       r2,
       Vfs.diff_counters ~later:(Vfs.counters vfs) ~earlier:c0,
       Vfs.Clock.diff ~later:(Vfs.Clock.snapshot (Vfs.clock vfs)) ~earlier:k0 )
   in
-  let fe, r1, r2, c, k = second_run ~block_cache_bytes:(1 lsl 22) in
+  let fe, f0, r1, r2, c, k = second_run ~block_cache_bytes:(1 lsl 22) in
   Alcotest.(check bool) "bit-identical ranking" true
     (fingerprint r2.Core.Frontend.ranked = fingerprint r1.Core.Frontend.ranked);
   Alcotest.(check int) "no file access" 0 c.Vfs.file_accesses;
@@ -312,13 +330,16 @@ let test_frontend_record_tier () =
   Alcotest.(check (float 1e-9)) "latency is the CPU charge alone" r2.Core.Frontend.elapsed_ms
     k.Vfs.Clock.engine_cpu_ms;
   Alcotest.(check string) "served by the routed replica" "a" r2.Core.Frontend.served_by;
-  (match List.assoc_opt "record" (Core.Frontend.cache_tiers fe) with
-  | None -> Alcotest.fail "record tier missing from the report"
-  | Some s ->
-    Alcotest.(check int) "first run misses, second run hits" s.Util.Cache_stats.hits
-      (Util.Cache_stats.misses s);
-    Alcotest.(check bool) "records hit" true (s.Util.Cache_stats.hits > 0));
-  let _, r1, r2, c, _ = second_run ~block_cache_bytes:0 in
+  (match f0 with
+  | None -> assert false
+  | Some f0 ->
+    let f1 = frames fe in
+    Alcotest.(check bool) "the first run misses" true (Util.Cache_stats.misses f0 > 0);
+    Alcotest.(check int) "the second run misses nothing" (Util.Cache_stats.misses f0)
+      (Util.Cache_stats.misses f1);
+    Alcotest.(check bool) "and hits frames" true
+      (f1.Util.Cache_stats.hits > f0.Util.Cache_stats.hits));
+  let _, _, r1, r2, c, _ = second_run ~block_cache_bytes:0 in
   Alcotest.(check bool) "block cache off: the second run fetches again" true
     (c.Vfs.file_accesses > 0 && c.Vfs.bytes_read > 0);
   Alcotest.(check bool) "same ranking either way" true
@@ -376,38 +397,44 @@ let prop_churn_coherence =
       let stem = preset land 1 = 1 in
       let stopwords = if preset land 2 = 2 then Some Inquery.Stopwords.default else None in
       let vfs = Vfs.create () in
-      let live = Core.Live_index.create_mneme ?stopwords ~stem vfs ~file:"churn.mneme" () in
+      (* Journaled, so every publication flushes its segments; transient
+         buffers, so a segment read twice comes from its frame. *)
+      let live =
+        Core.Live_index.create_mneme ?stopwords ~stem ~buffers:Core.Buffer_sizing.no_cache
+          ~journal:"churn.log" vfs ~file:"churn.mneme" ()
+      in
+      let store = Option.get (Core.Live_index.mneme_store live) in
       let rc = Core.Result_cache.create ~name:"p" () in
       let bc = Util.Block_cache.create ~name:"p" () in
+      Mneme.Store.set_frames store (Some bc);
       Core.Live_index.on_publish live (fun ~epoch ->
           ignore (Core.Result_cache.retain rc ~keep:(fun e -> e = epoch));
           ignore (Util.Block_cache.retain bc ~keep:(fun e -> e = epoch)));
       let queries = [ "alpha"; "#sum( retrieval the gamma )" ] in
       let ok = ref true in
-      (* Every vocabulary word's record at the current epoch, read through
-         the record tier under the word's index as its stable locator:
-         the first read fills, the second must hit, and both must be the
-         latest view's bytes. *)
-      let read_records epoch =
-        Array.iteri
-          (fun locator word ->
+      (* Every vocabulary word's record at the current epoch, read twice
+         through the frames — the first read may fill one, the second
+         finds it resident — and once with frames detached, from the
+         device: all three must be the same bytes. *)
+      let read_records () =
+        Array.iter
+          (fun word ->
             match Core.Live_index.normalise_term live word with
             | None -> ()
-            | Some term -> (
-              match Core.Live_index.lookup live term with
-              | None -> ()
-              | Some (record, _, _) ->
-                (match Util.Block_cache.find_record bc ~locator ~epoch with
-                | Some cached -> if not (Bytes.equal cached record) then ok := false
-                | None -> Util.Block_cache.insert_record bc ~locator ~epoch record);
-                match Util.Block_cache.find_record bc ~locator ~epoch with
-                | Some cached -> if not (Bytes.equal cached record) then ok := false
-                | None -> ok := false))
+            | Some term ->
+              let record () = Option.map (fun (r, _, _) -> r) (Core.Live_index.lookup live term) in
+              let first = record () in
+              let second = record () in
+              Mneme.Store.set_frames store None;
+              let plain = record () in
+              Mneme.Store.set_frames store (Some bc);
+              if not (Option.equal Bytes.equal first plain && Option.equal Bytes.equal second plain)
+              then ok := false)
           vocab
       in
       let check_epoch () =
         let epoch = Core.Live_index.epoch live in
-        read_records epoch;
+        read_records ();
         (* Keep the block cache populated under the current epoch so the
            publication hook has real entries to invalidate. *)
         Util.Block_cache.insert bc ~src:1 ~blk:0 ~epoch ~docs:[| epoch |] ~tfs:[| 1 |];
@@ -444,7 +471,7 @@ let prop_churn_coherence =
       let final = Core.Live_index.epoch live in
       List.iter (fun e -> if e <> final then ok := false) (Core.Result_cache.epochs rc);
       List.iter (fun e -> if e <> final then ok := false) (Util.Block_cache.epochs bc);
-      if (Util.Block_cache.record_stats bc).Util.Cache_stats.hits = 0 then ok := false;
+      if (Util.Block_cache.frame_stats bc).Util.Cache_stats.hits = 0 then ok := false;
       !ok)
 
 let suite =
@@ -452,10 +479,9 @@ let suite =
     Alcotest.test_case "block cache: probe, fill, key separation" `Quick test_block_cache_basics;
     Alcotest.test_case "block cache: byte-budget lru" `Quick test_block_cache_evicts_lru;
     Alcotest.test_case "block cache: retain by epoch" `Quick test_block_cache_retain;
-    Alcotest.test_case "block cache: record probe, fill, key separation" `Quick
-      test_record_tier_basics;
-    Alcotest.test_case "block cache: records and blocks share one budget" `Quick
-      test_records_and_blocks_share_budget;
+    Alcotest.test_case "block cache: frame probe, fill, key separation" `Quick test_frame_basics;
+    Alcotest.test_case "block cache: frames and blocks share one budget" `Quick
+      test_frames_and_blocks_share_budget;
     Alcotest.test_case "result cache: epoch mismatch purges" `Quick test_result_cache_epoch_purge;
     Alcotest.test_case "result cache: partial never served as full" `Quick
       test_result_cache_coverage;
@@ -466,7 +492,7 @@ let suite =
     Alcotest.test_case "frontend: block cache cuts decodes on reuse" `Quick
       test_frontend_block_cache;
     Alcotest.test_case "frontend: cached records skip the store on reuse" `Quick
-      test_frontend_record_tier;
+      test_frontend_frames;
     Alcotest.test_case "frontend: stalled deadline result never cached" `Quick
       test_stalled_deadline_result_never_cached;
     Alcotest.test_case "torture: coherence under churn" `Slow test_torture_cache;

@@ -132,6 +132,8 @@ let test_reservation_released_when_eval_raises () =
       reset_buffer_stats = (fun () -> ());
       file_size = (fun () -> Mneme.Store.file_size store);
       epoch = (fun () -> Mneme.Store.epoch store);
+      attach_frames = Core.Index_store.no_frames;
+      fetch_resident = Core.Index_store.never_resident;
     }
   in
   let engine =
@@ -202,6 +204,8 @@ let test_read_repair_heals_quarantine () =
       reset_buffer_stats = (fun () -> ());
       file_size = (fun () -> Mneme.Store.file_size store);
       epoch = (fun () -> Mneme.Store.epoch store);
+      attach_frames = Core.Index_store.no_frames;
+      fetch_resident = Core.Index_store.never_resident;
     }
   in
   let engine =
@@ -281,6 +285,8 @@ let test_heal_pending_keeps_failed_tickets () =
       reset_buffer_stats = (fun () -> ());
       file_size = (fun () -> Mneme.Store.file_size store);
       epoch = (fun () -> Mneme.Store.epoch store);
+      attach_frames = Core.Index_store.no_frames;
+      fetch_resident = Core.Index_store.never_resident;
     }
   in
   let engine =

@@ -157,9 +157,9 @@ let test_unroutable_terms_degrade () =
   Alcotest.(check bool) "breaker closed again" true
     (Core.Frontend.breaker fe ~name:"solo" = Core.Frontend.Closed)
 
-(* The file extent [(off, len)] of [term]'s physical segment in one
-   replica's copy of the store. *)
-let segment_extent p vfs term =
+(* [term]'s physical segment in one replica's copy of the store: its
+   pool, its id and its file extent [(off, len)]. *)
+let segment_of p vfs term =
   let catalog = Core.Catalog.load p.Core.Experiment.vfs ~file:p.Core.Experiment.catalog_file in
   let entry = Option.get (Inquery.Dictionary.find catalog.Core.Catalog.dict term) in
   let probe = Mneme.Store.open_existing vfs p.Core.Experiment.mneme_file in
@@ -171,7 +171,11 @@ let segment_extent p vfs term =
   let locator = entry.Inquery.Dictionary.locator in
   let pool = Option.get (Mneme.Store.pool_of_oid probe locator) in
   let pseg = Option.get (Mneme.Store.locate_pseg probe locator) in
-  List.assoc pseg (Mneme.Store.pool_segments pool)
+  (Mneme.Store.pool_name pool, pseg, List.assoc pseg (Mneme.Store.pool_segments pool))
+
+let segment_extent p vfs term =
+  let _, _, extent = segment_of p vfs term in
+  extent
 
 (* A corrupt fetch is reported once per (replica, term), recorded on the
    frontend's read-repair worklist, and served via a healthy replica —
@@ -251,10 +255,10 @@ let test_zero_fetch_query_served_by_routed_replica () =
   Alcotest.(check (float 1e-9)) "the CPU charged to the routed one" r.Core.Frontend.elapsed_ms
     b.Vfs.Clock.engine_cpu_ms
 
-let cached_records fe =
-  match List.assoc_opt "record" (Core.Frontend.cache_tiers fe) with
+let resident_frames fe =
+  match List.assoc_opt "frame" (Core.Frontend.cache_tiers fe) with
   | Some s -> s.Util.Cache_stats.resident_entries
-  | None -> Alcotest.fail "record tier missing from the report"
+  | None -> Alcotest.fail "frame tier missing from the report"
 
 let file_accesses vfs = (Vfs.counters vfs).Vfs.file_accesses
 
@@ -264,20 +268,28 @@ let rot_ba p vfs =
   Vfs.set_fault vfs
     (Vfs.Fault.flip_bits_on_read ~io:1 ~seed:7 ~first:off ~last:(off + len - 1) ~bits:3 ())
 
-(* The record tier is filled only with bytes a query used: a read that
-   failed its CRC on every replica is never cached, and a hedged read
-   caches the healthy replica's copy. *)
-let test_record_tier_never_caches_corrupt_reads () =
+(* Frames hold only segments that passed their CRC check: a read that
+   failed it on every replica leaves no frame, and a hedged read leaves
+   the healthy replica's segment as a frame. *)
+let test_frames_never_cache_corrupt_reads () =
   let p = Lazy.force prepared in
   let solo =
     Core.Frontend.of_prepared p ~names:[ "solo" ] ~buffers:Core.Buffer_sizing.no_cache
       ~block_cache_bytes:(1 lsl 22)
   in
   let vfs = Core.Frontend.replica_vfs solo ~name:"solo" in
+  let segment term =
+    let pool, pseg, _ = segment_of p vfs term in
+    (pool, pseg)
+  in
+  let others = List.sort_uniq compare (List.map segment (List.filter (( <> ) "ba") terms)) in
+  Alcotest.(check bool) "no other query term shares ba's segment" false
+    (List.mem (segment "ba") others);
   rot_ba p vfs;
   let r = Core.Frontend.run_query_string ~top_k:20 solo big_query in
   Alcotest.(check (list string)) "ba failed" [ "ba" ] (List.map fst r.Core.Frontend.failed_terms);
-  Alcotest.(check int) "every other record cached" (List.length terms - 1) (cached_records solo);
+  Alcotest.(check int) "every other segment is a frame, ba's is not" (List.length others)
+    (resident_frames solo);
   Vfs.clear_fault vfs;
   let before = file_accesses vfs in
   let r2 = Core.Frontend.run_query_string ~top_k:20 solo big_query in
@@ -297,7 +309,8 @@ let test_record_tier_never_caches_corrupt_reads () =
     (r.Core.Frontend.hedged_fetches >= 1 && not r.Core.Frontend.degraded);
   Alcotest.(check (list string)) "a's copy of ba was corrupt" [ "ba" ]
     (List.map (fun e -> e.Core.Frontend.term) (Core.Frontend.corrupt_fetches fe));
-  Alcotest.(check int) "every record cached, ba from b" (List.length terms) (cached_records fe);
+  Alcotest.(check int) "every segment is a frame, ba's from b" (List.length others + 1)
+    (resident_frames fe);
   Vfs.clear_fault vfs_a;
   let a0 = file_accesses vfs_a and b0 = file_accesses vfs_b in
   let r2 = Core.Frontend.run_query_string ~top_k:20 fe big_query in
@@ -308,14 +321,38 @@ let test_record_tier_never_caches_corrupt_reads () =
   Alcotest.(check bool) "and matches a healthy engine" true
     (fingerprint r2.Core.Frontend.ranked = engine_fingerprint ())
 
-(* A term the deadline skipped is never cached; a cached record costs no
-   simulated time, so it is used even once the deadline has passed. *)
-let test_record_tier_under_deadline () =
-  let p = Lazy.force prepared in
-  let fe =
-    Core.Frontend.of_prepared p ~names:[ "solo" ] ~buffers:Core.Buffer_sizing.no_cache
-      ~window:1000 ~trip_after:1000 ~block_cache_bytes:(1 lsl 22)
+(* A one-replica frontend like [of_prepared]'s, with transient buffers
+   and a breaker that never trips, whose store reports every physical
+   fetch — a call to its [fetch], not its [fetch_resident] — to
+   [on_fetch]. *)
+let counting_frontend p ~on_fetch =
+  let catalog = Core.Catalog.load p.Core.Experiment.vfs ~file:p.Core.Experiment.catalog_file in
+  let vfs = Vfs.create ~cost_model:(Vfs.cost_model p.Core.Experiment.vfs) () in
+  Vfs.copy_file p.Core.Experiment.vfs p.Core.Experiment.mneme_file ~into:vfs;
+  Vfs.purge_os_cache vfs;
+  let store =
+    Core.Mneme_backend.open_session vfs ~file:p.Core.Experiment.mneme_file
+      ~buffers:Core.Buffer_sizing.no_cache
   in
+  let fetch entry =
+    on_fetch entry.Inquery.Dictionary.term;
+    store.Core.Index_store.fetch entry
+  in
+  let doc_lens = catalog.Core.Catalog.doc_lens in
+  Core.Frontend.create
+    ~replicas:[ { Core.Frontend.name = "solo"; vfs; store = { store with fetch } } ]
+    ~dict:catalog.Core.Catalog.dict ~n_docs:catalog.Core.Catalog.n_docs
+    ~avg_doc_len:(Core.Catalog.avg_doc_length catalog)
+    ~doc_len:(fun d -> if d < 0 || d >= Array.length doc_lens then 0 else doc_lens.(d))
+    ~window:1000 ~trip_after:1000 ~block_cache_bytes:(1 lsl 22) ()
+
+(* The deadline counts physical fetches only: once it has passed, no
+   term is fetched, while a record whose segment is a resident frame
+   costs no simulated time and is used even past the deadline. *)
+let test_frames_under_deadline () =
+  let p = Lazy.force prepared in
+  let fetched = ref [] in
+  let fe = counting_frontend p ~on_fetch:(fun term -> fetched := term :: !fetched) in
   let vfs = Core.Frontend.replica_vfs fe ~name:"solo" in
   let stall () =
     Vfs.set_fault vfs (Vfs.Fault.degraded_device ~file:p.Core.Experiment.mneme_file ~ms:120.0)
@@ -323,9 +360,11 @@ let test_record_tier_under_deadline () =
   stall ();
   let r = Core.Frontend.run_query_string ~top_k:20 ~deadline_ms:100.0 fe big_query in
   Alcotest.(check bool) "deadline skipped terms" true (r.Core.Frontend.skipped_terms <> []);
-  Alcotest.(check int) "only fetched terms are cached"
-    (List.length terms - List.length r.Core.Frontend.skipped_terms)
-    (cached_records fe);
+  (* One stalled fetch outlasts the whole budget, so the first one
+     spends it. *)
+  Alcotest.(check int) "one physical fetch, none after the deadline" 1 (List.length !fetched);
+  Alcotest.(check bool) "no skipped term was fetched" true
+    (List.for_all (fun term -> not (List.mem term !fetched)) r.Core.Frontend.skipped_terms);
   Vfs.clear_fault vfs;
   let healthy = Core.Frontend.run_query_string ~top_k:20 fe big_query in
   Alcotest.(check bool) "healed run is complete" false healthy.Core.Frontend.degraded;
@@ -382,8 +421,8 @@ let suite =
       test_corrupt_fetch_recorded_and_hedged;
     Alcotest.test_case "zero-fetch query served by the routed replica" `Quick
       test_zero_fetch_query_served_by_routed_replica;
-    Alcotest.test_case "record tier never caches corrupt reads" `Quick
-      test_record_tier_never_caches_corrupt_reads;
-    Alcotest.test_case "record tier under a deadline" `Quick test_record_tier_under_deadline;
+    Alcotest.test_case "frames never cache corrupt reads" `Quick
+      test_frames_never_cache_corrupt_reads;
+    Alcotest.test_case "frames under a deadline" `Quick test_frames_under_deadline;
     Alcotest.test_case "validation" `Quick test_validation;
   ]

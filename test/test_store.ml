@@ -370,6 +370,167 @@ let test_compact_requires_finalize () =
     | _ -> false
     | exception Invalid_argument _ -> true)
 
+(* --- segment frames ------------------------------------------------ *)
+
+(* A finalized store holding packed (medium) and fixed-slot (small)
+   objects, re-opened the way a serving session is: pool tables load
+   lazily, buffers are transient — so a fault that finds no frame reads
+   the file — and a frame cache is attached. *)
+let framed_session () =
+  let vfs = Vfs.create () in
+  let build = Mneme.Store.create vfs "f.mneme" in
+  let small = Mneme.Store.add_pool build Mneme.Policy.small in
+  let medium = Mneme.Store.add_pool build Mneme.Policy.medium in
+  ignore (Mneme.Store.add_pool build Mneme.Policy.large);
+  let packed = List.init 6 (fun i -> Mneme.Store.allocate medium (payload i 300)) in
+  let fixed = List.init 3 (fun i -> Mneme.Store.allocate small (payload (50 + i) 8)) in
+  Mneme.Store.finalize build;
+  let store = Mneme.Store.open_existing vfs "f.mneme" in
+  List.iter
+    (fun name ->
+      Mneme.Store.attach_buffer (Mneme.Store.pool store name)
+        (Mneme.Buffer_pool.create ~name ~capacity:0 ()))
+    [ "small"; "medium"; "large" ];
+  let frames = Util.Block_cache.create ~capacity_bytes:(1 lsl 20) ~name:"frames" () in
+  Mneme.Store.set_frames store (Some frames);
+  (vfs, store, frames, packed, fixed)
+
+let io_state vfs = (Vfs.counters vfs, Vfs.Clock.snapshot (Vfs.clock vfs))
+let file_accesses vfs = (Vfs.counters vfs).Vfs.file_accesses
+
+let test_fetch_resident_does_no_io () =
+  let vfs, store, frames, packed, _ = framed_session () in
+  let oid = List.hd packed in
+  let unchanged label f =
+    let before = io_state vfs in
+    let r = f () in
+    Alcotest.(check bool) (label ^ ": no I/O, no simulated time") true (io_state vfs = before);
+    r
+  in
+  Alcotest.(check bool) "pool tables not loaded: None" true
+    (unchanged "unloaded" (fun () -> Mneme.Store.fetch_resident store oid) = None);
+  (* [exists] loads the pool's tables (a charged read) but faults no
+     segment. *)
+  Alcotest.(check bool) "exists" true (Mneme.Store.exists store oid);
+  Alcotest.(check bool) "cold segment: None" true
+    (unchanged "cold" (fun () -> Mneme.Store.fetch_resident store oid) = None);
+  Alcotest.(check int) "a miss counts no frame reference" 0
+    (Util.Block_cache.frame_stats frames).Util.Cache_stats.refs;
+  let fetched = Mneme.Store.get store oid in
+  Alcotest.(check bool) "the read made a frame" true
+    ((Util.Block_cache.frame_stats frames).Util.Cache_stats.resident_entries = 1);
+  (match unchanged "framed" (fun () -> Mneme.Store.fetch_resident store (List.nth packed 3)) with
+  | Some b -> Alcotest.(check bytes) "a neighbour from the frame" (payload 3 300) b
+  | None -> Alcotest.fail "the neighbour's segment is a resident frame");
+  (match unchanged "framed" (fun () -> Mneme.Store.fetch_resident store oid) with
+  | Some b -> Alcotest.(check bytes) "the bytes get returned" fetched b
+  | None -> Alcotest.fail "expected a resident read");
+  (* The still-open creation segment is read from memory. *)
+  with_store (fun vfs store small _ _ ->
+      let oid = Mneme.Store.allocate small (Bytes.of_string "open") in
+      let before = io_state vfs in
+      Alcotest.(check (option bytes)) "open segment" (Some (Bytes.of_string "open"))
+        (Mneme.Store.fetch_resident store oid);
+      Alcotest.(check bool) "open segment: no I/O" true (io_state vfs = before))
+
+(* [image] with a few bits flipped at or past [first_bit], keeping its
+   CRC32: the CRC is affine over GF(2), so the CRC changes of single-bit
+   flips are linear and any 33 of them are dependent.  Elimination finds
+   a non-empty set of flips whose changes cancel. *)
+let crc_twin image ~first_bit =
+  let crc = Util.Crc32.digest_bytes image in
+  let flip b bit =
+    let b = Bytes.copy b in
+    let i = bit / 8 in
+    Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor (1 lsl (bit mod 8))));
+    b
+  in
+  let delta bit = Util.Crc32.digest_bytes (flip image bit) lxor crc in
+  let top v =
+    let rec go i = if v lsr i = 1 then i else go (i + 1) in
+    go 0
+  in
+  let basis = Hashtbl.create 32 in
+  let rec reduce v flips =
+    if v = 0 then Some flips
+    else
+      match Hashtbl.find_opt basis (top v) with
+      | Some (bv, bf) -> reduce (v lxor bv) (bf @ flips)
+      | None ->
+        Hashtbl.add basis (top v) (v, flips);
+        None
+  in
+  let rec go bit =
+    match reduce (delta bit) [ bit ] with
+    | Some flips -> List.fold_left flip image flips (* a bit flipped twice cancels *)
+    | None -> go (bit + 1)
+  in
+  go first_bit
+
+(* The two paths that rewrite a flushed segment in place replace its
+   resident frame: the next read returns the new bytes from memory. *)
+let test_rewrites_replace_frames () =
+  let vfs, store, _, packed, fixed = framed_session () in
+  let check_read label oid expected =
+    let before = file_accesses vfs in
+    Alcotest.(check bytes) (label ^ ": the new bytes") expected (Mneme.Store.get store oid);
+    Alcotest.(check int) (label ^ ": no device read") before (file_accesses vfs)
+  in
+  (* write_back, packed and fixed-slot. *)
+  let oid = List.hd packed in
+  ignore (Mneme.Store.get store oid);
+  Mneme.Store.modify store oid (payload 77 200);
+  check_read "packed modify" oid (payload 77 200);
+  let oid = List.hd fixed in
+  ignore (Mneme.Store.get store oid);
+  Mneme.Store.modify store oid (payload 78 10);
+  check_read "fixed-slot modify" oid (payload 78 10);
+  (* repair_segment, with a replacement that differs from the frame yet
+     carries the recorded CRC32. *)
+  let oid = List.nth packed 2 in
+  let pool = Mneme.Store.pool store "medium" in
+  let pseg = Option.get (Mneme.Store.locate_pseg store oid) in
+  let image = Mneme.Store.segment_raw pool pseg in
+  let _, off, len =
+    List.find (fun (o, _, _) -> o = oid) (Mneme.Store.parse_packed_directory image)
+  in
+  let twin = crc_twin image ~first_bit:(8 * off) in
+  let expected = Bytes.sub twin off len in
+  Alcotest.(check bool) "the replacement differs" false (Bytes.equal expected (payload 2 300));
+  Alcotest.(check bool) "repair accepted" true
+    (Mneme.Store.repair_segment pool ~pseg twin = Ok ());
+  check_read "repair" oid expected
+
+(* A segment that fails its CRC32 never becomes a frame: the next read
+   goes to the device again, and only a verified read makes one. *)
+let test_corrupt_segment_never_framed () =
+  let vfs, store, frames, packed, _ = framed_session () in
+  let oid = List.hd packed in
+  let pool = Mneme.Store.pool store "medium" in
+  Alcotest.(check bool) "exists" true (Mneme.Store.exists store oid);
+  let pseg = Option.get (Mneme.Store.locate_pseg store oid) in
+  let off, len = List.assoc pseg (Mneme.Store.pool_segments pool) in
+  let good = Vfs.read (Vfs.open_file vfs "f.mneme") ~off ~len in
+  (* The rot lands on the platter at the next physical read. *)
+  Vfs.purge_os_cache vfs;
+  Vfs.set_fault vfs
+    (Vfs.Fault.flip_bits_on_read ~io:1 ~seed:3 ~first:off ~last:(off + len - 1) ~bits:2 ());
+  let corrupt () =
+    match Mneme.Store.get store oid with _ -> false | exception Mneme.Store.Corrupt _ -> true
+  in
+  Alcotest.(check bool) "the rotten read raises Corrupt" true (corrupt ());
+  Vfs.clear_fault vfs;
+  Alcotest.(check int) "no frame" 0
+    (Util.Block_cache.frame_stats frames).Util.Cache_stats.resident_entries;
+  Alcotest.(check bool) "not resident" true (Mneme.Store.fetch_resident store oid = None);
+  let before = file_accesses vfs in
+  Alcotest.(check bool) "the next read fails again" true (corrupt ());
+  Alcotest.(check bool) "at the device" true (file_accesses vfs > before);
+  Alcotest.(check bool) "healed" true (Mneme.Store.repair_segment pool ~pseg good = Ok ());
+  Alcotest.(check bytes) "the read after the heal" (payload 0 300) (Mneme.Store.get store oid);
+  Alcotest.(check bool) "is the first to make a frame" true
+    (Mneme.Store.fetch_resident store oid = Some (payload 0 300))
+
 let prop_roundtrip_random_sizes =
   QCheck.Test.make ~name:"store roundtrips random object sizes" ~count:25
     QCheck.(list_of_size (QCheck.Gen.int_range 1 60) (int_range 0 9000))
@@ -417,5 +578,10 @@ let suite =
     Alcotest.test_case "finalize idempotent" `Quick test_finalize_idempotent;
     Alcotest.test_case "compact" `Quick test_compact;
     Alcotest.test_case "compact requires finalize" `Quick test_compact_requires_finalize;
+    Alcotest.test_case "frames: fetch_resident does no I/O" `Quick test_fetch_resident_does_no_io;
+    Alcotest.test_case "frames: in-place rewrites replace them" `Quick
+      test_rewrites_replace_frames;
+    Alcotest.test_case "frames: a corrupt segment never becomes one" `Quick
+      test_corrupt_segment_never_framed;
     QCheck_alcotest.to_alcotest prop_roundtrip_random_sizes;
   ]
