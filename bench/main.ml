@@ -260,44 +260,23 @@ let plan_summary () =
       ("window", "#uw5( ba be )");
     ]
 
-(* Tiered read-path caches: the probe costs the hot path pays, and a
-   cold decode against its cache-served replay. *)
+(* Read-path caches: the result-cache probe the hot path pays, and the
+   decode every cursor walk pays. *)
 let bench_cache =
   let warm =
     lazy
-      (let f = Lazy.force fixture in
-       let bc = Util.Block_cache.create ~capacity_bytes:(1 lsl 22) ~name:"bench" () in
-       (* Warm every block of the sample record under (src 0, epoch 0). *)
-       let cur = Inquery.Postings.cursor ~cache:(bc, 0, 0) f.sample_record in
-       while Inquery.Postings.cur_doc cur < max_int do
-         Inquery.Postings.cursor_next cur
-       done;
-       let rc = Core.Result_cache.create ~name:"bench" () in
+      (let rc = Core.Result_cache.create ~name:"bench" () in
        Core.Result_cache.insert rc ~key:"q|k=10" ~epoch:0 ~coverage:Core.Result_cache.Full
          ~cost:512 [ (1, 0.42) ];
-       (bc, rc))
+       rc)
   in
   [
-    Test.make ~name:"block cache probe (hit)"
-      (Staged.stage (fun () ->
-           let bc, _ = Lazy.force warm in
-           Util.Block_cache.find bc ~src:0 ~blk:0 ~epoch:0));
     Test.make ~name:"result cache probe (hit)"
-      (Staged.stage (fun () ->
-           let _, rc = Lazy.force warm in
-           Core.Result_cache.find rc ~key:"q|k=10" ~epoch:0));
-    Test.make ~name:"cursor walk, cold decode"
+      (Staged.stage (fun () -> Core.Result_cache.find (Lazy.force warm) ~key:"q|k=10" ~epoch:0));
+    Test.make ~name:"cursor walk, decode"
       (Staged.stage (fun () ->
            let f = Lazy.force fixture in
            let cur = Inquery.Postings.cursor f.sample_record in
-           while Inquery.Postings.cur_doc cur < max_int do
-             Inquery.Postings.cursor_next cur
-           done));
-    Test.make ~name:"cursor walk, block-cache served"
-      (Staged.stage (fun () ->
-           let f = Lazy.force fixture in
-           let bc, _ = Lazy.force warm in
-           let cur = Inquery.Postings.cursor ~cache:(bc, 0, 0) f.sample_record in
            while Inquery.Postings.cur_doc cur < max_int do
              Inquery.Postings.cursor_next cur
            done));
@@ -548,7 +527,7 @@ let run_micro () =
       ("table6+fig3: buffer manager", bench_table6);
       ("topk: pruned vs exhaustive DAAT", bench_topk);
       ("plan: cost-based executor choice", bench_plan);
-      ("cache: tiered read-path probes", bench_cache);
+      ("cache: read-path probes", bench_cache);
       ("parallel: work-stealing deque", bench_parallel);
       ("epoch: snapshot-isolated mutation", bench_epoch);
       ("ingest: WAL buffer & budgeted merge", bench_ingest);

@@ -578,8 +578,8 @@ let cache_cmd =
         names
     in
     (* Table-6-style tier hit-rate table: the buffer pool was the
-       paper's only tier; the result cache and the block cache's decoded
-       blocks sit above it, and its segment frames catch its misses. *)
+       paper's only tier; the result cache sits above it, and the block
+       cache's segment frames catch its misses. *)
     Printf.printf "%-10s %-8s %10s %10s %8s\n" "collection" "tier" "refs" "hits" "rate";
     List.iter
       (fun (name, _, _, tiers, _, _, _, _) ->
@@ -654,11 +654,11 @@ let cache_cmd =
           Printf.sprintf
             ",\n\
             \  \"churn_audit\": { \"mutations\": %d, \"comparisons\": %d, \
-             \"result_hits\": %d, \"block_hits\": %d, \"frame_hits\": %d, \
-             \"invalidations\": %d, \"problems\": %d }"
+             \"result_hits\": %d, \"frame_hits\": %d, \"invalidations\": %d, \
+             \"problems\": %d }"
             o.Core.Torture.ct_mutations o.Core.Torture.ct_comparisons
-            o.Core.Torture.ct_result_hits o.Core.Torture.ct_block_hits
-            o.Core.Torture.ct_frame_hits o.Core.Torture.ct_invalidations
+            o.Core.Torture.ct_result_hits o.Core.Torture.ct_frame_hits
+            o.Core.Torture.ct_invalidations
             (List.length o.Core.Torture.ct_problems)
       in
       Printf.fprintf oc "{ \"collections\": [\n%s\n]%s\n}\n"
@@ -669,7 +669,7 @@ let cache_cmd =
   in
   let doc =
     "Measure the tiered read-path caches on reuse-heavy query replays: \
-     per-tier (result / block / frame / buffer) hit rates in the style \
+     per-tier (result / frame / buffer) hit rates in the style \
      of the paper's Table 6, plus postings-decoded, bytes-read and \
      file-access deltas against a caches-off baseline, with an optional \
      bit-identity audit and churn torture."

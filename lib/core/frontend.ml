@@ -77,7 +77,7 @@ let create ~replicas ~dict ?df_of ~n_docs ~avg_doc_len ~doc_len ?stopwords ?(ste
       Some (Util.Block_cache.create ~capacity_bytes:block_cache_bytes ~name:"frontend.blocks" ())
   in
   (* One budget: every replica's store holds its verified segments as
-     frames in the cache that holds the decoded blocks. *)
+     frames in the one cache. *)
   Option.iter
     (fun bc -> Array.iter (fun r -> r.spec.store.Index_store.attach_frames bc) replicas)
     bcache;
@@ -249,11 +249,8 @@ let cache_tiers t =
   let result_tier =
     match t.rcache with Some rc -> [ ("result", Result_cache.stats rc) ] | None -> []
   in
-  let block_tiers =
-    match t.bcache with
-    | Some bc ->
-      [ ("block", Util.Block_cache.stats bc); ("frame", Util.Block_cache.frame_stats bc) ]
-    | None -> []
+  let frame_tier =
+    match t.bcache with Some bc -> [ ("frame", Util.Block_cache.stats bc) ] | None -> []
   in
   let buffer_tier =
     let per_replica =
@@ -262,7 +259,7 @@ let cache_tiers t =
     in
     [ ("buffer", Mneme.Buffer_pool.merge_stats per_replica) ]
   in
-  result_tier @ block_tiers @ buffer_tier
+  result_tier @ frame_tier @ buffer_tier
 
 let retain_cached_epochs t ~keep =
   let r = match t.rcache with Some rc -> Result_cache.retain rc ~keep | None -> 0 in
@@ -487,9 +484,7 @@ let run_query ?(top_k = 100) ?deadline_ms ?floor ?plan t query =
   in
   let scored, stats, tk =
     Inquery.Infnet.eval_topk source t.dict ?df_of:t.df_of ?floor ?plan ?stopwords:t.stopwords
-      ~stem:t.stem ~should_stop
-      ?block_cache:(Option.map (fun bc -> (bc, epoch_now)) t.bcache)
-      ~k:top_k query
+      ~stem:t.stem ~should_stop ~k:top_k query
   in
   let serving =
     let best = ref 0 in

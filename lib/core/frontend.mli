@@ -75,19 +75,18 @@ val create :
     disabled) size the frontend's two read-path caches: a
     {!Result_cache} of finished rankings keyed by the normalised query
     (see {!run_query}), and a {!Util.Block_cache} shared across queries
-    and replicas.  The block cache holds decoded postings blocks under
-    [(locator, block, epoch)] and, as {e frames}, the CRC-verified Mneme
-    segments the replicas' stores read: [create] attaches it to every
-    replica's store session ({!Index_store.t.attach_frames}), so
-    [block_cache_bytes] bounds frames and decoded blocks together, in
-    one LRU, and each fetched byte is cached once.  A store session
-    serves one frontend's budget: a second frontend created over the
-    same session takes it over, and the first's frames of it go cold.
-    A record whose segment is
-    resident skips the fetch — replica routing, breakers and the file
-    system — and a block hit skips the decode.  Raises
-    [Invalid_argument] on an empty or duplicate-name replica list, or
-    nonsensical knobs. *)
+    and replicas.  The block cache holds, as {e frames}, the
+    CRC-verified Mneme segments the replicas' stores read: [create]
+    attaches it to every replica's store session
+    ({!Index_store.t.attach_frames}), so [block_cache_bytes] bounds the
+    frames alone, in one LRU, and each fetched byte is cached once.
+    Cursors decode postings from the record bytes on every query;
+    nothing decoded is cached.  A store session serves one frontend's
+    budget: a second frontend created over the same session takes it
+    over, and the first's frames of it go cold.  A record whose segment
+    is resident skips the fetch — replica routing, breakers and the
+    file system.  Raises [Invalid_argument] on an empty or
+    duplicate-name replica list, or nonsensical knobs. *)
 
 val of_prepared :
   ?buffers:Buffer_sizing.t ->
@@ -158,8 +157,7 @@ type result = {
           [served_by]'s clock *)
   postings_decoded : int;
       (** postings the evaluator's cursors actually decoded — the
-          scatter-gather bench's per-shard work measure; decoded-block
-          cache hits decode nothing and count nothing *)
+          scatter-gather bench's per-shard work measure *)
   cached : bool;
       (** served whole from the result cache: no fetch, no decode, no
           scoring happened *)
@@ -229,7 +227,7 @@ val run_query :
     deadline, so a stalled replica cannot smuggle a blown budget into
     the cache (see the [Vfs.Fault.Stall] regression test).  The
     block cache needs no such care: it changes which segments are
-    re-read and which blocks re-decoded, never what any query answers.
+    re-read, never what any query answers.
     A segment becomes a frame only after it passes its CRC32 check, so
     a [Corrupt] read never enters it and the next query reads that
     segment from the device again, while a hedged read leaves the
@@ -249,18 +247,16 @@ val run_query_string :
 
 val cache_tiers : t -> (string * Util.Cache_stats.t) list
 (** Per-tier counters, top down: [("result", …)] when the result cache
-    is enabled; [("block", …)] (decoded blocks) and [("frame", …)]
-    (verified segments, probed after a buffer miss) when the block
-    cache is — one budget, two rows; then [("buffer", …)] — the replica
-    buffer pools merged with {!Mneme.Buffer_pool.merge_stats}.  The
-    Table-6-style tier report of [repro cache]. *)
+    is enabled; [("frame", …)] (verified segments, probed after a
+    buffer miss) when the block cache is; then [("buffer", …)] — the
+    replica buffer pools merged with {!Mneme.Buffer_pool.merge_stats}.
+    The Table-6-style tier report of [repro cache]. *)
 
 val retain_cached_epochs : t -> keep:(int -> bool) -> int
-(** Drop every result-cache entry, segment frame and decoded block
-    whose epoch fails [keep]; returns how many entries were dropped.
-    The target of an epoch-publication or post-GC hook
-    ({!Live_index.on_publish}): pass a predicate keeping the live epoch
-    and any pinned ones. *)
+(** Drop every result-cache entry and segment frame whose epoch fails
+    [keep]; returns how many entries were dropped.  The target of an
+    epoch-publication or post-GC hook ({!Live_index.on_publish}): pass
+    a predicate keeping the live epoch and any pinned ones. *)
 
 val cached_epochs : t -> int list
 (** Distinct epochs tagging entries in either cache, ascending. *)

@@ -26,7 +26,7 @@
     charge, since the cache cannot size arbitrary ['a].
 
     Statistics are the unified {!Util.Cache_stats.t}, so the tier report
-    merges this cache with the decoded-block cache and the buffer pool
+    merges this cache with the segment-frame cache and the buffer pool
     in one fold.  Like the other tiers, a [t] is single-domain. *)
 
 type coverage =

@@ -2101,15 +2101,13 @@ type cache_outcome = {
   ct_mutations : int;
   ct_comparisons : int;
   ct_result_hits : int;
-  ct_block_hits : int;
   ct_frame_hits : int;
   ct_invalidations : int;
   ct_problems : (int * string) list; (* (mutation, violation); 0 = audit phase *)
 }
 
 let cache_ok o =
-  o.ct_problems = [] && o.ct_result_hits > 0 && o.ct_block_hits > 0 && o.ct_frame_hits > 0
-  && o.ct_invalidations > 0
+  o.ct_problems = [] && o.ct_result_hits > 0 && o.ct_frame_hits > 0 && o.ct_invalidations > 0
 
 let cache_file = "cache.mneme"
 let cache_log = "cache.log"
@@ -2137,46 +2135,23 @@ let run_cache ?(seed = 42) ?(docs = 18) () =
   let pinned_epochs () = List.map fst !pins in
   let rc_hook_drops = ref 0 in
   (* The publication hook, exactly as a serving frontend would register
-     it: frames and decoded blocks of any epoch no pin protects are dead
-     the moment a new epoch publishes.  Results get a one-epoch grace
-     window on purpose, so stale entries survive into the next epoch and
-     the probe-time epoch check has something to purge — both
-     invalidation mechanisms run in every churn step. *)
+     it: frames of any epoch no pin protects are dead the moment a new
+     epoch publishes.  Results get a one-epoch grace window on purpose,
+     so stale entries survive into the next epoch and the probe-time
+     epoch check has something to purge — both invalidation mechanisms
+     run in every churn step. *)
   Live_index.on_publish live (fun ~epoch ->
       ignore
         (Util.Block_cache.retain bc ~keep:(fun e ->
              e = epoch || List.mem e (pinned_epochs ())));
       rc_hook_drops := !rc_hook_drops + Result_cache.retain rc ~keep:(fun e -> e >= epoch - 1));
-  (* Stable term ids for block-cache keys: within one epoch a term has
-     exactly one record, so (term id, block, epoch) uniquely names its
-     decoded blocks — the same reasoning the frontend applies with Mneme
-     locators. *)
-  let term_ids = Hashtbl.create 64 in
-  let term_id term =
-    match Hashtbl.find_opt term_ids term with
-    | Some i -> i
-    | None ->
-      let i = Hashtbl.length term_ids in
-      Hashtbl.add term_ids term i;
-      i
-  in
   let problems = ref [] in
   let note m fmt = Printf.ksprintf (fun s -> problems := (m, s) :: !problems) fmt in
   let comparisons = ref 0 in
-  let stream ?cache record =
-    let c = Inquery.Postings.cursor ?cache record in
-    let acc = ref [] in
-    while Inquery.Postings.cur_doc c <> max_int do
-      acc := (Inquery.Postings.cur_doc c, Inquery.Postings.cur_tf c) :: !acc;
-      Inquery.Postings.cursor_next c
-    done;
-    List.rev !acc
-  in
   (* Read a pinned epoch's records through the store with frames
      attached — a resident segment comes from its frame, as a serving
      frontend reads it — and again with frames detached, from the
-     device; bit-compare the bytes, and every (doc, tf) streamed through
-     the decoded-block cache against a plain uncached decode. *)
+     device, and bit-compare the bytes. *)
   let audit_pin m (e, p) =
     List.iter
       (fun (term, _, _) ->
@@ -2191,9 +2166,7 @@ let run_cache ?(seed = 42) ?(docs = 18) () =
           | None -> note m "pinned epoch %d: term %S is gone with frames off" e term
           | Some (record, _, _) ->
             if not (Bytes.equal framed record) then
-              note m "pinned epoch %d: term %S's record differs through frames" e term;
-            if stream ~cache:(bc, term_id term, e) framed <> stream record then
-              note m "pinned epoch %d: term %S reads differently through the block cache" e term))
+              note m "pinned epoch %d: term %S's record differs through frames" e term))
       (List.filteri (fun i _ -> i < 4) (Live_index.pin_directory p))
   in
   (* One pass over the query set: the uncached latest-view search is the
@@ -2245,7 +2218,7 @@ let run_cache ?(seed = 42) ?(docs = 18) () =
   List.iter
     (fun e ->
       if not (List.mem e allowed) then
-        note 0 "block cache holds a frame or block of collected epoch %d after gc under pins" e)
+        note 0 "block cache holds a frame of collected epoch %d after gc under pins" e)
     (Util.Block_cache.epochs bc);
   List.iter (fun (_, p) -> Live_index.release live p) !pins;
   ignore (Live_index.gc live);
@@ -2256,28 +2229,24 @@ let run_cache ?(seed = 42) ?(docs = 18) () =
     (Util.Block_cache.epochs bc @ Result_cache.epochs rc);
   (* The grace window means probe-time purges must have fired over and
      above the hook's drops. *)
-  let rc_stats = Result_cache.stats rc and bc_stats = Util.Block_cache.stats bc in
-  let frame_stats = Util.Block_cache.frame_stats bc in
+  let rc_stats = Result_cache.stats rc and frame_stats = Util.Block_cache.stats bc in
   if rc_stats.Util.Cache_stats.invalidations <= !rc_hook_drops then
     note 0 "probe-time epoch check never purged a stale result";
   {
     ct_mutations = !m;
     ct_comparisons = !comparisons;
     ct_result_hits = rc_stats.Util.Cache_stats.hits;
-    ct_block_hits = bc_stats.Util.Cache_stats.hits;
     ct_frame_hits = frame_stats.Util.Cache_stats.hits;
     ct_invalidations =
-      rc_stats.Util.Cache_stats.invalidations + bc_stats.Util.Cache_stats.invalidations
-      + frame_stats.Util.Cache_stats.invalidations;
+      rc_stats.Util.Cache_stats.invalidations + frame_stats.Util.Cache_stats.invalidations;
     ct_problems = List.rev !problems;
   }
 
 let pp_cache_outcome fmt o =
   Format.fprintf fmt
-    "%d mutations, %d cached-vs-uncached comparisons: %d result hits, %d block hits, %d \
-     frame hits, %d invalidations"
-    o.ct_mutations o.ct_comparisons o.ct_result_hits o.ct_block_hits o.ct_frame_hits
-    o.ct_invalidations;
+    "%d mutations, %d cached-vs-uncached comparisons: %d result hits, %d frame hits, %d \
+     invalidations"
+    o.ct_mutations o.ct_comparisons o.ct_result_hits o.ct_frame_hits o.ct_invalidations;
   if o.ct_problems <> [] then begin
     Format.fprintf fmt "@.%d problem(s):" (List.length o.ct_problems);
     List.iter

@@ -500,11 +500,9 @@ val pp_shard_outcome : Format.formatter -> shard_outcome -> unit
       of that epoch;
     - every pinned epoch, read through the frames while later mutations
       and a gc run under the pins, must hand back exactly the bytes a
-      frames-off read of the same pin returns, and stream through the
-      decoded-block cache exactly the (doc, tf) pairs of a private
-      uncached decode;
-    - after gc, no cache holds an entry (result, frame or decoded
-      block) tagged with a collected epoch;
+      frames-off read of the same pin returns;
+    - after gc, no cache holds an entry (result or frame) tagged with a
+      collected epoch;
     - both invalidation mechanisms fire: the publication hook's eager
       drop and the probe-time epoch-mismatch purge (the harness gives
       results a one-epoch grace window precisely so the latter has
@@ -512,9 +510,8 @@ val pp_shard_outcome : Format.formatter -> shard_outcome -> unit
 
 type cache_outcome = {
   ct_mutations : int;
-  ct_comparisons : int;  (** cached-vs-uncached rankings / streams compared *)
+  ct_comparisons : int;  (** cached-vs-uncached rankings / records compared *)
   ct_result_hits : int;
-  ct_block_hits : int;  (** decoded-block hits *)
   ct_frame_hits : int;  (** segment-frame hits in the block cache *)
   ct_invalidations : int;  (** hook drops + probe-time purges, every tier *)
   ct_problems : (int * string) list;  (** (mutation, violation); 0 = audit phase *)

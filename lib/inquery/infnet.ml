@@ -463,7 +463,7 @@ type leaf = {
 }
 
 let eval_topk source dict ?df_of ?floor ?stopwords ?(stem = false) ?(audit = false)
-    ?(plan = Planner.Auto) ?(should_stop = fun (_ : stats) -> false) ?block_cache ~k query =
+    ?(plan = Planner.Auto) ?(should_stop = fun (_ : stats) -> false) ~k query =
   if k < 0 then invalid_arg "Infnet.eval_topk: negative k";
   (match floor with
   | Some f when not (Float.is_finite f) -> invalid_arg "Infnet.eval_topk: floor must be finite"
@@ -472,15 +472,6 @@ let eval_topk source dict ?df_of ?floor ?stopwords ?(stem = false) ?(audit = fal
        drops documents below it, so the two contracts cannot be compared. *)
     invalid_arg "Infnet.eval_topk: audit cannot be combined with floor"
   | _ -> ());
-  (* The shared-cache key of an entry's decoded blocks: only entries
-     with a stable locator (>= 0) participate; others (e.g.
-     B-tree-resident records) are decoded privately. *)
-  let cache_of entry =
-    match block_cache with
-    | Some (bc, epoch) when entry.Dictionary.locator >= 0 ->
-      Some (bc, entry.Dictionary.locator, epoch)
-    | _ -> None
-  in
   (* At most one fetch per dictionary entry, shared by the planner's
      statistics probes, the chosen executor and the audit oracle — the
      cost model never adds store reads, only O(1) header parses. *)
@@ -536,7 +527,7 @@ let eval_topk source dict ?df_of ?floor ?stopwords ?(stem = false) ?(audit = fal
       stats.record_lookups <- stats.record_lookups + 1;
       match fetch_memo entry with
       | None -> None
-      | Some record -> Some (entry, record, Postings.cursor ?cache:(cache_of entry) record))
+      | Some record -> Some (entry, record, Postings.cursor record))
   in
   let cursor_counters curs =
     List.fold_left

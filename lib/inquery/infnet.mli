@@ -99,13 +99,13 @@ type topk_stats = {
   tk_blocks_skipped : int;  (** Skip blocks jumped without decoding. *)
   tk_seeks : int;  (** Cursor seeks that had to move. *)
   tk_bytes_read : int;
-      (** Record bytes actually decoded: freshly decoded doc-region
-          blocks plus position bytes walked (cache hits add nothing;
-          the exhaustive plan charges each opened record's doc region,
-          plus its position region on position-matching leaves). *)
+      (** Record bytes actually decoded: decoded doc-region blocks
+          plus position bytes walked (the exhaustive plan charges each
+          opened record's doc region, plus its position region on
+          position-matching leaves). *)
   tk_blocks_read : int;
-      (** Skip blocks freshly decoded (exhaustive plan: every block of
-          every opened v2 record). *)
+      (** Skip blocks decoded (exhaustive plan: every block of every
+          opened v2 record). *)
   tk_est_bytes : int;
       (** The planner's pre-execution byte estimate for the executed
           plan — compare with [tk_bytes_read] for estimation error. *)
@@ -125,7 +125,6 @@ val eval_topk :
   ?audit:bool ->
   ?plan:Planner.choice ->
   ?should_stop:(stats -> bool) ->
-  ?block_cache:Util.Block_cache.t * int ->
   k:int ->
   Query.t ->
   scored list * stats * topk_stats
@@ -195,13 +194,8 @@ val eval_topk :
     afterwards, so a deadline is priced from exactly what the final
     charge will be; when it fires, evaluation stops and the heap
     contents so far are returned with [tk_stopped = true].
-    @param block_cache [(cache, epoch)]: share decoded postings blocks
-    across queries through a {!Util.Block_cache}, keyed by each term
-    record's dictionary locator, the block index and the given epoch.
-    Only entries with a stable locator ([>= 0]) participate; others are
-    decoded privately.  Records themselves are always fetched through
-    [source.fetch], once per entry per query: caching their bytes is
-    the source's business (a serving frontend reads warm ones from
-    Mneme segment frames in the same cache).  Results are unaffected —
-    a hit returns the arrays the decoder would produce — but
-    decoded-block hits are not counted in [tk_postings_decoded]. *)
+
+    Records are fetched through [source.fetch], once per entry per
+    query, and every cursor decodes its blocks from the fetched bytes:
+    caching those bytes is the source's business (a serving frontend
+    reads warm ones from Mneme segment frames). *)

@@ -28,10 +28,9 @@ type doc_postings = { doc : int; positions : int list }
      TAG 0x04 (cold): per block [gap width:u8] [tf width:u8], then all
        doc gaps bit-packed at the gap width, then all (tf - 1) values
        bit-packed at the tf width, each group padded to a byte
-       boundary.  Long-tail records dominate the index's bytes and
-       their hot blocks sit in the decoded-block cache anyway, so they
-       trade decode arithmetic for the tightest packing: the widths are
-       exactly the bits of the block's largest value.
+       boundary.  Long-tail records dominate the index's bytes, so
+       they trade decode arithmetic for the tightest packing: the
+       widths are exactly the bits of the block's largest value.
 
    Positions are v-byte in every tier.  Splitting (doc, tf) pairs from
    position gaps means document-level scans never touch position bytes,
@@ -373,12 +372,10 @@ let decode_block b ~tr ~lay ~(skips : skip array) i =
   | Vbyte ->
     let pos = ref sk.sk_doc_off and doc = ref prev_last in
     for j = 0 to n - 1 do
-      let gap, p = Util.Varint.decode b ~pos:!pos in
+      let gap = Util.Varint.read b pos in
       doc := (if !doc < 0 then gap else !doc + gap);
-      let tf, p = Util.Varint.decode b ~pos:p in
-      pos := p;
       docs.(j) <- !doc;
-      tfs.(j) <- tf
+      tfs.(j) <- Util.Varint.read b pos
     done
   | Raw ->
     let doc = ref prev_last in
@@ -801,11 +798,8 @@ let validate b =
 (* ------------------------------------------------------------------ *)
 
 (* v2 cursors decode a whole block at a time into (docs, tfs) arrays:
-   sequential stepping is array reads, in-block seeking is binary
-   search, and — when a decoded-block cache is attached — a block
-   another cursor already decoded under the same (source, epoch) key is
-   reused without touching the record's bytes at all.  v1 cursors keep
-   the original interleaved byte-stepping. *)
+   sequential stepping is array reads and in-block seeking is binary
+   search.  v1 cursors keep the original interleaved byte-stepping. *)
 
 type cursor = {
   data : bytes;
@@ -813,7 +807,6 @@ type cursor = {
   cur_df : int;
   skips : skip array; (* empty for v1 *)
   c_lay : layout option; (* None for v1 *)
-  cache : (Util.Block_cache.t * int * int) option; (* cache, src oid, epoch *)
   mutable byte : int; (* v1: next byte to decode *)
   mutable blk : int; (* v2: block currently decoded into bdocs/btfs *)
   mutable bdocs : int array;
@@ -825,7 +818,7 @@ type cursor = {
   mutable decoded : int;
   mutable blocks_skipped : int;
   mutable n_seeks : int;
-  mutable blocks_loaded : int; (* blocks freshly decoded (cache hits excluded) *)
+  mutable blocks_loaded : int; (* blocks decoded *)
   mutable bytes_read : int; (* record bytes actually decoded (doc + position) *)
   (* Lazy per-document position walk (v2): the byte offset [p_off] of
      in-block document [p_idx]'s position run inside block [p_blk].
@@ -836,32 +829,18 @@ type cursor = {
   mutable pos_run : int; (* v1: byte offset of the current posting's position run *)
 }
 
-(* Decode (or fetch from the cache) block [i] and make it current. *)
+(* Decode block [i] and make it current. *)
 let load_block c i =
   let lay = match c.c_lay with Some l -> l | None -> assert false in
-  let fresh () =
-    let docs, tfs = decode_block c.data ~tr:c.cur_tier ~lay ~skips:c.skips i in
-    c.decoded <- c.decoded + Array.length docs;
-    c.blocks_loaded <- c.blocks_loaded + 1;
-    c.bytes_read <- c.bytes_read + c.skips.(i).sk_doc_len;
-    (docs, tfs)
-  in
-  let docs, tfs =
-    match c.cache with
-    | None -> fresh ()
-    | Some (bc, src, epoch) -> (
-      match Util.Block_cache.find bc ~src ~blk:i ~epoch with
-      | Some hit -> hit
-      | None ->
-        let docs, tfs = fresh () in
-        Util.Block_cache.insert bc ~src ~blk:i ~epoch ~docs ~tfs;
-        (docs, tfs))
-  in
+  let docs, tfs = decode_block c.data ~tr:c.cur_tier ~lay ~skips:c.skips i in
+  c.decoded <- c.decoded + Array.length docs;
+  c.blocks_loaded <- c.blocks_loaded + 1;
+  c.bytes_read <- c.bytes_read + c.skips.(i).sk_doc_len;
   c.blk <- i;
   c.bdocs <- docs;
   c.btfs <- tfs
 
-let cursor ?cache b =
+let cursor b =
   match tier b with
   | V1 ->
     let df, pos = Util.Varint.decode b ~pos:0 in
@@ -873,7 +852,6 @@ let cursor ?cache b =
         cur_df = df;
         skips = [||];
         c_lay = None;
-        cache = None;
         byte = pos;
         blk = -1;
         bdocs = [||];
@@ -920,7 +898,6 @@ let cursor ?cache b =
         cur_df = lay.l_df;
         skips = parse_skips b lay;
         c_lay = Some lay;
-        cache;
         byte = 0;
         blk = -1;
         bdocs = [||];

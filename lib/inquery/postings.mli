@@ -34,8 +34,7 @@
     - [0x04] {e cold} ([df >= cold_cutoff_df]): per block two width
       bytes then bit-packed gaps and bit-packed (tf-1)s at exactly the
       block's largest value's width.  Long-tail records dominate the
-      index's bytes and their hot blocks live in the decoded-block
-      cache, so they take the tightest packing.
+      index's bytes, so they take the tightest packing.
 
     Positions are v-byte in every tier, and the skip-table shape is
     shared, so seeking, fsck and corruption tests treat all tiers
@@ -201,19 +200,14 @@ val validate : bytes -> (unit, string) result
     v2 cursors decode one whole {!block_size}-document block at a time
     into arrays: {!cursor_decoded} therefore counts in block-sized
     steps, and a block jumped clean over by {!cursor_seek} is never
-    decoded at all.  With [?cache], decoded blocks are shared through a
-    {!Util.Block_cache} under [(src, block, epoch)] keys: a hit skips
-    the decode (and the counter) entirely, which is how reused query
-    terms stop paying for decompression. *)
+    decoded at all.  Every cursor decodes its blocks from the record
+    bytes it was opened on; nothing decoded outlives the cursor. *)
 
 type cursor
 
-val cursor : ?cache:Util.Block_cache.t * int * int -> bytes -> cursor
+val cursor : bytes -> cursor
 (** Positioned on the first posting ({!cur_doc} is [max_int] if the
-    record is empty).  [cache] is [(cache, src, epoch)]: the record's
-    stable object id and the epoch it was fetched under — callers must
-    pass a key that uniquely names these bytes, or hits would hand back
-    blocks of a different record. *)
+    record is empty). *)
 
 val cur_doc : cursor -> int
 (** Current document id, [max_int] once exhausted. *)
@@ -232,8 +226,7 @@ val cursor_seek : cursor -> int -> unit
     when possible.  No-op if already there. *)
 
 val cursor_decoded : cursor -> int
-(** Postings decoded by this cursor so far (whole blocks on v2; cache
-    hits decode nothing and add nothing). *)
+(** Postings decoded by this cursor so far (whole blocks on v2). *)
 
 val cursor_blocks_skipped : cursor -> int
 (** Whole blocks jumped over without decoding. *)
@@ -242,14 +235,14 @@ val cursor_seeks : cursor -> int
 (** Number of forward {!cursor_seek} calls that had to move. *)
 
 val cursor_blocks_loaded : cursor -> int
-(** Blocks freshly decoded by this cursor (cache hits excluded); [0] on
-    v1 records.  The planner's estimated-vs-actual block counter. *)
+(** Blocks decoded by this cursor; [0] on v1 records.  The planner's
+    estimated-vs-actual block counter. *)
 
 val cursor_bytes_read : cursor -> int
 (** Record bytes this cursor actually decoded: doc-region bytes of every
-    freshly decoded block (v1: all bytes stepped over) plus position
-    bytes walked by {!cursor_positions}.  Cache hits add nothing.  The
-    planner's estimated-vs-actual byte counter. *)
+    decoded block (v1: all bytes stepped over) plus position bytes
+    walked by {!cursor_positions}.  The planner's estimated-vs-actual
+    byte counter. *)
 
 val cursor_positions : cursor -> int list
 (** The current document's ascending positions — identical to what

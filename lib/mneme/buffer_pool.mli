@@ -17,7 +17,7 @@
     Hit statistics are reported per buffer exactly as in the paper's
     Table 6: one {e reference} per fault, a {e hit} when the segment was
     already resident.  The record is the unified {!Util.Cache_stats.t}
-    shared by every cache layer (buffer pool, decoded-block cache,
+    shared by every cache layer (buffer pool, segment-frame cache,
     query-result cache), so per-layer reports merge with one fold.
 
     {b Domain-safety contract.}  A buffer is {e not} internally

@@ -15,19 +15,22 @@ let run ?object_check store =
   (* 2b. Application-level payload validation: when the caller knows
      what the stored bytes mean (e.g. postings records with skip
      tables), each live object's payload is handed to its checker.
-     Problems are flagged like any other — never raised. *)
-  let root_oid = Store.root store in
+     Sealed roots are not payloads: the latest epoch's and any a pinned
+     reader still holds must unseal instead.  Problems are flagged like
+     any other — never raised. *)
   let apply_object_check =
     match object_check with
     | None -> fun _ _ -> ()
     | Some f -> (
       fun where oid ->
-        if root_oid = Some oid then () (* the sealed root is not a payload object *)
-        else
         match Store.get_opt store oid with
         | exception Store.Corrupt msg -> flag where ("object unreadable: " ^ msg)
         | exception Invalid_argument msg -> flag where ("object unreadable: " ^ msg)
         | None -> flag where "live slot resolves to no object"
+        | Some payload when Epoch.is_sealed payload -> (
+          match Epoch.unseal payload with
+          | Ok _ -> ()
+          | Error msg -> flag where ("sealed root invalid: " ^ msg))
         | Some payload -> (
           match f payload with
           | Ok () -> ()
@@ -159,7 +162,7 @@ let run ?object_check store =
   (* 7. The versioned root, when the header names one, is a live object
      whose sealed envelope opens cleanly and agrees with the header's
      epoch.  A torn root-switch must surface here, never parse. *)
-  (match root_oid with
+  (match Store.root store with
   | None -> ()
   | Some oid -> (
     match Store.get_opt store oid with

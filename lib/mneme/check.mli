@@ -45,6 +45,9 @@ val run : ?object_check:(bytes -> (unit, string) result) -> Store.t -> report
     itself cannot do (e.g. {!Inquery.Postings.validate} checking
     skip-table invariants of inverted-list records).  An [Error] from
     the checker, an exception it raises, or an unreadable payload each
-    become a report problem; fsck still never raises. *)
+    become a report problem; fsck still never raises.  An object that
+    carries the sealed-root envelope ({!Epoch.is_sealed}) — the latest
+    epoch's root, or a pinned epoch's that outlived a gc — is not
+    handed to the checker: it is flagged unless it {!Epoch.unseal}s. *)
 
 val pp_report : Format.formatter -> report -> unit

@@ -21,6 +21,8 @@ let seal ~epoch payload =
   Util.Bin.put_u32 out (12 + len) (Util.Crc32.digest_sub out ~pos:0 ~len:(12 + len));
   out
 
+let is_sealed b = Bytes.length b >= 4 && Bytes.sub_string b 0 4 = magic
+
 let unseal b =
   let n = Bytes.length b in
   if n < 16 then Error (Printf.sprintf "root envelope is %d bytes, minimum 16" n)

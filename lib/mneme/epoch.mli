@@ -33,6 +33,12 @@ val unseal : bytes -> (int * bytes, string) result
 (** Open an envelope, verifying magic, length and CRC32.  Returns the
     epoch and the payload, or a diagnosis of how the root is torn. *)
 
+val is_sealed : bytes -> bool
+(** Whether the bytes begin with the envelope's magic: a root of some
+    epoch — the latest, or one a pinned reader still holds — rather
+    than an application payload.  Says nothing about whether it
+    {!unseal}s. *)
+
 (** {1 The pin/GC manager} *)
 
 type t

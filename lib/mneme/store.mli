@@ -76,11 +76,10 @@ val get_opt : t -> Oid.t -> bytes option
 
     A serving session can share a {!Util.Block_cache} with its
     frontend, which then holds whole physical segments — {e frames} —
-    in the frontend's byte budget, beside decoded postings blocks.  A
-    fault that misses the pool's buffer takes the segment from its
-    frame when one is resident, and reads the file otherwise.  A
-    segment read from the file becomes a frame only after it passes its
-    CRC32 check.  Frames are keyed by this session's pool and the
+    in the frontend's byte budget.  A fault that misses the pool's
+    buffer takes the segment from its frame when one is resident, and
+    reads the file otherwise.  A segment read from the file becomes a
+    frame only after it passes its CRC32 check.  Frames are keyed by this session's pool and the
     segment id, and tagged with {!epoch} at insertion.
 
     {b Invariant.}  A flushed segment id names one immutable image per

@@ -56,12 +56,20 @@ module Reader = struct
     t.pos <- t.pos + 1;
     b
 
+  (* A byte-sized chunk per step, not a bit. *)
   let bits t ~width =
     if width < 0 || width > 62 then invalid_arg "Bitio.Reader.bits: width out of range";
-    let v = ref 0 in
-    for _ = 1 to width do
-      v := (!v lsl 1) lor (if bit t then 1 else 0)
+    if t.pos + width > t.limit then invalid_arg "Bitio.Reader: past end of input";
+    let v = ref 0 and need = ref width and pos = ref t.pos in
+    while !need > 0 do
+      let avail = 8 - (!pos land 7) in
+      let take = if !need < avail then !need else avail in
+      let byte = Char.code (Bytes.unsafe_get t.data (!pos lsr 3)) in
+      v := (!v lsl take) lor ((byte lsr (avail - take)) land ((1 lsl take) - 1));
+      need := !need - take;
+      pos := !pos + take
     done;
+    t.pos <- !pos;
     !v
 
   let unary t =

@@ -33,6 +33,10 @@ module Reader : sig
   (** Raises [Invalid_argument] past the end. *)
 
   val bits : t -> width:int -> int
+  (** The next [width] bits, most significant first.  Raises
+      [Invalid_argument], consuming nothing, if fewer remain or [width]
+      is outside [0, 62]. *)
+
   val unary : t -> int
   (** Count zero bits up to the terminating one bit. *)
 

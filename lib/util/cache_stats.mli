@@ -1,6 +1,6 @@
 (** One counter record for every cache layer.
 
-    The buffer pool, the decoded-block cache and the frontend's
+    The buffer pool, the segment-frame cache and the frontend's
     query-result cache all answer the same questions — how often were
     you asked, how often did you have the answer, what did you throw
     away, what are you holding — so they report through one record

@@ -14,6 +14,19 @@ let encode buf n =
   in
   go n
 
+let read b pos =
+  let len = Bytes.length b in
+  let acc = ref 0 and shift = ref 0 and last = ref false in
+  while not !last do
+    if !pos >= len then invalid_arg "Varint.decode: truncated input";
+    let c = Char.code (Bytes.unsafe_get b !pos) in
+    incr pos;
+    acc := !acc lor ((c land 0x7f) lsl !shift);
+    shift := !shift + 7;
+    last := c land 0x80 <> 0
+  done;
+  !acc
+
 let decode b ~pos =
   let len = Bytes.length b in
   let rec go pos shift acc =

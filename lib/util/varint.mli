@@ -17,6 +17,10 @@ val decode : bytes -> pos:int -> int * int
 (** [decode b ~pos] reads one v-byte value starting at [pos] and returns
     [(value, next_pos)].  Raises [Invalid_argument] on truncated input. *)
 
+val read : bytes -> int ref -> int
+(** [read b pos] is {!decode} at [!pos] with [pos] advanced past the
+    value: no result pair is allocated, for decode loops. *)
+
 val encode_list : int list -> bytes
 (** [encode_list vs] codes all values back to back. *)
 

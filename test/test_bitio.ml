@@ -37,7 +37,11 @@ let test_bounds () =
     | () -> false
     | exception Invalid_argument _ -> true);
   let r = Util.Bitio.Reader.create (Bytes.make 1 '\255') in
-  ignore (Util.Bitio.Reader.bits r ~width:8);
+  ignore (Util.Bitio.Reader.bits r ~width:3);
+  Alcotest.(check bool) "bits past end" true
+    (match Util.Bitio.Reader.bits r ~width:6 with _ -> false | exception Invalid_argument _ -> true);
+  Alcotest.(check int) "a failed read consumes nothing" 5 (Util.Bitio.Reader.remaining r);
+  ignore (Util.Bitio.Reader.bits r ~width:5);
   Alcotest.(check bool) "read past end" true
     (match Util.Bitio.Reader.bit r with _ -> false | exception Invalid_argument _ -> true)
 

@@ -1,78 +1,51 @@
-(* The tiered read-path caches: the block cache (segment frames and
-   decoded blocks) and the query-result LRU, unified tier statistics,
-   frontend integration, churn coherence. *)
+(* The tiered read-path caches: the block cache of segment frames and
+   the query-result LRU, unified tier statistics, frontend integration,
+   churn coherence. *)
 
 (* --- Util.Block_cache ---------------------------------------------- *)
 
-let test_block_cache_basics () =
-  let bc = Util.Block_cache.create ~capacity_bytes:4096 ~name:"t" () in
-  Alcotest.(check bool) "miss on empty" true (Util.Block_cache.find bc ~src:1 ~blk:0 ~epoch:1 = None);
-  let docs = Array.init 64 (fun i -> i) and tfs = Array.make 64 1 in
-  Util.Block_cache.insert bc ~src:1 ~blk:0 ~epoch:1 ~docs ~tfs;
-  (match Util.Block_cache.find bc ~src:1 ~blk:0 ~epoch:1 with
-  | Some (d, t) ->
-    Alcotest.(check bool) "same arrays back" true (d == docs && t == tfs)
-  | None -> Alcotest.fail "expected a hit");
-  (* Every key component separates entries. *)
-  Alcotest.(check bool) "other block misses" true
-    (Util.Block_cache.find bc ~src:1 ~blk:1 ~epoch:1 = None);
-  Alcotest.(check bool) "other src misses" true
-    (Util.Block_cache.find bc ~src:2 ~blk:0 ~epoch:1 = None);
-  Alcotest.(check bool) "other epoch misses" true
-    (Util.Block_cache.find bc ~src:1 ~blk:0 ~epoch:2 = None);
-  let s = Util.Block_cache.stats bc in
-  Alcotest.(check int) "refs" 5 s.Util.Cache_stats.refs;
-  Alcotest.(check int) "hits" 1 s.Util.Cache_stats.hits;
-  Alcotest.(check int) "misses" 4 (Util.Cache_stats.misses s);
-  Alcotest.(check int) "resident" 1 s.Util.Cache_stats.resident_entries
-
 let test_block_cache_evicts_lru () =
-  (* Budget fits two of the three equal-cost blocks; the least recently
-     used one goes. *)
-  let docs = Array.make 100 0 and tfs = Array.make 100 0 in
-  let cost = (8 * 200) + 48 in
+  (* Budget fits two of the three equal-cost frames; the least recently
+     used one goes.  A residency test does not count as a use. *)
+  let image = Bytes.make 1600 'f' in
+  let cost = Bytes.length image + 48 in
   let bc = Util.Block_cache.create ~capacity_bytes:(2 * cost) ~name:"t" () in
-  Util.Block_cache.insert bc ~src:1 ~blk:0 ~epoch:1 ~docs ~tfs;
-  Util.Block_cache.insert bc ~src:1 ~blk:1 ~epoch:1 ~docs ~tfs;
-  ignore (Util.Block_cache.find bc ~src:1 ~blk:0 ~epoch:1);
-  Util.Block_cache.insert bc ~src:1 ~blk:2 ~epoch:1 ~docs ~tfs;
-  Alcotest.(check bool) "recently-touched block 0 survives" true
-    (Util.Block_cache.find bc ~src:1 ~blk:0 ~epoch:1 <> None);
-  Alcotest.(check bool) "lru block 1 evicted" true
-    (Util.Block_cache.find bc ~src:1 ~blk:1 ~epoch:1 = None);
-  Alcotest.(check int) "one eviction" 1 (Util.Block_cache.stats bc).Util.Cache_stats.evictions
+  Util.Block_cache.insert_frame bc ~owner:1 ~seg:0 ~epoch:1 image;
+  Util.Block_cache.insert_frame bc ~owner:1 ~seg:1 ~epoch:1 image;
+  ignore (Util.Block_cache.find_frame bc ~owner:1 ~seg:0);
+  ignore (Util.Block_cache.frame_resident bc ~owner:1 ~seg:1);
+  Util.Block_cache.insert_frame bc ~owner:1 ~seg:2 ~epoch:1 image;
+  Alcotest.(check bool) "recently-touched frame 0 survives" true
+    (Util.Block_cache.find_frame bc ~owner:1 ~seg:0 <> None);
+  Alcotest.(check bool) "lru frame 1 evicted" true
+    (Util.Block_cache.find_frame bc ~owner:1 ~seg:1 = None);
+  let s = Util.Block_cache.stats bc in
+  Alcotest.(check int) "one eviction" 1 s.Util.Cache_stats.evictions;
+  Alcotest.(check int) "the budget holds" (2 * cost) s.Util.Cache_stats.resident_bytes
 
 let test_block_cache_retain () =
-  let docs = [| 1 |] and tfs = [| 1 |] in
   let bc = Util.Block_cache.create ~name:"t" () in
-  List.iter (fun e -> Util.Block_cache.insert bc ~src:e ~blk:0 ~epoch:e ~docs ~tfs) [ 1; 2; 3 ];
-  (* Frames tagged with epochs of their own, so retain, clear and epochs
-     must see both kinds. *)
-  List.iter
-    (fun e -> Util.Block_cache.insert_frame bc ~owner:e ~seg:0 ~epoch:e (Bytes.make 8 'f'))
-    [ 2; 4 ];
+  let frame = Bytes.make 8 'f' in
+  List.iter (fun e -> Util.Block_cache.insert_frame bc ~owner:e ~seg:0 ~epoch:e frame) [ 1; 2; 3; 4 ];
+  Util.Block_cache.insert_frame bc ~owner:5 ~seg:1 ~epoch:2 frame;
   Alcotest.(check (list int)) "epochs" [ 1; 2; 3; 4 ] (Util.Block_cache.epochs bc);
   Alcotest.(check int) "three dropped" 3 (Util.Block_cache.retain bc ~keep:(fun e -> e = 2));
   Alcotest.(check (list int)) "only kept epoch" [ 2 ] (Util.Block_cache.epochs bc);
-  Alcotest.(check int) "block invalidations counted" 2
+  Alcotest.(check int) "invalidations counted" 3
     (Util.Block_cache.stats bc).Util.Cache_stats.invalidations;
-  Alcotest.(check int) "frame invalidations counted" 1
-    (Util.Block_cache.frame_stats bc).Util.Cache_stats.invalidations;
-  Alcotest.(check bool) "kept frame still hits" true
-    (Util.Block_cache.find_frame bc ~owner:2 ~seg:0 <> None);
+  Alcotest.(check bool) "kept frames still hit" true
+    (Util.Block_cache.find_frame bc ~owner:2 ~seg:0 <> None
+    && Util.Block_cache.find_frame bc ~owner:5 ~seg:1 <> None);
   Util.Block_cache.clear bc;
-  Alcotest.(check (list int)) "clear empties both kinds" [] (Util.Block_cache.epochs bc);
-  Alcotest.(check int) "clear counts the frame" 2
-    (Util.Block_cache.frame_stats bc).Util.Cache_stats.invalidations;
+  Alcotest.(check (list int)) "clear empties the cache" [] (Util.Block_cache.epochs bc);
+  let s = Util.Block_cache.stats bc in
+  Alcotest.(check int) "clear counts its drops" 5 s.Util.Cache_stats.invalidations;
   Alcotest.(check int) "nothing resident" 0
-    ((Util.Block_cache.stats bc).Util.Cache_stats.resident_bytes
-    + (Util.Block_cache.frame_stats bc).Util.Cache_stats.resident_bytes);
+    (s.Util.Cache_stats.resident_bytes + s.Util.Cache_stats.resident_entries);
   let off = Util.Block_cache.create ~capacity_bytes:0 ~name:"off" () in
-  Util.Block_cache.insert off ~src:1 ~blk:0 ~epoch:1 ~docs ~tfs;
-  Util.Block_cache.insert_frame off ~owner:1 ~seg:0 ~epoch:1 (Bytes.make 8 'f');
+  Util.Block_cache.insert_frame off ~owner:1 ~seg:0 ~epoch:1 frame;
   Alcotest.(check int) "zero capacity disables" 0
-    ((Util.Block_cache.stats off).Util.Cache_stats.resident_entries
-    + (Util.Block_cache.frame_stats off).Util.Cache_stats.resident_entries);
+    (Util.Block_cache.stats off).Util.Cache_stats.resident_entries;
   Alcotest.(check bool) "zero capacity misses frames" true
     (Util.Block_cache.find_frame off ~owner:1 ~seg:0 = None)
 
@@ -89,20 +62,15 @@ let test_frame_basics () =
     (Util.Block_cache.find_frame bc ~owner:2 ~seg:1 = None);
   Alcotest.(check bool) "other segment misses" true
     (Util.Block_cache.find_frame bc ~owner:1 ~seg:2 = None);
-  (* A frame and block 1 of source 1 are separate entries. *)
-  Alcotest.(check bool) "frame is not a block" true
-    (Util.Block_cache.find bc ~src:1 ~blk:1 ~epoch:3 = None);
   Alcotest.(check bool) "residency test" true
     (Util.Block_cache.frame_resident bc ~owner:1 ~seg:1
     && not (Util.Block_cache.frame_resident bc ~owner:1 ~seg:2));
-  let f = Util.Block_cache.frame_stats bc and b = Util.Block_cache.stats bc in
-  Alcotest.(check int) "frame refs (residency tests count nothing)" 4 f.Util.Cache_stats.refs;
-  Alcotest.(check int) "frame hits" 1 f.Util.Cache_stats.hits;
-  Alcotest.(check int) "frame resident" 1 f.Util.Cache_stats.resident_entries;
+  let f = Util.Block_cache.stats bc in
+  Alcotest.(check int) "refs (residency tests count nothing)" 4 f.Util.Cache_stats.refs;
+  Alcotest.(check int) "hits" 1 f.Util.Cache_stats.hits;
+  Alcotest.(check int) "resident" 1 f.Util.Cache_stats.resident_entries;
   Alcotest.(check int) "charged length plus overhead" (Bytes.length image + 48)
     f.Util.Cache_stats.resident_bytes;
-  Alcotest.(check int) "block counters untouched by frames" 1 b.Util.Cache_stats.refs;
-  Alcotest.(check int) "no block resident" 0 b.Util.Cache_stats.resident_entries;
   (* The epoch is a tag, not part of the key: re-inserting replaces the
      frame and re-tags it. *)
   Alcotest.(check (list int)) "tagged" [ 3 ] (Util.Block_cache.epochs bc);
@@ -110,37 +78,10 @@ let test_frame_basics () =
   Util.Block_cache.insert_frame bc ~owner:1 ~seg:1 ~epoch:4 patched;
   Alcotest.(check (list int)) "re-tagged" [ 4 ] (Util.Block_cache.epochs bc);
   Alcotest.(check int) "still one frame" 1
-    (Util.Block_cache.frame_stats bc).Util.Cache_stats.resident_entries;
+    (Util.Block_cache.stats bc).Util.Cache_stats.resident_entries;
   match Util.Block_cache.find_frame bc ~owner:1 ~seg:1 with
   | Some b -> Alcotest.(check bool) "the new image" true (b == patched)
   | None -> Alcotest.fail "expected the replaced frame"
-
-let test_frames_and_blocks_share_budget () =
-  (* One block and one frame of equal cost; the budget holds two
-     entries of either kind. *)
-  let docs = Array.make 100 0 and tfs = Array.make 100 0 in
-  let cost = (8 * 200) + 48 in
-  let image = Bytes.make (cost - 48) 'f' in
-  let bc = Util.Block_cache.create ~capacity_bytes:(2 * cost) ~name:"t" () in
-  Util.Block_cache.insert bc ~src:1 ~blk:0 ~epoch:1 ~docs ~tfs;
-  Util.Block_cache.insert_frame bc ~owner:1 ~seg:2 ~epoch:1 image;
-  ignore (Util.Block_cache.find_frame bc ~owner:1 ~seg:2);
-  Util.Block_cache.insert_frame bc ~owner:1 ~seg:3 ~epoch:1 image;
-  Alcotest.(check bool) "a frame insert evicts the cold block" true
-    (Util.Block_cache.find bc ~src:1 ~blk:0 ~epoch:1 = None);
-  Alcotest.(check int) "counted as a block eviction" 1
-    (Util.Block_cache.stats bc).Util.Cache_stats.evictions;
-  ignore (Util.Block_cache.find_frame bc ~owner:1 ~seg:3);
-  Util.Block_cache.insert bc ~src:1 ~blk:1 ~epoch:1 ~docs ~tfs;
-  Alcotest.(check bool) "a block insert evicts the cold frame" true
-    (Util.Block_cache.find_frame bc ~owner:1 ~seg:2 = None);
-  Alcotest.(check bool) "the recent frame survives" true
-    (Util.Block_cache.find_frame bc ~owner:1 ~seg:3 <> None);
-  Alcotest.(check int) "counted as a frame eviction" 1
-    (Util.Block_cache.frame_stats bc).Util.Cache_stats.evictions;
-  Alcotest.(check int) "the budget holds across kinds" (2 * cost)
-    ((Util.Block_cache.stats bc).Util.Cache_stats.resident_bytes
-    + (Util.Block_cache.frame_stats bc).Util.Cache_stats.resident_bytes)
 
 (* --- Core.Result_cache --------------------------------------------- *)
 
@@ -273,36 +214,16 @@ let test_frontend_result_cache () =
     Alcotest.(check int) "two hits" 2 s.Util.Cache_stats.hits;
     Alcotest.(check bool) "entries resident" true (s.Util.Cache_stats.resident_entries >= 1)
 
-let test_frontend_block_cache () =
-  let p = Lazy.force prepared in
-  let fe =
-    Core.Frontend.of_prepared p ~names:[ "a" ] ~block_cache_bytes:(1 lsl 22)
-  in
-  let r1 = Core.Frontend.run_query_string ~top_k:15 fe query in
-  let r2 = Core.Frontend.run_query_string ~top_k:15 fe query in
-  Alcotest.(check bool) "no result cache: both computed" true
-    ((not r1.Core.Frontend.cached) && not r2.Core.Frontend.cached);
-  Alcotest.(check bool) "identical rankings" true
-    (fingerprint r1.Core.Frontend.ranked = fingerprint r2.Core.Frontend.ranked);
-  Alcotest.(check bool)
-    (Printf.sprintf "reused blocks decode less (%d < %d)" r2.Core.Frontend.postings_decoded
-       r1.Core.Frontend.postings_decoded)
-    true
-    (r2.Core.Frontend.postings_decoded < r1.Core.Frontend.postings_decoded);
-  match List.assoc_opt "block" (Core.Frontend.cache_tiers fe) with
-  | None -> Alcotest.fail "block tier missing from the report"
-  | Some s -> Alcotest.(check bool) "block hits" true (s.Util.Cache_stats.hits > 0)
+let frames fe =
+  match List.assoc_opt "frame" (Core.Frontend.cache_tiers fe) with
+  | Some s -> s
+  | None -> Alcotest.fail "frame tier missing from the report"
 
 (* With the block cache on, a query's second run reads every record from
    a resident segment frame: no store read at all, so its latency is its
    CPU alone.  With the block cache off the second run fetches again. *)
 let test_frontend_frames () =
   let p = Lazy.force prepared in
-  let frames fe =
-    match List.assoc_opt "frame" (Core.Frontend.cache_tiers fe) with
-    | Some s -> s
-    | None -> Alcotest.fail "frame tier missing from the report"
-  in
   let second_run ~block_cache_bytes =
     let fe =
       Core.Frontend.of_prepared p ~names:[ "a" ] ~buffers:Core.Buffer_sizing.no_cache
@@ -344,6 +265,38 @@ let test_frontend_frames () =
     (c.Vfs.file_accesses > 0 && c.Vfs.bytes_read > 0);
   Alcotest.(check bool) "same ranking either way" true
     (fingerprint r2.Core.Frontend.ranked = fingerprint r1.Core.Frontend.ranked)
+
+(* A budget that holds every frame one pass reads serves a second pass
+   over the same queries from memory: no file access at all.  Frames
+   are the budget's only entries, so nothing a cursor decodes can
+   evict one. *)
+let test_frontend_budget_holds_every_frame () =
+  let p = Lazy.force prepared in
+  let queries =
+    List.init 12 (fun i ->
+        let t r = Collections.Synth.core_term ~rank:r in
+        Printf.sprintf "#sum( %s %s %s )" (t (i + 1)) (t ((3 * i) + 20)) (t ((7 * i) + 60)))
+  in
+  let pass fe =
+    List.map
+      (fun q -> fingerprint (Core.Frontend.run_query_string ~top_k:10 fe q).Core.Frontend.ranked)
+      queries
+  in
+  (* The bytes one pass leaves as frames, under a budget nothing
+     evicts from. *)
+  let roomy = Core.Frontend.of_prepared p ~names:[ "a" ] ~block_cache_bytes:(1 lsl 26) in
+  let golden = pass roomy in
+  let needed = (frames roomy).Util.Cache_stats.resident_bytes in
+  Alcotest.(check bool) "the pass reads segments" true (needed > 0);
+  let fe = Core.Frontend.of_prepared p ~names:[ "a" ] ~block_cache_bytes:needed in
+  let vfs = Core.Frontend.replica_vfs fe ~name:"a" in
+  let first = pass fe in
+  let c0 = Vfs.counters vfs in
+  let second = pass fe in
+  let c = Vfs.diff_counters ~later:(Vfs.counters vfs) ~earlier:c0 in
+  Alcotest.(check int) "the second pass makes no file access" 0 c.Vfs.file_accesses;
+  Alcotest.(check int) "no frame evicted" 0 (frames fe).Util.Cache_stats.evictions;
+  Alcotest.(check bool) "rankings bit-identical" true (first = golden && second = golden)
 
 (* Satellite regression: a stalled replica blowing the deadline yields a
    degraded partial — the fill path must refuse to cache it as a full
@@ -435,9 +388,6 @@ let prop_churn_coherence =
       let check_epoch () =
         let epoch = Core.Live_index.epoch live in
         read_records ();
-        (* Keep the block cache populated under the current epoch so the
-           publication hook has real entries to invalidate. *)
-        Util.Block_cache.insert bc ~src:1 ~blk:0 ~epoch ~docs:[| epoch |] ~tfs:[| 1 |];
         List.iter
           (fun q ->
             let golden = fingerprint (Core.Live_index.search ~top_k:5 live q) in
@@ -471,17 +421,14 @@ let prop_churn_coherence =
       let final = Core.Live_index.epoch live in
       List.iter (fun e -> if e <> final then ok := false) (Core.Result_cache.epochs rc);
       List.iter (fun e -> if e <> final then ok := false) (Util.Block_cache.epochs bc);
-      if (Util.Block_cache.frame_stats bc).Util.Cache_stats.hits = 0 then ok := false;
+      if (Util.Block_cache.stats bc).Util.Cache_stats.hits = 0 then ok := false;
       !ok)
 
 let suite =
   [
-    Alcotest.test_case "block cache: probe, fill, key separation" `Quick test_block_cache_basics;
     Alcotest.test_case "block cache: byte-budget lru" `Quick test_block_cache_evicts_lru;
     Alcotest.test_case "block cache: retain by epoch" `Quick test_block_cache_retain;
     Alcotest.test_case "block cache: frame probe, fill, key separation" `Quick test_frame_basics;
-    Alcotest.test_case "block cache: frames and blocks share one budget" `Quick
-      test_frames_and_blocks_share_budget;
     Alcotest.test_case "result cache: epoch mismatch purges" `Quick test_result_cache_epoch_purge;
     Alcotest.test_case "result cache: partial never served as full" `Quick
       test_result_cache_coverage;
@@ -489,10 +436,10 @@ let suite =
     Alcotest.test_case "cache stats merge across tiers" `Quick test_cache_stats_merge;
     Alcotest.test_case "frontend: result-cache hit replays bit-identically" `Quick
       test_frontend_result_cache;
-    Alcotest.test_case "frontend: block cache cuts decodes on reuse" `Quick
-      test_frontend_block_cache;
     Alcotest.test_case "frontend: cached records skip the store on reuse" `Quick
       test_frontend_frames;
+    Alcotest.test_case "frontend: a budget of every frame serves a pass again" `Quick
+      test_frontend_budget_holds_every_frame;
     Alcotest.test_case "frontend: stalled deadline result never cached" `Quick
       test_stalled_deadline_result_never_cached;
     Alcotest.test_case "torture: coherence under churn" `Slow test_torture_cache;

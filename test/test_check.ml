@@ -212,11 +212,31 @@ let test_object_check_garbage () =
   let report = Mneme.Check.run ~object_check:Inquery.Postings.validate store in
   Alcotest.(check bool) "undecodable payload flagged" false (Mneme.Check.ok report)
 
+let test_object_check_sealed_root () =
+  (* An object carrying the sealed-root envelope is unsealed instead of
+     handed to the payload checker: a whole one passes, a torn one is
+     flagged. *)
+  let _, store, pools = build_store () in
+  let medium = List.nth pools 1 in
+  let root = Mneme.Epoch.seal ~epoch:3 (Bytes.of_string "a directory") in
+  let oid = Mneme.Store.allocate medium root in
+  Mneme.Store.finalize store;
+  let deep () = Mneme.Check.run ~object_check:Inquery.Postings.validate store in
+  Alcotest.(check bool) "a sealed root passes" true (Mneme.Check.ok (deep ()));
+  let torn = Bytes.copy root in
+  Bytes.set torn 14 'X';
+  Mneme.Store.modify store oid torn;
+  Mneme.Store.finalize store;
+  let s = Format.asprintf "%a" Mneme.Check.pp_report (deep ()) in
+  Alcotest.(check bool) "a torn root is flagged as one" true
+    (Str_find.contains s "sealed root invalid")
+
 let suite =
   [
     Alcotest.test_case "clean store" `Quick test_clean_store;
     Alcotest.test_case "object check (skip-table bit flip)" `Quick test_object_check;
     Alcotest.test_case "object check (garbage payload)" `Quick test_object_check_garbage;
+    Alcotest.test_case "object check (sealed root)" `Quick test_object_check_sealed_root;
     Alcotest.test_case "clean after updates" `Quick test_clean_after_updates;
     Alcotest.test_case "clean after reopen" `Quick test_clean_after_reopen;
     Alcotest.test_case "detects corruption" `Quick test_detects_corrupted_directory;

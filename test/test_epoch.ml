@@ -215,6 +215,34 @@ let test_gc_respects_pins () =
     (s2.Mneme.Epoch.reclaimed_objects > 0);
   Alcotest.(check int) "nothing stranded" 0 (Core.Live_index.stranded_bytes live)
 
+(* Deep fsck after a gc under a pin: the pinned epoch's sealed root is
+   still a live object beside the latest root, and must be checked as a
+   root envelope, not handed to the postings checker. *)
+let test_deep_fsck_accepts_pinned_root () =
+  let live =
+    Core.Live_index.create_mneme ~journal:"fsckpin.log" (Vfs.create ()) ~file:"fsckpin.mneme" ()
+  in
+  let add doc =
+    ignore
+      (Core.Live_index.add_document live ~doc_id:doc.Collections.Synth.id
+         (Collections.Synth.document_text doc))
+  in
+  let docs = List.of_seq (Seq.take 5 (Collections.Synth.documents churn_model)) in
+  List.iteri (fun i doc -> if i < 3 then add doc) docs;
+  let p = Core.Live_index.pin live in
+  List.iteri (fun i doc -> if i >= 3 then add doc) docs;
+  ignore (Core.Live_index.gc live);
+  let store = Option.get (Core.Live_index.mneme_store live) in
+  let deep () = Mneme.Check.run ~object_check:Inquery.Postings.validate store in
+  let rep = deep () in
+  Alcotest.(check bool) (Format.asprintf "pinned: %a" Mneme.Check.pp_report rep) true
+    (Mneme.Check.ok rep);
+  Core.Live_index.release live p;
+  ignore (Core.Live_index.gc live);
+  let rep = deep () in
+  Alcotest.(check bool) (Format.asprintf "released: %a" Mneme.Check.pp_report rep) true
+    (Mneme.Check.ok rep)
+
 (* --- reopen from the published root -------------------------------- *)
 
 let test_reopen_serves_published_epoch () =
@@ -296,6 +324,8 @@ let suite =
       test_churn_statistics_stay_consistent;
     QCheck_alcotest.to_alcotest prop_pinned_rankings_survive_churn;
     Alcotest.test_case "gc respects pins" `Quick test_gc_respects_pins;
+    Alcotest.test_case "deep fsck accepts a pinned epoch's root" `Quick
+      test_deep_fsck_accepts_pinned_root;
     Alcotest.test_case "reopen serves the published epoch" `Quick
       test_reopen_serves_published_epoch;
     Alcotest.test_case "pinned rankings identical across domains" `Quick

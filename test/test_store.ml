@@ -415,10 +415,10 @@ let test_fetch_resident_does_no_io () =
   Alcotest.(check bool) "cold segment: None" true
     (unchanged "cold" (fun () -> Mneme.Store.fetch_resident store oid) = None);
   Alcotest.(check int) "a miss counts no frame reference" 0
-    (Util.Block_cache.frame_stats frames).Util.Cache_stats.refs;
+    (Util.Block_cache.stats frames).Util.Cache_stats.refs;
   let fetched = Mneme.Store.get store oid in
   Alcotest.(check bool) "the read made a frame" true
-    ((Util.Block_cache.frame_stats frames).Util.Cache_stats.resident_entries = 1);
+    ((Util.Block_cache.stats frames).Util.Cache_stats.resident_entries = 1);
   (match unchanged "framed" (fun () -> Mneme.Store.fetch_resident store (List.nth packed 3)) with
   | Some b -> Alcotest.(check bytes) "a neighbour from the frame" (payload 3 300) b
   | None -> Alcotest.fail "the neighbour's segment is a resident frame");
@@ -521,7 +521,7 @@ let test_corrupt_segment_never_framed () =
   Alcotest.(check bool) "the rotten read raises Corrupt" true (corrupt ());
   Vfs.clear_fault vfs;
   Alcotest.(check int) "no frame" 0
-    (Util.Block_cache.frame_stats frames).Util.Cache_stats.resident_entries;
+    (Util.Block_cache.stats frames).Util.Cache_stats.resident_entries;
   Alcotest.(check bool) "not resident" true (Mneme.Store.fetch_resident store oid = None);
   let before = file_accesses vfs in
   Alcotest.(check bool) "the next read fails again" true (corrupt ());

@@ -39,7 +39,9 @@ let test_truncated_input () =
   (* A continuation byte with nothing after it. *)
   let b = Bytes.make 1 '\x01' in
   Alcotest.check_raises "truncated" (Invalid_argument "Varint.decode: truncated input")
-    (fun () -> ignore (Util.Varint.decode b ~pos:0))
+    (fun () -> ignore (Util.Varint.decode b ~pos:0));
+  Alcotest.check_raises "truncated read" (Invalid_argument "Varint.decode: truncated input")
+    (fun () -> ignore (Util.Varint.read b (ref 0)))
 
 let test_decode_position () =
   let b = Util.Varint.encode_list [ 300; 7 ] in
@@ -47,7 +49,12 @@ let test_decode_position () =
   let v2, pos' = Util.Varint.decode b ~pos in
   Alcotest.(check int) "first" 300 v1;
   Alcotest.(check int) "second" 7 v2;
-  Alcotest.(check int) "consumed all" (Bytes.length b) pos'
+  Alcotest.(check int) "consumed all" (Bytes.length b) pos';
+  let p = ref 0 in
+  let r1 = Util.Varint.read b p in
+  let r2 = Util.Varint.read b p in
+  Alcotest.(check (list int)) "read agrees" [ v1; v2 ] [ r1; r2 ];
+  Alcotest.(check int) "read advances past both" pos' !p
 
 let test_fold_skips_list_building () =
   let values = [ 1; 128; 99; 0; 1 lsl 30 ] in
@@ -65,7 +72,9 @@ let prop_roundtrip =
     QCheck.(list (map abs int))
     (fun values ->
       let b = Util.Varint.encode_list values in
-      Util.Varint.decode_all b ~pos:0 ~len:(Bytes.length b) = values)
+      let p = ref 0 in
+      Util.Varint.decode_all b ~pos:0 ~len:(Bytes.length b) = values
+      && List.for_all (fun v -> Util.Varint.read b p = v) values)
 
 let suite =
   [
