@@ -18,6 +18,25 @@ let collection_arg =
 
 let progress msg = Printf.eprintf "%s\n%!" msg
 
+(* --- torture reports ---------------------------------------------- *)
+
+(* The one rendering of every torture family's report: its census on
+   one line, then each problem with the point it was found at. *)
+let print_report r =
+  Printf.printf "%s: %d points, %d problem(s); %s\n" r.Core.Torture.family r.Core.Torture.points
+    (List.length r.Core.Torture.problems)
+    (String.concat ", "
+       (List.map (fun (name, n) -> Printf.sprintf "%s %d" name n) r.Core.Torture.counts));
+  List.iter (fun (k, p) -> Printf.printf "  point %d: %s\n" k p) r.Core.Torture.problems
+
+(* The one exit rule: a report with any problem fails the command. *)
+let exit_on_problems r = if not (Core.Torture.ok r) then exit 1
+
+(* The "audit" member a command's JSON object ends with, if it ran one. *)
+let audit_json = function
+  | None -> ""
+  | Some r -> ",\n  \"audit\": " ^ Core.Torture.json r
+
 (* --- tables ------------------------------------------------------- *)
 
 let tables_cmd =
@@ -605,22 +624,12 @@ let cache_cmd =
           name nq passes rhits dec_off dec_on (ratio dec_off dec_on) bytes_off bytes_on
           (ratio bytes_off bytes_on) fetches_off fetches_on (ratio fetches_off fetches_on))
       rows;
-    let churn =
-      if audit then begin
-        let o = Core.Torture.run_cache () in
-        Format.printf "%a@." Core.Torture.pp_cache_outcome o;
-        if not (Core.Torture.cache_ok o) then begin
-          Printf.eprintf "cache: churn torture found coherence problems\n";
-          exit 1
-        end;
-        Printf.printf
-          "audit: rankings bit-identical with caches off on %d collection(s); churn leg \
-           clean\n"
-          (List.length rows);
-        Some o
-      end
-      else None
-    in
+    let churn = if audit then Some (Core.Torture.cache ()) else None in
+    Option.iter print_report churn;
+    if Option.fold ~none:false ~some:Core.Torture.ok churn then
+      Printf.printf
+        "audit: rankings bit-identical with caches off on %d collection(s); churn leg clean\n"
+        (List.length rows);
     (match json_file with
     | None -> ()
     | Some file ->
@@ -647,25 +656,12 @@ let cache_cmd =
           (String.concat ",\n" (List.map tier_json tiers))
           audit
       in
-      let churn_json =
-        match churn with
-        | None -> ""
-        | Some o ->
-          Printf.sprintf
-            ",\n\
-            \  \"churn_audit\": { \"mutations\": %d, \"comparisons\": %d, \
-             \"result_hits\": %d, \"frame_hits\": %d, \"invalidations\": %d, \
-             \"problems\": %d }"
-            o.Core.Torture.ct_mutations o.Core.Torture.ct_comparisons
-            o.Core.Torture.ct_result_hits o.Core.Torture.ct_frame_hits
-            o.Core.Torture.ct_invalidations
-            (List.length o.Core.Torture.ct_problems)
-      in
       Printf.fprintf oc "{ \"collections\": [\n%s\n]%s\n}\n"
         (String.concat ",\n" (List.map row_json rows))
-        churn_json;
+        (audit_json churn);
       close_out oc;
-      Printf.printf "wrote %s\n" file)
+      Printf.printf "wrote %s\n" file);
+    Option.iter exit_on_problems churn
   in
   let doc =
     "Measure the tiered read-path caches on reuse-heavy query replays: \
@@ -805,11 +801,11 @@ let parallel_cmd =
 
 (* --- torture ------------------------------------------------------ *)
 
+let seed_arg =
+  let doc = "PRNG seed for the workload." in
+  Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc)
+
 let torture_cmd =
-  let seed_arg =
-    let doc = "PRNG seed for the workload." in
-    Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc)
-  in
   let docs_arg =
     let doc = "Objects allocated by the build transaction." in
     Arg.(value & opt int 12 & info [ "docs" ] ~docv:"N" ~doc)
@@ -823,9 +819,9 @@ let torture_cmd =
       Printf.eprintf "torture: --docs and --batches must be non-negative\n";
       exit 2
     end;
-    let outcome = Core.Torture.run ~seed ~docs ~update_batches () in
-    Format.printf "%a@." Core.Torture.pp_outcome outcome;
-    if outcome.Core.Torture.problems <> [] then exit 1
+    let r = Core.Torture.(sweep (prepare (store ~seed ~docs ~update_batches ()))) in
+    print_report r;
+    exit_on_problems r
   in
   let doc =
     "Crash the journaled store at every physical I/O of an \
@@ -835,31 +831,27 @@ let torture_cmd =
 
 (* --- failover ----------------------------------------------------- *)
 
+let replicated_docs_arg =
+  let doc = "Documents indexed by the workload." in
+  Arg.(value & opt int 12 & info [ "docs" ] ~docv:"N" ~doc)
+
+let replicated_batches_arg =
+  let doc = "Commit batches the build is split into." in
+  Arg.(value & opt int 3 & info [ "batches" ] ~docv:"N" ~doc)
+
+let standbys_arg =
+  let doc = "Standby replicas shipping the primary's journal." in
+  Arg.(value & opt int 2 & info [ "standbys" ] ~docv:"N" ~doc)
+
 let failover_cmd =
-  let seed_arg =
-    let doc = "PRNG seed for the workload." in
-    Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc)
-  in
-  let docs_arg =
-    let doc = "Documents indexed by the workload." in
-    Arg.(value & opt int 12 & info [ "docs" ] ~docv:"N" ~doc)
-  in
-  let batches_arg =
-    let doc = "Commit batches the build is split into." in
-    Arg.(value & opt int 3 & info [ "batches" ] ~docv:"N" ~doc)
-  in
-  let standbys_arg =
-    let doc = "Standby replicas shipping the primary's journal." in
-    Arg.(value & opt int 2 & info [ "standbys" ] ~docv:"N" ~doc)
-  in
   let run seed docs batches standbys =
     if docs <= 0 || batches <= 0 || standbys <= 0 then begin
       Printf.eprintf "failover: --docs, --batches and --standbys must be positive\n";
       exit 2
     end;
-    let outcome = Core.Torture.run_failover ~seed ~docs ~batches ~standbys () in
-    Format.printf "%a@." Core.Torture.pp_failover_outcome outcome;
-    if outcome.Core.Torture.problems <> [] then exit 1
+    let r = Core.Torture.(sweep (prepare (failover ~seed ~docs ~batches ~standbys ()))) in
+    print_report r;
+    exit_on_problems r
   in
   let doc =
     "Kill the primary of a journal-shipping replica group at every \
@@ -867,15 +859,50 @@ let failover_cmd =
      the committed prefix byte-identically."
   in
   Cmd.v (Cmd.info "failover" ~doc)
-    Term.(const run $ seed_arg $ docs_arg $ batches_arg $ standbys_arg)
+    Term.(const run $ seed_arg $ replicated_docs_arg $ replicated_batches_arg $ standbys_arg)
 
-(* --- epoch -------------------------------------------------------- *)
+(* --- epoch and ingest --------------------------------------------- *)
+
+(* The golden run's timeline, then, with --audit, its crash sweep; the
+   JSON carries both.  [steps] names the timeline's rows in the header
+   line; [steps_key] and [rows_key] name them in the JSON. *)
+let timeline_run plan ~seed ~docs ~steps ~steps_key ~rows_key audit json_file =
+  let rows = Core.Torture.table plan in
+  Printf.printf "golden run: %d %s over %d documents, %d crash points\n" (List.length rows) steps
+    docs (Core.Torture.points plan);
+  let line cell row = print_endline (String.concat " " (List.map cell row)) in
+  (match rows with
+  | [] -> ()
+  | first :: _ ->
+    line (fun (name, _) -> Printf.sprintf "%10s" name) first;
+    List.iter (line (fun (_, v) -> Printf.sprintf "%10d" v)) rows);
+  let golden_problems = Core.Torture.golden_problems plan in
+  List.iter (Printf.printf "golden run problem: %s\n") golden_problems;
+  let report = if audit then Some (Core.Torture.sweep plan) else None in
+  Option.iter print_report report;
+  (match json_file with
+  | None -> ()
+  | Some f ->
+    let row_json row =
+      Printf.sprintf "    {%s}"
+        (String.concat ", " (List.map (fun (name, v) -> Printf.sprintf "%S: %d" name v) row))
+    in
+    let oc = open_out f in
+    Printf.fprintf oc
+      "{\n  \"seed\": %d,\n  \"docs\": %d,\n  %S: %d,\n  \"crash_points\": %d,\n\
+      \  %S: [\n%s\n  ]%s\n}\n"
+      seed docs steps_key (List.length rows) (Core.Torture.points plan) rows_key
+      (String.concat ",\n" (List.map row_json rows))
+      (audit_json report);
+    close_out oc);
+  if golden_problems <> [] then exit 1;
+  Option.iter exit_on_problems report
+
+let json_arg =
+  let doc = "Write the outcome as JSON to $(docv)." in
+  Arg.(value & opt (some string) None & info [ "json" ] ~docv:"FILE" ~doc)
 
 let epoch_cmd =
-  let seed_arg =
-    let doc = "PRNG seed for the workload." in
-    Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc)
-  in
   let docs_arg =
     let doc = "Documents the live-index workload indexes (deletions are interleaved)." in
     Arg.(value & opt int 8 & info [ "docs" ] ~docv:"N" ~doc)
@@ -887,88 +914,15 @@ let epoch_cmd =
     in
     Arg.(value & flag & info [ "audit" ] ~doc)
   in
-  let json_arg =
-    let doc = "Write the outcome as JSON to $(docv)." in
-    Arg.(value & opt (some string) None & info [ "json" ] ~docv:"FILE" ~doc)
-  in
   let run seed docs audit json_file =
     if docs <= 0 then begin
       Printf.eprintf "epoch: --docs must be positive\n";
       exit 2
     end;
-    let plan = Core.Torture.prepare_epoch ~seed ~docs () in
-    let table = Core.Torture.epoch_table plan in
-    Printf.printf "golden run: %d epochs published over %d documents, %d crash points\n"
-      (Core.Torture.epoch_mutations plan)
-      docs
-      (Core.Torture.epoch_points plan);
-    Printf.printf "%8s %10s %10s\n" "epoch" "documents" "terms";
-    List.iter (fun (e, d, t) -> Printf.printf "%8d %10d %10d\n" e d t) table;
-    let golden_problems = Core.Torture.epoch_golden_problems plan in
-    List.iter (fun p -> Printf.printf "golden run problem: %s\n" p) golden_problems;
-    let outcome = if audit then Some (Core.Torture.run_epoch ~seed ~docs ()) else None in
-    (match outcome with
-    | Some o -> Format.printf "%a@." Core.Torture.pp_epoch_outcome o
-    | None -> ());
-    (match json_file with
-    | None -> ()
-    | Some f ->
-      let oc = open_out f in
-      let table_json =
-        String.concat ",\n"
-          (List.map
-             (fun (e, d, t) ->
-               Printf.sprintf "    {\"epoch\": %d, \"documents\": %d, \"terms\": %d}" e d t)
-             table)
-      in
-      let audit_json =
-        match outcome with
-        | None -> ""
-        | Some o ->
-          let problems_json =
-            String.concat ",\n"
-              (List.map
-                 (fun (k, p) ->
-                   Printf.sprintf "      {\"crash_at\": %d, \"problem\": %S}" k p)
-                 o.Core.Torture.e_problems)
-          in
-          Printf.sprintf
-            ",\n\
-            \  \"audit\": {\n\
-            \    \"points\": %d,\n\
-            \    \"opened\": %d,\n\
-            \    \"unopenable\": %d,\n\
-            \    \"wholly_old\": %d,\n\
-            \    \"wholly_new\": %d,\n\
-            \    \"replayed\": %d,\n\
-            \    \"discarded\": %d,\n\
-            \    \"clean\": %d,\n\
-            \    \"gc_reclaimed_objects\": %d,\n\
-            \    \"problems\": [\n%s\n    ]\n\
-            \  }"
-            o.Core.Torture.e_points o.Core.Torture.e_opened o.Core.Torture.e_unopenable
-            o.Core.Torture.e_wholly_old o.Core.Torture.e_wholly_new o.Core.Torture.e_replayed
-            o.Core.Torture.e_discarded o.Core.Torture.e_clean o.Core.Torture.e_reclaimed
-            problems_json
-      in
-      Printf.fprintf oc
-        "{\n\
-        \  \"seed\": %d,\n\
-        \  \"docs\": %d,\n\
-        \  \"mutations\": %d,\n\
-        \  \"crash_points\": %d,\n\
-        \  \"epochs\": [\n%s\n  ]%s\n\
-         }\n"
-        seed docs
-        (Core.Torture.epoch_mutations plan)
-        (Core.Torture.epoch_points plan)
-        table_json audit_json;
-      close_out oc);
-    let problems =
-      golden_problems <> []
-      || match outcome with Some o -> o.Core.Torture.e_problems <> [] | None -> false
-    in
-    if problems then exit 1
+    timeline_run
+      (Core.Torture.(prepare (epoch ~seed ~docs ())))
+      ~seed ~docs ~steps:"epochs published" ~steps_key:"mutations" ~rows_key:"epochs" audit
+      json_file
   in
   let doc =
     "Publish epochs through a journaled live index (snapshot-isolated COW mutation) and, with \
@@ -977,13 +931,7 @@ let epoch_cmd =
   in
   Cmd.v (Cmd.info "epoch" ~doc) Term.(const run $ seed_arg $ docs_arg $ audit_arg $ json_arg)
 
-(* --- ingest ------------------------------------------------------- *)
-
 let ingest_cmd =
-  let seed_arg =
-    let doc = "PRNG seed for the workload." in
-    Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc)
-  in
   let docs_arg =
     let doc = "Documents the ingest workload adds (deletions and merges are interleaved)." in
     Arg.(value & opt int 8 & info [ "docs" ] ~docv:"N" ~doc)
@@ -997,93 +945,15 @@ let ingest_cmd =
     in
     Arg.(value & flag & info [ "audit" ] ~doc)
   in
-  let json_arg =
-    let doc = "Write the outcome as JSON to $(docv)." in
-    Arg.(value & opt (some string) None & info [ "json" ] ~docv:"FILE" ~doc)
-  in
   let run seed docs audit json_file =
     if docs <= 0 then begin
       Printf.eprintf "ingest: --docs must be positive\n";
       exit 2
     end;
-    let plan = Core.Torture.prepare_ingest ~seed ~docs () in
-    let table = Core.Torture.ingest_table plan in
-    Printf.printf "golden run: %d operations over %d documents, %d crash points\n"
-      (Core.Torture.ingest_ops plan)
-      docs
-      (Core.Torture.ingest_points plan);
-    Printf.printf "%8s %10s %8s %10s\n" "op" "acked_seq" "folds" "documents";
-    List.iter (fun (o, s, f, d) -> Printf.printf "%8d %10d %8d %10d\n" o s f d) table;
-    let golden_problems = Core.Torture.ingest_golden_problems plan in
-    List.iter (fun p -> Printf.printf "golden run problem: %s\n" p) golden_problems;
-    let outcome = if audit then Some (Core.Torture.run_ingest ~seed ~docs ()) else None in
-    (match outcome with
-    | Some o -> Format.printf "%a@." Core.Torture.pp_ingest_outcome o
-    | None -> ());
-    (match json_file with
-    | None -> ()
-    | Some f ->
-      let oc = open_out f in
-      let table_json =
-        String.concat ",\n"
-          (List.map
-             (fun (o, s, fo, d) ->
-               Printf.sprintf
-                 "    {\"op\": %d, \"acked_seq\": %d, \"folds\": %d, \"documents\": %d}" o s fo d)
-             table)
-      in
-      let audit_json =
-        match outcome with
-        | None -> ""
-        | Some o ->
-          let problems_json =
-            String.concat ",\n"
-              (List.map
-                 (fun (k, p) ->
-                   Printf.sprintf "      {\"crash_at\": %d, \"problem\": %S}" k p)
-                 o.Core.Torture.i_problems)
-          in
-          Printf.sprintf
-            ",\n\
-            \  \"audit\": {\n\
-            \    \"points\": %d,\n\
-            \    \"acked_ops\": %d,\n\
-            \    \"folds\": %d,\n\
-            \    \"opened\": %d,\n\
-            \    \"unopenable\": %d,\n\
-            \    \"wholly_old\": %d,\n\
-            \    \"wholly_new\": %d,\n\
-            \    \"replayed\": %d,\n\
-            \    \"discarded\": %d,\n\
-            \    \"clean\": %d,\n\
-            \    \"wal_redelivered\": %d,\n\
-            \    \"gc_reclaimed_objects\": %d,\n\
-            \    \"problems\": [\n%s\n    ]\n\
-            \  }"
-            o.Core.Torture.i_points o.Core.Torture.i_acked o.Core.Torture.i_folds
-            o.Core.Torture.i_opened o.Core.Torture.i_unopenable o.Core.Torture.i_wholly_old
-            o.Core.Torture.i_wholly_new o.Core.Torture.i_replayed o.Core.Torture.i_discarded
-            o.Core.Torture.i_clean o.Core.Torture.i_redelivered o.Core.Torture.i_reclaimed
-            problems_json
-      in
-      Printf.fprintf oc
-        "{\n\
-        \  \"seed\": %d,\n\
-        \  \"docs\": %d,\n\
-        \  \"operations\": %d,\n\
-        \  \"crash_points\": %d,\n\
-        \  \"timeline\": [\n%s\n  ]%s\n\
-         }\n"
-        seed docs
-        (Core.Torture.ingest_ops plan)
-        (Core.Torture.ingest_points plan)
-        table_json audit_json;
-      close_out oc);
-    let problems =
-      golden_problems <> []
-      || match outcome with Some o -> o.Core.Torture.i_problems <> [] | None -> false
-    in
-    if problems then exit 1
+    timeline_run
+      (Core.Torture.(prepare (ingest ~seed ~docs ())))
+      ~seed ~docs ~steps:"operations" ~steps_key:"operations" ~rows_key:"timeline" audit
+      json_file
   in
   let doc =
     "Ingest documents online through the WAL-backed write buffer and budgeted merge and, \
@@ -1096,30 +966,6 @@ let ingest_cmd =
 (* --- scrub -------------------------------------------------------- *)
 
 let scrub_cmd =
-  let seed_arg =
-    let doc = "PRNG seed for the workload." in
-    Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc)
-  in
-  let docs_arg =
-    let doc = "Documents indexed by the workload." in
-    Arg.(value & opt int 12 & info [ "docs" ] ~docv:"N" ~doc)
-  in
-  let batches_arg =
-    let doc = "Commit batches the build is split into." in
-    Arg.(value & opt int 3 & info [ "batches" ] ~docv:"N" ~doc)
-  in
-  let standbys_arg =
-    let doc = "Standby replicas shipping the primary's journal." in
-    Arg.(value & opt int 2 & info [ "standbys" ] ~docv:"N" ~doc)
-  in
-  let bits_arg =
-    let doc = "Distinct bits flipped inside each rotted segment." in
-    Arg.(value & opt int 1 & info [ "bits" ] ~docv:"N" ~doc)
-  in
-  let no_crash_arg =
-    let doc = "Skip the crash-during-repair enumeration (faster)." in
-    Arg.(value & flag & info [ "no-crash-sweep" ] ~doc)
-  in
   let budgets_arg =
     let doc =
       "Instead of the sweep, run the scrub-tax experiment: detect and \
@@ -1129,9 +975,9 @@ let scrub_cmd =
     in
     Arg.(value & opt_all int [] & info [ "budget" ] ~docv:"BUDGET" ~doc)
   in
-  let run seed docs batches standbys bits no_crash budgets =
-    if docs <= 0 || batches <= 0 || standbys <= 0 || bits <= 0 then begin
-      Printf.eprintf "scrub: --docs, --batches, --standbys and --bits must be positive\n";
+  let run seed docs batches standbys budgets =
+    if docs <= 0 || batches <= 0 || standbys <= 0 then begin
+      Printf.eprintf "scrub: --docs, --batches and --standbys must be positive\n";
       exit 2
     end;
     if List.exists (fun b -> b <= 0) budgets then begin
@@ -1150,12 +996,9 @@ let scrub_cmd =
             r.Core.Torture.sw_heal_ms r.Core.Torture.sw_query_ms)
         rows
     | [] ->
-      let outcome =
-        Core.Torture.run_scrub ~seed ~docs ~batches ~standbys ~bits
-          ~crash_sweep:(not no_crash) ()
-      in
-      Format.printf "%a@." Core.Torture.pp_scrub_outcome outcome;
-      if not (Core.Torture.scrub_ok outcome) then exit 1
+      let r = Core.Torture.scrub ~seed ~docs ~batches ~standbys () in
+      print_report r;
+      exit_on_problems r
   in
   let doc =
     "Flip bits in every physical segment of a replicated store, one \
@@ -1165,8 +1008,8 @@ let scrub_cmd =
      crashed at every I/O."
   in
   Cmd.v (Cmd.info "scrub" ~doc)
-    Term.(const run $ seed_arg $ docs_arg $ batches_arg $ standbys_arg $ bits_arg
-          $ no_crash_arg $ budgets_arg)
+    Term.(const run $ seed_arg $ replicated_docs_arg $ replicated_batches_arg $ standbys_arg
+          $ budgets_arg)
 
 (* --- frontend ----------------------------------------------------- *)
 
@@ -1384,10 +1227,8 @@ let shard_cmd =
     let all_exact = List.for_all (fun (_, _, _, _, _, e) -> e) rows in
     if not all_exact then
       Printf.eprintf "shard: some merged rankings diverged from the unsharded index\n";
-    let outcome = if audit then Some (Core.Torture.run_shard ()) else None in
-    (match outcome with
-    | Some o -> Format.printf "%a@." Core.Torture.pp_shard_outcome o
-    | None -> ());
+    let outcome = if audit then Some (Core.Torture.shard ()) else None in
+    Option.iter print_report outcome;
     (match json_file with
     | None -> ()
     | Some f ->
@@ -1402,38 +1243,6 @@ let shard_cmd =
                  s mk d ps dn exact)
              rows)
       in
-      let audit_json =
-        match outcome with
-        | None -> ""
-        | Some o ->
-          let problems_json =
-            match o.Core.Torture.st_problems with
-            | [] -> "    \"problems\": []"
-            | ps ->
-              Printf.sprintf "    \"problems\": [\n%s\n    ]"
-                (String.concat ",\n"
-                   (List.map
-                      (fun (r, p) ->
-                        Printf.sprintf "      {\"replay\": %d, \"problem\": %S}" r p)
-                      ps))
-          in
-          Printf.sprintf
-            ",\n\
-            \  \"audit\": {\n\
-            \    \"shards\": %d,\n\
-            \    \"members\": %d,\n\
-            \    \"points\": %d,\n\
-            \    \"runs\": %d,\n\
-            \    \"full\": %d,\n\
-            \    \"partial\": %d,\n\
-            \    \"overshoots\": %d,\n\
-            \    \"truncations\": %d,\n\
-            %s\n\
-            \  }"
-            o.Core.Torture.st_shards o.Core.Torture.st_members o.Core.Torture.st_points
-            o.Core.Torture.st_runs o.Core.Torture.st_full o.Core.Torture.st_partial
-            o.Core.Torture.st_overshoots o.Core.Torture.st_truncations problems_json
-      in
       Printf.fprintf oc
         "{\n\
         \  \"collection\": %S,\n\
@@ -1443,13 +1252,10 @@ let shard_cmd =
         \  \"replicas\": %d,\n\
         \  \"rows\": [\n%s\n  ]%s\n\
          }\n"
-        name scale (List.length queries) k replicas rows_json audit_json;
+        name scale (List.length queries) k replicas rows_json (audit_json outcome);
       close_out oc);
-    let failed =
-      (not all_exact)
-      || match outcome with Some o -> not (Core.Torture.shard_ok o) | None -> false
-    in
-    if failed then exit 1
+    if not all_exact then exit 1;
+    Option.iter exit_on_problems outcome
   in
   let doc =
     "Scatter-gather a query set over doc-partitioned shards (each a replicated store behind \

@@ -21,7 +21,7 @@
     to wholly the old index or wholly the new one, and {!open_}
     replays exactly the WAL suffix past the recovered frontier: no
     acknowledged document is ever lost or applied twice
-    ({!Core.Torture.run_ingest} enumerates every crash point and
+    ({!Core.Torture.ingest} enumerates every crash point and
     proves it).
 
     {b Union queries.}  {!search} evaluates against disk ∪ memory with

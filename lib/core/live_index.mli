@@ -31,7 +31,7 @@
     COW writes, the sealed root and the header switch ride {e one}
     transaction whose CRC-sealed commit record is the single commit
     point: a crash recovers to wholly the old epoch or wholly the new
-    one, never a torn mix ({!Core.Torture.run_epoch} enumerates every
+    one, never a torn mix ({!Core.Torture.epoch} enumerates every
     crash point and proves it).  Readers {!pin} an epoch and
     {!search_pinned} against it with bit-identical rankings no matter
     how much mutation follows; {!gc} reclaims stale objects only when

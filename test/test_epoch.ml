@@ -24,41 +24,24 @@ let queries =
 (* --- crash-point enumeration (the tentpole audit) ------------------ *)
 
 let test_every_epoch_point_recovers_whole () =
-  let o = Core.Torture.run_epoch ~seed:42 ~docs:6 () in
-  Alcotest.(check bool) "workload performs I/O" true (o.Core.Torture.e_points > 30);
+  let r = Core.Torture.(sweep (prepare (epoch ~seed:42 ~docs:6 ()))) in
+  let count name = List.assoc name r.Core.Torture.counts in
+  Alcotest.(check bool) "workload performs I/O" true (r.Core.Torture.points > 30);
   Alcotest.(check (list (pair int string)))
-    "no invariant violations" [] o.Core.Torture.e_problems;
-  Alcotest.(check int) "every point audited" o.Core.Torture.e_points
-    (o.Core.Torture.e_opened + o.Core.Torture.e_unopenable);
-  Alcotest.(check bool) "most crash images open" true
-    (o.Core.Torture.e_opened > o.Core.Torture.e_unopenable);
+    "no invariant violations" [] r.Core.Torture.problems;
+  Alcotest.(check bool) "most crash images open" true (count "opened" > count "unopenable");
   (* Crashes before the commit record seals leave the old epoch ... *)
-  Alcotest.(check bool) "some roots wholly old" true (o.Core.Torture.e_wholly_old > 0);
+  Alcotest.(check bool) "some roots wholly old" true (count "wholly_old" > 0);
   (* ... crashes after it leave the new one — never a mix. *)
-  Alcotest.(check bool) "some roots wholly new" true (o.Core.Torture.e_wholly_new > 0);
-  Alcotest.(check bool) "some logs replayed" true (o.Core.Torture.e_replayed > 0);
-  Alcotest.(check bool) "some logs discarded" true (o.Core.Torture.e_discarded > 0);
-  Alcotest.(check bool) "golden gc reclaimed retired epochs" true
-    (o.Core.Torture.e_reclaimed > 0)
+  Alcotest.(check bool) "some roots wholly new" true (count "wholly_new" > 0);
+  Alcotest.(check bool) "some logs replayed" true (count "replayed" > 0);
+  Alcotest.(check bool) "some logs discarded" true (count "discarded" > 0);
+  Alcotest.(check bool) "golden gc reclaimed retired epochs" true (count "reclaimed" > 0)
 
 let prop_random_epoch_crash_point_whole =
-  let plans = Hashtbl.create 4 in
-  let plan_for seed =
-    match Hashtbl.find_opt plans seed with
-    | Some p -> p
-    | None ->
-      let p = Core.Torture.prepare_epoch ~seed ~docs:5 () in
-      Hashtbl.add plans seed p;
-      p
-  in
-  QCheck.Test.make ~name:"random epoch workload, random crash point recovers whole" ~count:30
-    QCheck.(pair (int_range 1 3) (int_range 0 999))
-    (fun (seed, frac) ->
-      let plan = plan_for seed in
-      let n = Core.Torture.epoch_points plan in
-      let k = 1 + (frac * n / 1000) in
-      let r = Core.Torture.run_epoch_point plan k in
-      r.Core.Torture.problems = [])
+  Test_torture.prop_random_crash_point
+    ~name:"random epoch workload, random crash point recovers whole" ~count:30 ~seeds:3
+    (fun seed -> Core.Torture.epoch ~seed ~docs:5 ())
 
 (* --- statistics drift under randomized churn ----------------------- *)
 

@@ -78,40 +78,23 @@ let test_union_matches_twin () =
 (* --- crash-point enumeration (the tentpole audit) ------------------ *)
 
 let test_every_ingest_point_recovers_exactly_once () =
-  let o = Core.Torture.run_ingest ~seed:42 ~docs:8 () in
-  Alcotest.(check bool) "workload performs I/O" true (o.Core.Torture.i_points > 30);
+  let r = Core.Torture.(sweep (prepare (ingest ~seed:42 ~docs:8 ()))) in
+  let count name = List.assoc name r.Core.Torture.counts in
+  Alcotest.(check bool) "workload performs I/O" true (r.Core.Torture.points > 30);
   Alcotest.(check (list (pair int string)))
-    "no invariant violations" [] o.Core.Torture.i_problems;
-  Alcotest.(check int) "every point audited" o.Core.Torture.i_points
-    (o.Core.Torture.i_opened + o.Core.Torture.i_unopenable);
-  Alcotest.(check bool) "every crash image opens" true (o.Core.Torture.i_unopenable = 0);
+    "no invariant violations" [] r.Core.Torture.problems;
+  Alcotest.(check bool) "every crash image opens" true (count "unopenable" = 0);
   (* Crashes before a fold's commit record seals leave the old root ... *)
-  Alcotest.(check bool) "some roots wholly old" true (o.Core.Torture.i_wholly_old > 0);
+  Alcotest.(check bool) "some roots wholly old" true (count "wholly_old" > 0);
   (* ... crashes after it leave the new one — never a mix. *)
-  Alcotest.(check bool) "some roots wholly new" true (o.Core.Torture.i_wholly_new > 0);
-  Alcotest.(check bool) "merge folded repeatedly" true (o.Core.Torture.i_folds > 1);
-  Alcotest.(check bool) "recovery redelivered WAL records" true
-    (o.Core.Torture.i_redelivered > 0)
+  Alcotest.(check bool) "some roots wholly new" true (count "wholly_new" > 0);
+  Alcotest.(check bool) "merge folded repeatedly" true (count "folds" > 1);
+  Alcotest.(check bool) "recovery redelivered WAL records" true (count "redelivered" > 0)
 
 let prop_random_ingest_crash_point =
-  let plans = Hashtbl.create 4 in
-  let plan_for seed =
-    match Hashtbl.find_opt plans seed with
-    | Some p -> p
-    | None ->
-      let p = Core.Torture.prepare_ingest ~seed ~docs:5 () in
-      Hashtbl.add plans seed p;
-      p
-  in
-  QCheck.Test.make ~name:"random ingest workload, random crash point recovers exactly once"
-    ~count:30
-    QCheck.(pair (int_range 1 3) (int_range 0 999))
-    (fun (seed, frac) ->
-      let plan = plan_for seed in
-      let n = Core.Torture.ingest_points plan in
-      let k = 1 + (frac * n / 1000) in
-      let r = Core.Torture.run_ingest_point plan k in
-      r.Core.Torture.i_problems = [])
+  Test_torture.prop_random_crash_point
+    ~name:"random ingest workload, random crash point recovers exactly once" ~count:30
+    ~seeds:3 (fun seed -> Core.Torture.ingest ~seed ~docs:5 ())
 
 (* --- WAL recovery without any fold --------------------------------- *)
 

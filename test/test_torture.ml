@@ -2,86 +2,125 @@
    crash point, and every crash image must recover to a consistent
    store; deliberate media corruption must be detected, never served. *)
 
-let test_every_crash_point_recovers () =
-  let o = Core.Torture.run ~seed:42 ~docs:10 ~update_batches:3 () in
-  Alcotest.(check bool) "workload performs I/O" true (o.Core.Torture.crash_points > 30);
-  Alcotest.(check (list (pair int string))) "no invariant violations" [] o.Core.Torture.problems;
-  Alcotest.(check int) "every point audited" o.Core.Torture.crash_points
-    (o.Core.Torture.opened + o.Core.Torture.unopenable);
-  Alcotest.(check bool) "most crash images open" true
-    (o.Core.Torture.opened > o.Core.Torture.unopenable);
-  (* Crashes during an apply phase leave a committed log to replay. *)
-  Alcotest.(check bool) "some logs replayed" true (o.Core.Torture.replayed > 0);
-  (* Crashes during a log write leave an uncommitted log to discard. *)
-  Alcotest.(check bool) "some logs discarded" true (o.Core.Torture.discarded > 0)
+let sweep family = Core.Torture.(sweep (prepare family))
+let count r name = List.assoc name r.Core.Torture.counts
 
-(* Random seeds and random crash points — the qcheck angle on the same
-   invariant.  Plans are prepared once per seed and shared. *)
-let prop_random_crash_point_consistent =
+let check_clean r =
+  Alcotest.(check (list (pair int string)))
+    (r.Core.Torture.family ^ ": no invariant violations")
+    [] r.Core.Torture.problems
+
+let test_every_crash_point_recovers () =
+  let r = sweep (Core.Torture.store ~seed:42 ~docs:10 ~update_batches:3 ()) in
+  Alcotest.(check bool) "workload performs I/O" true (r.Core.Torture.points > 30);
+  check_clean r;
+  Alcotest.(check bool) "most crash images open" true (count r "opened" > count r "unopenable");
+  (* Crashes during an apply phase leave a committed log to replay. *)
+  Alcotest.(check bool) "some logs replayed" true (count r "replayed" > 0);
+  (* Crashes during a log write leave an uncommitted log to discard. *)
+  Alcotest.(check bool) "some logs discarded" true (count r "discarded" > 0)
+
+(* The one random-crash-point property, shared by every crash family:
+   a random seed in [1 .. seeds] and a random crash point per case, the
+   replay must be clean.  Plans are prepared once per seed and shared. *)
+let prop_random_crash_point ~name ~count ~seeds family =
   let plans = Hashtbl.create 4 in
   let plan_for seed =
     match Hashtbl.find_opt plans seed with
     | Some p -> p
     | None ->
-      let p = Core.Torture.prepare ~seed ~docs:7 ~update_batches:2 () in
+      let p = Core.Torture.prepare (family seed) in
       Hashtbl.add plans seed p;
       p
   in
-  QCheck.Test.make ~name:"random workload, random crash point recovers" ~count:40
-    QCheck.(pair (int_range 1 4) (int_range 0 999))
+  QCheck.Test.make ~name ~count
+    QCheck.(pair (int_range 1 seeds) (int_range 0 999))
     (fun (seed, frac) ->
       let plan = plan_for seed in
-      let n = Core.Torture.crash_points plan in
-      let k = 1 + (frac * n / 1000) in
-      let r = Core.Torture.run_point plan k in
-      r.Core.Torture.problems = [])
+      let k = 1 + (frac * Core.Torture.points plan / 1000) in
+      Core.Torture.replay plan k = [])
+
+let prop_random_crash_point_consistent =
+  prop_random_crash_point ~name:"random workload, random crash point recovers" ~count:40
+    ~seeds:4 (fun seed -> Core.Torture.store ~seed ~docs:7 ~update_batches:2 ())
+
+let prop_random_failover_point_consistent =
+  prop_random_crash_point ~name:"random workload, random primary crash fails over" ~count:30
+    ~seeds:3 (fun seed -> Core.Torture.failover ~seed ~docs:7 ~batches:2 ~standbys:1 ())
+
+(* --- the crash driver ---------------------------------------------- *)
+
+(* Every crash family at a small size, its golden run done once. *)
+let small_plans =
+  lazy
+    (List.map Core.Torture.prepare
+       [
+         Core.Torture.store ~docs:4 ~update_batches:1 ();
+         Core.Torture.failover ~docs:4 ~batches:1 ~standbys:1 ();
+         Core.Torture.epoch ~docs:3 ();
+         Core.Torture.ingest ~docs:3 ();
+         Core.Torture.scrub_repair ~docs:8 ~batches:2 ~standbys:1 ~segment:0 ();
+       ])
+
+let test_replay_outside_points_rejected () =
+  List.iter
+    (fun plan ->
+      let n = Core.Torture.points plan in
+      List.iter
+        (fun k ->
+          match Core.Torture.replay plan k with
+          | _ -> Alcotest.failf "replay %d accepted with %d crash points" k n
+          | exception Invalid_argument _ -> ())
+        [ 0; n + 1 ])
+    (Lazy.force small_plans)
+
+(* The driver hands every crash point to the oracle exactly once: a crash
+   family's first two counts split its points. *)
+let test_driver_audits_every_point () =
+  List.iter
+    (fun plan ->
+      let r = Core.Torture.sweep plan in
+      match r.Core.Torture.counts with
+      | (_, recovered) :: (_, empty) :: _ ->
+        Alcotest.(check int)
+          (r.Core.Torture.family ^ ": every point audited")
+          r.Core.Torture.points (recovered + empty)
+      | _ -> Alcotest.failf "%s report lacks its outcome split" r.Core.Torture.family)
+    (Lazy.force small_plans)
+
+let test_json_escapes_problems () =
+  let r =
+    {
+      Core.Torture.family = "store";
+      points = 1;
+      counts = [ ("opened", 1) ];
+      problems = [ (1, {|generation object holds "gen 3" under C:\torture|}) ];
+    }
+  in
+  let j = Core.Torture.json r in
+  Alcotest.(check bool) "quotes escaped" true (Str_find.contains j {|holds \"gen 3\" under|});
+  Alcotest.(check bool) "backslash escaped" true (Str_find.contains j {|C:\\torture|})
 
 (* --- failover torture --------------------------------------------- *)
 
 let test_every_failover_point_serves_committed_prefix () =
-  let o = Core.Torture.run_failover ~seed:42 ~docs:10 ~batches:3 ~standbys:2 () in
-  Alcotest.(check bool) "workload performs I/O" true (o.Core.Torture.points > 30);
-  Alcotest.(check (list (pair int string))) "no invariant violations" []
-    o.Core.Torture.problems;
-  Alcotest.(check int) "every point audited" o.Core.Torture.points
-    (o.Core.Torture.promoted + o.Core.Torture.empty);
+  let r = sweep (Core.Torture.failover ~seed:42 ~docs:10 ~batches:3 ~standbys:2 ()) in
+  Alcotest.(check bool) "workload performs I/O" true (r.Core.Torture.points > 30);
+  check_clean r;
   (* Once the first batch commits, every later crash leaves a standby
      holding a committed prefix to promote. *)
   Alcotest.(check bool) "most crashes promote a survivor" true
-    (o.Core.Torture.promoted > o.Core.Torture.empty)
-
-let prop_random_failover_point_consistent =
-  let plans = Hashtbl.create 4 in
-  let plan_for seed =
-    match Hashtbl.find_opt plans seed with
-    | Some p -> p
-    | None ->
-      let p = Core.Torture.prepare_failover ~seed ~docs:7 ~batches:2 ~standbys:1 () in
-      Hashtbl.add plans seed p;
-      p
-  in
-  QCheck.Test.make ~name:"random workload, random primary crash fails over" ~count:30
-    QCheck.(pair (int_range 1 3) (int_range 0 999))
-    (fun (seed, frac) ->
-      let plan = plan_for seed in
-      let n = Core.Torture.failover_points plan in
-      let k = 1 + (frac * n / 1000) in
-      let r = Core.Torture.run_failover_point plan k in
-      r.Core.Torture.problems = [])
+    (count r "promoted" > count r "empty")
 
 (* --- scrub torture ------------------------------------------------- *)
 
 let test_scrub_sweep_heals_every_segment () =
-  let o = Core.Torture.run_scrub ~seed:42 ~docs:8 ~batches:2 ~standbys:1 () in
-  Alcotest.(check bool)
-    (Format.asprintf "%a" Core.Torture.pp_scrub_outcome o)
-    true (Core.Torture.scrub_ok o);
-  Alcotest.(check bool) "several segments swept" true (o.Core.Torture.sc_segments > 2);
-  Alcotest.(check int) "primary plus standby" 2 o.Core.Torture.sc_members;
-  Alcotest.(check int) "one heal per rotted segment" o.Core.Torture.sc_segments
-    o.Core.Torture.sc_healed;
-  Alcotest.(check bool) "crash-during-repair points exercised" true
-    (o.Core.Torture.sc_crash_points > 0)
+  let r = Core.Torture.scrub ~seed:42 ~docs:8 ~batches:2 ~standbys:1 () in
+  check_clean r;
+  Alcotest.(check bool) "several segments swept" true (r.Core.Torture.points > 2);
+  Alcotest.(check int) "primary plus standby" 2 (count r "members");
+  Alcotest.(check int) "one heal per rotted segment" r.Core.Torture.points (count r "heals");
+  Alcotest.(check bool) "crash-during-repair points exercised" true (count r "repair_points" > 0)
 
 let test_scrub_budget_sweep_tradeoff () =
   let rows =
@@ -250,21 +289,22 @@ let test_engine_salvages_corrupt_term () =
    I/O (plus blackouts and brownouts) and demand zero silent
    truncations and zero deadline overshoots beyond one fetch. *)
 let test_shard_sweep_is_clean () =
-  let o = Core.Torture.run_shard ~seed:7 ~docs:16 ~shards:2 ~replicas:2 () in
-  List.iter
-    (fun (run, p) -> Printf.printf "shard torture replay %d: %s\n" run p)
-    o.Core.Torture.st_problems;
-  Alcotest.(check bool) "serving I/Os enumerated" true (o.Core.Torture.st_points > 0);
-  Alcotest.(check bool) "partial results exercised" true (o.Core.Torture.st_partial > 0);
-  Alcotest.(check bool) "full-coverage results exercised" true (o.Core.Torture.st_full > 0);
-  Alcotest.(check int) "no overshoots" 0 o.Core.Torture.st_overshoots;
-  Alcotest.(check int) "no truncations" 0 o.Core.Torture.st_truncations;
-  Alcotest.(check bool) "sweep clean" true (Core.Torture.shard_ok o)
+  let r = Core.Torture.shard ~seed:7 ~docs:16 () in
+  check_clean r;
+  Alcotest.(check bool) "serving I/Os enumerated" true (r.Core.Torture.points > 0);
+  Alcotest.(check bool) "partial results exercised" true (count r "partial" > 0);
+  Alcotest.(check bool) "full-coverage results exercised" true (count r "full" > 0);
+  Alcotest.(check int) "no overshoots" 0 (count r "overshoots");
+  Alcotest.(check int) "no truncations" 0 (count r "truncations")
 
 let suite =
   [
     Alcotest.test_case "every crash point recovers" `Quick test_every_crash_point_recovers;
     QCheck_alcotest.to_alcotest prop_random_crash_point_consistent;
+    Alcotest.test_case "replay outside the crash points rejected" `Quick
+      test_replay_outside_points_rejected;
+    Alcotest.test_case "driver audits every crash point" `Quick test_driver_audits_every_point;
+    Alcotest.test_case "report JSON escapes problems" `Quick test_json_escapes_problems;
     Alcotest.test_case "every failover point serves committed prefix" `Quick
       test_every_failover_point_serves_committed_prefix;
     QCheck_alcotest.to_alcotest prop_random_failover_point_consistent;
