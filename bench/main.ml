@@ -265,9 +265,8 @@ let plan_summary () =
 let bench_cache =
   let warm =
     lazy
-      (let rc = Core.Result_cache.create ~name:"bench" () in
-       Core.Result_cache.insert rc ~key:"q|k=10" ~epoch:0 ~coverage:Core.Result_cache.Full
-         ~cost:512 [ (1, 0.42) ];
+      (let rc = Core.Result_cache.create ~capacity_bytes:(1 lsl 20) in
+       Core.Result_cache.insert rc ~key:"q|k=10" ~epoch:0 ~cost:512 [ (1, 0.42) ];
        rc)
   in
   [

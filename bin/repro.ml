@@ -160,9 +160,9 @@ let run_cmd =
       Printf.printf "B            %.0f KB read\n" r.Core.Experiment.kbytes_read;
       List.iter
         (fun (pool, s) ->
-          if s.Mneme.Buffer_pool.refs > 0 then
-            Printf.printf "%-6s buffer %d refs, %d hits\n" pool s.Mneme.Buffer_pool.refs
-              s.Mneme.Buffer_pool.hits)
+          if s.Util.Cache_stats.refs > 0 then
+            Printf.printf "%-6s buffer %d refs, %d hits\n" pool s.Util.Cache_stats.refs
+              s.Util.Cache_stats.hits)
         r.Core.Experiment.buffers
   in
   let doc = "Run one (collection, query set, version) experiment." in

@@ -40,12 +40,12 @@ let () =
       (* Buffer behaviour accumulated across the set. *)
       List.iter
         (fun (pool, s) ->
-          if s.Mneme.Buffer_pool.refs > 0 then
+          if s.Util.Cache_stats.refs > 0 then
             Printf.printf "  %s buffer: %d refs, %d hits (%.0f%%)\n" pool
-              s.Mneme.Buffer_pool.refs s.Mneme.Buffer_pool.hits
+              s.Util.Cache_stats.refs s.Util.Cache_stats.hits
               (100.0
-              *. float_of_int s.Mneme.Buffer_pool.hits
-              /. float_of_int s.Mneme.Buffer_pool.refs))
+              *. float_of_int s.Util.Cache_stats.hits
+              /. float_of_int s.Util.Cache_stats.refs))
         ((Core.Engine.store engine).Core.Index_store.buffer_stats ());
       print_newline ())
     (Collections.Presets.query_sets model);

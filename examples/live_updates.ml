@@ -1,8 +1,7 @@
 (* Dynamic collection maintenance — the capability the paper's systems
    lacked ("addition or deletion of a single document ... requires the
    entire document collection to be re-indexed"), built on the Mneme
-   features the paper highlights as enablers: object relocation and
-   inter-object references (chained large objects).
+   feature the paper highlights as its enabler: object relocation.
 
    Run with: dune exec examples/live_updates.exe *)
 
@@ -63,27 +62,4 @@ let () =
     /. float_of_int (max 1 s.Core.Live_index.file_bytes));
   Printf.printf "Documents now indexed: %d (avg %.1f terms)\n"
     (Core.Live_index.document_count live)
-    (Core.Live_index.avg_doc_length live);
-
-  (* 4. Chained large objects: incremental retrieval and append-only
-        growth via inter-object references. *)
-  print_endline "\nChained large objects (Mneme inter-object references):";
-  let store = Mneme.Store.create vfs "chains.mneme" in
-  let pool = Mneme.Store.add_pool store Mneme.Policy.medium in
-  Mneme.Store.attach_buffer pool (Mneme.Buffer_pool.create ~name:"medium" ~capacity:262144 ());
-  let payload = Bytes.init 50_000 (fun i -> Char.chr (65 + (i mod 26))) in
-  let head = Mneme.Chain.store ~pool ~chunk_payload:4000 payload in
-  Printf.printf "  stored 50 KB as %d chunks (head oid %d)\n"
-    (Mneme.Chain.chunk_count store head)
-    head;
-  Mneme.Store.finalize store;
-  let counters0 = Vfs.counters vfs in
-  let prefix = Mneme.Chain.fetch_prefix store head ~len:1000 in
-  let counters1 = Vfs.counters vfs in
-  Printf.printf "  fetched a 1 KB prefix (%d bytes) reading only %d file bytes\n"
-    (Bytes.length prefix)
-    (counters1.Vfs.bytes_read - counters0.Vfs.bytes_read);
-  Mneme.Chain.append store ~pool ~chunk_payload:4000 head (Bytes.make 2500 'z');
-  Printf.printf "  appended 2.5 KB; chain is now %d bytes in %d chunks\n"
-    (Mneme.Chain.length store head)
-    (Mneme.Chain.chunk_count store head)
+    (Core.Live_index.avg_doc_length live)

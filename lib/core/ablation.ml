@@ -64,10 +64,8 @@ let run_variant ctx ?thresholds ?policies ?policy ?(reserve = true) ?buffers () 
   let interval = Vfs.Clock.diff ~later:k1 ~earlier:k0 in
   let lookups = List.fold_left (fun acc r -> acc + r.Engine.record_lookups) 0 results in
   let large_hit_rate =
-    match List.assoc_opt "large" (session.Index_store.buffer_stats ()) with
-    | Some s when s.Mneme.Buffer_pool.refs > 0 ->
-      float_of_int s.Mneme.Buffer_pool.hits /. float_of_int s.Mneme.Buffer_pool.refs
-    | Some _ | None -> 0.0
+    Option.fold ~none:0.0 ~some:Util.Cache_stats.hit_rate
+      (List.assoc_opt "large" (session.Index_store.buffer_stats ()))
   in
   (* Release the variant's file space in the simulated FS. *)
   let stats =

@@ -73,7 +73,7 @@ type run = {
   record_lookups : int;
   kbytes_read : float;
   postings_scored : int;
-  buffers : (string * Mneme.Buffer_pool.stats) list;
+  buffers : (string * Util.Cache_stats.t) list;
 }
 
 let accesses_per_lookup run =
@@ -149,10 +149,7 @@ let large_buffer_sweep prepared ~queries ~sizes =
       let buffers = Buffer_sizing.with_large (default_buffers prepared) size in
       let run = run_query_set ~buffers prepared Mneme_cache ~queries in
       let hit_rate =
-        match List.assoc_opt "large" run.buffers with
-        | Some stats when stats.Mneme.Buffer_pool.refs > 0 ->
-          float_of_int stats.Mneme.Buffer_pool.hits /. float_of_int stats.Mneme.Buffer_pool.refs
-        | Some _ | None -> 0.0
+        Option.fold ~none:0.0 ~some:Util.Cache_stats.hit_rate (List.assoc_opt "large" run.buffers)
       in
       (size, hit_rate))
     sizes

@@ -49,7 +49,7 @@ type run = {
   record_lookups : int;
   kbytes_read : float;  (** "B" *)
   postings_scored : int;
-  buffers : (string * Mneme.Buffer_pool.stats) list;  (** Mneme versions only *)
+  buffers : (string * Util.Cache_stats.t) list;  (** Mneme versions only *)
 }
 
 val accesses_per_lookup : run -> float

@@ -73,8 +73,7 @@ let create ~replicas ~dict ?df_of ~n_docs ~avg_doc_len ~doc_len ?stopwords ?(ste
   in
   let bcache =
     if block_cache_bytes = 0 then None
-    else
-      Some (Util.Block_cache.create ~capacity_bytes:block_cache_bytes ~name:"frontend.blocks" ())
+    else Some (Util.Block_cache.create ~capacity_bytes:block_cache_bytes)
   in
   (* One budget: every replica's store holds its verified segments as
      frames in the one cache. *)
@@ -99,9 +98,7 @@ let create ~replicas ~dict ?df_of ~n_docs ~avg_doc_len ~doc_len ?stopwords ?(ste
     corrupt_seen = Hashtbl.create 8;
     rcache =
       (if result_cache_bytes = 0 then None
-       else
-         Some
-           (Result_cache.create ~capacity_bytes:result_cache_bytes ~name:"frontend.results" ()));
+       else Some (Result_cache.create ~capacity_bytes:result_cache_bytes));
     bcache;
     now = 0.0;
   }
@@ -257,7 +254,7 @@ let cache_tiers t =
       Array.to_list t.replicas
       |> List.concat_map (fun r -> List.map snd (r.spec.store.Index_store.buffer_stats ()))
     in
-    [ ("buffer", Mneme.Buffer_pool.merge_stats per_replica) ]
+    [ ("buffer", Util.Cache_stats.merge per_replica) ]
   in
   result_tier @ frame_tier @ buffer_tier
 
@@ -332,12 +329,7 @@ let run_query ?(top_k = 100) ?deadline_ms ?floor ?plan t query =
   in
   let probe_hit =
     match (t.rcache, ckey) with
-    | Some rc, Some key ->
-      (* The probe races the deadline like every other step of the
-         query: an already-expired budget is served the degraded-empty
-         way, never from cache. *)
-      let expired = match deadline_ms with Some d -> d <= 0.0 | None -> false in
-      if expired then None else Result_cache.find rc ~key ~epoch:epoch_now
+    | Some rc, Some key -> Result_cache.find rc ~key ~epoch:epoch_now
     | _ -> None
   in
   match probe_hit with
@@ -521,16 +513,14 @@ let run_query ?(top_k = 100) ?deadline_ms ?floor ?plan t query =
       cached = false;
     }
   in
-  (* Fill, re-checking the deadline and coverage: a ranking the deadline
-     clipped, or that lost terms to skips or failed fetches, is Partial
-     and must never be replayed as a full answer.  An epoch that moved
-     mid-query (the serving replica republished) is not inserted at all
+  (* Fill with complete answers only: a ranking the deadline clipped, or
+     that lost terms to skips or failed fetches, must never be replayed
+     as a full answer, so it is not cached at all.  An epoch that moved
+     mid-query (the serving replica republished) is not inserted either
      — its tag would not match what it was computed from. *)
   (match (t.rcache, ckey) with
-  | Some rc, Some key when result.epoch = epoch_now ->
-    let coverage = if result.degraded then Result_cache.Partial else Result_cache.Full in
-    Result_cache.insert rc ~key ~epoch:result.epoch ~coverage
-      ~cost:(ranked_cost ~key result.ranked)
+  | Some rc, Some key when result.epoch = epoch_now && not result.degraded ->
+    Result_cache.insert rc ~key ~epoch:result.epoch ~cost:(ranked_cost ~key result.ranked)
       result.ranked
   | _ -> ());
   result

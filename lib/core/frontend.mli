@@ -217,16 +217,14 @@ val run_query :
     normalised to a canonical key — terms stemmed and stop-filtered the
     way evaluation would, re-printed in canonical syntax, [top_k]
     appended — and probed under the epoch the routed replica serves.  A
-    [Full]-coverage hit is returned immediately with [cached = true]:
-    zero fetches, zero decodes, zero simulated latency.  On a miss the
-    computed ranking is inserted under the epoch it was computed at;
-    degraded results are recorded with [Partial] coverage, which the
-    probe never serves — a deadline-clipped ranking is recomputed, not
-    replayed.  Floored queries bypass the cache entirely (the floor
-    changes the answer).  The probe and the fill both re-check the
-    deadline, so a stalled replica cannot smuggle a blown budget into
-    the cache (see the [Vfs.Fault.Stall] regression test).  The
-    block cache needs no such care: it changes which segments are
+    hit is returned immediately with [cached = true]: zero fetches, zero
+    decodes, zero simulated latency.  On a miss a complete ranking is
+    inserted under the epoch it was computed at; a degraded one is not
+    inserted at all, so a deadline-clipped ranking is recomputed, not
+    replayed, and a stalled replica cannot smuggle a blown budget into
+    the cache (see the [Vfs.Fault.Stall] regression test).  Floored
+    queries bypass the cache entirely (the floor changes the answer).
+    The block cache needs no such care: it changes which segments are
     re-read, never what any query answers.
     A segment becomes a frame only after it passes its CRC32 check, so
     a [Corrupt] read never enters it and the next query reads that
@@ -249,7 +247,7 @@ val cache_tiers : t -> (string * Util.Cache_stats.t) list
 (** Per-tier counters, top down: [("result", …)] when the result cache
     is enabled; [("frame", …)] (verified segments, probed after a
     buffer miss) when the block cache is; then [("buffer", …)] — the
-    replica buffer pools merged with {!Mneme.Buffer_pool.merge_stats}.
+    replica buffer pools merged with {!Util.Cache_stats.merge}.
     The Table-6-style tier report of [repro cache]. *)
 
 val retain_cached_epochs : t -> keep:(int -> bool) -> int

@@ -2,7 +2,7 @@ type t = {
   name : string;
   fetch : Inquery.Dictionary.entry -> bytes option;
   reserve : Inquery.Dictionary.entry list -> unit -> unit;
-  buffer_stats : unit -> (string * Mneme.Buffer_pool.stats) list;
+  buffer_stats : unit -> (string * Util.Cache_stats.t) list;
   reset_buffer_stats : unit -> unit;
   file_size : unit -> int;
   epoch : unit -> int;

@@ -14,7 +14,7 @@ type t = {
       (** Pin already-resident records before query processing; the
           returned thunk releases them.  A no-op for backends without
           user-space caching. *)
-  buffer_stats : unit -> (string * Mneme.Buffer_pool.stats) list;
+  buffer_stats : unit -> (string * Util.Cache_stats.t) list;
       (** Per-buffer reference/hit statistics (empty for the B-tree). *)
   reset_buffer_stats : unit -> unit;
   file_size : unit -> int;

@@ -214,16 +214,10 @@ let table6 ctx =
               (fun pool ->
                 match List.assoc_opt pool r.Experiment.buffers with
                 | Some s ->
-                  let rate =
-                    if s.Mneme.Buffer_pool.refs = 0 then 0.0
-                    else
-                      float_of_int s.Mneme.Buffer_pool.hits
-                      /. float_of_int s.Mneme.Buffer_pool.refs
-                  in
                   [
-                    string_of_int s.Mneme.Buffer_pool.refs;
-                    string_of_int s.Mneme.Buffer_pool.hits;
-                    Util.Tables.fmt_float rate;
+                    string_of_int s.Util.Cache_stats.refs;
+                    string_of_int s.Util.Cache_stats.hits;
+                    Util.Tables.fmt_float (Util.Cache_stats.hit_rate s);
                   ]
                 | None -> [ "0"; "0"; "0.00" ])
               [ "small"; "medium"; "large" ]

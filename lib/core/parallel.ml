@@ -20,7 +20,7 @@ type report = {
   worker_sim_ms : float array;
   worker_queries : int array;
   steals : int;
-  buffers : (string * Mneme.Buffer_pool.stats) list;
+  buffers : (string * Util.Cache_stats.t) list;
   audited : bool;
 }
 
@@ -116,12 +116,12 @@ let ranked_of_mode ~mode ~top_k engine text =
 
 (* Bit-identity: same documents in the same order with the exact same
    belief bits — the contract eval_topk's audit uses. *)
-let check_identical ~what ~q_index ~parallel ~serial =
+let check_identical ~q_index ~parallel ~serial =
   let fail fmt =
     Printf.ksprintf (fun msg -> raise (Audit_mismatch msg)) ("query %d: " ^^ fmt) q_index
   in
   let np = List.length parallel and ns = List.length serial in
-  if np <> ns then fail "%s returned %d documents in parallel, %d serially" what np ns;
+  if np <> ns then fail "ranking returned %d documents in parallel, %d serially" np ns;
   List.iteri
     (fun pos (p, s) ->
       if p.Inquery.Ranking.doc <> s.Inquery.Ranking.doc then
@@ -193,7 +193,7 @@ let run_query_set ?(domains = 1) ?(audit = false) ?(mode = Batch) ?(top_k = 100)
             |> List.filter_map (fun s ->
                    List.assoc_opt pool (s.s_store.Index_store.buffer_stats ()))
           in
-          (pool, Mneme.Buffer_pool.merge_stats per_session))
+          (pool, Util.Cache_stats.merge per_session))
         first
   in
   if audit then begin
@@ -203,7 +203,7 @@ let run_query_set ?(domains = 1) ?(audit = false) ?(mode = Batch) ?(top_k = 100)
     Array.iteri
       (fun i o ->
         let ranked = ranked_of_mode ~mode ~top_k serial.s_engine queries_arr.(i) in
-        check_identical ~what:"ranking" ~q_index:i ~parallel:o.q_ranked ~serial:ranked)
+        check_identical ~q_index:i ~parallel:o.q_ranked ~serial:ranked)
       outcomes
   end;
   {
@@ -219,89 +219,4 @@ let run_query_set ?(domains = 1) ?(audit = false) ?(mode = Batch) ?(top_k = 100)
     steals = Array.fold_left (fun acc (_, s) -> acc + s) 0 per_worker;
     buffers = buffers_merged;
     audited = audit;
-  }
-
-(* ------------------------------------------------------------------ *)
-
-type frontend_outcome = {
-  f_index : int;
-  f_domain : int;
-  f_ranked : Inquery.Ranking.ranked list;
-  f_degraded : bool;
-  f_sim_ms : float;
-}
-
-type frontend_report = {
-  f_domains : int;
-  f_n_queries : int;
-  f_outcomes : frontend_outcome array;
-  f_sim_makespan_ms : float;
-  f_sim_serial_ms : float;
-  f_real_elapsed_ms : float;
-  f_worker_queries : int array;
-  f_steals : int;
-  f_audited : bool;
-}
-
-let run_frontend_set ?(domains = 1) ?(audit = false) ?(top_k = 100) ?deadline_ms ?buffers
-    ?(configure = fun ~domain:_ _ -> ()) prepared ~names ~queries =
-  if domains <= 0 then invalid_arg "Parallel.run_frontend_set: domains must be positive";
-  if audit && deadline_ms <> None then
-    invalid_arg
-      "Parallel.run_frontend_set: audit is incompatible with a deadline (deadline \
-       degradation is breaker-state-dependent)";
-  let frontends =
-    Array.init domains (fun w ->
-        let fe = Frontend.of_prepared ?buffers prepared ~names in
-        configure ~domain:w fe;
-        fe)
-  in
-  let queries_arr = Array.of_list queries in
-  let n = Array.length queries_arr in
-  let slots = Array.make (max 1 n) None in
-  let serve ~domain i =
-    let r = Frontend.run_query_string ~top_k ?deadline_ms frontends.(domain) queries_arr.(i) in
-    slots.(i) <-
-      Some
-        {
-          f_index = i;
-          f_domain = domain;
-          f_ranked = r.Frontend.ranked;
-          f_degraded = r.Frontend.degraded;
-          f_sim_ms = r.Frontend.elapsed_ms;
-        }
-  in
-  let t0 = Vfs.Clock.Monotonic.now_ns () in
-  let per_worker = run_pool ~domains ~n ~serve in
-  let f_real_elapsed_ms = Vfs.Clock.Monotonic.elapsed_ms ~since:t0 in
-  let outcomes =
-    Array.init n (fun i ->
-        match slots.(i) with
-        | Some o -> o
-        | None -> raise (Audit_mismatch (Printf.sprintf "query %d was never served" i)))
-  in
-  let worker_sim_ms = Array.make domains 0.0 in
-  Array.iter
-    (fun o -> worker_sim_ms.(o.f_domain) <- worker_sim_ms.(o.f_domain) +. o.f_sim_ms)
-    outcomes;
-  if audit then begin
-    let serial = Frontend.of_prepared ?buffers prepared ~names in
-    configure ~domain:(-1) serial;
-    Array.iteri
-      (fun i o ->
-        let r = Frontend.run_query_string ~top_k serial queries_arr.(i) in
-        check_identical ~what:"frontend ranking" ~q_index:i ~parallel:o.f_ranked
-          ~serial:r.Frontend.ranked)
-      outcomes
-  end;
-  {
-    f_domains = domains;
-    f_n_queries = n;
-    f_outcomes = outcomes;
-    f_sim_makespan_ms = Array.fold_left max 0.0 worker_sim_ms;
-    f_sim_serial_ms = Array.fold_left ( +. ) 0.0 worker_sim_ms;
-    f_real_elapsed_ms;
-    f_worker_queries = Array.map fst per_worker;
-    f_steals = Array.fold_left (fun acc (_, s) -> acc + s) 0 per_worker;
-    f_audited = audit;
   }

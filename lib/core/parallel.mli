@@ -58,8 +58,8 @@ type report = {
   worker_sim_ms : float array;
   worker_queries : int array;
   steals : int;
-  buffers : (string * Mneme.Buffer_pool.stats) list;
-      (** per-pool, merged across workers with {!Mneme.Buffer_pool.merge_stats} *)
+  buffers : (string * Util.Cache_stats.t) list;
+      (** per-pool, merged across workers with {!Util.Cache_stats.merge} *)
   audited : bool;
 }
 
@@ -83,48 +83,3 @@ val run_query_set :
     re-run serially on a fresh single session and every query's ranked
     documents and beliefs must match bit-for-bit — raises
     {!Audit_mismatch} otherwise. *)
-
-type frontend_outcome = {
-  f_index : int;
-  f_domain : int;
-  f_ranked : Inquery.Ranking.ranked list;
-  f_degraded : bool;
-  f_sim_ms : float;  (** the frontend's perceived latency for this query *)
-}
-
-type frontend_report = {
-  f_domains : int;
-  f_n_queries : int;
-  f_outcomes : frontend_outcome array;  (** submission order *)
-  f_sim_makespan_ms : float;
-  f_sim_serial_ms : float;
-  f_real_elapsed_ms : float;
-  f_worker_queries : int array;
-  f_steals : int;
-  f_audited : bool;
-}
-
-val run_frontend_set :
-  ?domains:int ->
-  ?audit:bool ->
-  ?top_k:int ->
-  ?deadline_ms:float ->
-  ?buffers:Buffer_sizing.t ->
-  ?configure:(domain:int -> Frontend.t -> unit) ->
-  Experiment.prepared ->
-  names:string list ->
-  queries:string list ->
-  frontend_report
-(** Same executor over replica-group frontends: each worker domain gets
-    its own {!Frontend.t} (built with {!Frontend.of_prepared}, so each
-    worker owns a full replica group over private file copies).
-    [configure] runs once per frontend before serving — aim fault plans
-    at a replica, tweak breakers; the worker index is passed so plans
-    can be deterministic per domain, and the serial audit frontend is
-    configured with [~domain:(-1)].  [audit] compares ranked documents
-    and beliefs against the serial frontend and therefore rejects
-    [deadline_ms] ([Invalid_argument]): deadline degradation depends on
-    accumulated breaker state, which is path-dependent.  Hedging and
-    breaker routing without deadlines do not affect rankings — only
-    which replica pays the fetch — so the audit contract is the same
-    bit-identity as {!run_query_set}. *)

@@ -1,139 +1,15 @@
-type coverage = Full | Partial
+type 'a t = (string, int * 'a) Util.Lru.t (* key -> (epoch, ranking) *)
 
-type 'a node = {
-  key : string;
-  epoch : int;
-  coverage : coverage;
-  value : 'a;
-  cost : int;
-  mutable prev : 'a node option;
-  mutable next : 'a node option;
-}
-
-type 'a t = {
-  rc_name : string;
-  capacity : int;
-  table : (string, 'a node) Hashtbl.t;
-  mutable head : 'a node option; (* most recently used *)
-  mutable tail : 'a node option; (* eviction end *)
-  mutable used : int;
-  mutable n_refs : int;
-  mutable n_hits : int;
-  mutable n_evictions : int;
-  mutable n_invalidations : int;
-}
-
-let create ?(capacity_bytes = 1 lsl 20) ~name () =
-  if capacity_bytes < 0 then invalid_arg "Result_cache.create: negative capacity";
-  {
-    rc_name = name;
-    capacity = capacity_bytes;
-    table = Hashtbl.create 64;
-    head = None;
-    tail = None;
-    used = 0;
-    n_refs = 0;
-    n_hits = 0;
-    n_evictions = 0;
-    n_invalidations = 0;
-  }
-
-let name t = t.rc_name
-let capacity t = t.capacity
-let length t = Hashtbl.length t.table
-
-let unlink t node =
-  (match node.prev with Some p -> p.next <- node.next | None -> t.head <- node.next);
-  (match node.next with Some n -> n.prev <- node.prev | None -> t.tail <- node.prev);
-  node.prev <- None;
-  node.next <- None
-
-let push_front t node =
-  node.next <- t.head;
-  node.prev <- None;
-  (match t.head with Some h -> h.prev <- Some node | None -> t.tail <- Some node);
-  t.head <- Some node
-
-let remove_node t node =
-  unlink t node;
-  Hashtbl.remove t.table node.key;
-  t.used <- t.used - node.cost
+let create ~capacity_bytes = Util.Lru.create ~capacity:capacity_bytes
 
 (* An entry tagged with any other epoch is stale the moment it is seen:
-   purge it on the spot (counted as an invalidation, not an eviction)
-   rather than letting dead epochs squat in the budget until LRU gets
-   around to them. *)
-let find_any t ~key ~epoch =
-  t.n_refs <- t.n_refs + 1;
-  match Hashtbl.find_opt t.table key with
-  | None -> None
-  | Some node when node.epoch <> epoch ->
-    remove_node t node;
-    t.n_invalidations <- t.n_invalidations + 1;
-    None
-  | Some node ->
-    t.n_hits <- t.n_hits + 1;
-    unlink t node;
-    push_front t node;
-    Some (node.value, node.coverage)
-
-let find t ~key ~epoch =
-  match find_any t ~key ~epoch with
-  | Some (v, Full) -> Some v
-  | Some (_, Partial) | None -> None
-
-let insert t ~key ~epoch ~coverage ~cost v =
-  if cost < 0 then invalid_arg "Result_cache.insert: negative cost";
-  if t.capacity > 0 then begin
-    (match Hashtbl.find_opt t.table key with Some old -> remove_node t old | None -> ());
-    let node = { key; epoch; coverage; value = v; cost; prev = None; next = None } in
-    Hashtbl.add t.table key node;
-    push_front t node;
-    t.used <- t.used + cost;
-    while t.used > t.capacity && t.tail <> None do
-      match t.tail with
-      | None -> ()
-      | Some victim ->
-        remove_node t victim;
-        t.n_evictions <- t.n_evictions + 1
-    done
-  end
-
-let retain t ~keep =
-  let doomed =
-    Hashtbl.fold (fun _ node acc -> if keep node.epoch then acc else node :: acc) t.table []
-  in
-  List.iter
-    (fun node ->
-      remove_node t node;
-      t.n_invalidations <- t.n_invalidations + 1)
-    doomed;
-  List.length doomed
-
-let clear t =
-  t.n_invalidations <- t.n_invalidations + Hashtbl.length t.table;
-  Hashtbl.reset t.table;
-  t.head <- None;
-  t.tail <- None;
-  t.used <- 0
+   the probe purges it on the spot rather than letting dead epochs squat
+   in the budget until LRU gets around to them. *)
+let find t ~key ~epoch = Option.map snd (Util.Lru.find t key ~stale:(fun (e, _) -> e <> epoch))
+let insert t ~key ~epoch ~cost v = Util.Lru.add t key ~cost (epoch, v)
+let retain t ~keep = Util.Lru.retain t ~keep:(fun _ (epoch, _) -> keep epoch)
 
 let epochs t =
-  let seen = Hashtbl.create 8 in
-  Hashtbl.iter (fun _ node -> Hashtbl.replace seen node.epoch ()) t.table;
-  Hashtbl.fold (fun e () acc -> e :: acc) seen [] |> List.sort compare
+  Util.Lru.fold t ~init:[] ~f:(fun acc _ (epoch, _) -> epoch :: acc) |> List.sort_uniq compare
 
-let stats t =
-  {
-    Util.Cache_stats.refs = t.n_refs;
-    hits = t.n_hits;
-    evictions = t.n_evictions;
-    invalidations = t.n_invalidations;
-    resident_bytes = t.used;
-    resident_entries = Hashtbl.length t.table;
-  }
-
-let reset_stats t =
-  t.n_refs <- 0;
-  t.n_hits <- 0;
-  t.n_evictions <- 0;
-  t.n_invalidations <- 0
+let stats = Util.Lru.stats

@@ -1,9 +1,12 @@
-(** Query-result cache: the top tier of the read-path ladder.
+(** Query-result cache: the top tier of the read-path ladder, a facade
+    over {!Util.Lru}.
 
     Maps a {e canonical query key} — the caller's normalised rendering
     of (query, k, evaluation preset) — to a finished ranking, under a
     byte budget with LRU replacement.  A hit answers the query without
-    touching the dictionary, the store, or the evaluator at all.
+    touching the dictionary, the store, or the evaluator at all.  Only
+    complete answers are inserted: a degraded ranking (deadline-clipped,
+    missing terms or shards) is never cached.
 
     {b Epoch coherence.}  Every entry is tagged with the index epoch it
     was computed under.  {!find} takes the epoch the caller is serving
@@ -15,47 +18,23 @@
     hook drop stale entries eagerly, and after garbage collection
     {!epochs} verifies no entry survives under a collected epoch.
 
-    {b Coverage.}  Entries record whether the ranking covered the whole
-    index ({!Full}) or was degraded — deadline-clipped, missing terms,
-    or missing shards ({!Partial}).  {!find} serves only [Full] entries;
-    a cached partial is never served as a full answer.  ({!find_any}
-    exposes partials for callers that can legitimately re-serve a
-    degraded answer as degraded.)
-
     Values are polymorphic; the caller supplies each entry's budget
-    charge, since the cache cannot size arbitrary ['a].
-
-    Statistics are the unified {!Util.Cache_stats.t}, so the tier report
-    merges this cache with the segment-frame cache and the buffer pool
-    in one fold.  Like the other tiers, a [t] is single-domain. *)
-
-type coverage =
-  | Full  (** complete answer over the whole index at the entry's epoch *)
-  | Partial  (** degraded: never served by {!find} *)
+    charge, since the cache cannot size arbitrary ['a].  Recency,
+    eviction and the {!Util.Cache_stats.t} counters are {!Util.Lru}'s.
+    Like the other tiers, a [t] is single-domain. *)
 
 type 'a t
 
-val create : ?capacity_bytes:int -> name:string -> unit -> 'a t
-(** [capacity_bytes] defaults to 1 MiB; 0 disables the cache ({!insert}
-    becomes a no-op, so every probe misses).  Raises [Invalid_argument]
-    if negative. *)
-
-val name : 'a t -> string
-val capacity : 'a t -> int
-
-val length : 'a t -> int
-(** Resident entries. *)
+val create : capacity_bytes:int -> 'a t
+(** [0] disables the cache ({!insert} drops, so every probe misses).
+    Raises [Invalid_argument] if negative. *)
 
 val find : 'a t -> key:string -> epoch:int -> 'a option
-(** Probe for a [Full] entry computed at exactly [epoch].  Counts one
+(** Probe for an entry computed at exactly [epoch].  Counts one
     reference; a hit refreshes recency.  An entry under any other epoch
     is purged (one invalidation) and reported as a miss. *)
 
-val find_any : 'a t -> key:string -> epoch:int -> ('a * coverage) option
-(** Like {!find} but also returns [Partial] entries, with their
-    coverage, for callers serving degraded answers as degraded. *)
-
-val insert : 'a t -> key:string -> epoch:int -> coverage:coverage -> cost:int -> 'a -> unit
+val insert : 'a t -> key:string -> epoch:int -> cost:int -> 'a -> unit
 (** Insert (replacing any entry under the same key) and evict from the
     LRU tail until the budget holds.  [cost] is the entry's byte charge;
     raises [Invalid_argument] if negative. *)
@@ -66,13 +45,8 @@ val retain : 'a t -> keep:(int -> bool) -> int
     epoch-publication hook calls this with [keep = (fun e -> e = live)]
     or a pinned-epoch predicate after GC. *)
 
-val clear : 'a t -> unit
-(** Drop everything (all counted as invalidations); statistics are
-    kept. *)
-
 val epochs : 'a t -> int list
 (** Distinct epochs tagging resident entries, ascending — the torture
     harness checks no collected epoch lingers here. *)
 
 val stats : 'a t -> Util.Cache_stats.t
-val reset_stats : 'a t -> unit

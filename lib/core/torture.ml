@@ -1639,8 +1639,8 @@ let cache () =
       ~file:cache_file ()
   in
   let store = Option.get (Live_index.mneme_store live) in
-  let rc = Result_cache.create ~capacity_bytes:(1 lsl 16) ~name:"torture.results" () in
-  let bc = Util.Block_cache.create ~capacity_bytes:(1 lsl 18) ~name:"torture.blocks" () in
+  let rc = Result_cache.create ~capacity_bytes:(1 lsl 16) in
+  let bc = Util.Block_cache.create ~capacity_bytes:(1 lsl 18) in
   Mneme.Store.set_frames store (Some bc);
   let pins = ref [] in
   (* newest first *)
@@ -1696,9 +1696,7 @@ let cache () =
         | None ->
           if expect_hits then note log m "query %d: entry filled this epoch did not hit" qi
           else
-            Result_cache.insert rc ~key ~epoch ~coverage:Result_cache.Full
-              ~cost:(64 + (40 * List.length golden))
-              golden)
+            Result_cache.insert rc ~key ~epoch ~cost:(64 + (40 * List.length golden)) golden)
       queries
   in
   let ids = Array.make (Array.length doc_arr) (-1) in

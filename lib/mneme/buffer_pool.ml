@@ -24,15 +24,6 @@ type t = {
   mutable n_invalidations : int;
 }
 
-type stats = Util.Cache_stats.t = {
-  refs : int;
-  hits : int;
-  evictions : int;
-  invalidations : int;
-  resident_bytes : int;
-  resident_entries : int;
-}
-
 let create ~name ~capacity ?(policy = Lru) () =
   if capacity < 0 then invalid_arg "Buffer_pool.create: negative capacity";
   {
@@ -190,7 +181,7 @@ let pinned_segments t =
 
 let stats t =
   {
-    refs = t.n_refs;
+    Util.Cache_stats.refs = t.n_refs;
     hits = t.n_hits;
     evictions = t.n_evictions;
     invalidations = t.n_invalidations;
@@ -203,5 +194,3 @@ let reset_stats t =
   t.n_hits <- 0;
   t.n_evictions <- 0;
   t.n_invalidations <- 0
-
-let merge_stats = Util.Cache_stats.merge

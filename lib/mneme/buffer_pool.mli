@@ -25,23 +25,14 @@
     domain.  The multicore query executor ({!Core.Parallel}) therefore
     gives each worker domain its own buffer session over its own
     read-only store image — no lock on the fault path — and merges the
-    per-session counters afterwards with {!merge_stats}, which restores
-    the single-session Table 6 totals exactly (references and hits are
-    plain sums; residency is whatever each session held at merge
-    time). *)
+    per-session counters afterwards with {!Util.Cache_stats.merge},
+    which restores the single-session Table 6 totals exactly (references
+    and hits are plain sums; residency is whatever each session held at
+    merge time). *)
 
 type policy = Lru | Fifo | Clock
 
 type t
-
-type stats = Util.Cache_stats.t = {
-  refs : int;
-  hits : int;
-  evictions : int;
-  invalidations : int;  (** {!drop}ped or {!clear}ed segments *)
-  resident_bytes : int;
-  resident_entries : int;
-}
 
 val create : name:string -> capacity:int -> ?policy:policy -> unit -> t
 (** [capacity] is in bytes; 0 means transient.  Raises
@@ -86,10 +77,7 @@ val drop : t -> pseg:int -> unit
 val clear : t -> unit
 (** Evict everything, pinned included; statistics are kept. *)
 
-val stats : t -> stats
-val reset_stats : t -> unit
+val stats : t -> Util.Cache_stats.t
+(** Invalidations are {!drop}ped or {!clear}ed segments. *)
 
-val merge_stats : stats list -> stats
-(** Component-wise sum — one paper-faithful Table 6 report from the
-    per-domain buffer sessions of a parallel run.  [merge_stats []] is
-    all zeros. *)
+val reset_stats : t -> unit

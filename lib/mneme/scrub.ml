@@ -6,45 +6,28 @@ type item = { it_pool : Store.pool; it_damage : damage }
 
 type t = {
   store : Store.t;
-  live_only : bool;
   mutable census : item array; (* pools in registration order, psegs ascending *)
   mutable cursor : int;
   mutable bytes_done : int;
   mutable found : damage list; (* reverse walk order *)
 }
 
-let live_psegs pool =
-  (* Physical segments owning at least one live slot.  Epoch GC can
-     drain a segment completely; its bytes are then stranded, not
-     served, so a live-only scrub skips re-reading them. *)
-  let tbl = Hashtbl.create 16 in
-  List.iter
-    (fun (_, slots) ->
-      Array.iter (fun pseg -> if pseg >= 0 then Hashtbl.replace tbl pseg ()) slots)
-    (Store.pool_slot_tables pool);
-  tbl
-
-let take_census ~live_only store =
+let take_census store =
   Store.pools store
   |> List.concat_map (fun pool ->
          let pname = Store.pool_name pool in
-         let live = if live_only then Some (live_psegs pool) else None in
          Store.pool_segments pool
          |> List.filter_map (fun (pseg, (off, len)) ->
-                match live with
-                | Some tbl when not (Hashtbl.mem tbl pseg) -> None
-                | _ -> (
-                  match Store.segment_crc pool pseg with
-                  | None -> None
-                  | Some crc ->
-                    Some { it_pool = pool; it_damage = { pool = pname; pseg; off; len; crc } })))
+                match Store.segment_crc pool pseg with
+                | None -> None
+                | Some crc ->
+                  Some { it_pool = pool; it_damage = { pool = pname; pseg; off; len; crc } }))
   |> Array.of_list
 
-let create ?(live_only = false) store =
-  { store; live_only; census = take_census ~live_only store; cursor = 0; bytes_done = 0; found = [] }
+let create store = { store; census = take_census store; cursor = 0; bytes_done = 0; found = [] }
 
 let restart t =
-  t.census <- take_census ~live_only:t.live_only t.store;
+  t.census <- take_census t.store;
   t.cursor <- 0;
   t.bytes_done <- 0;
   t.found <- []
@@ -79,8 +62,8 @@ let step ?max_segments ?max_bytes t =
   done;
   progress t
 
-let run ?live_only store =
-  let t = create ?live_only store in
+let run store =
+  let t = create store in
   ignore (step t);
   damages t
 

@@ -36,15 +36,12 @@ type progress = {
 
 type t
 
-val create : ?live_only:bool -> Store.t -> t
+val create : Store.t -> t
 (** Snapshot the store's segment census and start a pass at the first
     segment.  The census is taken once: segments flushed after [create]
-    are picked up by the next pass ({!restart}).  With [~live_only:true]
-    (default false) the census keeps only segments owning at least one
-    live slot — segments fully drained by epoch GC ({!Epoch}) hold no
-    servable object, so scrubbing them is wasted I/O.  The scrub is
-    otherwise epoch-transparent: stale-but-pinned objects live in
-    segments with live slots and are verified like any other. *)
+    are picked up by the next pass ({!restart}).  The scrub is
+    epoch-transparent: every flushed segment is verified, whether it
+    holds live, pinned or stranded objects. *)
 
 val step : ?max_segments:int -> ?max_bytes:int -> t -> progress
 (** Verify segments until a budget trips: at most [max_segments]
@@ -65,7 +62,7 @@ val restart : t -> unit
 (** Begin a fresh pass over the store's current segment census,
     clearing the worklist. *)
 
-val run : ?live_only:bool -> Store.t -> damage list
+val run : Store.t -> damage list
 (** One unbudgeted pass over a store: [create] + [step] to completion,
     returning the worklist. *)
 

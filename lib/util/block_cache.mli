@@ -1,4 +1,5 @@
-(** Bounded LRU of verified Mneme segment images.
+(** Bounded LRU of verified Mneme segment images: a facade over
+    {!Lru}.
 
     High-df terms recur across queries (the paper's Figure 2 skew), so
     the segments holding their inverted lists are worth keeping.  A
@@ -11,7 +12,8 @@
 
     Frames are keyed by [(owner, segment id)]: the owner names one pool
     of one store session, so replicas of an image, or a compacted copy,
-    never share a frame.  They rest on the store's invariant: {b a
+    never share a frame.  Each is charged its length plus a fixed
+    48-byte overhead.  Frames rest on the store's invariant: {b a
     flushed segment id names one immutable image per store session} —
     allocation writes only the open segment or new ones, and the two
     paths that rewrite a flushed segment in place replace its frame.  A
@@ -21,18 +23,15 @@
     readers) and {!epochs} lets tests assert that no collected epoch is
     still represented.
 
-    Like the buffer pool, a [t] is single-domain; give each worker its
-    own and {!Cache_stats.merge} the counters. *)
+    Recency, eviction and the counters are {!Lru}'s.  Like the buffer
+    pool, a [t] is single-domain. *)
 
 type t
 
-val create : ?capacity_bytes:int -> name:string -> unit -> t
-(** [capacity_bytes] (default 1 MiB) bounds the resident frames; [0]
-    disables the cache (probes miss, inserts drop).  Raises
-    [Invalid_argument] if negative. *)
-
-val name : t -> string
-val capacity : t -> int
+val create : capacity_bytes:int -> t
+(** [capacity_bytes] bounds the resident frames' charges; [0] disables
+    the cache (probes miss, inserts drop).  Raises [Invalid_argument] if
+    negative. *)
 
 val find_frame : t -> owner:int -> seg:int -> bytes option
 (** The segment image under [(owner, seg)], refreshed to most-recent.
@@ -45,18 +44,14 @@ val frame_resident : t -> owner:int -> seg:int -> bool
 
 val insert_frame : t -> owner:int -> seg:int -> epoch:int -> bytes -> unit
 (** Insert (replacing any frame under the same key), tagged with
-    [epoch], charged the image's length plus a fixed overhead, and
-    evict from the cold end until the budget holds.  The cache keeps
-    the bytes, not a copy: the caller hands over ownership and must
-    insert only an image that passed its CRC check. *)
+    [epoch], and evict from the cold end until the budget holds.  The
+    cache keeps the bytes, not a copy: the caller hands over ownership
+    and must insert only an image that passed its CRC check. *)
 
 val retain : t -> keep:(int -> bool) -> int
 (** [retain t ~keep] drops every frame whose epoch fails [keep],
     returning how many were dropped (counted as invalidations) — the
     epoch-publication/gc invalidation hook. *)
-
-val clear : t -> unit
-(** Drop everything (counted as invalidations); statistics are kept. *)
 
 val epochs : t -> int list
 (** Distinct epochs tagging resident frames, ascending. *)
@@ -64,6 +59,3 @@ val epochs : t -> int list
 val stats : t -> Cache_stats.t
 (** References and hits are {!find_frame} probes; residency counts
     frames and their charged bytes. *)
-
-val reset_stats : t -> unit
-(** Zero the counters; residency is kept. *)

@@ -1,14 +1,15 @@
 (** One counter record for every cache layer.
 
-    The buffer pool, the segment-frame cache and the frontend's
-    query-result cache all answer the same questions — how often were
-    you asked, how often did you have the answer, what did you throw
-    away, what are you holding — so they report through one record
-    instead of three ad-hoc shapes.  A {e reference} is one probe, a
-    {e hit} one probe answered from residency, an {e eviction} a
-    capacity-driven removal, an {e invalidation} a correctness-driven
-    one (epoch turnover, relocation, explicit drop).  Residency is a
-    point-in-time gauge; the counters are monotone until reset. *)
+    The OS file cache, the buffer pool, the segment-frame cache and the
+    frontend's query-result cache all answer the same questions — how
+    often were you asked, how often did you have the answer, what did
+    you throw away, what are you holding — so they report through one
+    record.  {!Lru} keeps it for every tier but the buffer pool, which
+    keeps its own.  A {e reference} is one probe, a {e hit} one probe
+    answered from residency, an {e eviction} a capacity-driven removal,
+    an {e invalidation} a correctness-driven one (epoch turnover,
+    relocation, explicit drop).  Residency is a point-in-time gauge;
+    the counters are monotone until reset. *)
 
 type t = {
   refs : int;

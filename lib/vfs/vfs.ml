@@ -37,8 +37,6 @@ and t = {
   mutable c_file_accesses : int;
   mutable c_bytes_read : int;
   mutable c_bytes_written : int;
-  mutable c_hits : int;
-  mutable c_misses : int;
 }
 
 let create ?(cost_model = Cost_model.default) () =
@@ -56,22 +54,21 @@ let create ?(cost_model = Cost_model.default) () =
     c_file_accesses = 0;
     c_bytes_read = 0;
     c_bytes_written = 0;
-    c_hits = 0;
-    c_misses = 0;
   }
 
 let cost_model t = t.model
 let clock t = t.clk
 
 let counters t =
+  let os = Util.Lru.stats t.os_cache in
   {
     disk_inputs = t.c_disk_inputs;
     disk_outputs = t.c_disk_outputs;
     file_accesses = t.c_file_accesses;
     bytes_read = t.c_bytes_read;
     bytes_written = t.c_bytes_written;
-    os_cache_hits = t.c_hits;
-    os_cache_misses = t.c_misses;
+    os_cache_hits = os.Util.Cache_stats.hits;
+    os_cache_misses = Util.Cache_stats.misses os;
   }
 
 let reset_counters t =
@@ -80,8 +77,7 @@ let reset_counters t =
   t.c_file_accesses <- 0;
   t.c_bytes_read <- 0;
   t.c_bytes_written <- 0;
-  t.c_hits <- 0;
-  t.c_misses <- 0
+  Util.Lru.reset_stats t.os_cache
 
 let diff_counters ~later ~earlier =
   {
@@ -184,13 +180,10 @@ let open_file t name =
 
 let file_exists t name = Hashtbl.mem t.files name
 
-(* Collect-then-remove helper for the (fid, block) keyed tables: we must
-   not remove while iterating. *)
+(* Forget a file's blocks from [from_blk] on.  The dirty table is
+   collected before removing: we must not remove while iterating. *)
 let drop_file_blocks t ~fid ~from_blk =
-  let stale = ref [] in
-  Util.Lru.iter t.os_cache (fun (f, blk) () ->
-      if f = fid && blk >= from_blk then stale := (f, blk) :: !stale);
-  List.iter (Util.Lru.remove t.os_cache) !stale;
+  ignore (Util.Lru.retain t.os_cache ~keep:(fun (f, blk) () -> f <> fid || blk < from_blk));
   let stale_dirty = ref [] in
   Hashtbl.iter (fun (f, blk) _ -> if f = fid && blk >= from_blk then stale_dirty := (f, blk) :: !stale_dirty) t.dirty;
   List.iter (Hashtbl.remove t.dirty) !stale_dirty
@@ -226,9 +219,8 @@ let touch_blocks_read f ~off ~len =
   if len > 0 then
     for blk = off / bs to (off + len - 1) / bs do
       match Util.Lru.find t.os_cache (f.fid, blk) with
-      | Some () -> t.c_hits <- t.c_hits + 1
+      | Some () -> ()
       | None ->
-        t.c_misses <- t.c_misses + 1;
         fault_block f Fault.Read ~blk;
         t.c_disk_inputs <- t.c_disk_inputs + 1;
         let sequential =
@@ -240,7 +232,7 @@ let touch_blocks_read f ~off ~len =
           (if sequential then t.model.Cost_model.disk_seq_read_ms
            else t.model.Cost_model.disk_read_ms);
         t.last_disk_block <- Some (f.fid, blk);
-        ignore (Util.Lru.add t.os_cache (f.fid, blk) ())
+        Util.Lru.add t.os_cache (f.fid, blk) ~cost:1 ()
     done
 
 (* Write-back: the blocks land dirty in the OS cache; nothing reaches
@@ -251,7 +243,7 @@ let touch_blocks_write f ~off ~len =
   if len > 0 then
     for blk = off / bs to (off + len - 1) / bs do
       Hashtbl.replace t.dirty (f.fid, blk) f;
-      ignore (Util.Lru.add t.os_cache (f.fid, blk) ())
+      Util.Lru.add t.os_cache (f.fid, blk) ~cost:1 ()
     done
 
 let read f ~off ~len =

@@ -59,13 +59,13 @@ let test_buffer_stats_exposed () =
   Alcotest.(check (list string)) "three pools" [ "small"; "medium"; "large" ]
     (List.map fst stats);
   let total_refs =
-    List.fold_left (fun acc (_, s) -> acc + s.Mneme.Buffer_pool.refs) 0 stats
+    List.fold_left (fun acc (_, s) -> acc + s.Util.Cache_stats.refs) 0 stats
   in
   Alcotest.(check int) "one ref" 1 total_refs;
   mn.Core.Index_store.reset_buffer_stats ();
   let total_refs' =
     List.fold_left
-      (fun acc (_, s) -> acc + s.Mneme.Buffer_pool.refs)
+      (fun acc (_, s) -> acc + s.Util.Cache_stats.refs)
       0
       (mn.Core.Index_store.buffer_stats ())
   in

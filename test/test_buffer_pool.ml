@@ -11,10 +11,10 @@ let test_hit_miss_accounting () =
   let b = Mneme.Buffer_pool.create ~name:"t" ~capacity:1000 () in
   fault_seq b [ 1; 2; 1; 1; 3 ];
   let s = Mneme.Buffer_pool.stats b in
-  Alcotest.(check int) "refs" 5 s.Mneme.Buffer_pool.refs;
-  Alcotest.(check int) "hits" 2 s.Mneme.Buffer_pool.hits;
-  Alcotest.(check int) "resident" 3 s.Mneme.Buffer_pool.resident_entries;
-  Alcotest.(check int) "bytes" 300 s.Mneme.Buffer_pool.resident_bytes
+  Alcotest.(check int) "refs" 5 s.Util.Cache_stats.refs;
+  Alcotest.(check int) "hits" 2 s.Util.Cache_stats.hits;
+  Alcotest.(check int) "resident" 3 s.Util.Cache_stats.resident_entries;
+  Alcotest.(check int) "bytes" 300 s.Util.Cache_stats.resident_bytes
 
 let test_fault_returns_loaded_bytes () =
   let b = Mneme.Buffer_pool.create ~name:"t" ~capacity:1000 () in
@@ -35,7 +35,7 @@ let test_lru_eviction () =
   Alcotest.(check bool) "1 resident" true (Mneme.Buffer_pool.resident b ~pseg:1);
   Alcotest.(check bool) "2 evicted" false (Mneme.Buffer_pool.resident b ~pseg:2);
   Alcotest.(check bool) "3 resident" true (Mneme.Buffer_pool.resident b ~pseg:3);
-  Alcotest.(check int) "evictions" 1 (Mneme.Buffer_pool.stats b).Mneme.Buffer_pool.evictions
+  Alcotest.(check int) "evictions" 1 (Mneme.Buffer_pool.stats b).Util.Cache_stats.evictions
 
 let test_fifo_ignores_recency () =
   let b = Mneme.Buffer_pool.create ~name:"t" ~capacity:200 ~policy:Mneme.Buffer_pool.Fifo () in
@@ -52,7 +52,7 @@ let test_clock_second_chance () =
   (* First overflow sweeps all reference bits clear and evicts one. *)
   fault_seq b [ 4 ];
   Alcotest.(check int) "three resident" 3
-    (Mneme.Buffer_pool.stats b).Mneme.Buffer_pool.resident_entries;
+    (Mneme.Buffer_pool.stats b).Util.Cache_stats.resident_entries;
   (* Re-reference 2: its bit is set again, so the next sweep passes it
      over and takes a clear-bit segment instead. *)
   Alcotest.(check bool) "2 still resident" true (Mneme.Buffer_pool.resident b ~pseg:2);
@@ -98,7 +98,7 @@ let test_all_pinned_incoming_victim () =
   (* The only unpinned segment is the incoming one: it is sacrificed
      rather than displacing reserved data. *)
   Alcotest.(check int) "pinned survives alone" 1
-    (Mneme.Buffer_pool.stats b).Mneme.Buffer_pool.resident_entries;
+    (Mneme.Buffer_pool.stats b).Util.Cache_stats.resident_entries;
   Alcotest.(check bool) "pinned resident" true (Mneme.Buffer_pool.resident b ~pseg:1);
   Alcotest.(check bool) "incoming dropped" false (Mneme.Buffer_pool.resident b ~pseg:2)
 
@@ -106,9 +106,9 @@ let test_transient_mode () =
   let b = Mneme.Buffer_pool.create ~name:"t" ~capacity:0 () in
   fault_seq b [ 1; 1; 1 ];
   let s = Mneme.Buffer_pool.stats b in
-  Alcotest.(check int) "all misses" 0 s.Mneme.Buffer_pool.hits;
-  Alcotest.(check int) "refs counted" 3 s.Mneme.Buffer_pool.refs;
-  Alcotest.(check int) "nothing retained" 0 s.Mneme.Buffer_pool.resident_entries
+  Alcotest.(check int) "all misses" 0 s.Util.Cache_stats.hits;
+  Alcotest.(check int) "refs counted" 3 s.Util.Cache_stats.refs;
+  Alcotest.(check int) "nothing retained" 0 s.Util.Cache_stats.resident_entries
 
 let test_update_and_drop () =
   let b = Mneme.Buffer_pool.create ~name:"t" ~capacity:1000 () in
@@ -127,10 +127,10 @@ let test_clear_keeps_stats () =
   fault_seq b [ 1; 1 ];
   Mneme.Buffer_pool.clear b;
   let s = Mneme.Buffer_pool.stats b in
-  Alcotest.(check int) "refs kept" 2 s.Mneme.Buffer_pool.refs;
-  Alcotest.(check int) "empty" 0 s.Mneme.Buffer_pool.resident_entries;
+  Alcotest.(check int) "refs kept" 2 s.Util.Cache_stats.refs;
+  Alcotest.(check int) "empty" 0 s.Util.Cache_stats.resident_entries;
   Mneme.Buffer_pool.reset_stats b;
-  Alcotest.(check int) "reset" 0 (Mneme.Buffer_pool.stats b).Mneme.Buffer_pool.refs
+  Alcotest.(check int) "reset" 0 (Mneme.Buffer_pool.stats b).Util.Cache_stats.refs
 
 let test_accessors_and_validation () =
   let b = Mneme.Buffer_pool.create ~name:"big" ~capacity:42 ~policy:Mneme.Buffer_pool.Fifo () in
@@ -148,19 +148,19 @@ let test_merge_stats () =
   fault_seq a [ 1; 2; 1; 1 ];
   fault_seq b [ 1; 2; 3; 3 ];
   let m =
-    Mneme.Buffer_pool.merge_stats [ Mneme.Buffer_pool.stats a; Mneme.Buffer_pool.stats b ]
+    Util.Cache_stats.merge [ Mneme.Buffer_pool.stats a; Mneme.Buffer_pool.stats b ]
   in
-  Alcotest.(check int) "refs sum" 8 m.Mneme.Buffer_pool.refs;
-  Alcotest.(check int) "hits sum" 3 m.Mneme.Buffer_pool.hits;
-  Alcotest.(check int) "evictions sum" 1 m.Mneme.Buffer_pool.evictions;
-  Alcotest.(check int) "resident segments sum" 4 m.Mneme.Buffer_pool.resident_entries;
-  Alcotest.(check int) "resident bytes sum" 400 m.Mneme.Buffer_pool.resident_bytes;
-  let z = Mneme.Buffer_pool.merge_stats [] in
-  Alcotest.(check int) "empty merge refs" 0 z.Mneme.Buffer_pool.refs;
-  Alcotest.(check int) "empty merge bytes" 0 z.Mneme.Buffer_pool.resident_bytes;
+  Alcotest.(check int) "refs sum" 8 m.Util.Cache_stats.refs;
+  Alcotest.(check int) "hits sum" 3 m.Util.Cache_stats.hits;
+  Alcotest.(check int) "evictions sum" 1 m.Util.Cache_stats.evictions;
+  Alcotest.(check int) "resident segments sum" 4 m.Util.Cache_stats.resident_entries;
+  Alcotest.(check int) "resident bytes sum" 400 m.Util.Cache_stats.resident_bytes;
+  let z = Util.Cache_stats.merge [] in
+  Alcotest.(check int) "empty merge refs" 0 z.Util.Cache_stats.refs;
+  Alcotest.(check int) "empty merge bytes" 0 z.Util.Cache_stats.resident_bytes;
   (* Merging a single session is the identity. *)
   Alcotest.(check bool) "singleton identity" true
-    (Mneme.Buffer_pool.merge_stats [ Mneme.Buffer_pool.stats a ] = Mneme.Buffer_pool.stats a)
+    (Util.Cache_stats.merge [ Mneme.Buffer_pool.stats a ] = Mneme.Buffer_pool.stats a)
 
 (* The pinned-segment index must track every path that creates or
    destroys a pin: pin/unpin, nesting, update (which rebuilds the node),
@@ -202,7 +202,7 @@ let prop_capacity_respected =
     (fun segs ->
       let b = Mneme.Buffer_pool.create ~name:"q" ~capacity:350 () in
       List.iter (fun s -> ignore (Mneme.Buffer_pool.fault b ~pseg:s ~load:(load s))) segs;
-      (Mneme.Buffer_pool.stats b).Mneme.Buffer_pool.resident_bytes <= 350)
+      (Mneme.Buffer_pool.stats b).Util.Cache_stats.resident_bytes <= 350)
 
 let suite =
   [

@@ -84,7 +84,7 @@ let test_buffer_stats_present_for_cache () =
   let c = run Core.Experiment.Mneme_cache in
   Alcotest.(check (list string)) "pools" [ "small"; "medium"; "large" ]
     (List.map fst c.Core.Experiment.buffers);
-  let refs = List.fold_left (fun acc (_, s) -> acc + s.Mneme.Buffer_pool.refs) 0 c.Core.Experiment.buffers in
+  let refs = List.fold_left (fun acc (_, s) -> acc + s.Util.Cache_stats.refs) 0 c.Core.Experiment.buffers in
   Alcotest.(check bool) "references recorded" true (refs > 0)
 
 let test_n_queries () =

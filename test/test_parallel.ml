@@ -1,7 +1,6 @@
 (* Domain-pool query serving: bit-identity with the serial engine on
-   every preset collection, work accounting, and the frontend variant
-   with a degraded replica.  [REPRO_TEST_DOMAINS] (used by CI) pins the
-   domain counts the whole file exercises. *)
+   every preset collection and work accounting.  [REPRO_TEST_DOMAINS]
+   (used by CI) pins the domain counts the whole file exercises. *)
 
 let domain_counts =
   match Sys.getenv_opt "REPRO_TEST_DOMAINS" with
@@ -111,44 +110,8 @@ let test_btree_version_and_buffer_merge () =
   List.iter
     (fun (pool, s) ->
       Alcotest.(check bool) (pool ^ " saw traffic or stayed idle") true
-        (s.Mneme.Buffer_pool.refs >= s.Mneme.Buffer_pool.hits && s.Mneme.Buffer_pool.hits >= 0))
+        (s.Util.Cache_stats.refs >= s.Util.Cache_stats.hits && s.Util.Cache_stats.hits >= 0))
     rm.Core.Parallel.buffers
-
-let test_frontend_degraded_replica_identical () =
-  let p = prepared_of "cacm" in
-  let queries = queries_of "cacm" in
-  (* Every frontend — parallel workers and the serial audit one alike —
-     gets replica "a" on a degraded device: hedging may reroute the
-     fetches, but rankings must not move a bit. *)
-  let configure ~domain:_ fe =
-    Vfs.set_fault
-      (Core.Frontend.replica_vfs fe ~name:"a")
-      (Vfs.Fault.degraded_device ~file:p.Core.Experiment.mneme_file ~ms:50.0)
-  in
-  List.iter
-    (fun domains ->
-      let r =
-        Core.Parallel.run_frontend_set ~domains ~audit:true ~configure p ~names:[ "a"; "b" ]
-          ~queries
-      in
-      Alcotest.(check int) "n_queries" (List.length queries) r.Core.Parallel.f_n_queries;
-      Alcotest.(check bool) "audited" true r.Core.Parallel.f_audited;
-      Alcotest.(check int) "every query served" (List.length queries)
-        (Array.fold_left ( + ) 0 r.Core.Parallel.f_worker_queries);
-      Array.iteri
-        (fun i o -> Alcotest.(check int) "submission order" i o.Core.Parallel.f_index)
-        r.Core.Parallel.f_outcomes)
-    domain_counts
-
-let test_audit_rejects_deadline () =
-  let p = prepared_of "cacm" in
-  Alcotest.check_raises "deadline is path-dependent"
-    (Invalid_argument
-       "Parallel.run_frontend_set: audit is incompatible with a deadline (deadline \
-        degradation is breaker-state-dependent)") (fun () ->
-      ignore
-        (Core.Parallel.run_frontend_set ~audit:true ~deadline_ms:5.0 p ~names:[ "a" ]
-           ~queries:[ "hello" ]))
 
 let test_rejects_bad_arguments () =
   let p = prepared_of "cacm" in
@@ -173,9 +136,6 @@ let suite =
       test_all_presets_all_domains;
     Alcotest.test_case "top-k pruned queries identical" `Slow test_topk_pruned_identical;
     Alcotest.test_case "btree version + buffer merge" `Quick test_btree_version_and_buffer_merge;
-    Alcotest.test_case "frontend with degraded replica" `Slow
-      test_frontend_degraded_replica_identical;
-    Alcotest.test_case "audit rejects deadline" `Quick test_audit_rejects_deadline;
     Alcotest.test_case "argument validation" `Quick test_rejects_bad_arguments;
     Alcotest.test_case "empty query set" `Quick test_empty_query_set;
     QCheck_alcotest.to_alcotest prop_parallel_matches_serial;

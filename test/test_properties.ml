@@ -1,40 +1,6 @@
 (* Cross-module property tests: random operation sequences checked
    against simple in-memory reference models. *)
 
-(* --- Chain vs a growing byte buffer --------------------------------- *)
-
-let chain_ops_gen =
-  QCheck.Gen.(list_size (int_range 1 12) (pair (int_range 0 2) (int_range 0 300)))
-
-let prop_chain_model =
-  QCheck.Test.make ~name:"chain matches byte-buffer model" ~count:60 (QCheck.make chain_ops_gen)
-    (fun ops ->
-      let vfs = Vfs.create () in
-      let store = Mneme.Store.create vfs "c.mneme" in
-      let pool = Mneme.Store.add_pool store Mneme.Policy.medium in
-      Mneme.Store.attach_buffer pool (Mneme.Buffer_pool.create ~name:"m" ~capacity:500_000 ());
-      let payload n = Bytes.init n (fun i -> Char.chr (32 + ((i * 11) mod 90))) in
-      let model = Buffer.create 256 in
-      let head = Mneme.Chain.store ~pool ~chunk_payload:64 Bytes.empty in
-      List.for_all
-        (fun (op, n) ->
-          match op with
-          | 0 ->
-            (* append *)
-            Mneme.Chain.append store ~pool ~chunk_payload:64 head (payload n);
-            Buffer.add_bytes model (payload n);
-            true
-          | 1 ->
-            (* full fetch equals model *)
-            Bytes.to_string (Mneme.Chain.fetch store head) = Buffer.contents model
-          | _ ->
-            (* prefix fetch equals model prefix *)
-            let len = min n (Buffer.length model) in
-            Bytes.to_string (Mneme.Chain.fetch_prefix store head ~len)
-            = String.sub (Buffer.contents model) 0 len
-            && Mneme.Chain.length store head = Buffer.length model)
-        ops)
-
 (* --- Live index vs a naive in-memory search -------------------------- *)
 
 (* Documents are tiny term-lists over a 6-word vocabulary; the model
@@ -291,7 +257,6 @@ let prop_scrub_heals_random_rot =
 
 let suite =
   [
-    QCheck_alcotest.to_alcotest prop_chain_model;
     QCheck_alcotest.to_alcotest prop_live_btree;
     QCheck_alcotest.to_alcotest prop_live_mneme;
     QCheck_alcotest.to_alcotest prop_journal_equals_direct;

@@ -391,7 +391,7 @@ let framed_session () =
       Mneme.Store.attach_buffer (Mneme.Store.pool store name)
         (Mneme.Buffer_pool.create ~name ~capacity:0 ()))
     [ "small"; "medium"; "large" ];
-  let frames = Util.Block_cache.create ~capacity_bytes:(1 lsl 20) ~name:"frames" () in
+  let frames = Util.Block_cache.create ~capacity_bytes:(1 lsl 20) in
   Mneme.Store.set_frames store (Some frames);
   (vfs, store, frames, packed, fixed)
 
