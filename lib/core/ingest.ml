@@ -767,10 +767,17 @@ let create ?(config = default_config) ?stopwords ?stem vfs ~file () =
   let wal = Vfs.open_file vfs (wal_file file) in
   make vfs live ~wal ~config ~merged_seq:(-1)
 
+(* The frontier sealed into the root.  Only an absent key means "never
+   folded": a value that is not the decimal form of an integer >= 0 is a
+   damaged root, and reading it as -1 would replay documents that are
+   already on disk. *)
 let read_merged_seq live =
   match List.assoc_opt meta_key (Live_index.meta live) with
-  | Some s -> ( match int_of_string_opt s with Some n -> n | None -> -1)
   | None -> -1
+  | Some s -> (
+    match int_of_string_opt s with
+    | Some n when n >= 0 && string_of_int n = s -> n
+    | _ -> raise (Mneme.Store.Corrupt (Printf.sprintf "Ingest: frontier %S is malformed" s)))
 
 let open_ ?(config = default_config) ?stopwords ?stem vfs ~file () =
   check_config config;
@@ -830,9 +837,11 @@ let audit t =
   let problems = ref (Live_index.audit t.live) in
   let flag where what = problems := !problems @ [ (where, what) ] in
   (* The frontier the root carries must be the frontier we serve. *)
-  let root_seq = read_merged_seq t.live in
-  if root_seq <> t.merged_seq then
-    flag "frontier" (Printf.sprintf "root says seq %d, serving %d" root_seq t.merged_seq);
+  (match read_merged_seq t.live with
+  | root_seq when root_seq <> t.merged_seq ->
+    flag "frontier" (Printf.sprintf "root says seq %d, serving %d" root_seq t.merged_seq)
+  | _ -> ()
+  | exception Mneme.Store.Corrupt msg -> flag "frontier" msg);
   (* Tombstones are pending by definition. *)
   Hashtbl.iter
     (fun doc seq ->

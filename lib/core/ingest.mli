@@ -82,7 +82,11 @@ val open_ :
     prefix past it through the ordinary buffering path (the torn tail,
     if any, is cut).  If no epoch was ever committed the disk index is
     restarted empty and the whole WAL replays — every acknowledged
-    operation is recovered either way. *)
+    operation is recovered either way.  A root without an [ingest_seq]
+    was never folded into (frontier -1); a root whose [ingest_seq] is
+    not the decimal form of an integer >= 0 is damaged and raises
+    [Mneme.Store.Corrupt] — never read as -1, which would replay
+    documents already on disk. *)
 
 val add_document : t -> string -> ack
 (** Accept one document: WAL append + fsync (the acknowledgement
@@ -194,7 +198,8 @@ val stats : t -> stats
 
 val audit : t -> (string * string) list
 (** [(where, problem)] pairs, empty when clean: the live index's own
-    audit, the root frontier vs the serving frontier, tombstone
+    audit, the root frontier (a malformed one is a problem, not an
+    exception) vs the serving frontier, tombstone
     pendingness, the union table against (disk ∪ memory) −
     tombstones, and every sealed segment's structure ({!Inquery.Postings.validate},
     ascending document ids). *)

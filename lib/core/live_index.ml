@@ -59,28 +59,58 @@ let empty_snapshot epoch =
     sn_meta = Tmap.empty;
   }
 
-(* The root payload: next-doc, total length, per-document lengths and
-   the term directory (term, locator, df, cf).  Tmap/Imap iteration is
-   sorted, so the encoding is deterministic — byte-identical roots for
-   identical directories, whatever mutation order built them. *)
+(* The root payload.  Integers are v-byte varints except the u32 counts
+   and next-doc and the u64 total length:
+   - next-doc, total length;
+   - the document count, then per document in id order its gap from
+     the previous id (the first from -1, so every gap is at least 1)
+     and its length;
+   - the term count, then per term in [Tmap] order the term front-coded
+     against the one before it (the length of the prefix they share,
+     the suffix length, the suffix bytes), its locator + 1, df and cf;
+   - the metadata count, then each key and value as a u32-length string,
+     keys ascending.
+   Every publication rewrites the whole root, and it was about a third
+   of a fold's bytes, most of them term strings: front coding stores
+   each term's shared prefix once.  Tmap/Imap iteration is sorted, so
+   the encoding is deterministic — byte-identical roots for identical
+   directories, whatever mutation order built them.  [decode_snapshot]
+   accepts this canonical form alone and raises [Mneme.Store.Corrupt]
+   on anything else: a shared prefix that is not exactly the common
+   prefix with the previous term (longer than that term, say), a
+   document id, term or key not strictly after the one before it, and
+   bytes left over after the metadata. *)
+let common_prefix a b =
+  let n = min (String.length a) (String.length b) in
+  let rec go i = if i < n && a.[i] = b.[i] then go (i + 1) else i in
+  go 0
+
 let encode_snapshot snap =
   let b = Buffer.create 4096 in
   Util.Bin.buf_u32 b snap.sn_next_doc;
   Util.Bin.buf_u64 b snap.sn_total_len;
   Util.Bin.buf_u32 b (Imap.cardinal snap.sn_doc_lens);
-  Imap.iter
-    (fun doc len ->
-      Util.Varint.encode b doc;
-      Util.Varint.encode b len)
-    snap.sn_doc_lens;
+  ignore
+    (Imap.fold
+       (fun doc len prev ->
+         Util.Varint.encode b (doc - prev);
+         Util.Varint.encode b len;
+         doc)
+       snap.sn_doc_lens (-1));
   Util.Bin.buf_u32 b (Tmap.cardinal snap.sn_terms);
-  Tmap.iter
-    (fun term ti ->
-      Util.Bin.buf_string b term;
-      Util.Varint.encode b (ti.ti_oid + 1);
-      Util.Varint.encode b ti.ti_df;
-      Util.Varint.encode b ti.ti_cf)
-    snap.sn_terms;
+  ignore
+    (Tmap.fold
+       (fun term ti prev ->
+         let shared = common_prefix prev term in
+         let suffix = String.length term - shared in
+         Util.Varint.encode b shared;
+         Util.Varint.encode b suffix;
+         Buffer.add_substring b term shared suffix;
+         Util.Varint.encode b (ti.ti_oid + 1);
+         Util.Varint.encode b ti.ti_df;
+         Util.Varint.encode b ti.ti_cf;
+         term)
+       snap.sn_terms "");
   Util.Bin.buf_u32 b (Tmap.cardinal snap.sn_meta);
   Tmap.iter
     (fun k v ->
@@ -90,41 +120,59 @@ let encode_snapshot snap =
   Buffer.to_bytes b
 
 let decode_snapshot ~epoch payload =
-  try
-    let next_doc = Util.Bin.get_u32 payload 0 in
-    let total_len = Util.Bin.get_u64 payload 4 in
-    let n_docs = Util.Bin.get_u32 payload 12 in
-    let pos = ref 16 in
-    let doc_lens = ref Imap.empty in
-    for _ = 1 to n_docs do
-      let doc, p = Util.Varint.decode payload ~pos:!pos in
-      let len, p = Util.Varint.decode payload ~pos:p in
-      doc_lens := Imap.add doc len !doc_lens;
-      pos := p
-    done;
-    let n_terms = Util.Bin.get_u32 payload !pos in
+  let corrupt what = raise (Mneme.Store.Corrupt ("Live_index: root payload " ^ what)) in
+  let pos = ref 0 in
+  let u32 () =
+    let v = Util.Bin.get_u32 payload !pos in
     pos := !pos + 4;
-    let terms = ref Tmap.empty in
-    for _ = 1 to n_terms do
-      let term, p = Util.Bin.get_string payload !pos in
-      let oid1, p = Util.Varint.decode payload ~pos:p in
-      let df, p = Util.Varint.decode payload ~pos:p in
-      let cf, p = Util.Varint.decode payload ~pos:p in
-      terms := Tmap.add term { ti_oid = oid1 - 1; ti_df = df; ti_cf = cf } !terms;
-      pos := p
+    v
+  in
+  let varint () =
+    let v = Util.Varint.read payload pos in
+    if v < 0 then corrupt "holds a varint past the int range";
+    v
+  in
+  let add_ascending what key v map =
+    (match Tmap.max_binding_opt map with
+    | Some (last, _) when String.compare key last <= 0 -> corrupt (what ^ " out of order")
+    | _ -> ());
+    Tmap.add key v map
+  in
+  try
+    let next_doc = u32 () in
+    let total_len = Util.Bin.get_u64 payload !pos in
+    pos := !pos + 8;
+    let doc_lens = ref Imap.empty and doc = ref (-1) in
+    for _ = 1 to u32 () do
+      let next = !doc + varint () in
+      if next <= !doc then corrupt "lists a document id out of order";
+      doc := next;
+      doc_lens := Imap.add next (varint ()) !doc_lens
+    done;
+    let terms = ref Tmap.empty and prev = ref "" in
+    for _ = 1 to u32 () do
+      let shared = varint () in
+      let suffix = varint () in
+      if
+        shared > String.length !prev
+        || (shared < String.length !prev && suffix > 0 && Bytes.get payload !pos = !prev.[shared])
+      then corrupt "front-codes a term against a prefix it does not share";
+      let term = String.sub !prev 0 shared ^ Bytes.sub_string payload !pos suffix in
+      pos := !pos + suffix;
+      let ti_oid = varint () - 1 in
+      let ti_df = varint () in
+      let ti_cf = varint () in
+      terms := add_ascending "lists a term" term { ti_oid; ti_df; ti_cf } !terms;
+      prev := term
     done;
     let meta = ref Tmap.empty in
-    (* Roots sealed before metadata existed simply end here. *)
-    if !pos < Bytes.length payload then begin
-      let n_meta = Util.Bin.get_u32 payload !pos in
-      pos := !pos + 4;
-      for _ = 1 to n_meta do
-        let k, p = Util.Bin.get_string payload !pos in
-        let v, p = Util.Bin.get_string payload p in
-        meta := Tmap.add k v !meta;
-        pos := p
-      done
-    end;
+    for _ = 1 to u32 () do
+      let k, p = Util.Bin.get_string payload !pos in
+      let v, p = Util.Bin.get_string payload p in
+      meta := add_ascending "lists a metadata key" k v !meta;
+      pos := p
+    done;
+    if !pos <> Bytes.length payload then corrupt "has bytes left over after the metadata";
     {
       sn_epoch = epoch;
       sn_terms = !terms;

@@ -101,8 +101,11 @@ val open_mneme :
     sealed directory.  Objects the root does not name — orphans of
     epochs that never committed or were superseded — are censused as
     stale and reclaimed by the next {!gc}.  Raises
-    [Mneme.Store.Corrupt] if no root was ever published, or if the root
-    envelope is torn or disagrees with the header. *)
+    [Mneme.Store.Corrupt] if no root was ever published, if the root
+    envelope is torn or disagrees with the header, or if the sealed
+    directory is not in its one canonical form (front-coded terms in
+    strictly ascending order, ascending document ids, no trailing
+    bytes). *)
 
 val backend_name : t -> string
 (** "btree" or "mneme". *)

@@ -235,6 +235,42 @@ let test_tombstone_only_drain_reaches_frontier () =
   Alcotest.(check int) "WAL truncated" 0 (Vfs.size (Vfs.open_file vfs "to.mneme.wal"));
   Alcotest.(check (list (pair string string))) "audit clean" [] (Core.Ingest.audit t)
 
+(* --- a malformed frontier is damage, not "never folded" ------------ *)
+
+let test_malformed_frontier_is_corrupt () =
+  let vfs = Vfs.create () in
+  let config = { Core.Ingest.default_config with seal_bytes = 1 } in
+  let t = Core.Ingest.create ~config vfs ~file:"mf.mneme" () in
+  List.iter
+    (fun text -> ignore (add_acked t text))
+    [ "alpha beta"; "beta gamma"; "gamma delta" ];
+  ignore (Core.Ingest.merge_step ~budget:(Mneme.Budget.create ~max_bytes:1 ()) t);
+  Alcotest.(check int) "the fold's frontier" 0 (Core.Ingest.merged_seq t);
+  let set_frontier v =
+    Core.Live_index.fold_batch (Core.Ingest.live t)
+      ~meta:[ ("ingest_seq", v) ]
+      ~docs:[] ~postings:[] ~deletes:[] ()
+  in
+  (* Read as "never folded", any of these would replay the folded
+     document on top of its disk copy. *)
+  List.iter
+    (fun v ->
+      set_frontier v;
+      Alcotest.(check bool)
+        (Printf.sprintf "the audit flags ingest_seq %S" v)
+        true
+        (List.mem_assoc "frontier" (Core.Ingest.audit t));
+      match Core.Ingest.open_ ~config (Vfs.crash_image vfs) ~file:"mf.mneme" () with
+      | _ -> Alcotest.failf "ingest_seq %S opened" v
+      | exception Mneme.Store.Corrupt _ -> ())
+    [ "x"; "-1"; ""; "0x0"; " 0" ];
+  set_frontier "0";
+  let t' = Core.Ingest.open_ ~config (Vfs.crash_image vfs) ~file:"mf.mneme" () in
+  Alcotest.(check int) "a well-formed frontier opens" 0 (Core.Ingest.merged_seq t');
+  Alcotest.(check (list (pair int int)))
+    "each acknowledged document once" (Core.Ingest.documents t) (Core.Ingest.documents t');
+  Alcotest.(check (list (pair string string))) "audit clean" [] (Core.Ingest.audit t')
+
 (* --- randomized interleavings on every preset ---------------------- *)
 
 let preset_names = [ "cacm"; "legal"; "tipster1"; "tipster" ]
@@ -373,4 +409,6 @@ let suite =
     Alcotest.test_case "a session serves the pinned union" `Quick
       test_session_serves_pinned_union;
     Alcotest.test_case "budget semantics" `Quick test_budget_semantics;
+    Alcotest.test_case "a malformed root frontier is Corrupt" `Quick
+      test_malformed_frontier_is_corrupt;
   ]

@@ -171,6 +171,98 @@ let test_flush_and_reopen_mneme () =
   let store = Mneme.Store.open_existing vfs "fl.mneme" in
   Alcotest.(check bool) "objects persisted" true (Mneme.Store.object_count store > 0)
 
+(* Every malformed root payload is [Mneme.Store.Corrupt] and nothing
+   else.  Each variant is resealed under the published epoch, so the
+   envelope's CRC passes and only the payload decoder can object. *)
+let test_malformed_roots_are_corrupt () =
+  let vfs = Vfs.create () in
+  let live = Core.Live_index.create_mneme vfs ~file:"mr.mneme" () in
+  List.iter
+    (fun text -> ignore (Core.Live_index.add_document live text))
+    [ "alpha alphabet beta"; "alpha beta gamma"; "zeta 42 alphabets" ];
+  ignore (Core.Live_index.delete_document live 1);
+  Core.Live_index.fold_batch live ~meta:[ ("key", "value") ] ~docs:[] ~postings:[] ~deletes:[] ();
+  let store = Option.get (Core.Live_index.mneme_store live) in
+  let epoch = Mneme.Store.epoch store in
+  let root = Option.get (Mneme.Store.root store) in
+  let payload =
+    match Mneme.Epoch.unseal (Mneme.Store.get store root) with
+    | Ok (_, p) -> p
+    | Error e -> Alcotest.fail e
+  in
+  let reopen variant =
+    Mneme.Store.modify store root (Mneme.Epoch.seal ~epoch variant);
+    Mneme.Store.finalize store;
+    let img = Vfs.create () in
+    Vfs.copy_file vfs "mr.mneme" ~into:img;
+    match Core.Live_index.open_mneme img ~file:"mr.mneme" () with
+    | _ -> "opened"
+    | exception Mneme.Store.Corrupt _ -> "Corrupt"
+    | exception e -> Printexc.to_string e
+  in
+  let corrupt what variant = Alcotest.(check string) what "Corrupt" (reopen variant) in
+  (* Walk the layout: each document's (offset, gap), then each term
+     entry's (offset, shared, suffix). *)
+  let pos = ref 16 in
+  let docs =
+    Array.init (Util.Bin.get_u32 payload 12) (fun _ ->
+        let at = !pos in
+        let gap = Util.Varint.read payload pos in
+        ignore (Util.Varint.read payload pos);
+        (at, gap))
+  in
+  let n_terms = Util.Bin.get_u32 payload !pos in
+  pos := !pos + 4;
+  let terms =
+    Array.init n_terms (fun _ ->
+        let at = !pos in
+        let shared = Util.Varint.read payload pos in
+        let suffix = Util.Varint.read payload pos in
+        pos := !pos + suffix;
+        for _ = 1 to 3 do
+          ignore (Util.Varint.read payload pos)
+        done;
+        (at, shared, suffix))
+  in
+  (* The payload with the [len] bytes at [at] replaced by [by]. *)
+  let splice at ~len by =
+    let tail = at + len in
+    Bytes.concat Bytes.empty
+      [ Bytes.sub payload 0 at; by; Bytes.sub payload tail (Bytes.length payload - tail) ]
+  in
+  let regap i gap =
+    let at, old = docs.(i) in
+    splice at ~len:(Util.Varint.encoded_size old) (Util.Varint.encode_list [ gap ])
+  in
+  let recode i ~shared ~suffix =
+    let at, s, n = terms.(i) in
+    splice at
+      ~len:(Util.Varint.encoded_size s + Util.Varint.encoded_size n + n)
+      (Bytes.cat
+         (Util.Varint.encode_list [ shared; String.length suffix ])
+         (Bytes.of_string suffix))
+  in
+  let dir = List.map (fun (term, _, _) -> term) (Core.Live_index.directory live) in
+  Alcotest.(check (list string))
+    "the directory the variants start from"
+    [ "42"; "alpha"; "alphabet"; "alphabets"; "beta"; "zeta" ]
+    dir;
+  Alcotest.(check string) "the untouched payload opens" "opened" (reopen payload);
+  for n = 0 to Bytes.length payload - 1 do
+    corrupt (Printf.sprintf "truncated to %d bytes" n) (Bytes.sub payload 0 n)
+  done;
+  (* Documents 0 and 2 survive; a zero gap repeats document 0. *)
+  corrupt "a repeated document id" (regap 1 0);
+  (* Term 2 is "alphabet", front-coded against "alpha". *)
+  corrupt "a shared prefix longer than the previous term" (recode 2 ~shared:6 ~suffix:"bet");
+  corrupt "a shared prefix shorter than the common one" (recode 2 ~shared:0 ~suffix:"alphabet");
+  (* The last term, "zeta", follows "beta": no later entry is front-coded
+     against it, so only the order check can object. *)
+  corrupt "a repeated term" (recode 5 ~shared:4 ~suffix:"");
+  corrupt "a term before the previous one" (recode 5 ~shared:0 ~suffix:"44");
+  corrupt "one trailing byte" (Bytes.cat payload (Bytes.make 1 '\000'));
+  Alcotest.(check string) "the untouched payload still opens" "opened" (reopen payload)
+
 let test_backend_names () =
   both_backends (fun live ->
       Alcotest.(check bool) "name" true
@@ -237,4 +329,5 @@ let suite =
     Alcotest.test_case "avg length tracking" `Quick test_avg_length_tracking;
     Alcotest.test_case "compact live index" `Quick test_compact_live_index;
     Alcotest.test_case "compact btree rejected" `Quick test_compact_btree_rejected;
+    Alcotest.test_case "malformed roots are Corrupt" `Quick test_malformed_roots_are_corrupt;
   ]

@@ -58,6 +58,66 @@ let prop_live_mneme =
   prop_live_index_model "mneme" (fun () ->
       Core.Live_index.create_mneme (Vfs.create ()) ~file:"p.mneme" ())
 
+(* --- The front-coded directory survives a reopen --------------------- *)
+
+(* Words that are prefixes of one another, digit-led words (which sort
+   before letters), and a few of 128-300 characters, so that shared
+   prefixes and suffix lengths need two varint bytes. *)
+let root_vocab =
+  [|
+    "a"; "aa"; "aab"; "ab"; "b"; "0"; "07x"; "1a"; "9lives";
+    String.make 128 'b'; String.make 200 'b' ^ "q"; String.make 300 'b'; "c" ^ String.make 140 'd';
+  |]
+
+(* The first operation is an add, so that an epoch is published and
+   the store has a root to reopen. *)
+let root_ops_gen =
+  let open QCheck.Gen in
+  let text = list_size (int_range 1 5) (int_range 0 (Array.length root_vocab - 1)) in
+  let op =
+    frequency
+      [
+        (6, map (fun ws -> `Add ws) text);
+        (2, map (fun d -> `Delete d) (int_range 0 25));
+        (1, map3 (fun ws d v -> `Fold (ws, d, v)) text (int_range 0 25) (int_range 0 999));
+      ]
+  in
+  map2 (fun ws ops -> `Add ws :: ops) text (list_size (int_range 0 19) op)
+
+let prop_directory_survives_reopen =
+  QCheck.Test.make ~name:"the live index's directory survives a reopen" ~count:100
+    (QCheck.make root_ops_gen)
+    (fun ops ->
+      let vfs = Vfs.create () in
+      let live = Core.Live_index.create_mneme ~journal:"dr.log" vfs ~file:"dr.mneme" () in
+      let text ws = String.concat " " (List.map (fun w -> root_vocab.(w)) ws) in
+      List.iter
+        (function
+          | `Add ws -> ignore (Core.Live_index.add_document live (text ws))
+          | `Delete d -> ignore (Core.Live_index.delete_document live d)
+          | `Fold (ws, d, v) ->
+            (* One document, one deletion and a metadata pair as one
+               epoch, the way an ingestion merge publishes. *)
+            let doc = Core.Live_index.next_doc live in
+            let terms, len = Core.Live_index.tokenize live (text ws) in
+            Core.Live_index.fold_batch live
+              ~meta:[ (Printf.sprintf "k%d" (v mod 3), string_of_int v) ]
+              ~docs:[ (doc, len) ]
+              ~postings:(List.map (fun (term, ps) -> (term, [ (doc, ps) ])) terms)
+              ~deletes:[ d ] ())
+        ops;
+      let re =
+        Core.Live_index.open_mneme ~journal:"dr.log" (Vfs.crash_image vfs) ~file:"dr.mneme" ()
+      in
+      let open Core.Live_index in
+      directory re = directory live
+      && doc_lengths re = doc_lengths live
+      && meta re = meta live
+      && next_doc re = next_doc live
+      && total_length re = total_length live
+      && epoch re = epoch live
+      && audit re = [])
+
 (* --- Journal vs direct writes ---------------------------------------- *)
 
 let journal_ops_gen =
@@ -265,4 +325,5 @@ let suite =
     QCheck_alcotest.to_alcotest prop_sigfile_no_false_negatives;
     QCheck_alcotest.to_alcotest prop_compact_preserves;
     QCheck_alcotest.to_alcotest prop_scrub_heals_random_rot;
+    QCheck_alcotest.to_alcotest prop_directory_survives_reopen;
   ]
