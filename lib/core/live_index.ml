@@ -32,6 +32,7 @@ type mneme_state = {
   mutable snap : snapshot; (* the latest published epoch's image *)
   mutable root_oid : int; (* sealed root of [snap]; -1 = never published *)
   journaled : bool;
+  fitted : bool; (* buffers sized by [fit_buffers]; false keeps the caller's *)
 }
 
 type backend = Btree_backend of Btree.t | Mneme_backend of mneme_state
@@ -292,6 +293,7 @@ let wrap_mneme ?stopwords ?stem ?(thresholds = Partition.default) vfs ~store ~di
       snap;
       root_oid = (match Mneme.Store.root store with Some oid -> oid | None -> -1);
       journaled = Mneme.Store.journal store <> None;
+      fitted = false;
     }
   in
   make ?stopwords ?stem vfs (Mneme_backend st) dict doc_lengths
@@ -300,9 +302,8 @@ let create_btree ?stopwords ?stem vfs ~file () =
   let tree = Btree.create vfs file () in
   make ?stopwords ?stem vfs (Btree_backend tree) (Inquery.Dictionary.create ()) []
 
-let default_live_buffers = { Buffer_sizing.small = 65536; medium = 65536; large = 65536 }
-
-let standard_pools ?(buffers = default_live_buffers) store =
+(* Without [buffers] the pools start empty and [fit_buffers] sizes them. *)
+let standard_pools ?(buffers = Buffer_sizing.no_cache) store =
   List.iter
     (fun (policy, capacity) ->
       let pool = Mneme.Store.add_pool store policy in
@@ -313,6 +314,31 @@ let standard_pools ?(buffers = default_live_buffers) store =
       (Mneme.Policy.medium, buffers.Buffer_sizing.medium);
       (Mneme.Policy.large, buffers.Buffer_sizing.large);
     ]
+
+(* Size each pool's buffer to the writer's working set: the flushed
+   segments that hold a record the published directory names.  The next
+   fold merges into exactly those records and searches read them, so
+   they stay resident; segments of retired records age out.  The sealed
+   root is no directory entry, and the writer never re-reads it.  Runs
+   at every publication, on open and after compaction; a caller's
+   explicit [?buffers], and the buffers of a wrapped store, stay
+   fixed. *)
+let fit_buffers st =
+  if st.fitted then begin
+    let segs = Hashtbl.create 1024 in
+    Tmap.iter
+      (fun _ ti ->
+        match Mneme.Store.segment_of st.pools.store ti.ti_oid with
+        | Some (pool, pseg, len) -> Hashtbl.replace segs (Mneme.Store.pool_name pool, pseg) len
+        | None -> ())
+      st.snap.sn_terms;
+    List.iter
+      (fun pool ->
+        let name = Mneme.Store.pool_name pool in
+        let bytes = Hashtbl.fold (fun (p, _) len acc -> if p = name then acc + len else acc) segs 0 in
+        Option.iter (fun b -> Mneme.Buffer_pool.set_capacity b bytes) (Mneme.Store.buffer pool))
+      [ st.pools.small; st.pools.medium; st.pools.large ]
+  end
 
 let create_mneme ?stopwords ?stem ?buffers ?journal vfs ~file () =
   let store = Mneme.Store.create vfs file in
@@ -328,6 +354,7 @@ let create_mneme ?stopwords ?stem ?buffers ?journal vfs ~file () =
       snap = empty_snapshot 0;
       root_oid = -1;
       journaled = journal <> None;
+      fitted = Option.is_none buffers;
     }
   in
   make ?stopwords ?stem vfs (Mneme_backend st) (Inquery.Dictionary.create ()) []
@@ -396,8 +423,10 @@ let open_mneme ?stopwords ?stem ?buffers ?(thresholds = Partition.default) ?jour
       snap;
       root_oid;
       journaled = journal <> None;
+      fitted = Option.is_none buffers;
     }
   in
+  fit_buffers st;
   let t = make ?stopwords ?stem vfs (Mneme_backend st) dict doc_lengths in
   t.next_doc_id <- max t.next_doc_id snap.sn_next_doc;
   t.live_meta <- snap.sn_meta;
@@ -492,6 +521,7 @@ let mutate t st f =
   ignore (Mneme.Epoch.publish st.epochs);
   st.snap <- snap;
   st.root_oid <- root;
+  fit_buffers st;
   (* Publication hooks fire only once the new epoch is installed and the
      in-memory handle serves it — the point at which anything cached
      under an older epoch is officially stale.  {!Ingest.flush_batch}
@@ -820,7 +850,12 @@ let gc t =
   let st = mneme_state t in
   let store = st.pools.store in
   let collect () =
-    Mneme.Epoch.collect st.epochs ~reclaim:(fun ~oid ~size:_ -> Mneme.Store.delete store oid)
+    (* Pass each size through, so the store need not fault the
+       segment to read it.  Only objects [wrap_mneme] adopted were
+       censused without one (as 0; every object this index writes is at
+       least a byte long), and those the store still reads. *)
+    Mneme.Epoch.collect st.epochs ~reclaim:(fun ~oid ~size ->
+        Mneme.Store.delete ?size:(if size > 0 then Some size else None) store oid)
   in
   if st.journaled then
     Mneme.Store.transact store (fun () ->
@@ -969,18 +1004,19 @@ let compact t ~file =
     let store = st.pools.store in
     Mneme.Store.finalize store;
     let dst = Mneme.Store.compact store ~file in
-    (* Carry the buffer configuration over to the new store's pools. *)
+    (* Carry each capacity over to the new store's pools; fitted ones
+       are then re-sized to the compacted segments. *)
     List.iter
       (fun name ->
         let capacity =
-          match Mneme.Store.buffer (Mneme.Store.pool store name) with
-          | Some b -> Mneme.Buffer_pool.capacity b
-          | None -> 65536
+          Option.fold ~none:0 ~some:Mneme.Buffer_pool.capacity
+            (Mneme.Store.buffer (Mneme.Store.pool store name))
         in
         Mneme.Store.attach_buffer (Mneme.Store.pool dst name)
           (Mneme.Buffer_pool.create ~name ~capacity ()))
       [ "small"; "medium"; "large" ];
-    st.pools <- pools_of_store dst
+    st.pools <- pools_of_store dst;
+    fit_buffers st
 
 type space = { file_bytes : int; reclaimable_bytes : int }
 

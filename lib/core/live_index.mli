@@ -60,11 +60,13 @@ val wrap_mneme :
   doc_lengths:(int * int) list ->
   t
 (** Adopt a built Mneme store.  Pools "small", "medium" and "large"
-    must exist and have buffers attached.  Raises [Not_found] if a pool
-    is missing.  Every object already in the store is treated as live
-    in the current epoch; sizes of pre-existing objects are not
-    censused, so GC byte accounting covers only objects written through
-    this live index. *)
+    must exist and have buffers attached; their capacities stay as the
+    caller set them.  Raises [Not_found] if a pool is missing.  Every
+    object already in the store is treated as live in the current
+    epoch; sizes of pre-existing objects are not censused, so GC byte
+    accounting covers only objects written through this live index
+    ({!gc} reads a pre-existing object's size from the store, so
+    {!Mneme.Store.wasted_bytes} stays exact). *)
 
 val create_btree :
   ?stopwords:Inquery.Stopwords.t -> ?stem:bool -> Vfs.t -> file:string -> unit -> t
@@ -80,10 +82,16 @@ val create_mneme :
   unit ->
   t
 (** An empty live index on a fresh Mneme store with the three standard
-    pools ([buffers] defaults to 64 KB per pool).  With [?journal] the
-    store's writes go through a redo journal in that log file and every
-    mutation commits — objects, sealed root, header — as one atomic
-    epoch publication; reopen after a crash with {!open_mneme}. *)
+    pools.  Without [buffers], each pool's buffer is sized to the
+    published epoch: at every publication (and on {!open_mneme} and
+    {!compact}) its capacity becomes the summed length of the flushed
+    segments that hold a record the new directory names — the records
+    the next fold merges into and searches read.  The sealed root is not
+    counted.  An explicit [buffers] keeps fixed capacities instead.
+    With [?journal] the store's writes go through a redo journal in that
+    log file and every mutation commits — objects, sealed root, header —
+    as one atomic epoch publication; reopen after a crash with
+    {!open_mneme}. *)
 
 val open_mneme :
   ?stopwords:Inquery.Stopwords.t ->
@@ -100,7 +108,9 @@ val open_mneme :
     rebuild the dictionary, document lengths and epoch manager from the
     sealed directory.  Objects the root does not name — orphans of
     epochs that never committed or were superseded — are censused as
-    stale and reclaimed by the next {!gc}.  Raises
+    stale and reclaimed by the next {!gc}.  [buffers] is as for
+    {!create_mneme}: without it the pools are sized to the reopened
+    epoch.  Raises
     [Mneme.Store.Corrupt] if no root was ever published, if the root
     envelope is torn or disagrees with the header, or if the sealed
     directory is not in its one canonical form (front-coded terms in
@@ -250,7 +260,9 @@ val gc : t -> Mneme.Epoch.gc_stats
 (** Reclaim every stale object — retired by a later epoch, or orphaned
     by a crash — that no pinned epoch can reach ({!Mneme.Store.delete},
     folding the bytes into {!Mneme.Store.wasted_bytes} for {!compact}
-    to drop).  Journaled: the deletes commit as one transaction. *)
+    to drop).  Sizes come from the epoch manager, so reclaiming reads
+    no segment, except for objects {!wrap_mneme} adopted unsized.
+    Journaled: the deletes commit as one transaction. *)
 
 val stranded_bytes : t -> int
 (** Bytes held by stale-but-unreclaimed objects (0 on B-tree).  Returns
@@ -280,8 +292,10 @@ val compact : t -> file:string -> unit
     reclaiming every byte stranded by retirements and deletions, and
     switch the live index to the compacted store (object ids — and
     therefore the dictionary locators and pinned snapshots — are
-    preserved; objects kept alive by pins are carried over).  Raises
-    [Invalid_argument] on a B-tree backend or a journaled store. *)
+    preserved; objects kept alive by pins are carried over).  Buffer
+    capacities carry over, and pools sized to the epoch are re-sized to
+    the compacted segments.  Raises [Invalid_argument] on a B-tree
+    backend or a journaled store. *)
 
 type space = { file_bytes : int; reclaimable_bytes : int }
 

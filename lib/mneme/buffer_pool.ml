@@ -11,7 +11,7 @@ type seg = {
 
 type t = {
   buf_name : string;
-  capacity : int;
+  mutable capacity : int;
   buf_policy : policy;
   table : (int, seg) Hashtbl.t;
   pinned : (int, unit) Hashtbl.t; (* segments with pins > 0 *)
@@ -102,6 +102,11 @@ let evict_to_fit t =
       t.n_evictions <- t.n_evictions + 1
   done
 
+let set_capacity t capacity =
+  if capacity < 0 then invalid_arg "Buffer_pool.set_capacity: negative capacity";
+  t.capacity <- capacity;
+  evict_to_fit t
+
 let fault t ~pseg ~load =
   t.n_refs <- t.n_refs + 1;
   match Hashtbl.find_opt t.table pseg with
@@ -178,6 +183,10 @@ let clear t =
    case. *)
 let pinned_segments t =
   Hashtbl.fold (fun pseg () acc -> pseg :: acc) t.pinned [] |> List.sort compare
+
+let resident_segments t =
+  let rec go acc = function None -> List.rev acc | Some seg -> go (seg.pseg :: acc) seg.next in
+  go [] t.head
 
 let stats t =
   {

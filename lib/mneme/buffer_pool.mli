@@ -42,6 +42,14 @@ val name : t -> string
 val capacity : t -> int
 val policy : t -> policy
 
+val set_capacity : t -> int -> unit
+(** Change the byte budget, then evict from the cold end (by the
+    buffer's policy, skipping pinned segments) until it holds — or until
+    only pinned segments are left, which stay.  Evictions are counted as
+    on a fault; references and hits are not touched.  0 makes the buffer
+    transient.  {!Core.Live_index} sizes its pools this way at every
+    epoch publication.  Raises [Invalid_argument] if negative. *)
+
 val fault : t -> pseg:int -> load:(unit -> bytes) -> bytes
 (** [fault t ~pseg ~load] returns the segment's bytes, calling [load]
     (which performs the file read) on a miss.  Counts one reference, and
@@ -66,6 +74,11 @@ val pinned_segments : t -> int list
     leak, even when evaluation raises).  Costs O(pinned), not
     O(resident): the common empty answer is free no matter how full the
     buffer is. *)
+
+val resident_segments : t -> int list
+(** Resident segments in replacement order, from the front (under LRU
+    the most recently used) to the eviction end.  Costs O(resident); for
+    tests and diagnostics. *)
 
 val update : t -> pseg:int -> bytes -> unit
 (** Replace the resident copy after a write-through modification; no-op

@@ -512,6 +512,14 @@ let locate_pseg t oid =
 
 let exists t oid = locate_slot t oid <> None
 
+let segment_of t oid =
+  match locate_slot t oid with
+  | None -> None
+  | Some (pool, pseg) -> (
+    match Hashtbl.find_opt pool.psegs pseg with
+    | Some (_, len, _) -> Some (pool, pseg, len)
+    | None -> None)
+
 let open_pseg_id = function
   | Open_fixed { pseg_id; _ } -> pseg_id
   | Open_packed { pseg_id; _ } -> pseg_id
@@ -728,11 +736,13 @@ let modify t oid bytes_v =
         | `Open_fixed _ | `Open_packed _ -> assert false
       end)
 
-let delete t oid =
+let delete ?size t oid =
   match locate_slot t oid with
   | None -> raise Not_found
   | Some (pool, pseg) ->
-    let stranded = match object_size t oid with Some n -> n | None -> 0 in
+    let stranded =
+      match size with Some n -> n | None -> Option.value ~default:0 (object_size t oid)
+    in
     let in_open = is_open pool pseg in
     if in_open then begin
       match pool.open_pseg with

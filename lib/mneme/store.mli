@@ -118,8 +118,11 @@ val modify : t -> Oid.t -> bytes -> unit
     payload.  Raises [Not_found] or [Invalid_argument] like
     [allocate]. *)
 
-val delete : t -> Oid.t -> unit
-(** Drop the object.  Raises [Not_found] if absent. *)
+val delete : ?size:int -> t -> Oid.t -> unit
+(** Drop the object; a flushed one's bytes become {!wasted_bytes}.  A
+    caller that knows the size passes it as [size] (it must be what
+    {!object_size} would return), which spares the segment fault that
+    reads it.  Raises [Not_found] if absent. *)
 
 val reserve : t -> Oid.t list -> (unit -> unit)
 (** The paper's query-tree reservation: pin the segments of every
@@ -176,6 +179,13 @@ val locate_pseg : t -> Oid.t -> int option
     integrated system can reserve and so tests can assert clustering. *)
 
 val pool_of_oid : t -> Oid.t -> pool option
+
+val segment_of : t -> Oid.t -> (pool * int * int) option
+(** [(pool, pseg, length)] of the flushed physical segment holding the
+    object: what a fault of it brings into the pool's buffer.  [None]
+    for an absent object, and for one still in its pool's open segment,
+    which is read without the buffer.  Reads only the auxiliary
+    tables. *)
 
 (** {2 Transactions and recovery}
 

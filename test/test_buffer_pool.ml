@@ -196,13 +196,189 @@ let test_pinned_segments_index () =
   Alcotest.(check (list int)) "evicted segment not pinned" []
     (Mneme.Buffer_pool.pinned_segments b)
 
-let prop_capacity_respected =
-  QCheck.Test.make ~name:"resident bytes never exceed capacity without pins" ~count:100
-    QCheck.(list (int_range 0 30))
-    (fun segs ->
-      let b = Mneme.Buffer_pool.create ~name:"q" ~capacity:350 () in
-      List.iter (fun s -> ignore (Mneme.Buffer_pool.fault b ~pseg:s ~load:(load s))) segs;
-      (Mneme.Buffer_pool.stats b).Util.Cache_stats.resident_bytes <= 350)
+let test_set_capacity () =
+  let b = Mneme.Buffer_pool.create ~name:"t" ~capacity:400 () in
+  fault_seq b [ 1; 2; 3; 4 ];
+  ignore (Mneme.Buffer_pool.pin b ~pseg:1);
+  Mneme.Buffer_pool.set_capacity b 200;
+  Alcotest.(check int) "capacity" 200 (Mneme.Buffer_pool.capacity b);
+  (* 1 is the coldest but pinned; 2 and 3 go, 4 (the warmest) fits. *)
+  Alcotest.(check (list int)) "cold end evicted, pin kept" [ 4; 1 ]
+    (Mneme.Buffer_pool.resident_segments b);
+  Mneme.Buffer_pool.set_capacity b 0;
+  Alcotest.(check (list int)) "only the pin outlives 0" [ 1 ]
+    (Mneme.Buffer_pool.resident_segments b);
+  let s = Mneme.Buffer_pool.stats b in
+  Alcotest.(check int) "evictions counted" 3 s.Util.Cache_stats.evictions;
+  Alcotest.(check int) "no reference counted" 4 s.Util.Cache_stats.refs;
+  Mneme.Buffer_pool.unpin b ~pseg:1;
+  Mneme.Buffer_pool.set_capacity b 1000;
+  Alcotest.(check (list int)) "growing evicts nothing" [ 1 ]
+    (Mneme.Buffer_pool.resident_segments b);
+  Alcotest.check_raises "negative" (Invalid_argument "Buffer_pool.set_capacity: negative capacity")
+    (fun () -> Mneme.Buffer_pool.set_capacity b (-1))
+
+(* Random steps under LRU against a list model: faults of segments of
+   any size up to past the budget, pins and unpins, update, drop, clear
+   and capacity changes.  After every step the replacement order, the
+   pins and all six counters must match the model, no pinned segment
+   may have gone, and a step that evicts must leave the budget holding
+   unless every resident segment is pinned. *)
+type op =
+  | Fault of int * int (* segment, size if loaded *)
+  | Pin of int
+  | Unpin of int
+  | Update of int * int
+  | Drop of int
+  | Clear
+  | Set_capacity of int
+
+let show_op = function
+  | Fault (s, n) -> Printf.sprintf "fault %d (%d bytes)" s n
+  | Pin s -> Printf.sprintf "pin %d" s
+  | Unpin s -> Printf.sprintf "unpin %d" s
+  | Update (s, n) -> Printf.sprintf "update %d to %d bytes" s n
+  | Drop s -> Printf.sprintf "drop %d" s
+  | Clear -> "clear"
+  | Set_capacity c -> Printf.sprintf "capacity %d" c
+
+let gen_steps =
+  QCheck.Gen.(
+    int_range 0 300 >>= fun capacity ->
+    let seg = int_range 0 7 and size = int_range 0 (capacity + 100) in
+    let op =
+      frequency
+        [
+          (6, map2 (fun s n -> Fault (s, n)) seg size);
+          (2, map (fun s -> Pin s) seg);
+          (2, map (fun s -> Unpin s) seg);
+          (1, map2 (fun s n -> Update (s, n)) seg size);
+          (1, map (fun s -> Drop s) seg);
+          (1, return Clear);
+          (1, map (fun c -> Set_capacity c) (int_range 0 (capacity + 100)));
+        ]
+    in
+    pair (return capacity) (list_size (int_range 1 50) op))
+
+type model = {
+  mutable capacity : int;
+  mutable order : (int * (int * int)) list; (* segment -> (size, pins), front first *)
+  mutable refs : int;
+  mutable hits : int;
+  mutable evictions : int;
+  mutable invalidations : int;
+}
+
+let used m = List.fold_left (fun acc (_, (n, _)) -> acc + n) 0 m.order
+let all_pinned m = List.for_all (fun (_, (_, pins)) -> pins > 0) m.order
+
+let rec evict m =
+  if used m > m.capacity then
+    match List.rev m.order |> List.find_opt (fun (_, (_, pins)) -> pins = 0) with
+    | None -> ()
+    | Some (victim, _) ->
+      m.order <- List.remove_assoc victim m.order;
+      m.evictions <- m.evictions + 1;
+      evict m
+
+let add_pins m s d =
+  m.order <- List.map (fun (k, (n, p)) -> (k, (n, if k = s then p + d else p))) m.order
+
+(* Apply one step to the pool and the model; [Some evicted] when the pool
+   answered as the model did, where [evicted] says the step ran the
+   eviction loop. *)
+let step b m op =
+  let bytes n = Bytes.make n 'x' in
+  match op with
+  | Fault (s, n) -> (
+    let got = Mneme.Buffer_pool.fault b ~pseg:s ~load:(fun () -> bytes n) in
+    m.refs <- m.refs + 1;
+    match List.assoc_opt s m.order with
+    | Some (size, pins) ->
+      m.hits <- m.hits + 1;
+      m.order <- (s, (size, pins)) :: List.remove_assoc s m.order;
+      if Bytes.length got = size then Some false else None
+    | None ->
+      if m.capacity > 0 then begin
+        m.order <- (s, (n, 0)) :: m.order;
+        evict m
+      end;
+      if Bytes.length got = n then Some (m.capacity > 0) else None)
+  | Pin s ->
+    let resident = List.mem_assoc s m.order in
+    if resident then add_pins m s 1;
+    if Mneme.Buffer_pool.pin b ~pseg:s = resident then Some false else None
+  | Unpin s ->
+    let pinned = match List.assoc_opt s m.order with Some (_, p) -> p > 0 | None -> false in
+    if pinned then add_pins m s (-1);
+    let raised =
+      match Mneme.Buffer_pool.unpin b ~pseg:s with
+      | () -> false
+      | exception Invalid_argument _ -> true
+    in
+    if raised <> pinned then Some false else None
+  | Update (s, n) -> (
+    Mneme.Buffer_pool.update b ~pseg:s (bytes n);
+    match List.assoc_opt s m.order with
+    | Some (_, pins) ->
+      m.order <- (s, (n, pins)) :: List.remove_assoc s m.order;
+      evict m;
+      Some true
+    | None -> Some false)
+  | Drop s ->
+    Mneme.Buffer_pool.drop b ~pseg:s;
+    if List.mem_assoc s m.order then m.invalidations <- m.invalidations + 1;
+    m.order <- List.remove_assoc s m.order;
+    Some false
+  | Clear ->
+    Mneme.Buffer_pool.clear b;
+    m.invalidations <- m.invalidations + List.length m.order;
+    m.order <- [];
+    Some false
+  | Set_capacity c ->
+    Mneme.Buffer_pool.set_capacity b c;
+    m.capacity <- c;
+    evict m;
+    Some true
+
+let agrees b m ~evicted ~pinned_before =
+  Mneme.Buffer_pool.resident_segments b = List.map fst m.order
+  && Mneme.Buffer_pool.capacity b = m.capacity
+  && Mneme.Buffer_pool.pinned_segments b
+     = List.sort compare (List.filter_map (fun (s, (_, p)) -> if p > 0 then Some s else None) m.order)
+  && List.for_all (fun s -> Mneme.Buffer_pool.resident b ~pseg:s) pinned_before
+  && ((not evicted) || used m <= m.capacity || all_pinned m)
+  && Mneme.Buffer_pool.stats b
+     = {
+         Util.Cache_stats.refs = m.refs;
+         hits = m.hits;
+         evictions = m.evictions;
+         invalidations = m.invalidations;
+         resident_bytes = used m;
+         resident_entries = List.length m.order;
+       }
+
+let prop_against_model =
+  QCheck.Test.make ~name:"buffer pool matches a model under LRU with pins" ~count:300
+    (QCheck.make
+       ~print:(fun (c, ops) ->
+         Printf.sprintf "capacity %d: %s" c (String.concat "; " (List.map show_op ops)))
+       gen_steps)
+    (fun (capacity, ops) ->
+      let b = Mneme.Buffer_pool.create ~name:"q" ~capacity () in
+      let m = { capacity; order = []; refs = 0; hits = 0; evictions = 0; invalidations = 0 } in
+      List.for_all
+        (fun op ->
+          (* Only drop and clear may take a pinned segment away. *)
+          let pinned_before =
+            match op with
+            | Drop _ | Clear -> []
+            | _ -> Mneme.Buffer_pool.pinned_segments b
+          in
+          match step b m op with
+          | Some evicted -> agrees b m ~evicted ~pinned_before
+          | None -> false)
+        ops)
 
 let suite =
   [
@@ -221,5 +397,6 @@ let suite =
     Alcotest.test_case "accessors and validation" `Quick test_accessors_and_validation;
     Alcotest.test_case "merge stats" `Quick test_merge_stats;
     Alcotest.test_case "pinned segments index" `Quick test_pinned_segments_index;
-    QCheck_alcotest.to_alcotest prop_capacity_respected;
+    Alcotest.test_case "set capacity" `Quick test_set_capacity;
+    QCheck_alcotest.to_alcotest prop_against_model;
   ]

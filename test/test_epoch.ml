@@ -198,6 +198,31 @@ let test_gc_respects_pins () =
     (s2.Mneme.Epoch.reclaimed_objects > 0);
   Alcotest.(check int) "nothing stranded" 0 (Core.Live_index.stranded_bytes live)
 
+(* gc reclaims with the sizes the epoch manager recorded at birth: it
+   makes no buffer reference and reads no byte, and the store's wasted
+   bytes grow by exactly what it reports reclaimed. *)
+let test_gc_reads_nothing () =
+  let vfs = Vfs.create () in
+  let live = Core.Live_index.create_mneme ~journal:"gcr.log" vfs ~file:"gcr.mneme" () in
+  Seq.iter
+    (fun doc -> ignore (Core.Live_index.add_document live (Collections.Synth.document_text doc)))
+    (Seq.take 60 (Collections.Synth.documents churn_model));
+  let store = Option.get (Core.Live_index.mneme_store live) in
+  let refs () =
+    List.fold_left
+      (fun acc pool ->
+        acc + (Mneme.Buffer_pool.stats (Option.get (Mneme.Store.buffer pool))).Util.Cache_stats.refs)
+      0 (Mneme.Store.pools store)
+  in
+  let refs0 = refs () and wasted0 = Mneme.Store.wasted_bytes store and io0 = Vfs.counters vfs in
+  let s = Core.Live_index.gc live in
+  let io = Vfs.diff_counters ~later:(Vfs.counters vfs) ~earlier:io0 in
+  Alcotest.(check bool) "stale objects reclaimed" true (s.Mneme.Epoch.reclaimed_objects > 0);
+  Alcotest.(check int) "no buffer reference" 0 (refs () - refs0);
+  Alcotest.(check int) "no byte read" 0 io.Vfs.bytes_read;
+  Alcotest.(check int) "wasted bytes = reclaimed bytes" s.Mneme.Epoch.reclaimed_bytes
+    (Mneme.Store.wasted_bytes store - wasted0)
+
 (* Deep fsck after a gc under a pin: the pinned epoch's sealed root is
    still a live object beside the latest root, and must be checked as a
    root envelope, not handed to the postings checker. *)
@@ -307,6 +332,7 @@ let suite =
       test_churn_statistics_stay_consistent;
     QCheck_alcotest.to_alcotest prop_pinned_rankings_survive_churn;
     Alcotest.test_case "gc respects pins" `Quick test_gc_respects_pins;
+    Alcotest.test_case "gc reads nothing it reclaims" `Quick test_gc_reads_nothing;
     Alcotest.test_case "deep fsck accepts a pinned epoch's root" `Quick
       test_deep_fsck_accepts_pinned_root;
     Alcotest.test_case "reopen serves the published epoch" `Quick

@@ -124,6 +124,32 @@ let test_wal_replay_recovers_unmerged_buffer () =
   Alcotest.(check int) "frontier reaches the last acknowledgement" seq
     (Core.Ingest.merged_seq t')
 
+(* --- the folded index stays resident ------------------------------- *)
+
+(* The live index sizes its pools to the segments its published epoch
+   names, so once a fold's records have been read they stay: the same
+   search again reads no byte.  The query names every core term, so its
+   records span far more than a fixed pool of tens of KB would keep. *)
+let test_repeated_search_reads_nothing () =
+  let vfs = Vfs.create () in
+  let t = Core.Ingest.create vfs ~file:"rs.mneme" () in
+  let m =
+    Collections.Docmodel.make ~name:"resident" ~n_docs:400 ~core_vocab:400 ~mean_doc_len:80.0
+      ~seed:5 ()
+  in
+  Array.iter (fun doc -> ignore (add_acked t (Collections.Synth.document_text doc))) (docs_of m);
+  Core.Ingest.drain t;
+  let q =
+    Printf.sprintf "#sum( %s )"
+      (String.concat " " (List.init 400 (fun r -> Collections.Synth.core_term ~rank:(r + 1))))
+  in
+  let first = fingerprint (Core.Ingest.search ~top_k:10 t q) in
+  let before = Vfs.counters vfs in
+  let again = fingerprint (Core.Ingest.search ~top_k:10 t q) in
+  let io = Vfs.diff_counters ~later:(Vfs.counters vfs) ~earlier:before in
+  Alcotest.(check int) "no byte read" 0 io.Vfs.bytes_read;
+  Alcotest.(check bool) "same ranking" true (first = again)
+
 (* --- merge-resume idempotency -------------------------------------- *)
 
 let test_merge_resume_byte_identical () =
@@ -401,6 +427,8 @@ let suite =
     Alcotest.test_case "WAL replay recovers an unmerged buffer" `Quick
       test_wal_replay_recovers_unmerged_buffer;
     Alcotest.test_case "merge resume is byte-identical" `Quick test_merge_resume_byte_identical;
+    Alcotest.test_case "a repeated search after a fold reads nothing" `Quick
+      test_repeated_search_reads_nothing;
     Alcotest.test_case "backpressure sheds load and recovers" `Quick
       test_backpressure_sheds_and_recovers;
     Alcotest.test_case "tombstone-only drain reaches the frontier" `Quick

@@ -129,6 +129,33 @@ let test_stopwords_and_stemming () =
   Alcotest.(check (list int)) "morphological variant matches" [ d ]
     (docs_of_results (Core.Live_index.search live "runs"))
 
+(* Each pool's buffer capacity, by pool name. *)
+let capacities live =
+  let store = Option.get (Core.Live_index.mneme_store live) in
+  List.map
+    (fun pool ->
+      ( Mneme.Store.pool_name pool,
+        Mneme.Buffer_pool.capacity (Option.get (Mneme.Store.buffer pool)) ))
+    (Mneme.Store.pools store)
+
+(* [f ~oid ~pool ~pseg] over every object the store holds. *)
+let iter_objects store f =
+  List.iter
+    (fun pool ->
+      List.iter
+        (fun (lseg, slots) ->
+          Array.iteri
+            (fun slot pseg -> if pseg >= 0 then f ~oid:(Mneme.Oid.make ~lseg ~slot) ~pool ~pseg)
+            slots)
+        (Mneme.Store.pool_slot_tables pool))
+    (Mneme.Store.pools store)
+
+let object_bytes store =
+  let n = ref 0 in
+  iter_objects store (fun ~oid ~pool:_ ~pseg:_ ->
+      n := !n + Option.get (Mneme.Store.object_size store oid));
+  !n
+
 let test_wrap_prepared_collection () =
   (* Adopt an index built by the batch pipeline and keep editing it. *)
   let model =
@@ -155,13 +182,26 @@ let test_wrap_prepared_collection () =
   Alcotest.(check (list int)) "new doc searchable" [ d ]
     (docs_of_results (Core.Live_index.search live "freshdocumentword"));
   (* An old frequent term gained the new document. *)
-  match Core.Live_index.term_record live "ba" with
+  (match Core.Live_index.term_record live "ba" with
   | Some record ->
     let found = ref false in
     Inquery.Postings.fold_docs record ~init:() ~f:(fun () ~doc ~tf:_ ->
         if doc = d then found := true);
     Alcotest.(check bool) "merged into existing record" true !found
-  | None -> Alcotest.fail "ba record missing"
+  | None -> Alcotest.fail "ba record missing");
+  (* The wrapped store's buffers are the caller's and stay fixed. *)
+  Alcotest.(check (list (pair string int)))
+    "capacities unchanged"
+    [ ("small", 200_000); ("medium", 200_000); ("large", 200_000) ]
+    (capacities live);
+  (* gc reclaims "ba"'s adopted record, censused without a size: the
+     store still reads it, so wasted bytes grow by exactly the bytes
+     that left. *)
+  let held = object_bytes store and wasted = Mneme.Store.wasted_bytes store in
+  let stats = Core.Live_index.gc live in
+  Alcotest.(check bool) "an adopted record reclaimed" true (stats.Mneme.Epoch.reclaimed_objects > 0);
+  Alcotest.(check int) "wasted bytes exact" (held - object_bytes store)
+    (Mneme.Store.wasted_bytes store - wasted)
 
 let test_flush_and_reopen_mneme () =
   let vfs = Vfs.create () in
@@ -304,6 +344,93 @@ let test_compact_live_index () =
   Alcotest.(check bool) "new doc searchable" true
     (List.mem d (docs_of_results (Core.Live_index.search ~top_k:200 live "fresh")))
 
+(* --- pools sized to the published epoch ---------------------------- *)
+
+(* The working set each pool should be sized to, censused from the store
+   rather than the directory: after a gc with no pin outstanding, every
+   object but the sealed root is a record the published directory names.
+   Per pool, the summed length of the flushed segments holding one. *)
+let working_set live =
+  ignore (Core.Live_index.gc live);
+  let store = Option.get (Core.Live_index.mneme_store live) in
+  let held = Hashtbl.create 64 in
+  iter_objects store (fun ~oid ~pool ~pseg ->
+      if Some oid <> Mneme.Store.root store then
+        Hashtbl.replace held (Mneme.Store.pool_name pool, pseg) ());
+  List.map
+    (fun pool ->
+      let name = Mneme.Store.pool_name pool in
+      ( name,
+        List.fold_left
+          (fun acc (pseg, (_, len)) -> if Hashtbl.mem held (name, pseg) then acc + len else acc)
+          0 (Mneme.Store.pool_segments pool) ))
+    (Mneme.Store.pools store)
+
+(* Forty documents; "alpha" occurs 150 times in each, so its record
+   outgrows the medium pool into the large one. *)
+let add_sized_docs live =
+  let alpha = String.concat " " (List.init 150 (fun _ -> "alpha")) in
+  for i = 0 to 39 do
+    ignore
+      (Core.Live_index.add_document live
+         (Printf.sprintf "%s beta gamma doc%d term%d words" alpha i (i mod 7)))
+  done
+
+let test_pools_sized_to_epoch () =
+  let sized what live =
+    Alcotest.(check (list (pair string int))) what (working_set live) (capacities live)
+  in
+  let vfs = Vfs.create () in
+  let live = Core.Live_index.create_mneme ~journal:"ws.log" vfs ~file:"ws.mneme" () in
+  Alcotest.(check (list (pair string int)))
+    "an empty directory holds nothing"
+    [ ("small", 0); ("medium", 0); ("large", 0) ]
+    (capacities live);
+  add_sized_docs live;
+  sized "after adds" live;
+  Alcotest.(check bool) "every pool holds records" true
+    (List.for_all (fun (_, c) -> c > 0) (capacities live));
+  Core.Live_index.fold_batch live
+    ~docs:[ (40, 3) ]
+    ~postings:[ ("alpha", [ (40, [ 0 ]) ]); ("omega", [ (40, [ 1; 2 ]) ]) ]
+    ~deletes:[ 3; 4 ] ();
+  sized "after a fold" live;
+  ignore (Core.Live_index.delete_document live 7);
+  sized "after a delete" live;
+  let re = Core.Live_index.open_mneme ~journal:"ws.log" vfs ~file:"ws.mneme" () in
+  sized "after open" re;
+  (* Unjournaled, records can sit in open segments, which are read
+     without the buffer and not counted. *)
+  let live = Core.Live_index.create_mneme (Vfs.create ()) ~file:"wc.mneme" () in
+  add_sized_docs live;
+  sized "unjournaled" live;
+  for d = 0 to 9 do
+    ignore (Core.Live_index.delete_document live d)
+  done;
+  Core.Live_index.compact live ~file:"wc2.mneme";
+  sized "after compact" live
+
+let test_explicit_buffers_stay_fixed () =
+  let buffers = { Core.Buffer_sizing.small = 1000; medium = 2000; large = 3000 } in
+  let fixed what live =
+    Alcotest.(check (list (pair string int)))
+      what
+      [ ("small", 1000); ("medium", 2000); ("large", 3000) ]
+      (capacities live)
+  in
+  let vfs = Vfs.create () in
+  let live = Core.Live_index.create_mneme ~buffers ~journal:"fx.log" vfs ~file:"fx.mneme" () in
+  add_sized_docs live;
+  Core.Live_index.fold_batch live ~docs:[ (40, 1) ] ~postings:[ ("omega", [ (40, [ 0 ]) ]) ]
+    ~deletes:[ 3 ] ();
+  ignore (Core.Live_index.delete_document live 7);
+  fixed "after adds, a fold and a delete" live;
+  fixed "after open" (Core.Live_index.open_mneme ~buffers ~journal:"fx.log" vfs ~file:"fx.mneme" ());
+  let live = Core.Live_index.create_mneme ~buffers (Vfs.create ()) ~file:"fxc.mneme" () in
+  add_sized_docs live;
+  Core.Live_index.compact live ~file:"fxc2.mneme";
+  fixed "after compact" live
+
 let test_compact_btree_rejected () =
   let vfs = Vfs.create () in
   let live = Core.Live_index.create_btree vfs ~file:"cb.btree" () in
@@ -330,4 +457,6 @@ let suite =
     Alcotest.test_case "compact live index" `Quick test_compact_live_index;
     Alcotest.test_case "compact btree rejected" `Quick test_compact_btree_rejected;
     Alcotest.test_case "malformed roots are Corrupt" `Quick test_malformed_roots_are_corrupt;
+    Alcotest.test_case "pools sized to the published epoch" `Quick test_pools_sized_to_epoch;
+    Alcotest.test_case "explicit buffers stay fixed" `Quick test_explicit_buffers_stay_fixed;
   ]
