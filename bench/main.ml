@@ -421,11 +421,11 @@ let bench_epoch =
       (Staged.stage (fun () -> epoch_cycle (Lazy.force journaled)));
     Test.make ~name:"search (latest epoch)"
       (Staged.stage (fun () -> Core.Live_index.search ~top_k:10 (Lazy.force plain) "alpha"));
-    Test.make ~name:"pin + search_pinned + release"
+    Test.make ~name:"pin + rank pinned + release"
       (Staged.stage (fun () ->
            let live = Lazy.force plain in
            let p = Core.Live_index.pin live in
-           let r = Core.Live_index.search_pinned ~top_k:10 live p "alpha" in
+           let r = Core.Live_index.rank ~top_k:10 live (Core.Live_index.pinned live p) "alpha" in
            Core.Live_index.release live p;
            r));
   ]

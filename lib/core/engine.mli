@@ -33,7 +33,7 @@ val create :
   unit ->
   t
 (** [max_doc_id] (default [n_docs - 1]) bounds the document id space;
-    pass it explicitly when ids are sparse — e.g. an {!Ingest} session
+    pass it explicitly when ids are sparse — e.g. a {!Live_index}
     after deletions, where live ids range past the document count.
     [reserve] (default true) controls the paper's query-tree reservation
     scan; the ablation harness turns it off to measure its value.

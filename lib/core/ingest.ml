@@ -231,28 +231,30 @@ let materialize run =
   Buffer.add_buffer b run.r_buf;
   Buffer.to_bytes b
 
-(* Combine [fanout] consecutive same-tier segments into one of the next
-   tier — pure in-memory work, no I/O.  Consecutive segments cover
-   disjoint ascending document ranges, so per-term records merge
-   cleanly. *)
-let merge_segments group =
-  let tier = 1 + (List.hd group).sg_tier in
-  let docs = Array.concat (List.map (fun sg -> sg.sg_docs) group) in
+(* Per term, sorted by term, the concatenation of consecutive segments'
+   runs, oldest first.  Consecutive segments cover disjoint ascending
+   document ranges, so per-term records merge cleanly. *)
+let concat_runs segs =
   let runs = Hashtbl.create 64 in
-  let order = ref [] in
   List.iter
     (fun sg ->
       Array.iter
         (fun (term, record) ->
-          match Hashtbl.find_opt runs term with
-          | Some prev -> Hashtbl.replace runs term (Inquery.Postings.merge prev record)
-          | None ->
-            Hashtbl.replace runs term record;
-            order := term :: !order)
+          Hashtbl.replace runs term
+            (match Hashtbl.find_opt runs term with
+            | Some prev -> Inquery.Postings.merge prev record
+            | None -> record))
         sg.sg_runs)
-    group;
-  let terms = List.sort compare !order in
-  let run_list = List.map (fun term -> (term, Hashtbl.find runs term)) terms in
+    segs;
+  Hashtbl.fold (fun term record acc -> (term, record) :: acc) runs []
+  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+
+(* Combine [fanout] consecutive same-tier segments into one of the next
+   tier — pure in-memory work, no I/O. *)
+let merge_segments group =
+  let tier = 1 + (List.hd group).sg_tier in
+  let docs = Array.concat (List.map (fun sg -> sg.sg_docs) group) in
+  let run_list = concat_runs group in
   let bytes =
     List.fold_left (fun acc (_, r) -> acc + Bytes.length r) 0 run_list
     + (Array.length docs * doc_tax)
@@ -440,33 +442,13 @@ let merge_step ?(budget = Mneme.Budget.unlimited) t =
       List.concat_map (fun sg -> Array.to_list sg.sg_docs) chosen
       |> List.filter (fun (doc, _) -> not (doomed doc))
     in
-    (* Per term: concatenate the chosen segments' runs (ascending,
-       disjoint), drop doomed documents, re-expand to (doc, positions)
-       for the fold. *)
-    let runs = Hashtbl.create 64 in
-    let order = ref [] in
-    List.iter
-      (fun sg ->
-        Array.iter
-          (fun (term, record) ->
-            match Hashtbl.find_opt runs term with
-            | Some prev -> Hashtbl.replace runs term (Inquery.Postings.merge prev record)
-            | None ->
-              Hashtbl.replace runs term record;
-              order := term :: !order)
-          sg.sg_runs)
-      chosen;
+    (* Per term: the chosen segments' runs concatenated, doomed
+       documents dropped — a canonical record, as the fold takes it. *)
     let postings =
-      List.sort compare !order
-      |> List.filter_map (fun term ->
-             match Inquery.Postings.remove_docs (Hashtbl.find runs term) doomed with
-             | None -> None
-             | Some record ->
-               let entries =
-                 Inquery.Postings.decode record
-                 |> List.map (fun dp -> (dp.Inquery.Postings.doc, dp.Inquery.Postings.positions))
-               in
-               Some (term, entries))
+      List.filter_map
+        (fun (term, record) ->
+          Option.map (fun r -> (term, r)) (Inquery.Postings.remove_docs record doomed))
+        (concat_runs chosen)
     in
     let deletes =
       Hashtbl.fold (fun doc seq acc -> if seq <= frontier then doc :: acc else acc) t.tombs []
@@ -501,109 +483,50 @@ let drain ?budget t =
 (* ------------------------------------------------------------------ *)
 (* Query evaluation over the union                                     *)
 
-(* A frozen view of one union state: enough to evaluate any query. *)
-type view = {
-  v_record : string -> bytes option; (* final union record, normalised term *)
-  v_member : int -> bool;
-  v_doc_len : int -> int;
-  v_n_docs : int;
-  v_total_len : int;
-  v_next_doc : int;
-}
+(* Binary search a segment's sorted run table. *)
+let segment_run sg term =
+  let lo = ref 0 and hi = ref (Array.length sg.sg_runs) in
+  while !hi - !lo > 0 do
+    let mid = (!lo + !hi) / 2 in
+    if fst sg.sg_runs.(mid) < term then lo := mid + 1 else hi := mid
+  done;
+  if !lo < Array.length sg.sg_runs && fst sg.sg_runs.(!lo) = term then Some (snd sg.sg_runs.(!lo))
+  else None
 
-(* The union record for one term across a segment list: concatenate the
-   per-segment runs oldest-first onto the disk record, then drop every
-   tombstoned document.  The result is exactly the record a from-scratch
-   index of the union's documents would hold, so its statistics are the
-   union's statistics. *)
-let assemble ~disk ~segs ~dead term =
-  let acc = ref disk in
-  List.iter
-    (fun sg ->
-      (* Binary search the sorted per-segment term table. *)
-      let lo = ref 0 and hi = ref (Array.length sg.sg_runs) in
-      while !hi - !lo > 0 do
-        let mid = (!lo + !hi) / 2 in
-        let k, _ = sg.sg_runs.(mid) in
-        if k < term then lo := mid + 1 else hi := mid
-      done;
-      if !lo < Array.length sg.sg_runs then begin
-        let k, record = sg.sg_runs.(!lo) in
-        if k = term then
-          acc := (match !acc with None -> Some record | Some prev -> Some (Inquery.Postings.merge prev record))
-      end)
-    segs;
-  match !acc with None -> None | Some record -> Inquery.Postings.remove_docs record dead
-
-let eval_view t view ~top_k query =
-  let q = Inquery.Query.parse_exn query in
-  let dict = Inquery.Dictionary.create () in
-  let records = Hashtbl.create 8 in
-  List.iter
-    (fun w ->
-      match Live_index.normalise_term t.live w with
-      | None -> ()
-      | Some w ->
-        if not (Hashtbl.mem records w) then (
-          match view.v_record w with
-          | None -> ()
-          | Some record ->
-            let df, cf = Inquery.Postings.stats record in
-            let e = Inquery.Dictionary.intern dict w in
-            e.Inquery.Dictionary.df <- df;
-            e.Inquery.Dictionary.cf <- cf;
-            Hashtbl.replace records w record))
-    (Inquery.Query.terms q);
-  let n_docs = view.v_n_docs in
-  let source =
-    {
-      Inquery.Infnet.fetch = (fun e -> Hashtbl.find_opt records e.Inquery.Dictionary.term);
-      n_docs = max 1 n_docs;
-      max_doc_id = max 0 (view.v_next_doc - 1);
-      avg_doc_len =
-        (if n_docs = 0 then 0.0 else float_of_int view.v_total_len /. float_of_int n_docs);
-      doc_len = view.v_doc_len;
-    }
+(* The union record for one normalised term: the disk record, then the
+   sealed runs oldest first, then the active run, with every tombstoned
+   document dropped.  [remove_docs] re-encodes, so the result is exactly
+   the record a from-scratch index of the union's documents would hold,
+   and its header statistics are the union's. *)
+let union_record (disk : Live_index.view) ~segs ~active ~dead term =
+  let runs = List.filter_map (fun sg -> segment_run sg term) segs @ Option.to_list active in
+  let merged =
+    List.fold_left
+      (fun acc run ->
+        Some (match acc with None -> run | Some prev -> Inquery.Postings.merge prev run))
+      (Option.map (fun (r, _, _) -> r) (disk.record term))
+      runs
   in
-  let stopwords = Live_index.stopwords t.live and stem = Live_index.stem t.live in
-  let beliefs, _ = Inquery.Infnet.eval source dict ?stopwords ~stem q in
-  Array.iteri
-    (fun d b ->
-      if b > Inquery.Infnet.default_belief && not (view.v_member d) then
-        beliefs.(d) <- Inquery.Infnet.default_belief)
-    beliefs;
-  Inquery.Ranking.top_k beliefs ~k:top_k
+  Option.bind merged (fun r -> Inquery.Postings.remove_docs r dead)
+  |> Option.map (fun r ->
+         let df, cf = Inquery.Postings.stats r in
+         (r, df, cf))
 
-let latest_view t =
-  let dead doc = Hashtbl.mem t.tombs doc in
-  let segs = t.sealed in
-  let active_run term =
-    match Hashtbl.find_opt t.active.a_runs term with
-    | Some run when run.r_df > 0 -> Some (materialize run)
-    | _ -> None
-  in
+let latest t =
+  let disk = Live_index.latest t.live in
   {
-    v_record =
+    Live_index.record =
       (fun term ->
-        let disk =
-          match Live_index.lookup t.live term with Some (r, _, _) -> Some r | None -> None
-        in
-        let merged = assemble ~disk ~segs ~dead:(fun _ -> false) term in
-        let merged =
-          match (merged, active_run term) with
-          | None, r -> r
-          | r, None -> r
-          | Some a, Some b -> Some (Inquery.Postings.merge a b)
-        in
-        match merged with None -> None | Some r -> Inquery.Postings.remove_docs r dead);
-    v_member = (fun d -> Hashtbl.mem t.union d);
-    v_doc_len = (fun d -> match Hashtbl.find_opt t.union d with Some l -> l | None -> 0);
-    v_n_docs = Hashtbl.length t.union;
-    v_total_len = t.union_len;
-    v_next_doc = t.next_doc;
+        union_record disk ~segs:t.sealed
+          ~active:(Option.map materialize (Hashtbl.find_opt t.active.a_runs term))
+          ~dead:(Hashtbl.mem t.tombs) term);
+    doc_len = Hashtbl.find_opt t.union;
+    n_docs = Hashtbl.length t.union;
+    total_len = t.union_len;
+    next_doc = t.next_doc;
   }
 
-let search ?(top_k = 10) t query = eval_view t (latest_view t) ~top_k query
+let search ?top_k t query = Live_index.rank ?top_k t.live (latest t) query
 
 (* ------------------------------------------------------------------ *)
 (* Pinned union reading                                                *)
@@ -611,7 +534,7 @@ let search ?(top_k = 10) t query = eval_view t (latest_view t) ~top_k query
 type pin = {
   ip_live : Live_index.pin;
   ip_segments : segment list;
-  ip_dead : (int, unit) Hashtbl.t;
+  ip_tombs : (int, int) Hashtbl.t;
   ip_docs : (int, int) Hashtbl.t;
   ip_total : int;
   ip_next : int;
@@ -621,110 +544,27 @@ let pin t =
   (* Freeze the active segment first: sealed segments are immutable, so
      the pin can hold the list by reference forever. *)
   seal t;
-  let dead = Hashtbl.create (Hashtbl.length t.tombs) in
-  Hashtbl.iter (fun doc _ -> Hashtbl.replace dead doc ()) t.tombs;
   {
     ip_live = Live_index.pin t.live;
     ip_segments = t.sealed;
-    ip_dead = dead;
+    ip_tombs = Hashtbl.copy t.tombs;
     ip_docs = Hashtbl.copy t.union;
     ip_total = t.union_len;
     ip_next = t.next_doc;
   }
 
 let release t p = Live_index.release t.live p.ip_live
-let pin_epoch p = Live_index.pin_epoch p.ip_live
 
-let pinned_view t p =
-  let dead doc = Hashtbl.mem p.ip_dead doc in
+let pinned t p =
+  let disk = Live_index.pinned t.live p.ip_live in
   {
-    v_record =
-      (fun term ->
-        let disk =
-          match Live_index.pin_lookup t.live p.ip_live term with
-          | Some (r, _, _) -> Some r
-          | None -> None
-        in
-        match assemble ~disk ~segs:p.ip_segments ~dead:(fun _ -> false) term with
-        | None -> None
-        | Some r -> Inquery.Postings.remove_docs r dead);
-    v_member = (fun d -> Hashtbl.mem p.ip_docs d);
-    v_doc_len = (fun d -> match Hashtbl.find_opt p.ip_docs d with Some l -> l | None -> 0);
-    v_n_docs = Hashtbl.length p.ip_docs;
-    v_total_len = p.ip_total;
-    v_next_doc = p.ip_next;
+    Live_index.record =
+      union_record disk ~segs:p.ip_segments ~active:None ~dead:(Hashtbl.mem p.ip_tombs);
+    doc_len = Hashtbl.find_opt p.ip_docs;
+    n_docs = Hashtbl.length p.ip_docs;
+    total_len = p.ip_total;
+    next_doc = p.ip_next;
   }
-
-let search_pinned ?(top_k = 10) t p query = eval_view t (pinned_view t p) ~top_k query
-
-(* ------------------------------------------------------------------ *)
-(* Engine integration                                                  *)
-
-type session = {
-  ses_store : Index_store.t;
-  ses_dict : Inquery.Dictionary.t;
-  ses_n_docs : int;
-  ses_max_doc_id : int;
-  ses_avg_doc_len : float;
-  ses_doc_len : int -> int;
-  ses_pin : pin;
-}
-
-let session t =
-  let p = pin t in
-  let view = pinned_view t p in
-  (* Every union term: the pinned disk directory plus every pinned
-     segment's run table. *)
-  let terms = Hashtbl.create 256 in
-  List.iter
-    (fun (term, _, _) -> Hashtbl.replace terms term ())
-    (Live_index.pin_directory p.ip_live);
-  List.iter
-    (fun sg -> Array.iter (fun (term, _) -> Hashtbl.replace terms term ()) sg.sg_runs)
-    p.ip_segments;
-  let dict = Inquery.Dictionary.create () in
-  let records = Hashtbl.create (Hashtbl.length terms) in
-  Hashtbl.fold (fun term () acc -> term :: acc) terms []
-  |> List.sort compare
-  |> List.iter (fun term ->
-         match view.v_record term with
-         | None -> ()
-         | Some record ->
-           let df, cf = Inquery.Postings.stats record in
-           let e = Inquery.Dictionary.intern dict term in
-           e.Inquery.Dictionary.df <- df;
-           e.Inquery.Dictionary.cf <- cf;
-           Hashtbl.replace records term record);
-  let store =
-    {
-      Index_store.name = "ingest-union";
-      fetch = (fun e -> Hashtbl.find_opt records e.Inquery.Dictionary.term);
-      reserve = Index_store.no_reserve;
-      buffer_stats = (fun () -> []);
-      reset_buffer_stats = (fun () -> ());
-      file_size =
-        (fun () ->
-          match Live_index.mneme_store t.live with
-          | Some store -> Mneme.Store.file_size store
-          | None -> 0);
-      epoch = (fun () -> pin_epoch p);
-      attach_frames = Index_store.no_frames;
-      fetch_resident = Index_store.never_resident;
-    }
-  in
-  {
-    ses_store = store;
-    ses_dict = dict;
-    ses_n_docs = view.v_n_docs;
-    ses_max_doc_id = max 0 (view.v_next_doc - 1);
-    ses_avg_doc_len =
-      (if view.v_n_docs = 0 then 0.0
-       else float_of_int view.v_total_len /. float_of_int view.v_n_docs);
-    ses_doc_len = view.v_doc_len;
-    ses_pin = p;
-  }
-
-let close_session t s = release t s.ses_pin
 
 (* ------------------------------------------------------------------ *)
 (* Construction and recovery                                           *)

@@ -24,13 +24,15 @@
     ({!Core.Torture.ingest} enumerates every crash point and
     proves it).
 
-    {b Union queries.}  {!search} evaluates against disk ∪ memory with
-    exact collection statistics: per query term the segments' runs are
-    merged onto the disk record and pending deletions dropped, so the
-    record — and hence df, tf and every belief — is bit-identical to a
-    from-scratch index of the union's documents.  {!pin} freezes the
-    whole union (disk epoch pin + sealed segment list) for
-    bit-identical re-reads under churn. *)
+    {b Union queries.}  {!latest} is the union of disk and memory as a
+    {!Live_index.view} with exact collection statistics: per query term
+    the segments' runs are merged onto the disk record and pending
+    deletions dropped, so the record — and hence df, tf and every
+    belief — is bit-identical to a from-scratch index of the union's
+    documents.  {!search} ranks it with {!Live_index.rank}.  {!pin}
+    freezes the whole union (disk epoch pin + sealed segment list), and
+    ranking its {!pinned} view gives bit-identical re-reads under
+    churn. *)
 
 type config = {
   buffer_budget : int;
@@ -114,9 +116,15 @@ val merge_step : ?budget:Mneme.Budget.t -> t -> bool
 val drain : ?budget:Mneme.Budget.t -> t -> unit
 (** {!merge_step} until the buffer is empty. *)
 
+val latest : t -> Live_index.view
+(** The union of the memory buffer and the disk index, less pending
+    deletions: each term's record is the disk record, then the sealed
+    runs oldest first, then the active run, with tombstoned documents
+    dropped — byte for byte the record a single index holding the
+    union's documents would store, with its df and cf. *)
+
 val search : ?top_k:int -> t -> string -> Inquery.Ranking.ranked list
-(** Evaluate one query against the union of the memory buffer and the
-    disk index, with exact union statistics — rankings are
+(** [Live_index.rank ?top_k (live t) (latest t)]: rankings are
     bit-identical to a single index holding the union's documents. *)
 
 (** {2 Pinned union reading} *)
@@ -130,32 +138,10 @@ val pin : t -> pin
     gc do not move the view. *)
 
 val release : t -> pin -> unit
-val pin_epoch : pin -> int
 
-val search_pinned : ?top_k:int -> t -> pin -> string -> Inquery.Ranking.ranked list
-(** Bit-identical to what {!search} returned when the pin was taken. *)
-
-(** {2 Serving integration} *)
-
-type session = {
-  ses_store : Index_store.t;
-      (** an index session over the pinned union — plugs into
-          {!Engine.create} and {!Frontend} replica specs *)
-  ses_dict : Inquery.Dictionary.t;  (** union terms with union df/cf *)
-  ses_n_docs : int;
-  ses_max_doc_id : int;
-      (** ids are sparse under deletion — pass to {!Engine.create} *)
-  ses_avg_doc_len : float;
-  ses_doc_len : int -> int;
-  ses_pin : pin;  (** release via {!close_session} *)
-}
-
-val session : t -> session
-(** Capture the current union as an {!Index_store} session: an
-    {!Engine} created from it ranks bit-identically to {!search} at
-    capture time, while ingestion and merging continue underneath. *)
-
-val close_session : t -> session -> unit
+val pinned : t -> pin -> Live_index.view
+(** The union as the pin froze it: {!Live_index.rank} over it is
+    bit-identical to what {!search} returned when the pin was taken. *)
 
 (** {2 Introspection} *)
 

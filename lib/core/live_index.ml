@@ -276,27 +276,21 @@ let wrap_mneme ?stopwords ?stem ?(thresholds = Partition.default) vfs ~store ~di
      every segment), so GC byte counts cover only objects written
      through this live index. *)
   census_oids store ~f:(fun ~oid ~size -> Mneme.Epoch.adopt epochs ~oid ~size);
-  let doc_lens = Hashtbl.create (max 64 (List.length doc_lengths)) in
-  let total_len = ref 0 and next_doc = ref 0 in
-  List.iter
-    (fun (doc, len) ->
-      Hashtbl.replace doc_lens doc len;
-      total_len := !total_len + len;
-      if doc >= !next_doc then next_doc := doc + 1)
-    doc_lengths;
-  let snap = snapshot_of_dict ~epoch dict doc_lens ~total_len:!total_len ~next_doc:!next_doc in
   let st =
     {
       pools = pools_of_store store;
       thresholds;
       epochs;
-      snap;
+      snap = empty_snapshot epoch;
       root_oid = (match Mneme.Store.root store with Some oid -> oid | None -> -1);
       journaled = Mneme.Store.journal store <> None;
       fitted = false;
     }
   in
-  make ?stopwords ?stem vfs (Mneme_backend st) dict doc_lengths
+  let t = make ?stopwords ?stem vfs (Mneme_backend st) dict doc_lengths in
+  st.snap <-
+    snapshot_of_dict ~epoch dict t.doc_lens ~total_len:t.total_len ~next_doc:t.next_doc_id;
+  t
 
 let create_btree ?stopwords ?stem vfs ~file () =
   let tree = Btree.create vfs file () in
@@ -506,11 +500,10 @@ let install_root t st =
    re-open, the {!Mneme.Store.transact} contract. *)
 let mutate t st f =
   let body () =
-    let r = f () in
-    let snap, root = install_root t st in
-    (r, snap, root)
+    f ();
+    install_root t st
   in
-  let r, snap, root =
+  let snap, root =
     if st.journaled then
       Mneme.Store.transact st.pools.store (fun () ->
           let r = body () in
@@ -524,15 +517,14 @@ let mutate t st f =
   fit_buffers st;
   (* Publication hooks fire only once the new epoch is installed and the
      in-memory handle serves it — the point at which anything cached
-     under an older epoch is officially stale.  {!Ingest.flush_batch}
-     publishes through this same path, so batched ingestion fires them
-     too.  Hook exceptions propagate: the epoch is already durable, and
-     a cache that cannot invalidate must not fail silently. *)
-  List.iter (fun hook -> hook ~epoch:snap.sn_epoch) t.publish_hooks;
-  r
+     under an older epoch is officially stale.  Every mutation, an
+     {!Ingest} fold among them, is a [fold_batch] and fires them.  Hook
+     exceptions propagate: the epoch is already durable, and a cache
+     that cannot invalidate must not fail silently. *)
+  List.iter (fun hook -> hook ~epoch:snap.sn_epoch) t.publish_hooks
 
 (* ------------------------------------------------------------------ *)
-(* Addition                                                            *)
+(* Mutation                                                            *)
 
 let normalise t term = Inquery.Stopwords.normalize ?stopwords:t.stopwords ~stem:t.stem term
 
@@ -557,81 +549,24 @@ let tokenize t text =
   in
   (List.rev_map (fun term -> (term, List.rev (Hashtbl.find positions term))) !order, indexed)
 
-(* Merge one term's new postings (ascending docs, all beyond the current
-   record) into its inverted list. *)
-let apply_postings t term docps =
+(* Merge one term's canonical record of new postings (every document
+   beyond the stored record) into its inverted list. *)
+let apply_postings t term addition =
   let entry = Inquery.Dictionary.intern t.dict term in
-  let addition = Inquery.Postings.encode docps in
   let record =
     match fetch_record t entry with
     | None -> addition
     | Some existing -> Inquery.Postings.merge existing addition
   in
   store_record t entry record;
-  entry.Inquery.Dictionary.df <- entry.Inquery.Dictionary.df + List.length docps;
-  entry.Inquery.Dictionary.cf <-
-    entry.Inquery.Dictionary.cf
-    + List.fold_left (fun acc (_, ps) -> acc + List.length ps) 0 docps
+  let df, cf = Inquery.Postings.stats addition in
+  entry.Inquery.Dictionary.df <- entry.Inquery.Dictionary.df + df;
+  entry.Inquery.Dictionary.cf <- entry.Inquery.Dictionary.cf + cf
 
-let add_document_body t doc text =
-  t.next_doc_id <- doc + 1;
-  let terms, indexed = tokenize t text in
-  List.iter (fun (term, ps) -> apply_postings t term [ (doc, ps) ]) terms;
-  Hashtbl.replace t.doc_lens doc indexed;
-  t.total_len <- t.total_len + indexed;
-  doc
-
-let add_document t ?doc_id text =
-  let doc =
-    match doc_id with
-    | None -> t.next_doc_id
-    | Some id ->
-      if id < t.next_doc_id then
-        invalid_arg "Live_index.add_document: id must exceed all existing ids";
-      id
-  in
-  match t.backend with
-  | Btree_backend _ -> add_document_body t doc text
-  | Mneme_backend st -> mutate t st (fun () -> add_document_body t doc text)
-
-(* ------------------------------------------------------------------ *)
-(* Deletion                                                            *)
-
-let delete_document_body t doc len =
-  (* No forward index: every inverted list must be examined — the
-     cost structure the paper describes for deletion. *)
-  Inquery.Dictionary.iter t.dict (fun entry ->
-      match fetch_record t entry with
-      | None -> ()
-      | Some record ->
-        let tf = ref 0 in
-        Inquery.Postings.fold_docs record ~init:() ~f:(fun () ~doc:d ~tf:f ->
-            if d = doc then tf := f);
-        if !tf > 0 then begin
-          (match Inquery.Postings.remove_docs record (fun d -> d = doc) with
-          | Some record' -> store_record t entry record'
-          | None -> drop_record t entry);
-          entry.Inquery.Dictionary.df <- entry.Inquery.Dictionary.df - 1;
-          entry.Inquery.Dictionary.cf <- entry.Inquery.Dictionary.cf - !tf
-        end);
-  Hashtbl.remove t.doc_lens doc;
-  t.total_len <- t.total_len - len
-
-let delete_document t doc =
-  match Hashtbl.find_opt t.doc_lens doc with
-  | None -> false
-  | Some len ->
-    (match t.backend with
-    | Btree_backend _ -> delete_document_body t doc len
-    | Mneme_backend st -> mutate t st (fun () -> delete_document_body t doc len));
-    true
-
-(* ------------------------------------------------------------------ *)
-(* Batched folding (the ingestion merge path)                          *)
-
-(* Remove a whole set of documents in one dictionary sweep, instead of
-   [delete_document_body]'s one-sweep-per-document. *)
-let delete_batch_body t docs =
+(* Remove a set of documents in one dictionary sweep.  No forward index:
+   every inverted list must be examined — the cost structure the paper
+   describes for deletion. *)
+let delete_docs t docs =
   let doomed = Hashtbl.create (List.length docs) in
   List.iter
     (fun doc ->
@@ -664,6 +599,8 @@ let delete_batch_body t docs =
       doomed
   end
 
+(* The one mutation: [add_document] and [delete_document] are
+   one-document batches, and an {!Ingest} fold is a batch of many. *)
 let fold_batch t ?(meta = []) ~docs ~postings ~deletes () =
   let body () =
     List.iter
@@ -674,16 +611,37 @@ let fold_batch t ?(meta = []) ~docs ~postings ~deletes () =
         t.total_len <- t.total_len + len;
         if doc >= t.next_doc_id then t.next_doc_id <- doc + 1)
       docs;
-    List.iter (fun (term, docps) -> if docps <> [] then apply_postings t term docps) postings;
-    delete_batch_body t deletes;
+    List.iter (fun (term, record) -> apply_postings t term record) postings;
+    delete_docs t deletes;
     List.iter (fun (k, v) -> t.live_meta <- Tmap.add k v t.live_meta) meta
   in
   match t.backend with
   | Btree_backend _ -> body ()
   | Mneme_backend st -> mutate t st body
 
+let add_document t ?doc_id text =
+  let doc =
+    match doc_id with
+    | None -> t.next_doc_id
+    | Some id ->
+      if id < t.next_doc_id then
+        invalid_arg "Live_index.add_document: id must exceed all existing ids";
+      id
+  in
+  let terms, indexed = tokenize t text in
+  fold_batch t
+    ~docs:[ (doc, indexed) ]
+    ~postings:(List.map (fun (term, ps) -> (term, Inquery.Postings.encode [ (doc, ps) ])) terms)
+    ~deletes:[] ();
+  doc
+
+let delete_document t doc =
+  let present = Hashtbl.mem t.doc_lens doc in
+  if present then fold_batch t ~docs:[] ~postings:[] ~deletes:[ doc ] ();
+  present
+
 (* ------------------------------------------------------------------ *)
-(* Search and statistics                                               *)
+(* Statistics                                                          *)
 
 let document_count t = Hashtbl.length t.doc_lens
 let contains_document t doc = Hashtbl.mem t.doc_lens doc
@@ -700,51 +658,15 @@ let term_record t term =
     | None -> None
     | Some entry -> fetch_record t entry)
 
-(* Latest-view accessors for the ingestion union: the term is already
-   normalised (stemming is not idempotent, so re-normalising here would
-   miss). *)
-let lookup t term =
-  match Inquery.Dictionary.find t.dict term with
-  | None -> None
-  | Some entry -> (
-    match fetch_record t entry with
-    | None -> None
-    | Some record -> Some (record, entry.Inquery.Dictionary.df, entry.Inquery.Dictionary.cf))
-
 let doc_lengths t =
   Hashtbl.fold (fun d l acc -> (d, l) :: acc) t.doc_lens [] |> List.sort compare
 
 let next_doc t = t.next_doc_id
-let total_length t = t.total_len
 let meta t = Tmap.bindings t.live_meta
 let normalise_term t term = normalise t term
-let stopwords t = t.stopwords
-let stem t = t.stem
-
-let search ?(top_k = 10) t query =
-  let source =
-    {
-      Inquery.Infnet.fetch = (fun entry -> fetch_record t entry);
-      n_docs = max 1 (document_count t);
-      max_doc_id = max 0 (t.next_doc_id - 1);
-      avg_doc_len = avg_doc_length t;
-      doc_len = (fun d -> match Hashtbl.find_opt t.doc_lens d with Some l -> l | None -> 0);
-    }
-  in
-  let beliefs, _ =
-    Inquery.Infnet.eval source t.dict ?stopwords:t.stopwords ~stem:t.stem
-      (Inquery.Query.parse_exn query)
-  in
-  (* Deleted documents keep their slots; mask them out. *)
-  Array.iteri
-    (fun d b ->
-      if b > Inquery.Infnet.default_belief && not (Hashtbl.mem t.doc_lens d) then
-        beliefs.(d) <- Inquery.Infnet.default_belief)
-    beliefs;
-  Inquery.Ranking.top_k beliefs ~k:top_k
 
 (* ------------------------------------------------------------------ *)
-(* Pinned-epoch reading                                                *)
+(* Pins                                                                *)
 
 type pin = { p_pin : Mneme.Epoch.pin; p_snap : snapshot }
 
@@ -762,86 +684,108 @@ let pin t =
   let st = mneme_state t in
   { p_pin = Mneme.Epoch.pin st.epochs; p_snap = st.snap }
 
-let pin_epoch p = p.p_snap.sn_epoch
 let release t p = Mneme.Epoch.release (mneme_state t).epochs p.p_pin
-
-(* Pinned-view accessors for the ingestion union: the pinned snapshot's
-   directory and statistics, with record fetches resolved against the
-   pinned locators (the epoch pin keeps those objects alive). *)
-let pin_lookup t p term =
-  let st = mneme_state t in
-  match Tmap.find_opt term p.p_snap.sn_terms with
-  | None -> None
-  | Some ti ->
-    if ti.ti_oid < 0 then None
-    else (
-      match Mneme.Store.get_opt st.pools.store ti.ti_oid with
-      | None -> None
-      | Some record -> Some (record, ti.ti_df, ti.ti_cf))
-
-let pin_doc_lengths p = Imap.bindings p.p_snap.sn_doc_lens
-let pin_total_length p = p.p_snap.sn_total_len
-let pin_next_doc p = p.p_snap.sn_next_doc
-let pin_meta p = Tmap.bindings p.p_snap.sn_meta
 
 let pin_directory p =
   Tmap.fold (fun term ti acc -> (term, ti.ti_df, ti.ti_cf) :: acc) p.p_snap.sn_terms []
   |> List.rev
 
-let search_pinned ?(top_k = 10) t pin query =
-  let st = mneme_state t in
-  let snap = pin.p_snap in
-  let store = st.pools.store in
+let pinned_epochs t =
+  match t.backend with Btree_backend _ -> [] | Mneme_backend st -> Mneme.Epoch.pinned st.epochs
+
+(* ------------------------------------------------------------------ *)
+(* Views and ranking                                                   *)
+
+type view = {
+  record : string -> (bytes * int * int) option;
+  doc_len : int -> int option;
+  n_docs : int;
+  total_len : int;
+  next_doc : int;
+}
+
+(* Terms are already normalised: stemming is not idempotent, so
+   normalising again here would miss. *)
+let latest t =
+  {
+    record =
+      (fun term ->
+        match Inquery.Dictionary.find t.dict term with
+        | None -> None
+        | Some e ->
+          Option.map
+            (fun r -> (r, e.Inquery.Dictionary.df, e.Inquery.Dictionary.cf))
+            (fetch_record t e));
+    doc_len = Hashtbl.find_opt t.doc_lens;
+    n_docs = Hashtbl.length t.doc_lens;
+    total_len = t.total_len;
+    next_doc = t.next_doc_id;
+  }
+
+(* The pinned snapshot's directory and statistics, with records fetched
+   through the pinned locators, which the epoch pin keeps alive. *)
+let pinned t p =
+  let st = mneme_state t and snap = p.p_snap in
+  {
+    record =
+      (fun term ->
+        match Tmap.find_opt term snap.sn_terms with
+        | Some ti when ti.ti_oid >= 0 ->
+          Option.map
+            (fun r -> (r, ti.ti_df, ti.ti_cf))
+            (Mneme.Store.get_opt st.pools.store ti.ti_oid)
+        | _ -> None);
+    doc_len = (fun d -> Imap.find_opt d snap.sn_doc_lens);
+    n_docs = Imap.cardinal snap.sn_doc_lens;
+    total_len = snap.sn_total_len;
+    next_doc = snap.sn_next_doc;
+  }
+
+let rank ?(top_k = 10) t view query =
   let q = Inquery.Query.parse_exn query in
-  (* A per-query mini-dictionary interning just the query's terms with
-     the pinned snapshot's statistics and locators: the evaluator then
-     runs the ordinary path, but every record fetch and every collection
-     statistic comes from the pinned epoch — bit-identical to what the
-     latest-view [search] returned when that epoch was current. *)
+  (* Every record is fetched before evaluation, once per distinct
+     normalised term, into a per-query dictionary carrying the view's
+     df and cf: the evaluator then sees nothing but the view. *)
   let dict = Inquery.Dictionary.create () in
-  let oids = ref [] in
+  let records = Hashtbl.create 8 in
   List.iter
     (fun w ->
       match normalise t w with
-      | None -> ()
-      | Some w -> (
-        match Tmap.find_opt w snap.sn_terms with
-        | None -> ()
-        | Some ti ->
-          let e = Inquery.Dictionary.intern dict w in
-          if e.Inquery.Dictionary.locator < 0 then begin
-            e.Inquery.Dictionary.locator <- ti.ti_oid;
-            e.Inquery.Dictionary.df <- ti.ti_df;
-            e.Inquery.Dictionary.cf <- ti.ti_cf;
-            oids := ti.ti_oid :: !oids
-          end))
+      | Some w when not (Hashtbl.mem records w) ->
+        let found = view.record w in
+        Hashtbl.replace records w found;
+        Option.iter
+          (fun (_, df, cf) ->
+            let e = Inquery.Dictionary.intern dict w in
+            e.Inquery.Dictionary.df <- df;
+            e.Inquery.Dictionary.cf <- cf)
+          found
+      | _ -> ())
     (Inquery.Query.terms q);
-  let n_docs = Imap.cardinal snap.sn_doc_lens in
   let source =
     {
       Inquery.Infnet.fetch =
         (fun e ->
-          let locator = e.Inquery.Dictionary.locator in
-          if locator < 0 then None else Mneme.Store.get_opt store locator);
-      n_docs = max 1 n_docs;
-      max_doc_id = max 0 (snap.sn_next_doc - 1);
+          Option.map (fun (r, _, _) -> r) (Hashtbl.find records e.Inquery.Dictionary.term));
+      n_docs = max 1 view.n_docs;
+      max_doc_id = max 0 (view.next_doc - 1);
       avg_doc_len =
-        (if n_docs = 0 then 0.0 else float_of_int snap.sn_total_len /. float_of_int n_docs);
-      doc_len = (fun d -> match Imap.find_opt d snap.sn_doc_lens with Some l -> l | None -> 0);
+        (if view.n_docs = 0 then 0.0
+         else float_of_int view.total_len /. float_of_int view.n_docs);
+      doc_len = (fun d -> Option.value (view.doc_len d) ~default:0);
     }
   in
-  let release = Mneme.Store.reserve store !oids in
-  Fun.protect ~finally:release (fun () ->
-      let beliefs, _ = Inquery.Infnet.eval source dict ?stopwords:t.stopwords ~stem:t.stem q in
-      Array.iteri
-        (fun d b ->
-          if b > Inquery.Infnet.default_belief && not (Imap.mem d snap.sn_doc_lens) then
-            beliefs.(d) <- Inquery.Infnet.default_belief)
-        beliefs;
-      Inquery.Ranking.top_k beliefs ~k:top_k)
+  let beliefs, _ = Inquery.Infnet.eval source dict ?stopwords:t.stopwords ~stem:t.stem q in
+  (* Deleted documents keep their slots; mask every document outside the
+     view. *)
+  Array.iteri
+    (fun d b ->
+      if b > Inquery.Infnet.default_belief && view.doc_len d = None then
+        beliefs.(d) <- Inquery.Infnet.default_belief)
+    beliefs;
+  Inquery.Ranking.top_k beliefs ~k:top_k
 
-let pinned_epochs t =
-  match t.backend with Btree_backend _ -> [] | Mneme_backend st -> Mneme.Epoch.pinned st.epochs
+let search ?top_k t query = rank ?top_k t (latest t) query
 
 (* ------------------------------------------------------------------ *)
 (* Collection                                                          *)

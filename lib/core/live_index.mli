@@ -32,10 +32,16 @@
     transaction whose CRC-sealed commit record is the single commit
     point: a crash recovers to wholly the old epoch or wholly the new
     one, never a torn mix ({!Core.Torture.epoch} enumerates every
-    crash point and proves it).  Readers {!pin} an epoch and
-    {!search_pinned} against it with bit-identical rankings no matter
-    how much mutation follows; {!gc} reclaims stale objects only when
-    no pin can reach them. *)
+    crash point and proves it).  Readers {!pin} an epoch and {!rank}
+    over its {!pinned} view with bit-identical rankings no matter how
+    much mutation follows; {!gc} reclaims stale objects only when no
+    pin can reach them.
+
+    {b One write path, one read path.}  {!fold_batch} is the only
+    mutation: {!add_document} and {!delete_document} are one-document
+    batches.  {!rank} over a {!view} is the only ranking: {!search} is
+    [rank] over {!latest}, and {!Ingest} ranks its disk ∪ memory union
+    through the same function. *)
 
 type t
 
@@ -122,14 +128,15 @@ val backend_name : t -> string
 
 val add_document : t -> ?doc_id:int -> string -> int
 (** Index one document and return its id (fresh ids are assigned past
-    the largest seen).  Under Mneme this publishes a new epoch.  Raises
-    [Invalid_argument] if an explicit id is not beyond every existing
-    id. *)
+    the largest seen): {!tokenize}, then a one-document {!fold_batch}.
+    Under Mneme this publishes a new epoch.  Raises [Invalid_argument]
+    if an explicit id is not beyond every existing id. *)
 
 val delete_document : t -> int -> bool
 (** Remove a document from every inverted list it appears in; returns
-    whether it existed.  Under Mneme an existing document's deletion
-    publishes a new epoch (a no-op deletion does not). *)
+    whether it existed.  An existing document's deletion is a
+    {!fold_batch} with that one deletion, so under Mneme it publishes a
+    new epoch (a no-op deletion does not). *)
 
 val tokenize : t -> string -> (string * int list) list * int
 (** Run one document's text through the index's lexer, stopword and
@@ -142,31 +149,30 @@ val fold_batch :
   t ->
   ?meta:(string * string) list ->
   docs:(int * int) list ->
-  postings:(string * (int * int list) list) list ->
+  postings:(string * bytes) list ->
   deletes:int list ->
   unit ->
   unit
-(** Apply a whole batch — new documents with pre-tokenized postings,
-    then deletions — as {e one} mutation, so under a journaled Mneme
-    backend the entire batch commits as a single epoch publication
-    (the ingestion merge's crash-atomic commit point).  [docs] carries
-    [(doc, indexed_length)] for every new document; [postings] carries
-    per (already-normalised) term the new [(doc, positions)] pairs,
-    ascending, all beyond every doc already in the record; [deletes]
-    names documents to remove (absent ones are skipped) — removed in
-    one dictionary sweep, not one per document.  [meta] upserts opaque
-    key/value pairs carried verbatim in every sealed root from this
-    epoch on (e.g. the ingestion WAL frontier).  Raises
-    [Invalid_argument] if a [docs] id is already present. *)
+(** The only mutation: apply a whole batch — new documents with their
+    postings, then deletions — so under a journaled Mneme backend the
+    entire batch commits as a single epoch publication (the ingestion
+    merge's crash-atomic commit point).  [docs] carries
+    [(doc, indexed_length)] for every new document.  [postings]
+    carries, per (already-normalised) term, one canonical record of the
+    term's new documents: {!Inquery.Postings.encode}, [merge] or
+    [remove_docs] output holding at least one document, every one past
+    the documents already stored for the term.  It is merged in as is,
+    and the term's df and cf grow by the record's header statistics.
+    [deletes] names documents to remove (absent ones are skipped),
+    removed in one sweep of every inverted list, however many there
+    are.  [meta] upserts opaque key/value pairs carried verbatim in
+    every sealed root from this epoch on (e.g. the ingestion WAL
+    frontier).  Raises [Invalid_argument] if a [docs] id is already
+    present. *)
 
 val meta : t -> (string * string) list
 (** The metadata pairs riding the latest view, sorted by key ([] until
     a {!fold_batch} sets some). *)
-
-val lookup : t -> string -> (bytes * int * int) option
-(** [(record, df, cf)] for an {e already-normalised} term in the latest
-    view — no stopword/stemming pass, unlike {!term_record} (stemming
-    is not idempotent). *)
 
 val normalise_term : t -> string -> string option
 (** The index's stopword/stemming pipeline for one raw term: [None] if
@@ -178,12 +184,6 @@ val doc_lengths : t -> (int * int) list
 val next_doc : t -> int
 (** The next document id a fresh {!add_document} would take. *)
 
-val total_length : t -> int
-(** Sum of live documents' indexed lengths. *)
-
-val stopwords : t -> Inquery.Stopwords.t option
-val stem : t -> bool
-
 val document_count : t -> int
 val contains_document : t -> int -> bool
 val avg_doc_length : t -> float
@@ -191,9 +191,38 @@ val avg_doc_length : t -> float
 val term_record : t -> string -> bytes option
 (** The current inverted record for a (normalised) term. *)
 
+(** {2 Views and ranking} *)
+
+type view = {
+  record : string -> (bytes * int * int) option;
+      (** [(record, df, cf)] for an {e already-normalised} term — no
+          stopword or stemming pass, unlike {!term_record} (stemming is
+          not idempotent); [None] if the view holds no posting of it *)
+  doc_len : int -> int option;
+      (** a document's indexed length; [None] marks a document outside
+          the view *)
+  n_docs : int;  (** documents in the view *)
+  total_len : int;  (** their summed indexed lengths *)
+  next_doc : int;  (** one past the largest document id ever assigned *)
+}
+(** Everything a ranking reads: one version of the collection, its
+    records and its collection statistics. *)
+
+val latest : t -> view
+(** The live state: the in-memory dictionary and document table, which
+    under Mneme equal the latest published epoch. *)
+
+val rank : ?top_k:int -> t -> view -> string -> Inquery.Ranking.ranked list
+(** Parse a query, fetch each distinct normalised query term's record
+    from the view once, in order of first occurrence and before
+    evaluation starts, evaluate term-at-a-time ({!Inquery.Infnet.eval})
+    with the view's statistics, mask every document outside the view,
+    and keep the [top_k] (default 10).  [t] supplies the stopword and
+    stemming configuration.  Raises [Invalid_argument] on syntax
+    errors. *)
+
 val search : ?top_k:int -> t -> string -> Inquery.Ranking.ranked list
-(** Parse and evaluate a query against the live (latest) state.
-    Raises [Invalid_argument] on syntax errors. *)
+(** [rank ?top_k t (latest t)]. *)
 
 (** {2 Snapshot isolation (Mneme backend)}
 
@@ -220,37 +249,20 @@ val on_publish : t -> (epoch:int -> unit) -> unit
 val pin : t -> pin
 (** Pin the latest published epoch for reading. *)
 
-val pin_epoch : pin -> int
-
 val release : t -> pin -> unit
 (** Drop the claim; objects only this pin kept alive become
     reclaimable.  Raises [Invalid_argument] on double release. *)
 
-val search_pinned : ?top_k:int -> t -> pin -> string -> Inquery.Ranking.ranked list
-(** Evaluate a query against the pinned epoch: every record fetch and
-    every collection statistic comes from the pinned snapshot, so the
-    ranking is bit-identical to what {!search} returned when that epoch
-    was current — no matter how many mutations have been published
-    since.  Query-tree segment reservation is applied for the duration
-    of the evaluation and released on exit. *)
+val pinned : t -> pin -> view
+(** The pinned epoch: every record and every collection statistic comes
+    from the pinned snapshot, through locators the pin keeps alive, so
+    {!rank} over it is bit-identical to what {!search} returned when
+    that epoch was current — no matter how many mutations have been
+    published since. *)
 
 val pinned_epochs : t -> int list
 (** Currently pinned epochs, ascending, with multiplicity ([] on
     B-tree). *)
-
-val pin_lookup : t -> pin -> string -> (bytes * int * int) option
-(** [(record, df, cf)] for an already-normalised term as the pinned
-    epoch saw it, fetched through the pinned locator (which the pin
-    keeps alive). *)
-
-val pin_doc_lengths : pin -> (int * int) list
-(** The pinned epoch's [(doc, indexed_length)] table, sorted. *)
-
-val pin_total_length : pin -> int
-val pin_next_doc : pin -> int
-
-val pin_meta : pin -> (string * string) list
-(** The metadata pairs sealed into the pinned root, sorted by key. *)
 
 val pin_directory : pin -> (string * int * int) list
 (** [(term, df, cf)] as the pinned epoch's root recorded them, sorted

@@ -929,9 +929,9 @@ type pin_audit = {
   drift : (string * string) list;
 }
 
-let pin_phase live ~pins ~search_pinned ~release ~drift =
+let pin_phase live ~pins ~view ~release ~drift =
   let gc_pinned = Live_index.gc live in
-  let pinned = List.map (fun (at, p) -> (at, rank (search_pinned p))) pins in
+  let pinned = List.map (fun (at, p) -> (at, rank (Live_index.rank ~top_k:10 live (view p)))) pins in
   List.iter (fun (_, p) -> release p) pins;
   let gc_final = Live_index.gc live in
   let stranded = Live_index.stranded_bytes live in
@@ -1048,7 +1048,7 @@ let epoch_workload ~seed ~docs vfs tr =
   tr.e_audit <-
     Some
       (pin_phase live ~pins:(List.rev !pins)
-         ~search_pinned:(fun p -> Live_index.search_pinned ~top_k:10 live p)
+         ~view:(Live_index.pinned live)
          ~release:(Live_index.release live)
          ~drift:(fun () -> Live_index.audit live))
 
@@ -1106,7 +1106,7 @@ let epoch_oracle views ~seen _ img log k =
         note log k "epoch %d: ranked results differ from golden" g;
       (* A pin taken on the recovered root must agree with both. *)
       let p = Live_index.pin live in
-      if rank (Live_index.search_pinned ~top_k:10 live p) <> gold.eg_ranked then
+      if rank (Live_index.rank ~top_k:10 live (Live_index.pinned live p)) <> gold.eg_ranked then
         note log k "epoch %d: pinned ranking differs from golden" g;
       Live_index.release live p;
       fsck log k ~what:"fsck" (Option.get (Live_index.mneme_store live));
@@ -1232,7 +1232,7 @@ let ingest_workload ~seed ~docs vfs tr =
   done;
   let pins =
     pin_phase (Ingest.live t) ~pins:(List.rev !pins)
-      ~search_pinned:(fun p -> Ingest.search_pinned ~top_k:10 t p)
+      ~view:(Ingest.pinned t)
       ~release:(Ingest.release t)
       ~drift:(fun () -> Ingest.audit t)
   in
@@ -1333,7 +1333,8 @@ let ingest_oracle (_, by_seq) ~seen _ img log k =
         note log k "seq %d: union rankings differ from golden" g;
       (* A reader pinned on the recovered union ranks identically. *)
       let p = Ingest.pin t in
-      if rank (Ingest.search_pinned ~top_k:10 t p) <> gold.io_ranked then
+      if rank (Live_index.rank ~top_k:10 (Ingest.live t) (Ingest.pinned t p)) <> gold.io_ranked
+      then
         note log k "seq %d: pinned rankings differ from golden" g;
       Ingest.release t p;
       fsck log k ~what:"fsck" (Option.get (Live_index.mneme_store (Ingest.live t)));
@@ -1664,14 +1665,15 @@ let cache () =
      frontend reads it — and again with frames detached, from the
      device, and bit-compare the bytes. *)
   let audit_pin m (e, p) =
+    let view = Live_index.pinned live p in
     List.iter
       (fun (term, _, _) ->
-        match Live_index.pin_lookup live p term with
+        match view.record term with
         | None -> ()
         | Some (framed, _, _) -> (
           incr comparisons;
           Mneme.Store.set_frames store None;
-          let plain = Live_index.pin_lookup live p term in
+          let plain = view.record term in
           Mneme.Store.set_frames store (Some bc);
           match plain with
           | None -> note log m "pinned epoch %d: term %S is gone with frames off" e term

@@ -338,7 +338,9 @@ let prop_churn_coherence =
             match Core.Live_index.normalise_term live word with
             | None -> ()
             | Some term ->
-              let record () = Option.map (fun (r, _, _) -> r) (Core.Live_index.lookup live term) in
+              let record () =
+                Option.map (fun (r, _, _) -> r) ((Core.Live_index.latest live).record term)
+              in
               let first = record () in
               let second = record () in
               Mneme.Store.set_frames store None;

@@ -154,7 +154,8 @@ let prop_pinned_rankings_survive_churn =
         (fun (p, fp) ->
           let now =
             List.map
-              (fun q -> fingerprint (Core.Live_index.search_pinned ~top_k:10 live p q))
+              (fun q ->
+                fingerprint (Core.Live_index.rank ~top_k:10 live (Core.Live_index.pinned live p) q))
               queries
           in
           check (fp = now))
@@ -187,7 +188,8 @@ let test_gc_respects_pins () =
   Alcotest.(check bool) "gc retained the pinned epoch's objects" true
     (s1.Mneme.Epoch.retained_objects > 0);
   Alcotest.(check bool) "pinned search unchanged after gc" true
-    (fingerprint (Core.Live_index.search_pinned ~top_k:10 live p "alpha") = golden);
+    (fingerprint (Core.Live_index.rank ~top_k:10 live (Core.Live_index.pinned live p) "alpha")
+    = golden);
   Core.Live_index.release live p;
   Alcotest.(check bool) "double release refused" true
     (match Core.Live_index.release live p with
@@ -308,7 +310,8 @@ let test_pinned_rankings_identical_across_domains () =
                 let p = Core.Live_index.pin li in
                 let fp =
                   List.map
-                    (fun q -> fingerprint (Core.Live_index.search_pinned ~top_k:10 li p q))
+                    (fun q ->
+                      fingerprint (Core.Live_index.rank ~top_k:10 li (Core.Live_index.pinned li p) q))
                     queries
                 in
                 Core.Live_index.release li p;

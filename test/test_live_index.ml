@@ -344,6 +344,56 @@ let test_compact_live_index () =
   Alcotest.(check bool) "new doc searchable" true
     (List.mem d (docs_of_results (Core.Live_index.search ~top_k:200 live "fresh")))
 
+(* --- one fetch per distinct query term ---------------------------- *)
+
+(* With no buffer, every record fetch is a file access, so a term
+   repeated in a query must cost what it costs once; the ranking is the
+   evaluator's over the whole published directory, where each
+   occurrence fetches its record. *)
+let test_repeated_term_read_once () =
+  let vfs = Vfs.create () in
+  let live =
+    Core.Live_index.create_mneme ~buffers:Core.Buffer_sizing.no_cache ~journal:"rt.log" vfs
+      ~file:"rt.mneme" ()
+  in
+  List.iter
+    (fun text -> ignore (Core.Live_index.add_document live text))
+    [ "alpha beta gamma"; "alpha delta"; "beta beta epsilon"; "alpha alpha beta" ];
+  let searched q =
+    let before = Vfs.counters vfs in
+    let ranked = Core.Live_index.search live q in
+    (ranked, Vfs.diff_counters ~later:(Vfs.counters vfs) ~earlier:before)
+  in
+  let _, once = searched "#sum( alpha beta )" in
+  let ranked, twice = searched "#sum( alpha alpha beta )" in
+  Alcotest.(check int) "one file access per distinct term" 2 twice.Vfs.file_accesses;
+  Alcotest.(check int) "as many accesses as the query without the repeat"
+    once.Vfs.file_accesses twice.Vfs.file_accesses;
+  Alcotest.(check int) "as many bytes as the query without the repeat" once.Vfs.bytes_read
+    twice.Vfs.bytes_read;
+  let dict = Inquery.Dictionary.create () in
+  List.iter
+    (fun (term, df, cf) ->
+      let e = Inquery.Dictionary.intern dict term in
+      e.Inquery.Dictionary.df <- df;
+      e.Inquery.Dictionary.cf <- cf)
+    (Core.Live_index.directory live);
+  let lengths = Core.Live_index.doc_lengths live in
+  let source =
+    {
+      Inquery.Infnet.fetch = (fun e -> Core.Live_index.term_record live e.Inquery.Dictionary.term);
+      n_docs = List.length lengths;
+      max_doc_id = Core.Live_index.next_doc live - 1;
+      avg_doc_len = Core.Live_index.avg_doc_length live;
+      doc_len = (fun d -> List.assoc d lengths);
+    }
+  in
+  let beliefs, _ =
+    Inquery.Infnet.eval source dict (Inquery.Query.parse_exn "#sum( alpha alpha beta )")
+  in
+  Alcotest.(check bool) "the evaluator's ranking" true
+    (ranked = Inquery.Ranking.top_k beliefs ~k:10)
+
 (* --- pools sized to the published epoch ---------------------------- *)
 
 (* The working set each pool should be sized to, censused from the store
@@ -392,7 +442,11 @@ let test_pools_sized_to_epoch () =
     (List.for_all (fun (_, c) -> c > 0) (capacities live));
   Core.Live_index.fold_batch live
     ~docs:[ (40, 3) ]
-    ~postings:[ ("alpha", [ (40, [ 0 ]) ]); ("omega", [ (40, [ 1; 2 ]) ]) ]
+    ~postings:
+      [
+        ("alpha", Inquery.Postings.encode [ (40, [ 0 ]) ]);
+        ("omega", Inquery.Postings.encode [ (40, [ 1; 2 ]) ]);
+      ]
     ~deletes:[ 3; 4 ] ();
   sized "after a fold" live;
   ignore (Core.Live_index.delete_document live 7);
@@ -421,7 +475,8 @@ let test_explicit_buffers_stay_fixed () =
   let vfs = Vfs.create () in
   let live = Core.Live_index.create_mneme ~buffers ~journal:"fx.log" vfs ~file:"fx.mneme" () in
   add_sized_docs live;
-  Core.Live_index.fold_batch live ~docs:[ (40, 1) ] ~postings:[ ("omega", [ (40, [ 0 ]) ]) ]
+  Core.Live_index.fold_batch live ~docs:[ (40, 1) ]
+    ~postings:[ ("omega", Inquery.Postings.encode [ (40, [ 0 ]) ]) ]
     ~deletes:[ 3 ] ();
   ignore (Core.Live_index.delete_document live 7);
   fixed "after adds, a fold and a delete" live;
@@ -459,4 +514,5 @@ let suite =
     Alcotest.test_case "malformed roots are Corrupt" `Quick test_malformed_roots_are_corrupt;
     Alcotest.test_case "pools sized to the published epoch" `Quick test_pools_sized_to_epoch;
     Alcotest.test_case "explicit buffers stay fixed" `Quick test_explicit_buffers_stay_fixed;
+    Alcotest.test_case "a repeated query term is read once" `Quick test_repeated_term_read_once;
   ]

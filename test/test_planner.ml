@@ -333,22 +333,15 @@ let test_pinned_epoch_plans () =
   List.iter
     (fun (t, _, _) -> ignore (Inquery.Dictionary.intern dict t))
     (Core.Live_index.pin_directory pin);
-  let dls = Core.Live_index.pin_doc_lengths pin in
-  let dl_tbl = Hashtbl.create 16 in
-  List.iter (fun (d, l) -> Hashtbl.replace dl_tbl d l) dls;
-  let n_docs = List.length dls in
+  let view = Core.Live_index.pinned live pin in
   let source =
     {
       Inquery.Infnet.fetch =
-        (fun e ->
-          Option.map
-            (fun (r, _, _) -> r)
-            (Core.Live_index.pin_lookup live pin e.Inquery.Dictionary.term));
-      n_docs;
-      max_doc_id = max 0 (Core.Live_index.pin_next_doc pin - 1);
-      avg_doc_len =
-        float_of_int (Core.Live_index.pin_total_length pin) /. float_of_int (max 1 n_docs);
-      doc_len = (fun d -> Option.value (Hashtbl.find_opt dl_tbl d) ~default:0);
+        (fun e -> Option.map (fun (r, _, _) -> r) (view.record e.Inquery.Dictionary.term));
+      n_docs = view.n_docs;
+      max_doc_id = max 0 (view.next_doc - 1);
+      avg_doc_len = float_of_int view.total_len /. float_of_int (max 1 view.n_docs);
+      doc_len = (fun d -> Option.value (view.doc_len d) ~default:0);
     }
   in
   List.iter

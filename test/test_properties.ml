@@ -103,7 +103,8 @@ let prop_directory_survives_reopen =
             Core.Live_index.fold_batch live
               ~meta:[ (Printf.sprintf "k%d" (v mod 3), string_of_int v) ]
               ~docs:[ (doc, len) ]
-              ~postings:(List.map (fun (term, ps) -> (term, [ (doc, ps) ])) terms)
+              ~postings:
+                (List.map (fun (term, ps) -> (term, Inquery.Postings.encode [ (doc, ps) ])) terms)
               ~deletes:[ d ] ())
         ops;
       let re =
@@ -114,7 +115,7 @@ let prop_directory_survives_reopen =
       && doc_lengths re = doc_lengths live
       && meta re = meta live
       && next_doc re = next_doc live
-      && total_length re = total_length live
+      && (latest re).total_len = (latest live).total_len
       && epoch re = epoch live
       && audit re = [])
 
