@@ -231,22 +231,32 @@ let materialize run =
   Buffer.add_buffer b run.r_buf;
   Buffer.to_bytes b
 
+(* The [keep] filter that drops tombstoned documents; none when no
+   tombstone is pending. *)
+let tombstone_filter tombs =
+  if Hashtbl.length tombs = 0 then None else Some (fun doc -> not (Hashtbl.mem tombs doc))
+
 (* Per term, sorted by term, the concatenation of consecutive segments'
-   runs, oldest first.  Consecutive segments cover disjoint ascending
-   document ranges, so per-term records merge cleanly. *)
-let concat_runs segs =
+   runs, oldest first, less the documents [keep] rejects; terms left
+   with no document are omitted.  Consecutive segments cover disjoint
+   ascending document ranges, so each term's runs concatenate in one
+   pass. *)
+let concat_runs ?keep segs =
   let runs = Hashtbl.create 64 in
   List.iter
     (fun sg ->
       Array.iter
         (fun (term, record) ->
           Hashtbl.replace runs term
-            (match Hashtbl.find_opt runs term with
-            | Some prev -> Inquery.Postings.merge prev record
-            | None -> record))
+            (record :: Option.value ~default:[] (Hashtbl.find_opt runs term)))
         sg.sg_runs)
     segs;
-  Hashtbl.fold (fun term record acc -> (term, record) :: acc) runs []
+  Hashtbl.fold
+    (fun term rev_runs acc ->
+      match Inquery.Postings.concat ?keep (List.rev rev_runs) with
+      | Some record -> (term, record) :: acc
+      | None -> acc)
+    runs []
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
 (* Combine [fanout] consecutive same-tier segments into one of the next
@@ -444,12 +454,7 @@ let merge_step ?(budget = Mneme.Budget.unlimited) t =
     in
     (* Per term: the chosen segments' runs concatenated, doomed
        documents dropped — a canonical record, as the fold takes it. *)
-    let postings =
-      List.filter_map
-        (fun (term, record) ->
-          Option.map (fun r -> (term, r)) (Inquery.Postings.remove_docs record doomed))
-        (concat_runs chosen)
-    in
+    let postings = concat_runs ?keep:(tombstone_filter t.tombs) chosen in
     let deletes =
       Hashtbl.fold (fun doc seq acc -> if seq <= frontier then doc :: acc else acc) t.tombs []
       |> List.sort compare
@@ -493,38 +498,40 @@ let segment_run sg term =
   if !lo < Array.length sg.sg_runs && fst sg.sg_runs.(!lo) = term then Some (snd sg.sg_runs.(!lo))
   else None
 
-(* The union record for one normalised term: the disk record, then the
-   sealed runs oldest first, then the active run, with every tombstoned
-   document dropped.  [remove_docs] re-encodes, so the result is exactly
-   the record a from-scratch index of the union's documents would hold,
-   and its header statistics are the union's. *)
-let union_record (disk : Live_index.view) ~segs ~active ~dead term =
+(* The union record for one normalised term: the disk record's chunks,
+   then the sealed runs oldest first, then the active run, with every
+   tombstoned document dropped — each decoded once and encoded once, so
+   the result is exactly the record a from-scratch index of the union's
+   documents would hold, and its header statistics are the union's.
+   With no tombstone pending, a term held only on disk in one chunk is
+   that chunk's bytes. *)
+let union_record (disk : Live_index.view) ~segs ~active ~tombs term =
   let runs = List.filter_map (fun sg -> segment_run sg term) segs @ Option.to_list active in
-  let merged =
-    List.fold_left
-      (fun acc run ->
-        Some (match acc with None -> run | Some prev -> Inquery.Postings.merge prev run))
-      (Option.map (fun (r, _, _) -> r) (disk.record term))
-      runs
-  in
-  Option.bind merged (fun r -> Inquery.Postings.remove_docs r dead)
+  Inquery.Postings.concat ?keep:(tombstone_filter tombs) (disk.Live_index.chunks term @ runs)
   |> Option.map (fun r ->
          let df, cf = Inquery.Postings.stats r in
          (r, df, cf))
 
+(* A union's record is one record, so its chunks are that record. *)
+let union_view ~record ~doc_len ~n_docs ~total_len ~next_doc =
+  {
+    Live_index.record;
+    chunks = (fun term -> Option.fold ~none:[] ~some:(fun (r, _, _) -> [ r ]) (record term));
+    doc_len;
+    n_docs;
+    total_len;
+    next_doc;
+  }
+
 let latest t =
   let disk = Live_index.latest t.live in
-  {
-    Live_index.record =
-      (fun term ->
-        union_record disk ~segs:t.sealed
-          ~active:(Option.map materialize (Hashtbl.find_opt t.active.a_runs term))
-          ~dead:(Hashtbl.mem t.tombs) term);
-    doc_len = Hashtbl.find_opt t.union;
-    n_docs = Hashtbl.length t.union;
-    total_len = t.union_len;
-    next_doc = t.next_doc;
-  }
+  union_view
+    ~record:(fun term ->
+      union_record disk ~segs:t.sealed
+        ~active:(Option.map materialize (Hashtbl.find_opt t.active.a_runs term))
+        ~tombs:t.tombs term)
+    ~doc_len:(Hashtbl.find_opt t.union) ~n_docs:(Hashtbl.length t.union) ~total_len:t.union_len
+    ~next_doc:t.next_doc
 
 let search ?top_k t query = Live_index.rank ?top_k t.live (latest t) query
 
@@ -557,14 +564,10 @@ let release t p = Live_index.release t.live p.ip_live
 
 let pinned t p =
   let disk = Live_index.pinned t.live p.ip_live in
-  {
-    Live_index.record =
-      union_record disk ~segs:p.ip_segments ~active:None ~dead:(Hashtbl.mem p.ip_tombs);
-    doc_len = Hashtbl.find_opt p.ip_docs;
-    n_docs = Hashtbl.length p.ip_docs;
-    total_len = p.ip_total;
-    next_doc = p.ip_next;
-  }
+  union_view
+    ~record:(union_record disk ~segs:p.ip_segments ~active:None ~tombs:p.ip_tombs)
+    ~doc_len:(Hashtbl.find_opt p.ip_docs) ~n_docs:(Hashtbl.length p.ip_docs)
+    ~total_len:p.ip_total ~next_doc:p.ip_next
 
 (* ------------------------------------------------------------------ *)
 (* Construction and recovery                                           *)

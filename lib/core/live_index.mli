@@ -12,27 +12,45 @@
     collection statistics (document count, lengths, per-term df/cf) kept
     consistent.  The costs the paper worries about become observable:
 
-    - {b addition} obtains the inverted list of every term in the new
-      document and re-stores it with the entry merged in.  Under the
-      B-tree the old extent is freed and may be recycled; under Mneme
-      the index is {e copy-on-write} — see below.  Objects that outgrow
-      their size class migrate pools (small → medium → large), updating
-      the dictionary locator.
+    - {b addition} under the B-tree obtains the inverted list of every
+      term in the new document and re-stores it with the entry merged
+      in; the old extent is freed and may be recycled.  Under Mneme the
+      index is {e copy-on-write} (see below) and a term's record is a
+      {e chain} of immutable chunks: an addition stores the term's new
+      postings as one more chunk, in the size class of its own bytes,
+      and reads nothing.
+    - {b consolidation}: a chain holds at most {!max_chunks} chunks.  An
+      addition to a full chain writes the chain and the new postings as
+      one record instead, in the size class that record now belongs
+      to (small → medium → large), and retires every chunk.  What a
+      fold writes stays proportional to the change, and a read walks a
+      bounded chain.
     - {b deletion} must visit {e every} inverted list, since there is no
       forward index — the paper's "holes in the inverted lists", here
-      actually punched and measured.
+      actually punched and measured.  Each touched term is rewritten
+      whole, as one record.
+
+    {b A read equals a rewrite.}  Every chunk is a canonical postings
+    record, and a chain's document ranges are disjoint and ascending, so
+    {!Inquery.Postings.concat} over the chain is byte for byte the
+    record a rewrite would have stored: {!term_record}, the {!view}s,
+    rankings and {!audit} see no chunking at all.  The chunks are
+    ordinary Mneme objects named by the sealed root, so fsck, scrub and
+    {!gc} need no new object kind.
 
     {b Snapshot isolation (Mneme backend).}  Writers never overwrite or
     free a live object.  Every mutation allocates new objects for the
     records it touches, then publishes a new {e epoch}: a sealed root
     object ({!Mneme.Epoch.seal}) holding the complete object directory
-    — term locators, df/cf, document lengths — is written and the store
-    header switched to it.  With a journal enabled ([?journal]), the
-    COW writes, the sealed root and the header switch ride {e one}
-    transaction whose CRC-sealed commit record is the single commit
-    point: a crash recovers to wholly the old epoch or wholly the new
-    one, never a torn mix ({!Core.Torture.epoch} enumerates every
-    crash point and proves it).  Readers {!pin} an epoch and {!rank}
+    — each term's chunk oids, df/cf, document lengths — is written and
+    the store header switched to it.  A chunk is never modified, so a
+    pinned epoch's chains stay readable, unchanged, after any number of
+    later appends and consolidations.  With a journal enabled
+    ([?journal]), the COW writes, the sealed root and the header switch
+    ride {e one} transaction whose CRC-sealed commit record is the
+    single commit point: a crash recovers to wholly the old epoch or
+    wholly the new one, never a torn mix ({!Core.Torture.epoch}
+    enumerates every crash point and proves it).  Readers {!pin} an epoch and {!rank}
     over its {!pinned} view with bit-identical rankings no matter how
     much mutation follows; {!gc} reclaims stale objects only when no
     pin can reach them.
@@ -69,7 +87,9 @@ val wrap_mneme :
     must exist and have buffers attached; their capacities stay as the
     caller set them.  Raises [Not_found] if a pool is missing.  Every
     object already in the store is treated as live in the current
-    epoch; sizes of pre-existing objects are not censused, so GC byte
+    epoch, and each record the dictionary locates is a one-chunk chain
+    (the locators are not read again); sizes of pre-existing objects are
+    not censused, so GC byte
     accounting covers only objects written through this live index
     ({!gc} reads a pre-existing object's size from the store, so
     {!Mneme.Store.wasted_bytes} stays exact). *)
@@ -91,9 +111,11 @@ val create_mneme :
     pools.  Without [buffers], each pool's buffer is sized to the
     published epoch: at every publication (and on {!open_mneme} and
     {!compact}) its capacity becomes the summed length of the flushed
-    segments that hold a record the new directory names — the records
-    the next fold merges into and searches read.  The sealed root is not
-    counted.  An explicit [buffers] keeps fixed capacities instead.
+    segments that hold a chunk the new directory names — the chunks
+    the next fold consolidates and searches read — and every other
+    resident segment is dropped unless a reader has it pinned.  The
+    sealed root is not counted.  An explicit [buffers] keeps fixed
+    capacities instead.
     With [?journal] the store's writes go through a redo journal in that
     log file and every mutation commits — objects, sealed root, header —
     as one atomic epoch publication; reopen after a crash with
@@ -111,8 +133,9 @@ val open_mneme :
   t
 (** Re-open a live index from its published root: run journal recovery
     (when [?journal] is given), read the store's root envelope, and
-    rebuild the dictionary, document lengths and epoch manager from the
-    sealed directory.  Objects the root does not name — orphans of
+    rebuild the dictionary, chains, document lengths and epoch manager
+    from the sealed directory; every chunk the root names is live.
+    Objects the root does not name — orphans of
     epochs that never committed or were superseded — are censused as
     stale and reclaimed by the next {!gc}.  [buffers] is as for
     {!create_mneme}: without it the pools are sized to the reopened
@@ -120,8 +143,9 @@ val open_mneme :
     [Mneme.Store.Corrupt] if no root was ever published, if the root
     envelope is torn or disagrees with the header, or if the sealed
     directory is not in its one canonical form (front-coded terms in
-    strictly ascending order, ascending document ids, no trailing
-    bytes). *)
+    strictly ascending order, 1 to {!max_chunks} chunks per term, no
+    chunk oid named twice or equal to the root's, ascending document
+    ids, no trailing bytes). *)
 
 val backend_name : t -> string
 (** "btree" or "mneme". *)
@@ -159,13 +183,16 @@ val fold_batch :
     merge's crash-atomic commit point).  [docs] carries
     [(doc, indexed_length)] for every new document.  [postings]
     carries, per (already-normalised) term, one canonical record of the
-    term's new documents: {!Inquery.Postings.encode}, [merge] or
-    [remove_docs] output holding at least one document, every one past
-    the documents already stored for the term.  It is merged in as is,
-    and the term's df and cf grow by the record's header statistics.
+    term's new documents: {!Inquery.Postings.encode} or
+    {!Inquery.Postings.concat} output holding at least one document,
+    every one past the documents already stored for the term.  Under
+    Mneme it is stored as is, as the term's next chunk (or consolidated
+    with a full chain), and the term's df and cf grow by the record's
+    header statistics.
     [deletes] names documents to remove (absent ones are skipped),
     removed in one sweep of every inverted list, however many there
-    are.  [meta] upserts opaque key/value pairs carried verbatim in
+    are; each touched term is rewritten whole.  [meta] upserts opaque
+    key/value pairs carried verbatim in
     every sealed root from this epoch on (e.g. the ingestion WAL
     frontier).  Raises [Invalid_argument] if a [docs] id is already
     present. *)
@@ -189,7 +216,8 @@ val contains_document : t -> int -> bool
 val avg_doc_length : t -> float
 
 val term_record : t -> string -> bytes option
-(** The current inverted record for a (normalised) term. *)
+(** The current inverted record for a (normalised) term: its chain's
+    concatenation. *)
 
 (** {2 Views and ranking} *)
 
@@ -198,6 +226,11 @@ type view = {
       (** [(record, df, cf)] for an {e already-normalised} term — no
           stopword or stemming pass, unlike {!term_record} (stemming is
           not idempotent); [None] if the view holds no posting of it *)
+  chunks : string -> bytes list;
+      (** the same term's record as stored, oldest chunk first: its
+          {!Inquery.Postings.concat} is [record]'s bytes, so a reader
+          that unions it with more postings decodes each chunk once;
+          [[]] exactly when [record] is [None] *)
   doc_len : int -> int option;
       (** a document's indexed length; [None] marks a document outside
           the view *)
@@ -283,16 +316,25 @@ val stranded_bytes : t -> int
 val mneme_store : t -> Mneme.Store.t option
 (** The underlying store, for integrity checking ({!Mneme.Check}). *)
 
+val max_chunks : int
+(** The bound on a term's chunk chain (4): a fold that finds a chain
+    this long consolidates it with the new postings into one record. *)
+
+val chains : t -> (string * int list) list
+(** [(term, chunk oids oldest first)] for every term of the latest
+    {e published} directory, sorted by term ([] on B-tree). *)
+
 val directory : t -> (string * int * int) list
 (** [(term, df, cf)] for every term with a live record, sorted by term
     — on Mneme, read from the latest {e published} snapshot. *)
 
 val audit : t -> (string * string) list
 (** Statistics-drift audit, [(where, problem)] pairs, empty when clean:
-    deep-validates every record and cross-checks df/cf against the
-    dictionary ({!Catalog.verify_records}), checks the aggregate
-    length/count invariants, and — on Mneme — verifies the published
-    snapshot agrees exactly with the live dictionary and document
+    deep-validates every chunk and every record and cross-checks df/cf
+    against the dictionary ({!Catalog.verify_records}), checks the
+    aggregate length/count invariants, and — on Mneme — verifies every
+    chain holds 1 to {!max_chunks} chunks and the published snapshot
+    agrees exactly with the live chains, dictionary and document
     table. *)
 
 val flush : t -> unit

@@ -140,6 +140,7 @@ type ('env, 'trace, 'golden) spec = {
   golden : 'trace -> log -> 'golden;
   oracle : 'golden -> seen:'trace -> 'env -> Vfs.t -> log -> int -> bool;
   table : 'golden -> (string * int) list list;
+  consolidated : 'trace -> int; (* the golden run's chunks consolidated under a pin *)
 }
 
 type crash = Crash : (_, _, _) spec -> crash
@@ -150,6 +151,7 @@ type plan =
       golden : 'golden;
       points : int;
       golden_log : log;
+      consolidated : int;
     }
       -> plan
 
@@ -167,11 +169,12 @@ let prepare (Crash spec) =
   let points = Vfs.fault_io_count device in
   let golden_log = open_log (census_of spec) in
   let golden = spec.golden trace golden_log in
-  Plan { spec; golden; points; golden_log }
+  Plan { spec; golden; points; golden_log; consolidated = spec.consolidated trace }
 
 let points (Plan p) = p.points
 let table (Plan p) = p.spec.table p.golden
 let golden_problems (Plan p) = List.rev_map snd p.golden_log.l_problems
+let pinned_consolidations (Plan p) = p.consolidated
 
 (* Replay [k]: arm a crash at physical I/O [k], run the workload into
    it, and hand the crash image to the oracle. *)
@@ -334,6 +337,7 @@ let store ?(seed = 42) ?(docs = 12) ?(update_batches = 3) () =
       golden = (fun tr _ -> (Array.of_list (List.rev tr.s_commits), tr.s_gen_oid));
       oracle = store_oracle;
       table = (fun _ -> []);
+      consolidated = (fun _ -> 0);
     }
 
 (* ------------------------------------------------------------------ *)
@@ -533,6 +537,7 @@ let failover ?(seed = 42) ?(docs = 12) ?(batches = 3) ?(standbys = 2) () =
             tr.f_gen_oid ));
       oracle = failover_oracle;
       table = (fun _ -> []);
+      consolidated = (fun _ -> 0);
     }
 
 (* ------------------------------------------------------------------ *)
@@ -796,6 +801,7 @@ let scrub_repair ?(seed = 42) ?(docs = 12) ?(batches = 3) ?(standbys = 2) ~segme
             audit_members log k scn members;
             true);
       table = (fun () -> []);
+      consolidated = (fun _ -> 0);
     }
 
 let scrub ?(seed = 42) ?(docs = 12) ?(batches = 3) ?(standbys = 2) () =
@@ -920,6 +926,41 @@ let scrub_budget_sweep ?(seed = 42) ?(docs = 12) ?(batches = 3) ?(standbys = 1) 
    index's own invariant audit.  The workload gathers it, so the golden
    run and every replay perform the identical I/O sequence. *)
 
+(* Consolidations a pin reaches.  [w_pinned] holds every chunk the
+   epoch of some held pin names; [w_held] those of them a later
+   publication retired by consolidating a full chain
+   ({!Live_index.max_chunks} chunks) into one record.  Chains are read
+   from memory, so watching adds no I/O to the workload. *)
+type chain_watch = {
+  mutable w_chains : (string * int list) list; (* as last published *)
+  w_pinned : (int, unit) Hashtbl.t;
+  mutable w_held : int list;
+}
+
+let chain_watch () = { w_chains = []; w_pinned = Hashtbl.create 64; w_held = [] }
+
+(* After every step: what the latest publication consolidated. *)
+let watch_publish w live =
+  let now = Live_index.chains live in
+  let after = Hashtbl.of_seq (List.to_seq now) in
+  List.iter
+    (fun (term, before) ->
+      match Hashtbl.find_opt after term with
+      | Some [ one ]
+        when List.length before = Live_index.max_chunks && not (List.mem one before) ->
+        List.iter
+          (fun oid -> if Hashtbl.mem w.w_pinned oid then w.w_held <- oid :: w.w_held)
+          before
+      | _ -> ())
+    w.w_chains;
+  w.w_chains <- now
+
+(* When a pin is taken on the latest epoch. *)
+let watch_pin w =
+  List.iter
+    (fun (_, chain) -> List.iter (fun oid -> Hashtbl.replace w.w_pinned oid ()) chain)
+    w.w_chains
+
 type pin_audit = {
   pinned : (int * (int * string) list list) list; (* pinned at -> rankings through the pin *)
   gc_pinned : Mneme.Epoch.gc_stats;
@@ -927,17 +968,32 @@ type pin_audit = {
   stranded : int;
   fsck_ok : bool;
   drift : (string * string) list;
+  held : int; (* consolidated chunks a pin still read *)
+  held_lost : int; (* of them, reclaimed by the gc under the pins *)
+  held_left : int; (* of them, still stored after the release and final gc *)
 }
 
-let pin_phase live ~pins ~view ~release ~drift =
+let pin_phase live ~pins ~watch ~view ~release ~drift =
+  let store = Option.get (Live_index.mneme_store live) in
+  let stored () = List.length (List.filter (Mneme.Store.exists store) watch.w_held) in
   let gc_pinned = Live_index.gc live in
+  let held_lost = List.length watch.w_held - stored () in
   let pinned = List.map (fun (at, p) -> (at, rank (Live_index.rank ~top_k:10 live (view p)))) pins in
   List.iter (fun (_, p) -> release p) pins;
   let gc_final = Live_index.gc live in
   let stranded = Live_index.stranded_bytes live in
-  let store = Option.get (Live_index.mneme_store live) in
   let fsck_ok = Mneme.Check.ok (Mneme.Check.run ~object_check:Inquery.Postings.validate store) in
-  { pinned; gc_pinned; gc_final; stranded; fsck_ok; drift = drift () }
+  {
+    pinned;
+    gc_pinned;
+    gc_final;
+    stranded;
+    fsck_ok;
+    drift = drift ();
+    held = List.length watch.w_held;
+    held_lost;
+    held_left = stored ();
+  }
 
 (* The golden run's verdict on that phase: every pinned reader ranked as
    the view it pinned did ([ranked_at]), the final gc retained and
@@ -954,6 +1010,12 @@ let audit_pin_phase log a ~last ~ranked_at =
     note log 0 "final gc retained %d objects with no pins outstanding"
       a.gc_final.Mneme.Epoch.retained_objects;
   if a.stranded <> 0 then note log 0 "%d bytes stranded after the final gc" a.stranded;
+  if a.held_lost > 0 then
+    note log 0 "gc under the pins reclaimed %d of %d consolidated chunks a pin still read"
+      a.held_lost a.held;
+  if a.held_left > 0 then
+    note log 0 "%d of %d consolidated chunks survived the release and the final gc" a.held_left
+      a.held;
   if not a.fsck_ok then note log 0 "fsck failed after the final gc";
   (match a.drift with
   | [] -> ()
@@ -1024,16 +1086,22 @@ let epoch_workload ~seed ~docs vfs tr =
   let ids = Array.make (Array.length doc_arr) (-1) in
   let m = ref 0 in
   let pins = ref [] in
+  let watch = chain_watch () in
   let step mutate =
     incr m;
     tr.e_started <- tr.e_started + 1;
     mutate ();
+    watch_publish watch live;
     (* Observation — directory walk, record fetches, the query set — is
        part of the deterministic I/O sequence. *)
     tr.e_views <- epoch_observe live :: tr.e_views;
     (* Pin a spread of epochs (1, 5, 9, ...) so the pin phase can prove
-       a pinned reader survives both later mutation and gc. *)
-    if !m mod 4 = 1 then pins := (Live_index.epoch live, Live_index.pin live) :: !pins
+       a pinned reader survives both later mutation, consolidation of
+       the chains it reads, and gc. *)
+    if !m mod 4 = 1 then begin
+      pins := (Live_index.epoch live, Live_index.pin live) :: !pins;
+      watch_pin watch
+    end
   in
   Array.iteri
     (fun d doc ->
@@ -1047,7 +1115,7 @@ let epoch_workload ~seed ~docs vfs tr =
     doc_arr;
   tr.e_audit <-
     Some
-      (pin_phase live ~pins:(List.rev !pins)
+      (pin_phase live ~pins:(List.rev !pins) ~watch
          ~view:(Live_index.pinned live)
          ~release:(Live_index.release live)
          ~drift:(fun () -> Live_index.audit live))
@@ -1125,6 +1193,7 @@ let epoch ?(seed = 42) ?(docs = 8) () =
         [ "wholly_old"; "wholly_new"; "replayed"; "discarded"; "clean"; "epochs"; "reclaimed" ];
       setup = fresh_device;
       trace = (fun () -> { e_started = 0; e_views = []; e_audit = None });
+      consolidated = (fun tr -> Option.fold ~none:0 ~some:(fun a -> a.held) tr.e_audit);
       workload = epoch_workload ~seed ~docs;
       golden = epoch_golden;
       oracle = epoch_oracle;
@@ -1197,6 +1266,7 @@ let ingest_workload ~seed ~docs vfs tr =
   let ids = Array.make (Array.length doc_arr) (-1) in
   let m = ref 0 in
   let pins = ref [] in
+  let watch = chain_watch () in
   (* Observation 0: the empty union — what a crash before the first
      acknowledgement must recover to. *)
   tr.i_obs <- [ ingest_observe t ];
@@ -1204,13 +1274,17 @@ let ingest_workload ~seed ~docs vfs tr =
     incr m;
     tr.i_inflight <- Some kind;
     mutate ();
+    watch_publish watch (Ingest.live t);
     (* Observation is part of the deterministic I/O sequence. *)
     let obs = ingest_observe t in
     tr.i_obs <- obs :: tr.i_obs;
     tr.i_inflight <- None;
     (* Pin a spread of union states (ops 1, 6, 11, ...) so the pin phase
        can prove a pinned reader survives later churn, folds and gc. *)
-    if !m mod 5 = 1 then pins := (!m, Ingest.pin t) :: !pins
+    if !m mod 5 = 1 then begin
+      pins := (!m, Ingest.pin t) :: !pins;
+      watch_pin watch
+    end
   in
   Array.iteri
     (fun d doc ->
@@ -1231,7 +1305,7 @@ let ingest_workload ~seed ~docs vfs tr =
     step Ik_merge (fun () -> drained := not (Ingest.merge_step ~budget t))
   done;
   let pins =
-    pin_phase (Ingest.live t) ~pins:(List.rev !pins)
+    pin_phase (Ingest.live t) ~pins:(List.rev !pins) ~watch
       ~view:(Ingest.pinned t)
       ~release:(Ingest.release t)
       ~drift:(fun () -> Ingest.audit t)
@@ -1369,6 +1443,7 @@ let ingest ?(seed = 42) ?(docs = 8) () =
         ];
       setup = fresh_device;
       trace = (fun () -> { i_inflight = None; i_obs = []; i_audit = None });
+      consolidated = (fun tr -> Option.fold ~none:0 ~some:(fun a -> a.pins.held) tr.i_audit);
       workload = ingest_workload ~seed ~docs;
       golden = ingest_golden;
       oracle = ingest_oracle;

@@ -129,6 +129,14 @@ val table : plan -> (string * int) list list
 val golden_problems : plan -> string list
 (** Violations the golden run's own audit found ([] = clean). *)
 
+val pinned_consolidations : plan -> int
+(** Chunks the golden run's publications retired while a held pin still
+    read them, each by consolidating a full chain
+    ({!Live_index.max_chunks} chunks) into one record ({!epoch} and
+    {!ingest}; 0 for the rest).  The golden audit
+    requires the gc under the pins to keep every one of them and the gc
+    after their release to reclaim them all. *)
+
 val replay : plan -> int -> string list
 (** Replay with a crash at physical I/O [k], hand the crash image to the
     oracle, and return the violations at that point.  Raises

@@ -596,22 +596,26 @@ let fold_positions b ~init ~f =
 
 let decode b = List.rev (fold_positions b ~init:[] ~f:(fun acc dp -> dp :: acc))
 
-let merge a b =
-  let pa = decode a and pb = decode b in
-  let rec zip xs ys =
-    match (xs, ys) with
-    | [], rest | rest, [] -> rest
-    | x :: xs', y :: ys' ->
-      if x.doc < y.doc then x :: zip xs' ys
-      else if y.doc < x.doc then y :: zip xs ys'
-      else invalid_arg "Postings.merge: document sets overlap"
-  in
-  encode (List.map (fun dp -> (dp.doc, dp.positions)) (zip pa pb))
-
-let remove_docs b p =
-  let remaining = List.filter (fun dp -> not (p dp.doc)) (decode b) in
-  if remaining = [] then None
-  else Some (encode (List.map (fun dp -> (dp.doc, dp.positions)) remaining))
+(* One decode of every input straight into one builder.  A lone record
+   with nothing to drop, already in the tier its document count calls
+   for, is what the builder would emit, so it passes through; a v1 body
+   grown past [v1_cutoff_df] (an {!Ingest} run) is re-encoded. *)
+let concat ?keep records =
+  match (keep, records) with
+  | None, [ r ] when tier r = tier_of_df (doc_count r) -> Some r
+  | _ ->
+    let b = Builder.create () in
+    let last = ref (-1) in
+    List.iter
+      (fun r ->
+        fold_positions r ~init:() ~f:(fun () { doc; positions } ->
+            if doc <= !last then invalid_arg "Postings.concat: documents out of order";
+            last := doc;
+            match keep with
+            | Some keep when not (keep doc) -> ()
+            | _ -> Builder.add b ~doc ~positions))
+      records;
+    if b.Builder.df = 0 then None else Some (Builder.finish b)
 
 (* ------------------------------------------------------------------ *)
 (* Deep structural validation (fsck)                                   *)

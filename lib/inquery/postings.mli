@@ -79,8 +79,8 @@ val tier : bytes -> tier
 
 val tier_of_df : int -> tier
 (** The tier the encoder assigns a record of the given document count
-    — what {!encode}, {!Builder.finish}, {!merge} and {!remove_docs}
-    emit, and what {!validate} requires of the sentinel. *)
+    — what {!encode}, {!Builder.finish} and {!concat} emit, and what
+    {!validate} requires of the sentinel. *)
 
 val tier_name : tier -> string
 (** ["v1"], ["raw"], ["vbyte"] or ["cold"] — census labels. *)
@@ -169,18 +169,20 @@ val decode : bytes -> doc_postings list
 val doc_count : bytes -> int
 (** Same as [fst (stats b)]. *)
 
-val merge : bytes -> bytes -> bytes
-(** [merge a b] combines two records for the same term whose document
-    sets are disjoint (e.g. an existing record and the postings of newly
-    added documents).  Accepts any tier; re-emits in the merged
-    document count's tier with rebuilt blocks.  Raises
-    [Invalid_argument] if doc ids collide. *)
-
-val remove_docs : bytes -> (int -> bool) -> bytes option
-(** [remove_docs rec p] drops every document matched by [p]; [None] if
-    the record becomes empty — document-deletion support.  Accepts any
-    tier; re-emits in the remaining count's tier with rebuilt
-    blocks. *)
+val concat : ?keep:(int -> bool) -> bytes list -> bytes option
+(** [concat ?keep records] is the one record holding every document of
+    [records], in order, less those [keep] rejects: the union of a
+    term's stored chunks, its buffered runs, or a record with deleted
+    documents dropped.  The inputs' documents must be strictly
+    ascending across the whole list, so their ranges are disjoint and
+    in order.  Each input is decoded once and the result encoded once,
+    in the tier of its own document count ({!tier_of_df}): it is
+    byte-identical to {!encode} of the inputs' decoded entries.  A lone
+    input with no [keep], already in its document count's tier, is
+    returned as is — the same bytes, when it is itself {!encode}
+    output.  [None] when no document remains.
+    Accepts any tier.  Raises [Invalid_argument] on a document at or
+    below the one before it, kept or not. *)
 
 val validate : bytes -> (unit, string) result
 (** Deep structural check, for fsck: headers, skip-table invariants

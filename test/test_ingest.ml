@@ -150,6 +150,78 @@ let test_repeated_search_reads_nothing () =
   Alcotest.(check int) "no byte read" 0 io.Vfs.bytes_read;
   Alcotest.(check bool) "same ranking" true (first = again)
 
+(* Each publication sizes the pools to the segments its directory
+   names and drops every other resident segment a reader has not
+   pinned, so a warm working set stays whole: a fold that consolidates
+   chunks (every fifth, per term) finds them resident.  Before each fold
+   the whole directory is read, and one pool's resident segments are
+   pinned, in turn; the fold must read no byte, evict no pinned segment
+   and leave nothing else outside the new working set. *)
+let test_folds_read_nothing_they_did_not_write () =
+  let vfs = Vfs.create () in
+  let t = Core.Ingest.create vfs ~file:"fr.mneme" () in
+  let live = Core.Ingest.live t in
+  let store = Option.get (Core.Live_index.mneme_store live) in
+  let buffers =
+    List.map
+      (fun pool -> (pool, Option.get (Mneme.Store.buffer pool)))
+      (Mneme.Store.pools store)
+  in
+  let docs = docs_of (model ~n_docs:240 ~seed:7 ()) in
+  let folds = (2 * Core.Live_index.max_chunks) + 1 in
+  let per_fold = Array.length docs / folds in
+  let pinned_left = ref 0 in
+  for f = 0 to folds - 1 do
+    for d = f * per_fold to ((f + 1) * per_fold) - 1 do
+      ignore (add_acked t (Collections.Synth.document_text docs.(d)))
+    done;
+    let view = Core.Live_index.latest live in
+    List.iter
+      (fun (term, _, _) -> ignore (view.Core.Live_index.record term))
+      (Core.Live_index.directory live);
+    let pool, buffer = List.nth buffers (f mod List.length buffers) in
+    let pinned = Mneme.Buffer_pool.resident_segments buffer in
+    List.iter (fun pseg -> ignore (Mneme.Buffer_pool.pin buffer ~pseg)) pinned;
+    let before = Vfs.counters vfs in
+    Alcotest.(check bool) "a fold ran" true (Core.Ingest.merge_step t);
+    let io = Vfs.diff_counters ~later:(Vfs.counters vfs) ~earlier:before in
+    Alcotest.(check int) (Printf.sprintf "fold %d reads no byte" (f + 1)) 0 io.Vfs.bytes_read;
+    let working = Hashtbl.create 256 in
+    List.iter
+      (fun (_, chain) ->
+        List.iter
+          (fun oid ->
+            match Mneme.Store.segment_of store oid with
+            | Some (p, pseg, _) -> Hashtbl.replace working (Mneme.Store.pool_name p, pseg) ()
+            | None -> ())
+          chain)
+      (Core.Live_index.chains live);
+    List.iter
+      (fun pseg ->
+        Alcotest.(check bool) "a pinned segment stays resident" true
+          (Mneme.Buffer_pool.resident buffer ~pseg);
+        if not (Hashtbl.mem working (Mneme.Store.pool_name pool, pseg)) then incr pinned_left)
+      pinned;
+    List.iter
+      (fun (p, b) ->
+        List.iter
+          (fun pseg ->
+            if not (List.mem pseg pinned && p == pool) then
+              Alcotest.(check bool)
+                (Printf.sprintf "fold %d keeps only the working set resident" (f + 1))
+                true
+                (Hashtbl.mem working (Mneme.Store.pool_name p, pseg)))
+          (Mneme.Buffer_pool.resident_segments b))
+      buffers;
+    List.iter (fun pseg -> Mneme.Buffer_pool.unpin buffer ~pseg) pinned
+  done;
+  Alcotest.(check bool) "some pinned segment left the working set" true (!pinned_left > 0);
+  Alcotest.(check bool) "some unpinned segment was dropped" true
+    (List.exists
+       (fun (_, b) -> (Mneme.Buffer_pool.stats b).Util.Cache_stats.invalidations > 0)
+       buffers);
+  Alcotest.(check (list (pair string string))) "audit" [] (Core.Ingest.audit t)
+
 (* --- merge-resume idempotency -------------------------------------- *)
 
 let test_merge_resume_byte_identical () =
@@ -402,6 +474,8 @@ let suite =
     Alcotest.test_case "merge resume is byte-identical" `Quick test_merge_resume_byte_identical;
     Alcotest.test_case "a repeated search after a fold reads nothing" `Quick
       test_repeated_search_reads_nothing;
+    Alcotest.test_case "folds read nothing they did not write" `Quick
+      test_folds_read_nothing_they_did_not_write;
     Alcotest.test_case "backpressure sheds load and recovers" `Quick
       test_backpressure_sheds_and_recovers;
     Alcotest.test_case "tombstone-only drain reaches the frontier" `Quick

@@ -194,9 +194,18 @@ let test_wrap_prepared_collection () =
     "capacities unchanged"
     [ ("small", 200_000); ("medium", 200_000); ("large", 200_000) ]
     (capacities live);
-  (* gc reclaims "ba"'s adopted record, censused without a size: the
-     store still reads it, so wasted bytes grow by exactly the bytes
-     that left. *)
+  (* The addition chained a chunk onto "ba"'s adopted record; deleting
+     the new document rewrites "ba" whole, retiring both.  gc reclaims
+     the adopted record, censused without a size: the store still reads
+     it, so wasted bytes grow by exactly the bytes that left.  The flush
+     first writes out the addition's objects: an object deleted from a
+     still-open segment strands no bytes. *)
+  Alcotest.(check int) "ba is a two-chunk chain" 2
+    (List.length (List.assoc "ba" (Core.Live_index.chains live)));
+  Core.Live_index.flush live;
+  Alcotest.(check bool) "the new document deleted" true (Core.Live_index.delete_document live d);
+  Alcotest.(check int) "ba is one record again" 1
+    (List.length (List.assoc "ba" (Core.Live_index.chains live)));
   let held = object_bytes store and wasted = Mneme.Store.wasted_bytes store in
   let stats = Core.Live_index.gc live in
   Alcotest.(check bool) "an adopted record reclaimed" true (stats.Mneme.Epoch.reclaimed_objects > 0);
@@ -221,6 +230,9 @@ let test_malformed_roots_are_corrupt () =
     (fun text -> ignore (Core.Live_index.add_document live text))
     [ "alpha alphabet beta"; "alpha beta gamma"; "zeta 42 alphabets" ];
   ignore (Core.Live_index.delete_document live 1);
+  (* The deletion rewrote "alpha" and "beta" whole; one more document
+     makes "beta" and "zeta" two-chunk chains. *)
+  ignore (Core.Live_index.add_document live "zeta beta");
   Core.Live_index.fold_batch live ~meta:[ ("key", "value") ] ~docs:[] ~postings:[] ~deletes:[] ();
   let store = Option.get (Core.Live_index.mneme_store live) in
   let epoch = Mneme.Store.epoch store in
@@ -242,7 +254,10 @@ let test_malformed_roots_are_corrupt () =
   in
   let corrupt what variant = Alcotest.(check string) what "Corrupt" (reopen variant) in
   (* Walk the layout: each document's (offset, gap), then each term
-     entry's (offset, shared, suffix). *)
+     entry's offset, shared prefix and suffix length, and its chunk oids
+     with their offset and byte length.  The shared-prefix varint holds
+     the chunk count in its low [count_bits] bits. *)
+  let count_bits = 3 in
   let pos = ref 16 in
   let docs =
     Array.init (Util.Bin.get_u32 payload 12) (fun _ ->
@@ -256,13 +271,18 @@ let test_malformed_roots_are_corrupt () =
   let terms =
     Array.init n_terms (fun _ ->
         let at = !pos in
-        let shared = Util.Varint.read payload pos in
+        let head = Util.Varint.read payload pos in
         let suffix = Util.Varint.read payload pos in
         pos := !pos + suffix;
-        for _ = 1 to 3 do
+        let chunks_at = !pos in
+        let chunks =
+          List.init (head land ((1 lsl count_bits) - 1)) (fun _ -> Util.Varint.read payload pos)
+        in
+        let chunks_len = !pos - chunks_at in
+        for _ = 1 to 2 do
           ignore (Util.Varint.read payload pos)
         done;
-        (at, shared, suffix))
+        (at, head lsr count_bits, suffix, (chunks_at, chunks, chunks_len)))
   in
   (* The payload with the [len] bytes at [at] replaced by [by]. *)
   let splice at ~len by =
@@ -274,13 +294,33 @@ let test_malformed_roots_are_corrupt () =
     let at, old = docs.(i) in
     splice at ~len:(Util.Varint.encoded_size old) (Util.Varint.encode_list [ gap ])
   in
+  let head ~shared ~count = (shared lsl count_bits) lor count in
   let recode i ~shared ~suffix =
-    let at, s, n = terms.(i) in
+    let at, s, n, (_, chunks, _) = terms.(i) in
+    let count = List.length chunks in
     splice at
-      ~len:(Util.Varint.encoded_size s + Util.Varint.encoded_size n + n)
+      ~len:(Util.Varint.encoded_size (head ~shared:s ~count) + Util.Varint.encoded_size n + n)
       (Bytes.cat
-         (Util.Varint.encode_list [ shared; String.length suffix ])
+         (Util.Varint.encode_list [ head ~shared ~count; String.length suffix ])
          (Bytes.of_string suffix))
+  in
+  (* Term [i]'s entry with [count] in its head and [oids] for its chain. *)
+  let rechain i ~count oids =
+    let at, s, n, (chunks_at, chunks, chunks_len) = terms.(i) in
+    let old_head = head ~shared:s ~count:(List.length chunks) in
+    let entry =
+      Bytes.concat Bytes.empty
+        [
+          Util.Varint.encode_list [ head ~shared:s ~count; n ];
+          Bytes.sub payload (at + Util.Varint.encoded_size old_head + Util.Varint.encoded_size n) n;
+          Util.Varint.encode_list oids;
+        ]
+    in
+    splice at ~len:(chunks_at + chunks_len - at) entry
+  in
+  let chunks i =
+    let _, _, _, (_, c, _) = terms.(i) in
+    c
   in
   let dir = List.map (fun (term, _, _) -> term) (Core.Live_index.directory live) in
   Alcotest.(check (list string))
@@ -301,6 +341,18 @@ let test_malformed_roots_are_corrupt () =
   corrupt "a repeated term" (recode 5 ~shared:4 ~suffix:"");
   corrupt "a term before the previous one" (recode 5 ~shared:0 ~suffix:"44");
   corrupt "one trailing byte" (Bytes.cat payload (Bytes.make 1 '\000'));
+  (* Term 4 is "beta", a two-chunk chain. *)
+  Alcotest.(check int) "the chain the variants start from" 2 (List.length (chunks 4));
+  let first = List.hd (chunks 4) in
+  Alcotest.(check string) "the chain rewritten as it was opens" "opened"
+    (reopen (rechain 4 ~count:2 (chunks 4)));
+  corrupt "a chain of no chunks" (rechain 4 ~count:0 []);
+  corrupt "a chain past the bound" (rechain 4 ~count:5 (chunks 4 @ [ 1001; 1002; 1003 ]));
+  corrupt "a chunk oid repeated in one chain" (rechain 4 ~count:2 [ first; first ]);
+  corrupt "a chunk oid another term names"
+    (rechain 4 ~count:2 (List.hd (chunks 5) :: List.tl (chunks 4)));
+  corrupt "the root's oid as a chunk" (rechain 4 ~count:2 [ first; root ]);
+  corrupt "a truncated chunk list" (rechain 4 ~count:2 [ first ]);
   Alcotest.(check string) "the untouched payload still opens" "opened" (reopen payload)
 
 let test_backend_names () =
@@ -366,7 +418,12 @@ let test_repeated_term_read_once () =
   in
   let _, once = searched "#sum( alpha beta )" in
   let ranked, twice = searched "#sum( alpha alpha beta )" in
-  Alcotest.(check int) "one file access per distinct term" 2 twice.Vfs.file_accesses;
+  (* Each document was its own fold, so "alpha" (documents 0, 1, 3) and
+     "beta" (0, 2, 3) are three-chunk chains. *)
+  let chunks term = List.length (List.assoc term (Core.Live_index.chains live)) in
+  Alcotest.(check (pair int int)) "three chunks each" (3, 3) (chunks "alpha", chunks "beta");
+  Alcotest.(check int) "one file access per chunk of each distinct term"
+    (chunks "alpha" + chunks "beta") twice.Vfs.file_accesses;
   Alcotest.(check int) "as many accesses as the query without the repeat"
     once.Vfs.file_accesses twice.Vfs.file_accesses;
   Alcotest.(check int) "as many bytes as the query without the repeat" once.Vfs.bytes_read

@@ -56,30 +56,47 @@ let test_compression_effective () =
   let uncompressed = 1000 * 3 * 4 in
   Alcotest.(check bool) "beats 12 bytes per posting" true (Bytes.length b * 2 < uncompressed)
 
+(* [concat] joins records whose document ranges are disjoint and in
+   order: a term's chunks, or a stored record and its new postings. *)
 let test_merge_disjoint () =
-  let a = Inquery.Postings.encode [ (1, [ 0 ]); (5, [ 1; 2 ]) ] in
-  let b = Inquery.Postings.encode [ (3, [ 9 ]); (7, [ 4 ]) ] in
-  let m = Inquery.Postings.merge a b in
+  let a = Inquery.Postings.encode [ (1, [ 0 ]); (3, [ 1; 2 ]) ] in
+  let b = Inquery.Postings.encode [ (5, [ 9 ]); (7, [ 4 ]) ] in
+  let m = Option.get (Inquery.Postings.concat [ a; b ]) in
   let docs = List.map (fun dp -> dp.Inquery.Postings.doc) (Inquery.Postings.decode m) in
-  Alcotest.(check (list int)) "interleaved" [ 1; 3; 5; 7 ] docs;
+  Alcotest.(check (list int)) "in order" [ 1; 3; 5; 7 ] docs;
   let df, cf = Inquery.Postings.stats m in
   Alcotest.(check int) "df" 4 df;
   Alcotest.(check int) "cf" 5 cf
 
 let test_merge_overlap_rejected () =
-  let a = Inquery.Postings.encode [ (1, [ 0 ]) ] in
-  let b = Inquery.Postings.encode [ (1, [ 1 ]) ] in
+  let rejected records =
+    match Inquery.Postings.concat records with _ -> false | exception Invalid_argument _ -> true
+  in
+  let one = Inquery.Postings.encode [ (1, [ 0 ]) ] in
   Alcotest.(check bool) "overlap" true
-    (match Inquery.Postings.merge a b with _ -> false | exception Invalid_argument _ -> true)
+    (rejected [ one; Inquery.Postings.encode [ (1, [ 1 ]) ] ]);
+  Alcotest.(check bool) "out of order" true
+    (rejected
+       [
+         Inquery.Postings.encode [ (1, [ 0 ]); (5, [ 1 ]) ]; Inquery.Postings.encode [ (3, [ 1 ]) ];
+       ]);
+  (* A dropped document still has to be in order. *)
+  Alcotest.(check bool) "out of order, dropped" true
+    (match Inquery.Postings.concat ~keep:(fun d -> d <> 1) [ one; one ] with
+    | _ -> false
+    | exception Invalid_argument _ -> true)
 
 let test_merge_empty () =
   let a = Inquery.Postings.encode [ (1, [ 0 ]) ] in
   let e = Inquery.Postings.encode [] in
-  Alcotest.(check int) "merge with empty" 1 (Inquery.Postings.doc_count (Inquery.Postings.merge a e))
+  Alcotest.(check int) "concat with empty" 1
+    (Inquery.Postings.doc_count (Option.get (Inquery.Postings.concat [ a; e ])));
+  Alcotest.(check bool) "nothing to concat" true (Inquery.Postings.concat [] = None);
+  Alcotest.(check bool) "only empty records" true (Inquery.Postings.concat [ e; e ] = None)
 
 let test_remove_docs () =
   let b = Inquery.Postings.encode sample in
-  (match Inquery.Postings.remove_docs b (fun doc -> doc = 7) with
+  (match Inquery.Postings.concat ~keep:(fun doc -> doc <> 7) [ b ] with
   | Some b' ->
     let docs = List.map (fun dp -> dp.Inquery.Postings.doc) (Inquery.Postings.decode b') in
     Alcotest.(check (list int)) "removed" [ 3; 100 ] docs;
@@ -87,7 +104,7 @@ let test_remove_docs () =
     Alcotest.(check int) "df updated" 2 df;
     Alcotest.(check int) "cf updated" 7 cf
   | None -> Alcotest.fail "should not be empty");
-  match Inquery.Postings.remove_docs b (fun _ -> true) with
+  match Inquery.Postings.concat ~keep:(fun _ -> false) [ b ] with
   | None -> ()
   | Some _ -> Alcotest.fail "should be empty"
 
@@ -427,6 +444,48 @@ let prop_seek_first_geq =
       in
       Inquery.Postings.cur_doc cur = expect)
 
+(* [concat] against its definition: encoding the inputs' decoded
+   entries, kept ones only.  One sorted entry list is cut into up to
+   four consecutive records, each encoded on its own, and the lengths
+   straddle every tier cutoff (7/8, 63/64, 1023/1024), so inputs and
+   results cover v1, raw, v-byte and cold. *)
+let gen_concat_case =
+  QCheck.Gen.(
+    let* n = oneofl [ 1; 7; 8; 9; 63; 64; 65; 1023; 1024; 1025 ] in
+    let* n = map (fun d -> max 1 (n + d)) (int_range (-1) 1) in
+    let* gaps = list_repeat n (int_range 1 9) in
+    let* tfs = list_repeat n (int_range 1 3) in
+    let* cuts = list_size (int_range 0 3) (int_range 0 n) in
+    let* drop = oneofl [ None; Some 2; Some 3; Some 7 ] in
+    let entries =
+      List.rev
+        (snd
+           (List.fold_left2
+              (fun (doc, acc) gap tf ->
+                (doc + gap, (doc + gap, List.init tf (fun p -> 2 * p)) :: acc))
+              (-1, []) gaps tfs))
+    in
+    return (entries, List.sort_uniq compare cuts, drop))
+
+let prop_concat_is_encode =
+  QCheck.Test.make ~name:"concat = encode of the kept decoded entries" ~count:150
+    (QCheck.make gen_concat_case) (fun (entries, cuts, drop) ->
+      let rec split i entries cuts =
+        match cuts with
+        | [] -> [ entries ]
+        | c :: rest ->
+          let before = List.filteri (fun j _ -> i + j < c) entries in
+          let after = List.filteri (fun j _ -> i + j >= c) entries in
+          before :: split c after rest
+      in
+      let records = List.map Inquery.Postings.encode (split 0 entries cuts) in
+      let keep = Option.map (fun k doc -> doc mod k <> 0) drop in
+      let kept =
+        List.filter (fun (doc, _) -> Option.fold ~none:true ~some:(fun k -> k doc) keep) entries
+      in
+      let expect = if kept = [] then None else Some (Inquery.Postings.encode kept) in
+      Inquery.Postings.concat ?keep records = expect)
+
 let suite =
   [
     Alcotest.test_case "encode/decode" `Quick test_encode_decode;
@@ -458,4 +517,5 @@ let suite =
     QCheck_alcotest.to_alcotest prop_v2_roundtrip;
     QCheck_alcotest.to_alcotest prop_cursor_matches_fold;
     QCheck_alcotest.to_alcotest prop_seek_first_geq;
+    QCheck_alcotest.to_alcotest prop_concat_is_encode;
   ]

@@ -70,7 +70,9 @@ let root_vocab =
   |]
 
 (* The first operation is an add, so that an epoch is published and
-   the store has a root to reopen. *)
+   the store has a root to reopen.  At least five more follow, so that
+   words the vocabulary repeats fill their chunk chains (four chunks)
+   and consolidate, and deletions rewrite chains whole. *)
 let root_ops_gen =
   let open QCheck.Gen in
   let text = list_size (int_range 1 5) (int_range 0 (Array.length root_vocab - 1)) in
@@ -82,7 +84,7 @@ let root_ops_gen =
         (1, map3 (fun ws d v -> `Fold (ws, d, v)) text (int_range 0 25) (int_range 0 999));
       ]
   in
-  map2 (fun ws ops -> `Add ws :: ops) text (list_size (int_range 0 19) op)
+  map2 (fun ws ops -> `Add ws :: ops) text (list_size (int_range 5 24) op)
 
 let prop_directory_survives_reopen =
   QCheck.Test.make ~name:"the live index's directory survives a reopen" ~count:100
@@ -112,6 +114,7 @@ let prop_directory_survives_reopen =
       in
       let open Core.Live_index in
       directory re = directory live
+      && chains re = chains live
       && doc_lengths re = doc_lengths live
       && meta re = meta live
       && next_doc re = next_doc live

@@ -88,6 +88,23 @@ let test_driver_audits_every_point () =
       | _ -> Alcotest.failf "%s report lacks its outcome split" r.Core.Torture.family)
     (Lazy.force small_plans)
 
+(* At 16 documents both live-index families fill chunk chains and
+   consolidate them while a pin still reads the old chunks: the golden
+   audit then proves pinned rankings stay bit-identical, the gc under
+   the pins keeps every such chunk and the gc after their release
+   reclaims them all. *)
+let test_golden_runs_consolidate_under_pins () =
+  List.iter
+    (fun (name, family) ->
+      let plan = Core.Torture.prepare family in
+      Alcotest.(check (list string)) (name ^ ": golden run clean") []
+        (Core.Torture.golden_problems plan);
+      Alcotest.(check bool)
+        (name ^ ": a pinned chain was consolidated")
+        true
+        (Core.Torture.pinned_consolidations plan > 0))
+    [ ("epoch", Core.Torture.epoch ~docs:16 ()); ("ingest", Core.Torture.ingest ~docs:16 ()) ]
+
 let test_json_escapes_problems () =
   let r =
     {
@@ -305,6 +322,8 @@ let suite =
       test_replay_outside_points_rejected;
     Alcotest.test_case "driver audits every crash point" `Quick test_driver_audits_every_point;
     Alcotest.test_case "report JSON escapes problems" `Quick test_json_escapes_problems;
+    Alcotest.test_case "golden runs consolidate chains under pins" `Quick
+      test_golden_runs_consolidate_under_pins;
     Alcotest.test_case "every failover point serves committed prefix" `Quick
       test_every_failover_point_serves_committed_prefix;
     QCheck_alcotest.to_alcotest prop_random_failover_point_consistent;
