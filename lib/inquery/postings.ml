@@ -6,40 +6,25 @@ type doc_postings = { doc : int; positions : int list }
    v1 (the original layout, still readable everywhere):
      [df] [cf] then per document: [doc gap] [tf] [tf position gaps].
 
-   v2 (skip-block layout, what the encoder now emits):
-     0x80 TAG                                   version sentinel
+   v2 (skip-block layout, what the encoder emits from v1_cutoff_df on):
+     0x80 0x02                                  version sentinel
      [df] [cf] [max_tf] [n_blocks] [skip_len]   header
      skip table (skip_len bytes): per block
        [last-doc delta] [doc-region bytes] [pos-region bytes]
      [doc_len]                                  doc-region byte length
-     doc region (doc_len bytes): per-block (doc, tf) data, TAG-coded
+     doc region (doc_len bytes): per document [doc gap] [tf], gaps
+       continuing across block boundaries
      pos region (to end of record): per document [tf position gaps]
 
-   The doc region comes in three compression tiers, chosen by df and
-   named by the sentinel's second byte:
-
-     TAG 0x02 (v-byte): per document [doc gap] [tf], v-byte coded,
-       gaps continuing across block boundaries — the original v2
-       layout, byte-identical to what earlier builds wrote.
-     TAG 0x03 (raw): per document a fixed-width pair [doc gap:u32le]
-       [tf:u32le].  Small records don't amortize variable-length
-       decoding (their bytes are noise next to the per-object
-       overhead), so decode becomes two aligned reads per posting.
-     TAG 0x04 (cold): per block [gap width:u8] [tf width:u8], then all
-       doc gaps bit-packed at the gap width, then all (tf - 1) values
-       bit-packed at the tf width, each group padded to a byte
-       boundary.  Long-tail records dominate the index's bytes, so
-       they trade decode arithmetic for the tightest packing: the
-       widths are exactly the bits of the block's largest value.
-
-   Positions are v-byte in every tier.  Splitting (doc, tf) pairs from
-   position gaps means document-level scans never touch position bytes,
-   and the skip table lets a cursor jump whole blocks of both regions.
+   Every integer is v-byte coded: delta + v-byte is INQUERY's own
+   compressed format.  Splitting (doc, tf) pairs from position gaps
+   means document-level scans never touch position bytes, and the skip
+   table lets a cursor jump whole blocks of both regions.
 
    Version sniffing: every byte is a valid v1 varint start, but a v1
    record beginning with 0x80 codes df = 0, which the v1 encoder only
    ever produced as the empty record [0x80 0x80] — whose second byte is
-   0x80, never 0x02/0x03/0x04.  So the sentinels are unambiguous. *)
+   0x80, never 0x02.  So the sentinel is unambiguous. *)
 (* ------------------------------------------------------------------ *)
 
 let block_size = 128
@@ -50,42 +35,20 @@ let block_size = 128
    stays intact.  Readers sniff versions, so the cutoff is invisible. *)
 let v1_cutoff_df = 8
 
-(* Compression ladder cutoffs (half-open on the right):
-   df in [v1_cutoff_df, raw_cutoff_df)    -> raw tier
-   df in [raw_cutoff_df, cold_cutoff_df)  -> v-byte tier
-   df in [cold_cutoff_df, inf)            -> cold tier *)
-let raw_cutoff_df = 64
-let cold_cutoff_df = 1024
-
+(* [Raw] and [Cold] name retired doc-region layouts (sentinel tags 0x03
+   and 0x04): nothing writes them and [tier] never returns them. *)
 type tier = V1 | Raw | Vbyte | Cold
 
 let v2_tag0 = '\x80'
 let tag_vbyte = '\x02'
-let tag_raw = '\x03'
-let tag_cold = '\x04'
 
 let tier b =
-  if Bytes.length b >= 2 && Bytes.get b 0 = v2_tag0 then
-    match Bytes.get b 1 with
-    | c when c = tag_vbyte -> Vbyte
-    | c when c = tag_raw -> Raw
-    | c when c = tag_cold -> Cold
-    | _ -> V1
+  if Bytes.length b >= 2 && Bytes.get b 0 = v2_tag0 && Bytes.get b 1 = tag_vbyte then Vbyte
   else V1
 
 let version b = if tier b = V1 then 1 else 2
-
-let tier_of_df df =
-  if df < v1_cutoff_df then V1
-  else if df < raw_cutoff_df then Raw
-  else if df < cold_cutoff_df then Vbyte
-  else Cold
-
+let tier_of_df df = if df < v1_cutoff_df then V1 else Vbyte
 let tier_name = function V1 -> "v1" | Raw -> "raw" | Vbyte -> "vbyte" | Cold -> "cold"
-
-let bits_needed v =
-  let rec go v n = if v = 0 then n else go (v lsr 1) (n + 1) in
-  go v 0
 
 (* ------------------------------------------------------------------ *)
 (* Encoders                                                            *)
@@ -118,68 +81,9 @@ let encode_v1 entries =
     entries;
   Buffer.to_bytes buf
 
-(* One raw-tier posting: aligned fixed-width pair. *)
-let emit_raw_pair buf ~gap ~tf =
-  if gap > 0xFFFFFFFF || tf > 0xFFFFFFFF then
-    invalid_arg "Postings.encode: value exceeds raw-tier width";
-  Buffer.add_int32_le buf (Int32.of_int gap);
-  Buffer.add_int32_le buf (Int32.of_int tf)
-
-(* One cold-tier block over gaps.(lo..hi-1) / tfs.(lo..hi-1): width
-   header bytes, bit-packed gaps, bit-packed (tf - 1)s, each group
-   byte-aligned (zero padding — validate checks it stayed zero). *)
-let emit_cold_block buf gaps tfs lo hi =
-  let gmax = ref 0 and tmax = ref 0 in
-  for i = lo to hi - 1 do
-    if gaps.(i) > !gmax then gmax := gaps.(i);
-    if tfs.(i) - 1 > !tmax then tmax := tfs.(i) - 1
-  done;
-  let gb = bits_needed !gmax and tb = bits_needed !tmax in
-  Buffer.add_char buf (Char.chr gb);
-  Buffer.add_char buf (Char.chr tb);
-  let w = Util.Bitio.Writer.create () in
-  for i = lo to hi - 1 do
-    Util.Bitio.Writer.bits w ~value:gaps.(i) ~width:gb
-  done;
-  Buffer.add_bytes buf (Util.Bitio.Writer.to_bytes w);
-  let w = Util.Bitio.Writer.create () in
-  for i = lo to hi - 1 do
-    Util.Bitio.Writer.bits w ~value:(tfs.(i) - 1) ~width:tb
-  done;
-  Buffer.add_bytes buf (Util.Bitio.Writer.to_bytes w)
-
-(* Assemble a full v2 record from its parts.  [marks] are per-block
-   (last doc id, cumulative doc-region bytes, cumulative pos-region
-   bytes), one entry per block including the final partial one. *)
-let emit_v2 ~tag ~df ~cf ~max_tf ~marks ~doc_region ~pos_region =
-  let skip_buf = Buffer.create 32 in
-  let prev = ref (-1) and prev_d = ref 0 and prev_p = ref 0 in
-  List.iter
-    (fun (last_doc, d, p) ->
-      Util.Varint.encode skip_buf (if !prev < 0 then last_doc else last_doc - !prev);
-      Util.Varint.encode skip_buf (d - !prev_d);
-      Util.Varint.encode skip_buf (p - !prev_p);
-      prev := last_doc;
-      prev_d := d;
-      prev_p := p)
-    marks;
-  let out = Buffer.create 64 in
-  Buffer.add_char out v2_tag0;
-  Buffer.add_char out tag;
-  Util.Varint.encode out df;
-  Util.Varint.encode out cf;
-  Util.Varint.encode out max_tf;
-  Util.Varint.encode out (List.length marks);
-  Util.Varint.encode out (Buffer.length skip_buf);
-  Buffer.add_buffer out skip_buf;
-  Util.Varint.encode out (Buffer.length doc_region);
-  Buffer.add_buffer out doc_region;
-  Buffer.add_buffer out pos_region;
-  Buffer.to_bytes out
-
 module Builder = struct
   type t = {
-    doc_buf : Buffer.t; (* v-byte (gap, tf) stream while building *)
+    doc_buf : Buffer.t; (* the doc region: v-byte (gap, tf) pairs *)
     pos_buf : Buffer.t;
     mutable last_doc : int;
     mutable df : int;
@@ -228,58 +132,39 @@ module Builder = struct
     if t.df mod block_size = 0 then
       t.marks <- (doc, Buffer.length t.doc_buf, Buffer.length t.pos_buf) :: t.marks
 
+  (* Every block's boundary, the final partial block's included. *)
   let final_marks t =
-    if t.df = 0 || t.df mod block_size = 0 then List.rev t.marks
+    if t.df mod block_size = 0 then List.rev t.marks
     else List.rev ((t.last_doc, Buffer.length t.doc_buf, Buffer.length t.pos_buf) :: t.marks)
 
-  (* The building stream is v-byte; recover the plain (gap, tf) arrays
-     when finishing into a fixed-width or bit-packed tier. *)
-  let gap_arrays t =
-    let b = Buffer.to_bytes t.doc_buf in
-    let gaps = Array.make t.df 0 and tfs = Array.make t.df 0 in
-    let pos = ref 0 in
-    for i = 0 to t.df - 1 do
-      let gap, p = Util.Varint.decode b ~pos:!pos in
-      let tf, p = Util.Varint.decode b ~pos:p in
-      gaps.(i) <- gap;
-      tfs.(i) <- tf;
-      pos := p
-    done;
-    (gaps, tfs)
-
-  let finish_vbyte t =
-    emit_v2 ~tag:tag_vbyte ~df:t.df ~cf:t.cf ~max_tf:t.max_tf ~marks:(final_marks t)
-      ~doc_region:t.doc_buf ~pos_region:t.pos_buf
-
-  (* Re-emit the doc region block by block in the target tier; block
-     boundaries (and so last-doc ids and pos-region bytes) are identical
-     to the v-byte layout's, only the doc-byte counts change. *)
-  let finish_packed t tag =
-    let gaps, tfs = gap_arrays t in
-    let vmarks = final_marks t in
-    let doc_region = Buffer.create (8 * t.df) in
-    let marks = ref [] and lo = ref 0 in
+  let finish_v2 t =
+    let marks = final_marks t in
+    let skip_buf = Buffer.create 32 in
+    let prev = ref (-1) and prev_d = ref 0 and prev_p = ref 0 in
     List.iter
-      (fun (last_doc, _, pcum) ->
-        let hi = min (!lo + block_size) t.df in
-        (match tag with
-        | c when c = tag_raw ->
-          for i = !lo to hi - 1 do
-            emit_raw_pair doc_region ~gap:gaps.(i) ~tf:tfs.(i)
-          done
-        | _ -> emit_cold_block doc_region gaps tfs !lo hi);
-        marks := (last_doc, Buffer.length doc_region, pcum) :: !marks;
-        lo := hi)
-      vmarks;
-    emit_v2 ~tag ~df:t.df ~cf:t.cf ~max_tf:t.max_tf ~marks:(List.rev !marks)
-      ~doc_region ~pos_region:t.pos_buf
+      (fun (last_doc, d, p) ->
+        Util.Varint.encode skip_buf (if !prev < 0 then last_doc else last_doc - !prev);
+        Util.Varint.encode skip_buf (d - !prev_d);
+        Util.Varint.encode skip_buf (p - !prev_p);
+        prev := last_doc;
+        prev_d := d;
+        prev_p := p)
+      marks;
+    let out = Buffer.create 64 in
+    Buffer.add_char out v2_tag0;
+    Buffer.add_char out tag_vbyte;
+    Util.Varint.encode out t.df;
+    Util.Varint.encode out t.cf;
+    Util.Varint.encode out t.max_tf;
+    Util.Varint.encode out (List.length marks);
+    Util.Varint.encode out (Buffer.length skip_buf);
+    Buffer.add_buffer out skip_buf;
+    Util.Varint.encode out (Buffer.length t.doc_buf);
+    Buffer.add_buffer out t.doc_buf;
+    Buffer.add_buffer out t.pos_buf;
+    Buffer.to_bytes out
 
-  let finish t =
-    match tier_of_df t.df with
-    | V1 -> encode_v1 (List.rev t.head)
-    | Vbyte -> finish_vbyte t
-    | Raw -> finish_packed t tag_raw
-    | Cold -> finish_packed t tag_cold
+  let finish t = if t.df < v1_cutoff_df then encode_v1 (List.rev t.head) else finish_v2 t
 end
 
 let encode entries =
@@ -309,6 +194,9 @@ let parse_layout b =
   let max_tf, pos = Util.Varint.decode b ~pos in
   let blocks, pos = Util.Varint.decode b ~pos in
   let skip_len, skip_off = Util.Varint.decode b ~pos in
+  (* An overlong varint can code a negative length; never read before
+     the record's start. *)
+  if skip_len < 0 then invalid_arg "Postings: negative skip-table length";
   let doc_len, doc_off = Util.Varint.decode b ~pos:(skip_off + skip_len) in
   {
     l_df = df;
@@ -358,100 +246,36 @@ let parse_skips b lay =
 let docs_in_block lay i =
   if i = lay.l_blocks - 1 then lay.l_df - (i * block_size) else block_size
 
-let get_u32le b pos = Int32.to_int (Bytes.get_int32_le b pos) land 0xFFFFFFFF
-
 (* Decode block [i]'s absolute doc ids and tfs into fresh arrays.  Gaps
-   restart from the previous block's last doc id in every tier, so one
-   block decodes independently given the skip table. *)
-let decode_block b ~tr ~lay ~(skips : skip array) i =
+   continue from the previous block's last doc id, so one block decodes
+   independently given the skip table. *)
+let decode_block b ~lay ~(skips : skip array) i =
   let n = docs_in_block lay i in
-  let prev_last = if i = 0 then -1 else skips.(i - 1).sk_last_doc in
   let sk = skips.(i) in
   let docs = Array.make n 0 and tfs = Array.make n 0 in
-  (match tr with
-  | Vbyte ->
-    let pos = ref sk.sk_doc_off and doc = ref prev_last in
-    for j = 0 to n - 1 do
-      let gap = Util.Varint.read b pos in
-      doc := (if !doc < 0 then gap else !doc + gap);
-      docs.(j) <- !doc;
-      tfs.(j) <- Util.Varint.read b pos
-    done
-  | Raw ->
-    let doc = ref prev_last in
-    for j = 0 to n - 1 do
-      let off = sk.sk_doc_off + (8 * j) in
-      let gap = get_u32le b off in
-      doc := (if !doc < 0 then gap else !doc + gap);
-      docs.(j) <- !doc;
-      tfs.(j) <- get_u32le b (off + 4)
-    done
-  | Cold ->
-    let gb = Char.code (Bytes.get b sk.sk_doc_off) in
-    let tb = Char.code (Bytes.get b (sk.sk_doc_off + 1)) in
-    let gbytes = ((n * gb) + 7) / 8 in
-    let r = Util.Bitio.Reader.of_sub b ~pos:(sk.sk_doc_off + 2) ~len:gbytes in
-    let doc = ref prev_last in
-    for j = 0 to n - 1 do
-      let gap = Util.Bitio.Reader.bits r ~width:gb in
-      doc := (if !doc < 0 then gap else !doc + gap);
-      docs.(j) <- !doc
-    done;
-    let tbytes = ((n * tb) + 7) / 8 in
-    let r = Util.Bitio.Reader.of_sub b ~pos:(sk.sk_doc_off + 2 + gbytes) ~len:tbytes in
-    for j = 0 to n - 1 do
-      tfs.(j) <- 1 + Util.Bitio.Reader.bits r ~width:tb
-    done
-  | V1 -> invalid_arg "Postings.decode_block: v1 record");
+  let pos = ref sk.sk_doc_off in
+  let doc = ref (if i = 0 then -1 else skips.(i - 1).sk_last_doc) in
+  for j = 0 to n - 1 do
+    let gap = Util.Varint.read b pos in
+    doc := (if !doc < 0 then gap else !doc + gap);
+    docs.(j) <- !doc;
+    tfs.(j) <- Util.Varint.read b pos
+  done;
   (docs, tfs)
 
-(* Sequential (doc, tf) fold over a v2 record, dispatching on tier.
-   Deliberately reads only the doc region — every tier's blocks are
-   self-delimiting (v-byte and raw by construction, cold via its width
-   header bytes), so a corrupted skip table cannot disturb a scan; only
-   the seeking cursor trusts the skip table. *)
-let fold_docs_v2 b ~tr ~lay ~init ~f =
+(* Sequential (doc, tf) fold over a v2 record.  Deliberately reads only
+   the doc region, whose v-byte pairs are self-delimiting, so a
+   corrupted skip table cannot disturb a scan; only the seeking cursor
+   trusts the skip table. *)
+let fold_docs_v2 b ~lay ~init ~f =
   let acc = ref init in
-  (match tr with
-  | Vbyte ->
-    let pos = ref lay.l_doc_off and doc = ref (-1) in
-    for _ = 1 to lay.l_df do
-      let gap, p = Util.Varint.decode b ~pos:!pos in
-      doc := (if !doc < 0 then gap else !doc + gap);
-      let tf, p = Util.Varint.decode b ~pos:p in
-      pos := p;
-      acc := f !acc ~doc:!doc ~tf
-    done
-  | Raw ->
-    let doc = ref (-1) in
-    for j = 0 to lay.l_df - 1 do
-      let off = lay.l_doc_off + (8 * j) in
-      let gap = get_u32le b off in
-      doc := (if !doc < 0 then gap else !doc + gap);
-      acc := f !acc ~doc:!doc ~tf:(get_u32le b (off + 4))
-    done
-  | Cold ->
-    let pos = ref lay.l_doc_off and doc = ref (-1) and remaining = ref lay.l_df in
-    while !remaining > 0 do
-      let n = min block_size !remaining in
-      let gb = Char.code (Bytes.get b !pos) in
-      let tb = Char.code (Bytes.get b (!pos + 1)) in
-      let gbytes = ((n * gb) + 7) / 8 and tbytes = ((n * tb) + 7) / 8 in
-      let docs = Array.make n 0 in
-      let r = Util.Bitio.Reader.of_sub b ~pos:(!pos + 2) ~len:gbytes in
-      for j = 0 to n - 1 do
-        let gap = Util.Bitio.Reader.bits r ~width:gb in
-        doc := (if !doc < 0 then gap else !doc + gap);
-        docs.(j) <- !doc
-      done;
-      let r = Util.Bitio.Reader.of_sub b ~pos:(!pos + 2 + gbytes) ~len:tbytes in
-      for j = 0 to n - 1 do
-        acc := f !acc ~doc:docs.(j) ~tf:(1 + Util.Bitio.Reader.bits r ~width:tb)
-      done;
-      pos := !pos + 2 + gbytes + tbytes;
-      remaining := !remaining - n
-    done
-  | V1 -> assert false);
+  let pos = ref lay.l_doc_off and doc = ref (-1) in
+  for _ = 1 to lay.l_df do
+    let gap = Util.Varint.read b pos in
+    doc := (if !doc < 0 then gap else !doc + gap);
+    let tf = Util.Varint.read b pos in
+    acc := f !acc ~doc:!doc ~tf
+  done;
   !acc
 
 (* ------------------------------------------------------------------ *)
@@ -519,8 +343,6 @@ let record_stats b =
     }
   end
 
-let stats_of_locator = record_stats
-
 let skip_table_region b =
   if version b = 2 then begin
     let lay = parse_layout b in
@@ -555,7 +377,7 @@ let fold_docs b ~init ~f =
       end
     in
     go df pos (-1) init
-  | tr -> fold_docs_v2 b ~tr ~lay:(parse_layout b) ~init ~f
+  | _ -> fold_docs_v2 b ~lay:(parse_layout b) ~init ~f
 
 let read_positions b ~pos ~tf =
   let rec read n pos last acc_ps =
@@ -584,12 +406,12 @@ let fold_positions b ~init ~f =
       end
     in
     go df pos (-1) init
-  | tr ->
+  | _ ->
     let lay = parse_layout b in
-    (* The doc stream and the position stream advance in lockstep: the
-       pos region is tier-independent v-byte, one gap run per doc. *)
+    (* The doc stream and the position stream advance in lockstep, one
+       gap run per doc. *)
     let ppos = ref lay.l_pos_off in
-    fold_docs_v2 b ~tr ~lay ~init ~f:(fun acc ~doc ~tf ->
+    fold_docs_v2 b ~lay ~init ~f:(fun acc ~doc ~tf ->
         let positions, p = read_positions b ~pos:!ppos ~tf in
         ppos := p;
         f acc { doc; positions })
@@ -625,90 +447,48 @@ exception Bad of string
 
 let check cond msg = if not cond then raise (Bad msg)
 
+(* The next id of an ascending run (documents, or one document's
+   positions): the first gap is the id itself, every later gap is at
+   least 1, and no id overflows. *)
+let next_id prev gap msg =
+  check (if prev < 0 then gap >= 0 else gap >= 1 && gap <= max_int - prev) msg;
+  if prev < 0 then gap else prev + gap
+
 (* Walk one block's slice of the position region: tf ascending gap runs
    must tile the block's sk_pos_len exactly. *)
 let validate_block_positions b sk tfs i =
   let ppos = ref sk.sk_pos_off in
   Array.iter
     (fun tf ->
-      let last_p = ref (-1) in
+      let p = ref (-1) in
       for _ = 1 to tf do
-        let pgap, p = Util.Varint.decode b ~pos:!ppos in
-        check (if !last_p < 0 then pgap >= 0 else pgap >= 1) "position gaps not strictly ascending";
-        last_p := pgap;
-        ppos := p
+        p := next_id !p (Util.Varint.read b ppos) "position gaps not strictly ascending"
       done)
     tfs;
   check (!ppos = sk.sk_pos_off + sk.sk_pos_len)
     (Printf.sprintf "block %d pos bytes %d <> skip entry %d" i (!ppos - sk.sk_pos_off) sk.sk_pos_len)
 
-(* Per-tier walk of one block's doc bytes: re-derive the (gap, tf)
-   sequence with every structural invariant checked, so a single
-   flipped bit anywhere in the region (payload, width headers or
-   padding) trips at least one check. *)
-let validate_block_docs b ~tr ~prev_doc sk in_block i =
-  let gaps = Array.make in_block 0 and tfs = Array.make in_block 0 in
-  (match tr with
-  | Vbyte ->
-    let dpos = ref sk.sk_doc_off in
-    for j = 0 to in_block - 1 do
-      let gap, p = Util.Varint.decode b ~pos:!dpos in
-      let tf, p = Util.Varint.decode b ~pos:p in
-      check (p <= sk.sk_doc_off + sk.sk_doc_len) "doc entry overruns block";
-      dpos := p;
-      gaps.(j) <- gap;
-      tfs.(j) <- tf
-    done;
-    check (!dpos = sk.sk_doc_off + sk.sk_doc_len)
-      (Printf.sprintf "block %d doc bytes %d <> skip entry %d" i (!dpos - sk.sk_doc_off) sk.sk_doc_len)
-  | Raw ->
-    check (sk.sk_doc_len = 8 * in_block)
-      (Printf.sprintf "raw block %d is %d bytes, want %d" i sk.sk_doc_len (8 * in_block));
-    for j = 0 to in_block - 1 do
-      let off = sk.sk_doc_off + (8 * j) in
-      gaps.(j) <- get_u32le b off;
-      tfs.(j) <- get_u32le b (off + 4)
-    done
-  | Cold ->
-    check (sk.sk_doc_len >= 2) "cold block too short for width header";
-    let gb = Char.code (Bytes.get b sk.sk_doc_off) in
-    let tb = Char.code (Bytes.get b (sk.sk_doc_off + 1)) in
-    check (gb <= 62 && tb <= 62) "cold block width out of range";
-    let gbytes = ((in_block * gb) + 7) / 8 in
-    let tbytes = ((in_block * tb) + 7) / 8 in
-    check (sk.sk_doc_len = 2 + gbytes + tbytes)
-      (Printf.sprintf "cold block %d is %d bytes, widths say %d" i sk.sk_doc_len (2 + gbytes + tbytes));
-    let r = Util.Bitio.Reader.of_sub b ~pos:(sk.sk_doc_off + 2) ~len:gbytes in
-    for j = 0 to in_block - 1 do
-      gaps.(j) <- Util.Bitio.Reader.bits r ~width:gb
-    done;
-    check (Util.Bitio.Reader.bits r ~width:(Util.Bitio.Reader.remaining r) = 0)
-      "cold block gap padding bits not zero";
-    let r = Util.Bitio.Reader.of_sub b ~pos:(sk.sk_doc_off + 2 + gbytes) ~len:tbytes in
-    for j = 0 to in_block - 1 do
-      tfs.(j) <- 1 + Util.Bitio.Reader.bits r ~width:tb
-    done;
-    check (Util.Bitio.Reader.bits r ~width:(Util.Bitio.Reader.remaining r) = 0)
-      "cold block tf padding bits not zero";
-    (* The encoder packs at exactly the bits of the block's largest
-       value, so a width header flipped to a wider-but-length-compatible
-       value cannot masquerade as well-formed. *)
-    let gmax = Array.fold_left max 0 gaps and tmax = Array.fold_left max 0 tfs in
-    check (bits_needed gmax = gb) "cold block gap width not canonical";
-    check (bits_needed (tmax - 1) = tb) "cold block tf width not canonical"
-  | V1 -> assert false);
-  let doc = ref prev_doc in
-  Array.iteri
-    (fun j gap ->
-      check (if !doc < 0 then gap >= 0 else gap >= 1) "doc gaps not strictly ascending";
-      doc := (if !doc < 0 then gap else !doc + gap);
-      check (tfs.(j) >= 1) "posting with zero tf")
-    gaps;
+(* Walk one block's doc bytes: re-derive its (gap, tf) pairs with every
+   structural invariant checked, so a single flipped bit anywhere in the
+   region trips a check here or against the skip table, cf or max_tf. *)
+let validate_block_docs b ~prev_doc sk in_block i =
+  let stop = sk.sk_doc_off + sk.sk_doc_len in
+  let tfs = Array.make in_block 0 in
+  let dpos = ref sk.sk_doc_off and doc = ref prev_doc in
+  for j = 0 to in_block - 1 do
+    let gap = Util.Varint.read b dpos in
+    let tf = Util.Varint.read b dpos in
+    check (!dpos <= stop) "doc entry overruns block";
+    doc := next_id !doc gap "doc gaps not strictly ascending";
+    check (tf >= 1) "posting with zero tf";
+    tfs.(j) <- tf
+  done;
+  check (!dpos = stop)
+    (Printf.sprintf "block %d doc bytes %d <> skip entry %d" i (!dpos - sk.sk_doc_off) sk.sk_doc_len);
   (!doc, tfs)
 
 let validate_v2 b =
   let len = Bytes.length b in
-  let tr = tier b in
   let lay = parse_layout b in
   check (lay.l_df >= 0 && lay.l_cf >= lay.l_df) "df/cf header implausible";
   check
@@ -716,79 +496,66 @@ let validate_v2 b =
     (Printf.sprintf "block count %d inconsistent with df %d" lay.l_blocks lay.l_df);
   check (lay.l_skip_off + lay.l_skip_len <= len) "skip table extends past record end";
   check (lay.l_pos_off <= len) "doc region extends past record end";
-  (* The sentinel tag must agree with the df-chosen tier, so a flipped
-     tag bit cannot silently re-interpret the doc region. *)
-  check (tier_of_df lay.l_df = tr)
-    (Printf.sprintf "df %d does not belong in the %s tier" lay.l_df (tier_name tr));
-  if lay.l_df = 0 then begin
-    check (lay.l_skip_len = 0 && lay.l_doc_len = 0 && lay.l_pos_off = len)
-      "empty record carries payload bytes"
-  end
-  else begin
-    (* Skip-table invariants: exact byte length, strictly monotone
-       last-doc ids, per-block byte counts that tile both regions. *)
-    let pos = ref lay.l_skip_off in
-    let last = ref (-1) and dsum = ref 0 and psum = ref 0 in
-    for i = 0 to lay.l_blocks - 1 do
-      check (!pos < lay.l_skip_off + lay.l_skip_len) "skip table truncated";
-      let dld, p = Util.Varint.decode b ~pos:!pos in
-      let dl, p = Util.Varint.decode b ~pos:p in
-      let pl, p = Util.Varint.decode b ~pos:p in
-      pos := p;
-      check (p <= lay.l_skip_off + lay.l_skip_len) "skip entry overruns skip table";
-      check (i = 0 || dld >= 1) "skip-table last-doc ids not strictly ascending";
-      check (dl >= 1 && pl >= 1) "skip entry with empty block";
-      last := (if !last < 0 then dld else !last + dld);
-      dsum := !dsum + dl;
-      psum := !psum + pl
-    done;
-    check (!pos = lay.l_skip_off + lay.l_skip_len) "skip table has trailing bytes";
-    check (!dsum = lay.l_doc_len)
-      (Printf.sprintf "skip doc-bytes sum %d <> doc region length %d" !dsum lay.l_doc_len);
-    check (!psum = len - lay.l_pos_off)
-      (Printf.sprintf "skip pos-bytes sum %d <> position region length %d" !psum (len - lay.l_pos_off));
-    (* Walk both regions block by block against the skip entries. *)
-    let skips = parse_skips b lay in
-    let cf = ref 0 and seen_max_tf = ref 0 and doc = ref (-1) in
-    Array.iteri
-      (fun i sk ->
-        let in_block = docs_in_block lay i in
-        let last_doc, tfs = validate_block_docs b ~tr ~prev_doc:!doc sk in_block i in
-        doc := last_doc;
-        Array.iter
-          (fun tf ->
-            cf := !cf + tf;
-            if tf > !seen_max_tf then seen_max_tf := tf)
-          tfs;
-        validate_block_positions b sk tfs i;
-        check (!doc = sk.sk_last_doc)
-          (Printf.sprintf "block %d ends at doc %d, skip table says %d" i !doc sk.sk_last_doc))
-      skips;
-    check (!cf = lay.l_cf) (Printf.sprintf "tf sum %d <> header cf %d" !cf lay.l_cf);
-    check (!seen_max_tf = lay.l_max_tf)
-      (Printf.sprintf "observed max tf %d <> header max_tf %d" !seen_max_tf lay.l_max_tf)
-  end
+  (* Only a record of v1_cutoff_df or more documents carries the v2
+     sentinel, so a flipped bit cannot re-read a v1 record's bytes as v2
+     (or, since no v2 record is empty, leave an empty one). *)
+  check (tier_of_df lay.l_df = Vbyte)
+    (Printf.sprintf "df %d is below the v2 cutoff %d" lay.l_df v1_cutoff_df);
+  (* Skip-table invariants: exact byte length, strictly monotone last-doc
+     ids, per-block byte counts that tile both regions. *)
+  let pos = ref lay.l_skip_off and dsum = ref 0 and psum = ref 0 in
+  for i = 0 to lay.l_blocks - 1 do
+    check (!pos < lay.l_skip_off + lay.l_skip_len) "skip table truncated";
+    let dld = Util.Varint.read b pos in
+    let dl = Util.Varint.read b pos in
+    let pl = Util.Varint.read b pos in
+    check (!pos <= lay.l_skip_off + lay.l_skip_len) "skip entry overruns skip table";
+    check (i = 0 || dld >= 1) "skip-table last-doc ids not strictly ascending";
+    check (dl >= 1 && pl >= 1 && dl <= lay.l_doc_len && pl <= len) "skip entry with an impossible block";
+    dsum := !dsum + dl;
+    psum := !psum + pl
+  done;
+  check (!pos = lay.l_skip_off + lay.l_skip_len) "skip table has trailing bytes";
+  check (!dsum = lay.l_doc_len)
+    (Printf.sprintf "skip doc-bytes sum %d <> doc region length %d" !dsum lay.l_doc_len);
+  check (!psum = len - lay.l_pos_off)
+    (Printf.sprintf "skip pos-bytes sum %d <> position region length %d" !psum (len - lay.l_pos_off));
+  (* Walk both regions block by block against the skip entries. *)
+  let skips = parse_skips b lay in
+  let cf = ref 0 and seen_max_tf = ref 0 and doc = ref (-1) in
+  Array.iteri
+    (fun i sk ->
+      let last_doc, tfs = validate_block_docs b ~prev_doc:!doc sk (docs_in_block lay i) i in
+      doc := last_doc;
+      Array.iter
+        (fun tf ->
+          cf := !cf + tf;
+          if tf > !seen_max_tf then seen_max_tf := tf)
+        tfs;
+      validate_block_positions b sk tfs i;
+      check (!doc = sk.sk_last_doc)
+        (Printf.sprintf "block %d ends at doc %d, skip table says %d" i !doc sk.sk_last_doc))
+    skips;
+  check (!cf = lay.l_cf) (Printf.sprintf "tf sum %d <> header cf %d" !cf lay.l_cf);
+  check (!seen_max_tf = lay.l_max_tf)
+    (Printf.sprintf "observed max tf %d <> header max_tf %d" !seen_max_tf lay.l_max_tf)
 
 let validate_v1 b =
   let df, pos = Util.Varint.decode b ~pos:0 in
   let cf, pos = Util.Varint.decode b ~pos in
   check (df >= 0 && cf >= df) "df/cf header implausible";
-  let cf' = ref 0 in
-  let rec go k pos doc =
-    if k = 0 then pos
-    else begin
-      let gap, pos = Util.Varint.decode b ~pos in
-      check (if doc < 0 then gap >= 0 else gap >= 1) "doc gaps not strictly ascending";
-      let doc = if doc < 0 then gap else doc + gap in
-      let tf, pos = Util.Varint.decode b ~pos in
-      check (tf >= 1) "posting with zero tf";
-      cf' := !cf' + tf;
-      let rec skip n pos = if n = 0 then pos else skip (n - 1) (snd (Util.Varint.decode b ~pos)) in
-      go (k - 1) (skip tf pos) doc
-    end
-  in
-  let fin = go df pos (-1) in
-  check (fin = Bytes.length b) "record has trailing bytes";
+  let pos = ref pos and doc = ref (-1) and cf' = ref 0 in
+  for _ = 1 to df do
+    doc := next_id !doc (Util.Varint.read b pos) "doc gaps not strictly ascending";
+    let tf = Util.Varint.read b pos in
+    check (tf >= 1) "posting with zero tf";
+    cf' := !cf' + tf;
+    let p = ref (-1) in
+    for _ = 1 to tf do
+      p := next_id !p (Util.Varint.read b pos) "position gaps not strictly ascending"
+    done
+  done;
+  check (!pos = Bytes.length b) "record has trailing bytes";
   check (!cf' = cf) (Printf.sprintf "tf sum %d <> header cf %d" !cf' cf)
 
 let validate b =
@@ -836,7 +603,7 @@ type cursor = {
 (* Decode block [i] and make it current. *)
 let load_block c i =
   let lay = match c.c_lay with Some l -> l | None -> assert false in
-  let docs, tfs = decode_block c.data ~tr:c.cur_tier ~lay ~skips:c.skips i in
+  let docs, tfs = decode_block c.data ~lay ~skips:c.skips i in
   c.decoded <- c.decoded + Array.length docs;
   c.blocks_loaded <- c.blocks_loaded + 1;
   c.bytes_read <- c.bytes_read + c.skips.(i).sk_doc_len;

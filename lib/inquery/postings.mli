@@ -6,46 +6,30 @@
     integers in a compressed format" (delta + v-byte coding, which is
     where INQUERY's ~60 % compression came from).
 
-    Two record layouts exist (all integers v-byte coded):
+    Two record layouts exist, picked by document count; every integer
+    in both is v-byte coded:
 
-    {b v1} (legacy; still readable through every entry point):
+    {b v1} (below {!v1_cutoff_df} documents; also what {!encode_v1}
+    writes at any size):
     [df] [cf] then per document (ascending id):
     [doc gap] [tf] [tf position gaps].
 
-    {b v2} (skip blocks; what {!encode} and {!Builder} emit):
-    a [0x80 TAG] version sentinel, then
+    {b v2} (skip blocks; from {!v1_cutoff_df} documents on):
+    a [0x80 0x02] version sentinel, then
     [df] [cf] [max_tf] [n_blocks] [skip_len], a skip table with one
     entry per {!block_size}-document block
     ([last-doc delta] [doc-region bytes] [position-region bytes]),
-    then [doc_len], the doc region, and the position region of
-    per-document position gaps.  Document-level scans never touch
-    position bytes, and {!cursor_seek} jumps whole blocks via the skip
-    table.
-
-    The doc region comes in three {e compression tiers}, picked by df
-    and named by the sentinel's TAG byte — the adaptive ladder:
-
-    - [0x02] {e v-byte}: per document [doc gap] [tf], v-byte coded —
-      the original v2 layout, byte-identical to what earlier builds
-      wrote, for the mid-range.
-    - [0x03] {e raw} ([v1_cutoff_df <= df < raw_cutoff_df]): fixed
-      u32le (gap, tf) pairs.  Small records don't amortize
-      variable-length coding; decode is two aligned reads.
-    - [0x04] {e cold} ([df >= cold_cutoff_df]): per block two width
-      bytes then bit-packed gaps and bit-packed (tf-1)s at exactly the
-      block's largest value's width.  Long-tail records dominate the
-      index's bytes, so they take the tightest packing.
-
-    Positions are v-byte in every tier, and the skip-table shape is
-    shared, so seeking, fsck and corruption tests treat all tiers
-    uniformly.  {!validate} additionally cross-checks the TAG against
-    the df-chosen tier, exact per-block byte counts, canonical cold
-    widths and zero padding bits, so any single flipped bit in any tier
-    is flagged.
+    then [doc_len], the doc region of per-document [doc gap] [tf]
+    pairs, and the position region of per-document position gaps.
+    Document-level scans never touch position bytes, and
+    {!cursor_seek} jumps whole blocks via the skip table.  {!validate}
+    checks the sentinel against the document count and every block's
+    byte counts against the skip table, so any single flipped bit in
+    the skip table or the doc region is flagged.
 
     The first byte of a v1 record codes [df]; the v1 encoder only starts
     a record with [0x80] (v-byte zero) for the empty record
-    [0x80 0x80], so the [0x80 TAG] sentinels are unambiguous and
+    [0x80 0x80], so the [0x80 0x02] sentinel is unambiguous and
     {!version} can sniff reliably. *)
 
 type doc_postings = { doc : int; positions : int list }
@@ -60,25 +44,23 @@ val v1_cutoff_df : int
     paper's small-object distribution, and skipping cannot pay.  Readers
     sniff, so the cutoff never matters on the way in. *)
 
-val raw_cutoff_df : int
-(** Records with [v1_cutoff_df <= df < raw_cutoff_df] store fixed-width
-    (gap, tf) pairs instead of v-byte. *)
-
-val cold_cutoff_df : int
-(** Records with [df >= cold_cutoff_df] bit-pack each block at its
-    minimal widths. *)
-
 type tier =
-  | V1  (** legacy interleaved layout *)
-  | Raw  (** v2, fixed-width u32le doc region *)
+  | V1  (** interleaved layout *)
+  | Raw
+      (** Retired: a v2 doc region of fixed u32le (gap, tf) pairs
+          (sentinel [0x80 0x03]).  Nothing writes it and {!tier} never
+          returns it; the constructor stays while a census outside
+          this library still names it. *)
   | Vbyte  (** v2, v-byte doc region *)
-  | Cold  (** v2, per-block bit-packed doc region *)
+  | Cold
+      (** Retired: a v2 doc region of per-block bit-packed gaps and tfs
+          (sentinel [0x80 0x04]); never returned, as {!Raw}. *)
 
 val tier : bytes -> tier
-(** Sniffed from the sentinel bytes. *)
+(** Sniffed from the sentinel bytes: {!Vbyte} or {!V1}. *)
 
 val tier_of_df : int -> tier
-(** The tier the encoder assigns a record of the given document count
+(** The layout the encoder assigns a record of the given document count
     — what {!encode}, {!Builder.finish} and {!concat} emit, and what
     {!validate} requires of the sentinel. *)
 
@@ -86,15 +68,13 @@ val tier_name : tier -> string
 (** ["v1"], ["raw"], ["vbyte"] or ["cold"] — census labels. *)
 
 val version : bytes -> int
-(** [1] or [2], sniffed from the record's leading bytes; every tier but
-    {!V1} is version 2. *)
+(** [1] or [2], sniffed from the record's leading bytes. *)
 
 val encode : (int * int list) list -> bytes
 (** [encode entries] builds a record from [(doc, positions)] pairs
     with strictly ascending doc ids and, per doc, strictly ascending
-    positions (each doc must have at least one position) — v2 in the
-    {!tier_of_df}-chosen tier once the document count reaches
-    {!v1_cutoff_df}, compact v1 below it.  Raises [Invalid_argument] on
+    positions (each doc must have at least one position) — v2 once the
+    document count reaches {!v1_cutoff_df}, compact v1 below it.  Raises [Invalid_argument] on
     violations. *)
 
 val encode_v1 : (int * int list) list -> bytes
@@ -138,11 +118,6 @@ val record_stats : bytes -> record_stats
     regardless of df.  The planner estimates each candidate plan's
     decode bytes from these without paying any decode itself. *)
 
-val stats_of_locator : bytes -> record_stats
-(** Alias for {!record_stats}: the argument is the record fetched by a
-    dictionary entry's locator (this module never resolves locators
-    itself — the store does). *)
-
 val max_tf : bytes -> int option
 (** Largest within-document frequency in the record — the input to a
     term's belief upper bound.  [None] for v1 records (no header slot). *)
@@ -152,9 +127,8 @@ val skip_table_region : bytes -> (int * int) option
     [None] for v1.  Exposed so corruption tests can aim at it. *)
 
 val doc_region : bytes -> (int * int) option
-(** [(offset, length)] of the doc region — the tier-dependent bytes the
-    compression ladder varies; [None] for v1.  Exposed so the per-tier
-    bit-flip sweeps can aim at exactly the raw or cold blocks. *)
+(** [(offset, length)] of the doc region, the v-byte (gap, tf) pairs;
+    [None] for v1.  Exposed so corruption tests can aim at it. *)
 
 val fold_docs : bytes -> init:'a -> f:('a -> doc:int -> tf:int -> 'a) -> 'a
 (** Fold over documents.  On v2 records position bytes are never
@@ -176,22 +150,22 @@ val concat : ?keep:(int -> bool) -> bytes list -> bytes option
     documents dropped.  The inputs' documents must be strictly
     ascending across the whole list, so their ranges are disjoint and
     in order.  Each input is decoded once and the result encoded once,
-    in the tier of its own document count ({!tier_of_df}): it is
+    in the layout of its own document count ({!tier_of_df}): it is
     byte-identical to {!encode} of the inputs' decoded entries.  A lone
-    input with no [keep], already in its document count's tier, is
+    input with no [keep], already in its document count's layout, is
     returned as is — the same bytes, when it is itself {!encode}
     output.  [None] when no document remains.
-    Accepts any tier.  Raises [Invalid_argument] on a document at or
+    Accepts either layout.  Raises [Invalid_argument] on a document at or
     below the one before it, kept or not. *)
 
 val validate : bytes -> (unit, string) result
 (** Deep structural check, for fsck: headers, skip-table invariants
     (strictly ascending last-doc ids, block byte counts that tile the
-    regions and stay inside the record), gap monotonicity, tf/cf/max_tf
-    consistency, the sentinel-vs-df tier agreement, and the per-tier
-    block invariants (raw: exact 8-byte-per-posting block lengths;
-    cold: width-implied block lengths, canonical widths, zero padding
-    bits).  Reports the first problem; never raises. *)
+    regions and stay inside the record), strictly ascending doc ids and
+    positions in both layouts, tf/cf/max_tf consistency, and the
+    sentinel-vs-df agreement.  A record it accepts decodes, walks,
+    {!concat}s and reports {!record_stats} without raising.  Reports
+    the first problem; never raises. *)
 
 (** {2 Cursors}
 

@@ -277,10 +277,10 @@ let test_skip_table_bitflip () =
       done
     done
 
-(* --- the adaptive compression ladder ------------------------------- *)
+(* --- the two layouts ------------------------------------------------ *)
 
-(* Entries sized to land in a specific tier, with enough irregularity
-   (varying gaps and tfs) that packing widths differ between blocks. *)
+(* Entries with enough irregularity (varying gaps and tfs) that blocks
+   differ in their bytes. *)
 let tier_entries n =
   let doc = ref 0 in
   List.init n (fun i ->
@@ -288,25 +288,44 @@ let tier_entries n =
       let stride = (i mod 5) + 2 in
       (!doc, List.init ((i mod 4) + 1) (fun p -> p * stride)))
 
+(* v1 below the cutoff and v-byte v2 from it on, at the former raw
+   (63/64) and cold (1023/1024) boundaries too, from [encode], from
+   [Builder] and from [concat] of the record cut in two. *)
 let test_tier_assignment () =
   List.iter
     (fun (n, expect) ->
-      let b = Inquery.Postings.encode (tier_entries n) in
-      Alcotest.(check string)
-        (Printf.sprintf "df %d" n)
-        (Inquery.Postings.tier_name expect)
-        (Inquery.Postings.tier_name (Inquery.Postings.tier b));
+      let entries = tier_entries n in
+      let b = Inquery.Postings.encode entries in
+      let bld = Inquery.Postings.Builder.create () in
+      List.iter (fun (doc, positions) -> Inquery.Postings.Builder.add bld ~doc ~positions) entries;
+      let halves = List.partition (fun (doc, _) -> doc <= fst (List.nth entries (n / 2))) entries in
+      let joined =
+        Inquery.Postings.concat
+          [ Inquery.Postings.encode (fst halves); Inquery.Postings.encode (snd halves) ]
+      in
+      List.iter
+        (fun (what, r) ->
+          Alcotest.(check string)
+            (Printf.sprintf "df %d %s" n what)
+            (Inquery.Postings.tier_name expect)
+            (Inquery.Postings.tier_name (Inquery.Postings.tier r)))
+        [
+          ("encode", b);
+          ("builder", Inquery.Postings.Builder.finish bld);
+          ("concat", Option.get joined);
+        ];
       Alcotest.(check string) "tier_of_df agrees"
         (Inquery.Postings.tier_name (Inquery.Postings.tier_of_df n))
         (Inquery.Postings.tier_name (Inquery.Postings.tier b)))
     [
       (3, Inquery.Postings.V1);
-      (Inquery.Postings.v1_cutoff_df, Inquery.Postings.Raw);
-      (Inquery.Postings.raw_cutoff_df - 1, Inquery.Postings.Raw);
-      (Inquery.Postings.raw_cutoff_df, Inquery.Postings.Vbyte);
-      (Inquery.Postings.cold_cutoff_df - 1, Inquery.Postings.Vbyte);
-      (Inquery.Postings.cold_cutoff_df, Inquery.Postings.Cold);
-      (Inquery.Postings.cold_cutoff_df + 200, Inquery.Postings.Cold);
+      (7, Inquery.Postings.V1);
+      (8, Inquery.Postings.Vbyte);
+      (63, Inquery.Postings.Vbyte);
+      (64, Inquery.Postings.Vbyte);
+      (1023, Inquery.Postings.Vbyte);
+      (1024, Inquery.Postings.Vbyte);
+      (1324, Inquery.Postings.Vbyte);
     ]
 
 let test_all_tiers_roundtrip () =
@@ -324,24 +343,21 @@ let test_all_tiers_roundtrip () =
         (Inquery.Postings.stats b))
     [ 8; 40; 63; 64; 200; 1023; 1024; 1300 ]
 
-(* Satellite: every single-bit flip anywhere in a raw- or cold-tier doc
-   region must be flagged by [validate].  Raw gaps are u32 absolutes of
-   nothing — they are gaps, so one flip shifts every later doc and the
-   skip table's last-doc cross-check fires; tf flips break cf/max_tf;
-   cold width bytes break the width-implied block length, packed-value
-   flips break last-doc, monotonicity, padding or canonical-width
-   checks. *)
-let flip_sweep name entries ~expect_tier ~limit =
+(* Every single-bit flip anywhere in a v-byte doc region must be flagged
+   by [validate].  A flip either breaks a varint's extent (the block's
+   byte count against the skip table), shifts a gap (every later doc id
+   moves, so the skip table's last-doc cross-check fires) or changes a
+   tf (cf, max_tf or the position region's extent).  Returns the number
+   of flips tried. *)
+let flip_sweep name entries ~limit =
   let b = Inquery.Postings.encode entries in
-  Alcotest.(check string) (name ^ " tier")
-    (Inquery.Postings.tier_name expect_tier)
+  Alcotest.(check string) (name ^ " tier") "vbyte"
     (Inquery.Postings.tier_name (Inquery.Postings.tier b));
   match Inquery.Postings.doc_region b with
   | None -> Alcotest.fail "expected a v2 doc region"
   | Some (off, len) ->
     (* Sweep the head of the region (first blocks) and its tail (last,
-       ragged block) — full records make the sweep quadratic for cold
-       tiers without covering new code paths. *)
+       ragged block): the middle blocks cover no new code path. *)
     let limit = min limit len in
     let ranges =
       if len <= 2 * limit then [ (off, off + len - 1) ]
@@ -358,15 +374,20 @@ let flip_sweep name entries ~expect_tier ~limit =
             | Error _ -> ()
           done
         done)
-      ranges
+      ranges;
+    List.fold_left (fun n (lo, hi) -> n + (8 * (hi - lo + 1))) 0 ranges
 
-let test_raw_tier_bitflips () =
-  flip_sweep "raw" (tier_entries 40) ~expect_tier:Inquery.Postings.Raw ~limit:max_int
+(* The two sweeps keep the test names of the df ranges the retired raw
+   (8 <= df < 64) and cold (df >= 1024) tiers covered; both ranges are
+   v-byte records now. *)
 
-let test_cold_tier_bitflips () =
-  flip_sweep "cold"
-    (tier_entries (Inquery.Postings.cold_cutoff_df + 100))
-    ~expect_tier:Inquery.Postings.Cold ~limit:192
+(* The whole region of a one-block record. *)
+let test_one_block_bitflips () =
+  Alcotest.(check int) "df 40 flips" 640 (flip_sweep "df 40" (tier_entries 40) ~limit:max_int)
+
+(* The head and tail of a nine-block record's region. *)
+let test_many_block_bitflips () =
+  Alcotest.(check int) "df 1124 flips" 3072 (flip_sweep "df 1124" (tier_entries 1124) ~limit:192)
 
 let test_mixed_tier_seek () =
   (* The same skip table drives seeks in every tier: binary-search the
@@ -445,10 +466,11 @@ let prop_seek_first_geq =
       Inquery.Postings.cur_doc cur = expect)
 
 (* [concat] against its definition: encoding the inputs' decoded
-   entries, kept ones only.  One sorted entry list is cut into up to
-   four consecutive records, each encoded on its own, and the lengths
-   straddle every tier cutoff (7/8, 63/64, 1023/1024), so inputs and
-   results cover v1, raw, v-byte and cold. *)
+   entries, kept ones only, in the layout of the result's document
+   count.  One sorted entry list is cut into up to four consecutive
+   records, each encoded on its own, and the lengths straddle the v1
+   cutoff (7/8) and make one- and many-block v2 records (63/64,
+   1023/1024), so inputs and results cover both layouts. *)
 let gen_concat_case =
   QCheck.Gen.(
     let* n = oneofl [ 1; 7; 8; 9; 63; 64; 65; 1023; 1024; 1025 ] in
@@ -484,7 +506,56 @@ let prop_concat_is_encode =
         List.filter (fun (doc, _) -> Option.fold ~none:true ~some:(fun k -> k doc) keep) entries
       in
       let expect = if kept = [] then None else Some (Inquery.Postings.encode kept) in
-      Inquery.Postings.concat ?keep records = expect)
+      let got = Inquery.Postings.concat ?keep records in
+      got = expect
+      && Option.fold ~none:true
+           ~some:(fun r ->
+             Inquery.Postings.tier r = Inquery.Postings.tier_of_df (Inquery.Postings.doc_count r))
+           got)
+
+(* Decoder totality: whatever bytes arrive, [validate] answers without
+   raising, and a record it accepts decodes, walks, concatenates and
+   reports its statistics without raising, its cursor agreeing with
+   [fold_docs].  Inputs are arbitrary strings (some behind a v2
+   sentinel), and truncations and 1-4 byte overwrites of v1 and v2
+   records of one or many blocks. *)
+let gen_damaged_record =
+  QCheck.Gen.(
+    let record =
+      let* entries = oneof [ gen_entries; gen_block_entries ] in
+      let* enc = oneofl [ Inquery.Postings.encode; Inquery.Postings.encode_v1 ] in
+      return (enc entries)
+    in
+    let arbitrary =
+      let* prefix = oneofl [ ""; "\x80\x02" ] in
+      let* body = string_size (int_range 0 48) in
+      return (Bytes.of_string (prefix ^ body))
+    in
+    let truncated =
+      let* r = record in
+      let* n = int_range 0 (Bytes.length r - 1) in
+      return (Bytes.sub r 0 n)
+    in
+    let overwritten =
+      let* r = record in
+      let* writes = list_size (int_range 1 4) (pair (int_range 0 (Bytes.length r - 1)) char) in
+      let r = Bytes.copy r in
+      List.iter (fun (i, c) -> Bytes.set r i c) writes;
+      return r
+    in
+    frequency [ (1, arbitrary); (1, truncated); (3, overwritten) ])
+
+let prop_decoders_total =
+  QCheck.Test.make ~name:"decoders total on damaged records" ~count:10000
+    (QCheck.make ~print:(fun b -> String.escaped (Bytes.to_string b)) gen_damaged_record)
+    (fun b ->
+      match Inquery.Postings.validate b with
+      | Error _ -> true
+      | Ok () ->
+        ignore (Inquery.Postings.decode b);
+        ignore (Inquery.Postings.concat [ b ]);
+        ignore (Inquery.Postings.record_stats b);
+        cursor_walk b = fold_pairs b)
 
 let suite =
   [
@@ -509,8 +580,8 @@ let suite =
     Alcotest.test_case "skip-table bit flips detected" `Quick test_skip_table_bitflip;
     Alcotest.test_case "tier assignment" `Quick test_tier_assignment;
     Alcotest.test_case "all tiers roundtrip" `Quick test_all_tiers_roundtrip;
-    Alcotest.test_case "raw-tier doc-region bit flips detected" `Quick test_raw_tier_bitflips;
-    Alcotest.test_case "cold-tier doc-region bit flips detected" `Quick test_cold_tier_bitflips;
+    Alcotest.test_case "raw-tier doc-region bit flips detected" `Quick test_one_block_bitflips;
+    Alcotest.test_case "cold-tier doc-region bit flips detected" `Quick test_many_block_bitflips;
     Alcotest.test_case "mixed-tier seek" `Quick test_mixed_tier_seek;
     QCheck_alcotest.to_alcotest prop_roundtrip;
     QCheck_alcotest.to_alcotest prop_fold_consistent;
@@ -518,4 +589,5 @@ let suite =
     QCheck_alcotest.to_alcotest prop_cursor_matches_fold;
     QCheck_alcotest.to_alcotest prop_seek_first_geq;
     QCheck_alcotest.to_alcotest prop_concat_is_encode;
+    QCheck_alcotest.to_alcotest prop_decoders_total;
   ]
