@@ -1,17 +1,12 @@
-(* Benchmark harness.
+(* Bechamel micro-benchmarks, in host nanoseconds per call: one group
+   per paper table/figure, measuring the operation whose cost that table
+   aggregates (record lookups for Tables 3-5, buffer faults for Table 6
+   and Figure 3, index construction paths for Table 1 and Figure 1,
+   query-set term traffic for Figure 2), then one group per serving
+   subsystem.  The tables and figures themselves are `repro tables`;
+   the end-to-end benchmark is perfbench/.
 
-   Part 1 — Bechamel micro-benchmarks: one group per paper table/figure,
-   measuring the operation whose cost that table aggregates (record
-   lookups for Tables 3-5, buffer faults for Table 6 and Figure 3,
-   index construction paths for Table 1 and Figure 1, query-set term
-   traffic for Figure 2).
-
-   Part 2 — full reproduction: regenerates every table and figure of
-   the paper on the calibrated synthetic collections (simulated 1993
-   hardware), exactly as DESIGN.md's experiment index specifies.
-
-   REPRO_SCALE (float, default 1.0) scales collection document counts;
-   REPRO_SKIP_MICRO=1 skips part 1. *)
+   dune exec bench/main.exe *)
 
 open Bechamel
 open Toolkit
@@ -175,18 +170,6 @@ let bench_topk =
            Inquery.Postings.cur_doc cur));
   ]
 
-let topk_summary () =
-  let f = Lazy.force fixture in
-  let ex = Core.Engine.run_topk_string ~plan:exhaustive ~k:10 f.engine topk_query in
-  let pr = Core.Engine.run_topk_string ~audit:true ~k:10 f.engine topk_query in
-  Printf.printf
-    "\n[topk pruning, k=10] postings decoded: exhaustive %d, pruned %d (%.2fx); blocks \
-     skipped %d, seeks %d, audit passed\n"
-    ex.Core.Engine.topk_postings_decoded pr.Core.Engine.topk_postings_decoded
-    (float_of_int ex.Core.Engine.topk_postings_decoded
-    /. float_of_int (max 1 pr.Core.Engine.topk_postings_decoded))
-    pr.Core.Engine.topk_blocks_skipped pr.Core.Engine.topk_seeks
-
 (* Cost-based planning: what a plan decision costs (header statistics
    only, records memoized), and the intersection-first executors against
    the exhaustive baseline on conjunctive / positional queries. *)
@@ -237,29 +220,6 @@ let bench_plan =
            Core.Engine.run_topk_string ~plan:exhaustive ~k:10 f.engine plan_phrase_query));
   ]
 
-let plan_summary () =
-  let f = Lazy.force fixture in
-  Printf.printf "\n[query planner, k=10]\n";
-  List.iter
-    (fun (cls, q) ->
-      let ex = Core.Engine.run_topk_string ~plan:exhaustive ~k:10 f.engine q in
-      let au = Core.Engine.run_topk_string ~audit:true ~k:10 f.engine q in
-      Printf.printf
-        "  %-12s plan %-10s bytes: exhaustive %7d, auto %7d (%.2fx), estimated %7d; audit \
-         passed\n"
-        cls
-        (Inquery.Planner.plan_name au.Core.Engine.topk_plan)
-        ex.Core.Engine.topk_bytes_read au.Core.Engine.topk_bytes_read
-        (float_of_int ex.Core.Engine.topk_bytes_read
-        /. float_of_int (max 1 au.Core.Engine.topk_bytes_read))
-        au.Core.Engine.topk_est_bytes)
-    [
-      ("flat", topk_query);
-      ("conjunctive", plan_and_query);
-      ("phrase", plan_phrase_query);
-      ("window", "#uw5( ba be )");
-    ]
-
 (* Read-path caches: the result-cache probe the hot path pays, and the
    decode every cursor walk pays. *)
 let bench_cache =
@@ -282,7 +242,7 @@ let bench_cache =
   ]
 
 (* Multicore serving: the work-stealing deque ops on the executor's hot
-   path, and the per-query serve cost through a parallel worker session. *)
+   path. *)
 let bench_parallel =
   let deque = lazy (Util.Wsq.create ~capacity:4096 ~dummy:(-1)) in
   [
@@ -297,97 +257,6 @@ let bench_parallel =
            Util.Wsq.push q 7;
            Util.Wsq.steal q));
   ]
-
-(* The parallel and shard summaries' models are not paper collections,
-   so [Presets.query_sets] has no set for them: both draw flat queries
-   shaped like CACM's. *)
-let summary_queries model ~n =
-  Collections.Querygen.generate model
-    (Collections.Querygen.make ~set_name:model.Collections.Docmodel.name ~n_queries:n
-       ~mean_terms:8.0 ~pool_size:120 ~pool_top_bias:300 ~fresh_prob:0.20 ~seed:201 ())
-
-let parallel_summary () =
-  let model =
-    Collections.Docmodel.make ~name:"par" ~n_docs:800 ~core_vocab:4000 ~mean_doc_len:100.0
-      ~seed:29 ()
-  in
-  let prepared = Core.Experiment.prepare model in
-  let queries = summary_queries model ~n:16 in
-  let base = ref 0.0 in
-  Printf.printf "\n[parallel query serving, %d queries]\n" (List.length queries);
-  List.iter
-    (fun domains ->
-      let r =
-        Core.Parallel.run_query_set ~domains ~audit:true prepared Core.Experiment.Mneme_cache
-          ~queries
-      in
-      if domains = 1 then base := r.Core.Parallel.sim_makespan_ms;
-      Printf.printf
-        "  %d domain(s): makespan %8.1f sim-ms (%.2fx), serial work %8.1f sim-ms, %d steals, \
-         audit passed\n"
-        domains r.Core.Parallel.sim_makespan_ms
-        (if r.Core.Parallel.sim_makespan_ms > 0.0 then !base /. r.Core.Parallel.sim_makespan_ms
-         else 0.0)
-        r.Core.Parallel.sim_serial_ms r.Core.Parallel.steals)
-    [ 1; 2; 4 ]
-
-(* Doc-partitioned scatter-gather: per-shard-count makespan (the
-   slowest scatter leg), postings decoded with the global top-k bound
-   threaded through the scatter vs without, and a bit-identity check of
-   every merged ranking against the unsharded engine. *)
-let shard_summary () =
-  let model =
-    Collections.Docmodel.make ~name:"shard" ~n_docs:800 ~core_vocab:4000 ~mean_doc_len:100.0
-      ~seed:29 ()
-  in
-  let prepared = Core.Experiment.prepare model in
-  let queries = summary_queries model ~n:12 in
-  let engine = Core.Experiment.open_engine prepared Core.Experiment.Mneme_cache in
-  let oracle =
-    List.map
-      (fun q ->
-        List.map
-          (fun r -> (r.Inquery.Ranking.doc, r.Inquery.Ranking.score))
-          (Core.Engine.run_topk_string ~k:10 engine q).Core.Engine.topk_ranked)
-      queries
-  in
-  let decoded_of ~global_bound shards =
-    let c = Core.Shard.create ~shard_replicas:1 ~global_bound ~shards prepared in
-    let makespan = ref 0.0 and decoded = ref 0 and exact = ref true in
-    List.iter2
-      (fun q gold ->
-        match Core.Shard.run_query_string ~top_k:10 c q with
-        | Error _ -> exact := false
-        | Ok res ->
-          makespan := !makespan +. res.Core.Shard.elapsed_ms;
-          List.iter
-            (fun (rep : Core.Shard.shard_report) ->
-              decoded := !decoded + rep.Core.Shard.r_postings_decoded)
-            res.Core.Shard.reports;
-          let got =
-            List.map
-              (fun r -> (r.Inquery.Ranking.doc, r.Inquery.Ranking.score))
-              res.Core.Shard.ranked
-          in
-          if (not res.Core.Shard.complete) || got <> gold then exact := false)
-      queries oracle;
-    (!makespan, !decoded, !exact)
-  in
-  let base = ref 0.0 in
-  Printf.printf "\n[sharded scatter-gather, %d queries, top-10]\n" (List.length queries);
-  List.iter
-    (fun shards ->
-      let makespan, decoded, exact = decoded_of ~global_bound:true shards in
-      let _, decoded_nb, _ = decoded_of ~global_bound:false shards in
-      if shards = 1 then base := makespan;
-      Printf.printf
-        "  %d shard(s): makespan %8.1f sim-ms (%.2fx), %7d postings decoded (%7d without \
-         bound), %s\n"
-        shards makespan
-        (if makespan > 0.0 then !base /. makespan else 0.0)
-        decoded decoded_nb
-        (if exact then "bit-identical to unsharded" else "MISMATCH"))
-    [ 1; 2; 4 ]
 
 (* Snapshot isolation: what one epoch publication costs, journaled
    (sealed root + header switch in one transaction) vs unjournaled
@@ -463,61 +332,7 @@ let bench_ingest =
       (Staged.stage (fun () -> Core.Ingest.search ~top_k:10 (Lazy.force fix) "alpha"));
   ]
 
-let ingest_summary () =
-  let vfs = Vfs.create () in
-  let t =
-    Core.Ingest.create vfs
-      ~config:{ Core.Ingest.default_config with seal_bytes = 4096 }
-      ~file:"sum-ingest.mneme" ()
-  in
-  let model =
-    Collections.Docmodel.make ~name:"ingest" ~n_docs:400 ~core_vocab:800 ~mean_doc_len:60.0
-      ~seed:31 ()
-  in
-  let budget = Mneme.Budget.create ~max_bytes:8192 () in
-  let clock = Vfs.clock vfs in
-  let query_ms label t =
-    (* mean simulated latency of one union query under the given state *)
-    let queries = [ "alpha"; "#sum( alpha beta gamma )"; "beta" ] in
-    Vfs.purge_os_cache vfs;
-    let before = Vfs.Clock.snapshot clock in
-    List.iter (fun q -> ignore (Core.Ingest.search ~top_k:10 t q)) queries;
-    let d = Vfs.Clock.diff ~later:(Vfs.Clock.snapshot clock) ~earlier:before in
-    let ms = Vfs.Clock.wall_ms d /. float_of_int (List.length queries) in
-    Printf.printf "  query latency %-24s %8.3f sim-ms\n" label ms
-  in
-  let text_bytes = ref 0 in
-  let added = ref 0 in
-  let c0 = Vfs.counters vfs in
-  let t0 = Vfs.Clock.snapshot clock in
-  Seq.iter
-    (fun doc ->
-      let text = "alpha beta gamma " ^ Collections.Synth.document_text doc in
-      text_bytes := !text_bytes + String.length text;
-      (match Core.Ingest.add_document t text with
-      | Core.Ingest.Acked _ -> incr added
-      | Core.Ingest.Overloaded -> Core.Ingest.drain ~budget t);
-      if !added mod 8 = 0 then ignore (Core.Ingest.merge_step ~budget t))
-    (Collections.Synth.documents model);
-  let ingest_ms = Vfs.Clock.wall_ms (Vfs.Clock.diff ~later:(Vfs.Clock.snapshot clock) ~earlier:t0) in
-  Printf.printf "\n[online ingestion, %d documents, %d bytes of text]\n" !added !text_bytes;
-  Printf.printf "  absorb throughput %26.0f docs per sim-second\n"
-    (float_of_int !added /. (ingest_ms /. 1000.0));
-  query_ms "(segments pending)" t;
-  let d0 = Vfs.Clock.snapshot clock in
-  Core.Ingest.drain ~budget t;
-  let drain_ms = Vfs.Clock.wall_ms (Vfs.Clock.diff ~later:(Vfs.Clock.snapshot clock) ~earlier:d0) in
-  query_ms "(drained, buffers warm)" t;
-  let c1 = Vfs.diff_counters ~later:(Vfs.counters vfs) ~earlier:c0 in
-  let s = Core.Ingest.stats t in
-  Printf.printf
-    "  merge: %d seals, %d folds, %.2fx write amplification (%d bytes written / %d text), \
-     drain %.1f sim-ms\n"
-    s.Core.Ingest.seals s.Core.Ingest.folds
-    (float_of_int c1.Vfs.bytes_written /. float_of_int (max 1 !text_bytes))
-    c1.Vfs.bytes_written !text_bytes drain_ms
-
-let run_micro () =
+let () =
   let groups =
     [
       ("table1+fig1: build & coding", bench_table1);
@@ -550,40 +365,3 @@ let run_micro () =
         (List.sort compare rows))
     groups;
   print_newline ()
-
-(* ------------------------------------------------------------------ *)
-
-let () =
-  let scale =
-    match Sys.getenv_opt "REPRO_SCALE" with
-    | Some s -> ( try float_of_string s with Failure _ -> 1.0)
-    | None -> 1.0
-  in
-  let skip_micro = Sys.getenv_opt "REPRO_SKIP_MICRO" = Some "1" in
-  if not skip_micro then begin
-    run_micro ();
-    topk_summary ();
-    plan_summary ();
-    parallel_summary ();
-    shard_summary ();
-    ingest_summary ()
-  end;
-  let progress m = Printf.eprintf "  %s\n%!" m in
-  Printf.printf "=== Paper reproduction (scale %.2f, simulated 1993 hardware) ===\n%!" scale;
-  let ctx = Core.Paper.create_ctx ~progress ~scale () in
-  List.iter
-    (fun (label, table) ->
-      print_newline ();
-      print_endline label;
-      Util.Tables.print table)
-    (Core.Paper.all ctx);
-  if Sys.getenv_opt "REPRO_SKIP_ABLATIONS" <> Some "1" then begin
-    Printf.printf "\n=== Ablations (design-choice studies; fixed small collection) ===\n%!";
-    let actx = Core.Ablation.create ~progress () in
-    List.iter
-      (fun (label, table) ->
-        print_newline ();
-        print_endline label;
-        Util.Tables.print table)
-      (Core.Ablation.all actx)
-  end

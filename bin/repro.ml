@@ -4,7 +4,12 @@
    dune exec bin/repro.exe -- tables --scale 0.1
    dune exec bin/repro.exe -- stats legal
    dune exec bin/repro.exe -- run cacm --set 3 --version cache
-   dune exec bin/repro.exe -- query cacm "#phrase( ba be )" *)
+   dune exec bin/repro.exe -- query cacm "#phrase( ba be )"
+
+   Every measuring command builds its figures as labelled
+   [Util.Tables.t]s and hands them to [emit], which prints them the way
+   [tables] prints the paper's and, with --json FILE, writes the same
+   cells (plus the audit report, when one ran) as JSON. *)
 
 open Cmdliner
 
@@ -16,9 +21,49 @@ let collection_arg =
   let doc = "Collection preset: cacm, legal, tipster1 or tipster." in
   Arg.(required & pos 0 (some string) None & info [] ~docv:"COLLECTION" ~doc)
 
+let collections_arg =
+  let doc = "Collections to measure (default: all four)." in
+  Arg.(
+    value
+    & pos_all string [ "cacm"; "legal"; "tipster1"; "tipster" ]
+    & info [] ~docv:"COLLECTION" ~doc)
+
+let k_arg =
+  let doc = "Ranked documents per query." in
+  Arg.(value & opt int 10 & info [ "k" ] ~docv:"K" ~doc)
+
+let queries_arg =
+  let doc = "Evaluate only the first N queries of each set." in
+  Arg.(value & opt (some int) None & info [ "queries" ] ~docv:"N" ~doc)
+
+let json_arg =
+  let doc = "Also write the reported tables, and any audit report, as JSON to $(docv)." in
+  Arg.(value & opt (some string) None & info [ "json" ] ~docv:"FILE" ~doc)
+
+let audit_arg doc = Arg.(value & flag & info [ "audit" ] ~doc)
+
 let progress msg = Printf.eprintf "%s\n%!" msg
 
-(* --- torture reports ---------------------------------------------- *)
+(* A usage error: the message on stderr, exit status 2. *)
+let usage fmt =
+  Printf.ksprintf
+    (fun msg ->
+      prerr_endline msg;
+      exit 2)
+    fmt
+
+(* Collection [name] built at [scale], with the query set [spec] draws
+   for it, cut to its first [n] queries when [n] is given. *)
+let workload ~scale ?n spec name =
+  let model = Collections.Presets.find ~scale name in
+  let prepared = Core.Experiment.prepare ~progress model in
+  let queries = Collections.Querygen.generate model (spec model) in
+  let queries =
+    match n with None -> queries | Some n -> List.filteri (fun i _ -> i < n) queries
+  in
+  (model, prepared, queries)
+
+(* --- reports ------------------------------------------------------ *)
 
 (* The one rendering of every torture family's report: its census on
    one line, then each problem with the point it was found at. *)
@@ -32,10 +77,38 @@ let print_report r =
 (* The one exit rule: a report with any problem fails the command. *)
 let exit_on_problems r = if not (Core.Torture.ok r) then exit 1
 
-(* The "audit" member a command's JSON object ends with, if it ran one. *)
-let audit_json = function
-  | None -> ""
-  | Some r -> ",\n  \"audit\": " ^ Core.Torture.json r
+(* The one table printer: a blank line, the label, the table. *)
+let print_table (label, t) =
+  print_newline ();
+  print_endline label;
+  Util.Tables.print t
+
+(* The one JSON writer: the labelled tables, then the audit report as
+   the "audit" member when one ran. *)
+let write_json ?audit file tables =
+  let oc = open_out file in
+  Printf.fprintf oc "{\n  \"tables\": %s%s\n}\n" (Util.Tables.to_json tables)
+    (match audit with None -> "" | Some r -> ",\n  \"audit\": " ^ Core.Torture.json r);
+  close_out oc;
+  progress ("wrote " ^ file)
+
+(* How a measuring command reports: its tables, then the audit report
+   if one ran; with --json FILE, the same in FILE. *)
+let emit ?audit json tables =
+  List.iter print_table tables;
+  Option.iter print_report audit;
+  Option.iter (fun file -> write_json ?audit file tables) json
+
+(* A table whose first [left] columns align left and the rest right. *)
+let table ?(left = 1) names rows =
+  let align i = if i < left then Util.Tables.Left else Util.Tables.Right in
+  let t = Util.Tables.create ~columns:(List.mapi (fun i name -> (name, align i)) names) in
+  List.iter (Util.Tables.add_row t) rows;
+  t
+
+let int = string_of_int
+let ratio a b =
+  Printf.sprintf "%.2fx" (if b > 0 then float_of_int a /. float_of_int b else infinity)
 
 (* --- tables ------------------------------------------------------- *)
 
@@ -48,39 +121,13 @@ let tables_cmd =
   in
   let run scale only =
     let ctx = Core.Paper.create_ctx ~progress ~scale () in
-    let items =
-      [
-        ("fig1", fun () -> ("Figure 1: cumulative inverted-list size distribution (Legal)", Core.Paper.fig1 ctx));
-        ("table1", fun () -> ("Table 1: document collection statistics (sizes in KB)", Core.Paper.table1 ctx));
-        ("fig2", fun () -> ("Figure 2: frequency of use by record size, Legal query set 2", Core.Paper.fig2 ctx));
-        ("table2", fun () -> ("Table 2: Mneme buffer sizes (KB)", Core.Paper.table2 ctx));
-        ("table3", fun () -> ("Table 3: wall-clock times (seconds, simulated)", Core.Paper.table3 ctx));
-        ("table4", fun () -> ("Table 4: system CPU plus I/O times (seconds, simulated)", Core.Paper.table4 ctx));
-        ("table5", fun () -> ("Table 5: I/O statistics", Core.Paper.table5 ctx));
-        ("table6", fun () -> ("Table 6: buffer hit rates (Mneme, Cache)", Core.Paper.table6 ctx));
-        ("fig3", fun () -> ("Figure 3: large-object buffer hit rate vs size", Core.Paper.fig3 ctx));
-      ]
+    let item id =
+      match List.find_opt (fun (i, _, _) -> String.equal i id) Core.Paper.items with
+      | Some item -> item
+      | None -> usage "unknown item %s (use table1..table6, fig1..fig3)" id
     in
-    let wanted =
-      match only with
-      | [] -> items
-      | ids ->
-        List.filter_map
-          (fun id ->
-            match List.assoc_opt id items with
-            | Some f -> Some (id, f)
-            | None ->
-              Printf.eprintf "unknown item %s (use table1..table6, fig1..fig3)\n" id;
-              exit 2)
-          ids
-    in
-    List.iter
-      (fun (_, f) ->
-        let label, table = f () in
-        print_newline ();
-        print_endline label;
-        Util.Tables.print table)
-      wanted
+    let wanted = match only with [] -> Core.Paper.items | ids -> List.map item ids in
+    List.iter (fun (_, label, build) -> print_table (label, build ctx)) wanted
   in
   let doc = "Regenerate the paper's tables and figures." in
   Cmd.v (Cmd.info "tables" ~doc) Term.(const run $ scale_arg $ only)
@@ -89,13 +136,7 @@ let tables_cmd =
 
 let ablations_cmd =
   let run scale =
-    let ctx = Core.Ablation.create ~progress ~scale () in
-    List.iter
-      (fun (label, table) ->
-        print_newline ();
-        print_endline label;
-        Util.Tables.print table)
-      (Core.Ablation.all ctx)
+    List.iter print_table (Core.Ablation.all (Core.Ablation.create ~progress ~scale ()))
   in
   let doc = "Run the design-choice ablation studies." in
   Cmd.v (Cmd.info "ablations" ~doc) Term.(const run $ scale_arg)
@@ -207,108 +248,58 @@ let fsck_cmd =
   in
   Cmd.v (Cmd.info "fsck" ~doc) Term.(const run $ scale_arg $ collection_arg)
 
-(* --- topk --------------------------------------------------------- *)
+(* --- topk ---------------------------------------------------------- *)
+
+(* Every query through a fresh engine session on [prepared], so no
+   buffer state leaks between the runs a command compares; an audit
+   mismatch fails [cmd]. *)
+let topk_session cmd name prepared ?plan ~audit ~k queries =
+  let engine = Core.Experiment.open_engine prepared Core.Experiment.Mneme_cache in
+  List.map
+    (fun q ->
+      match Core.Engine.run_topk_string ~audit ?plan ~k engine q with
+      | r -> r
+      | exception Inquery.Infnet.Audit_mismatch msg ->
+        Printf.eprintf "%s: AUDIT FAILED on %s: %s\n  query: %s\n" cmd name msg q;
+        exit 1)
+    queries
+
+let forced plan = Inquery.Planner.Forced plan
+let sum f rs = List.fold_left (fun acc r -> acc + f r) 0 rs
 
 let topk_cmd =
-  let collections_arg =
-    let doc = "Collections to measure (default: all four)." in
-    Arg.(value & pos_all string [] & info [] ~docv:"COLLECTION" ~doc)
-  in
-  let k_arg =
-    let doc = "Result-list depth for the pruned evaluator." in
-    Arg.(value & opt int 10 & info [ "k" ] ~docv:"K" ~doc)
-  in
-  let queries_arg =
-    let doc = "Evaluate only the first N queries of each set." in
-    Arg.(value & opt (some int) None & info [ "queries" ] ~docv:"N" ~doc)
-  in
   let audit_arg =
-    let doc =
-      "Re-run the exhaustive evaluator after every pruned query and fail \
+    audit_arg
+      "Re-run the exhaustive evaluator after every planned query and fail \
        if the rankings differ in any document or belief."
-    in
-    Arg.(value & flag & info [ "audit" ] ~doc)
   in
-  let json_arg =
-    let doc = "Also write the per-collection numbers as JSON to FILE." in
-    Arg.(value & opt (some string) None & info [ "json" ] ~docv:"FILE" ~doc)
-  in
-  let run scale names k n_queries audit json_file =
-    if k <= 0 then begin
-      Printf.eprintf "topk: --k must be positive\n";
-      exit 2
-    end;
-    let names =
-      match names with [] -> [ "cacm"; "legal"; "tipster1"; "tipster" ] | ns -> ns
-    in
-    let rows =
-      List.map
-        (fun name ->
-          let model = Collections.Presets.find ~scale name in
-          let prepared = Core.Experiment.prepare ~progress model in
-          let spec = Collections.Presets.topk_queries model in
-          let queries = Collections.Querygen.generate model spec in
-          let queries =
-            match n_queries with
-            | None -> queries
-            | Some n -> List.filteri (fun i _ -> i < n) queries
-          in
-          (* Exhaustive baseline and pruned run use separate engine
-             sessions so buffer state cannot leak between them. *)
-          let exhaustive_decoded = ref 0 in
-          let ex = Core.Experiment.open_engine prepared Core.Experiment.Mneme_cache in
-          List.iter
-            (fun q ->
-              let r =
-                Core.Engine.run_topk_string
-                  ~plan:(Inquery.Planner.Forced Inquery.Planner.Exhaustive) ~k ex q
-              in
-              exhaustive_decoded := !exhaustive_decoded + r.Core.Engine.topk_postings_decoded)
-            queries;
-          let engine = Core.Experiment.open_engine prepared Core.Experiment.Mneme_cache in
-          let decoded = ref 0 and total = ref 0 in
-          let blocks = ref 0 and seeks = ref 0 and pruned_q = ref 0 in
-          List.iter
-            (fun q ->
-              match Core.Engine.run_topk_string ~audit ~k engine q with
-              | r ->
-                decoded := !decoded + r.Core.Engine.topk_postings_decoded;
-                total := !total + r.Core.Engine.topk_postings_total;
-                blocks := !blocks + r.Core.Engine.topk_blocks_skipped;
-                seeks := !seeks + r.Core.Engine.topk_seeks;
-                if r.Core.Engine.topk_pruned then incr pruned_q
-              | exception Inquery.Infnet.Audit_mismatch msg ->
-                Printf.eprintf "topk: AUDIT FAILED on %s: %s\n  query: %s\n" name msg q;
-                exit 1)
-            queries;
-          (name, List.length queries, !total, !exhaustive_decoded, !decoded, !blocks, !seeks,
-           !pruned_q))
-        names
-    in
-    Printf.printf "%-10s %8s %12s %12s %12s %8s %10s %8s %7s\n" "collection" "queries"
-      "postings" "exhaustive" "pruned" "ratio" "blocks" "seeks" "pruned";
-    List.iter
-      (fun (name, nq, total, ex, dec, blocks, seeks, pq) ->
-        let ratio = if dec > 0 then float_of_int ex /. float_of_int dec else infinity in
-        Printf.printf "%-10s %8d %12d %12d %12d %7.2fx %10d %8d %4d/%d\n" name nq total ex dec
-          ratio blocks seeks pq nq)
-      rows;
-    if audit then Printf.printf "audit: every pruned ranking matched the exhaustive one\n";
-    match json_file with
-    | None -> ()
-    | Some file ->
-      let oc = open_out file in
-      let row_json (name, nq, total, ex, dec, blocks, seeks, pq) =
-        Printf.sprintf
-          "  { \"collection\": %S, \"queries\": %d, \"k\": %d, \"postings_total\": %d,\n\
-          \    \"postings_decoded_exhaustive\": %d, \"postings_decoded_pruned\": %d,\n\
-          \    \"blocks_skipped\": %d, \"seeks\": %d, \"queries_pruned\": %d,\n\
-          \    \"audited\": %b }"
-          name nq k total ex dec blocks seeks pq audit
+  let run scale names k n audit json =
+    if k <= 0 then usage "topk: -k must be positive";
+    let row name =
+      let _, prepared, queries = workload ~scale ?n Collections.Presets.topk_queries name in
+      let ex =
+        topk_session "topk" name prepared ~plan:(forced Inquery.Planner.Exhaustive) ~audit:false
+          ~k queries
       in
-      Printf.fprintf oc "[\n%s\n]\n" (String.concat ",\n" (List.map row_json rows));
-      close_out oc;
-      Printf.printf "wrote %s\n" file
+      let rs = topk_session "topk" name prepared ~audit ~k queries in
+      let decoded r = r.Core.Engine.topk_postings_decoded in
+      let nq = List.length queries in
+      let pruned =
+        List.filter (fun r -> r.Core.Engine.topk_plan <> Inquery.Planner.Exhaustive) rs
+      in
+      [ name; int nq; int (sum (fun r -> r.Core.Engine.topk_postings_total) rs);
+        int (sum decoded ex); int (sum decoded rs); ratio (sum decoded ex) (sum decoded rs);
+        int (sum (fun r -> r.Core.Engine.topk_blocks_skipped) rs);
+        int (sum (fun r -> r.Core.Engine.topk_seeks) rs);
+        Printf.sprintf "%d/%d" (List.length pruned) nq ]
+    in
+    emit json
+      [ ( Printf.sprintf "Top-k pruning, k = %d: postings decoded, exhaustive vs planned" k,
+          table
+            [ "collection"; "queries"; "postings"; "exhaustive"; "planned"; "ratio"; "blocks";
+              "seeks"; "pruned" ]
+            (List.map row names) ) ];
+    if audit then print_endline "audit: every pruned ranking matched the exhaustive one"
   in
   let doc =
     "Measure max-score top-k pruning against exhaustive \
@@ -322,28 +313,10 @@ let topk_cmd =
 (* --- plan --------------------------------------------------------- *)
 
 let plan_cmd =
-  let collections_arg =
-    let doc = "Collections to measure (default: all four)." in
-    Arg.(value & pos_all string [] & info [] ~docv:"COLLECTION" ~doc)
-  in
-  let k_arg =
-    let doc = "Result-list depth." in
-    Arg.(value & opt int 10 & info [ "k" ] ~docv:"K" ~doc)
-  in
-  let queries_arg =
-    let doc = "Evaluate only the first N queries of each set." in
-    Arg.(value & opt (some int) None & info [ "queries" ] ~docv:"N" ~doc)
-  in
   let audit_arg =
-    let doc =
+    audit_arg
       "Audit every run — auto and both forced plans — against the \
        exhaustive evaluator and fail unless each ranking is bit-identical."
-    in
-    Arg.(value & flag & info [ "audit" ] ~doc)
-  in
-  let json_arg =
-    let doc = "Also write the per-class numbers as JSON to FILE." in
-    Arg.(value & opt (some string) None & info [ "json" ] ~docv:"FILE" ~doc)
   in
   let class_of q =
     match q with
@@ -356,136 +329,55 @@ let plan_cmd =
       | _ -> "other")
   in
   let classes = [ "flat"; "conjunctive"; "phrase"; "window"; "other" ] in
-  let run scale names k n_queries audit json_file =
-    if k <= 0 then begin
-      Printf.eprintf "plan: --k must be positive\n";
-      exit 2
-    end;
-    let names =
-      match names with [] -> [ "cacm"; "legal"; "tipster1"; "tipster" ] | ns -> ns
+  let run scale names k n audit json =
+    if k <= 0 then usage "plan: -k must be positive";
+    let rows name =
+      let _, prepared, queries = workload ~scale ?n Collections.Presets.planner_queries name in
+      let qclasses =
+        Array.of_list (List.map (fun q -> class_of (Inquery.Query.parse_exn q)) queries)
+      in
+      let session plan = topk_session "plan" name prepared ~plan ~audit ~k queries in
+      let ex = session (forced Inquery.Planner.Exhaustive) in
+      let ms = session (forced Inquery.Planner.Maxscore) in
+      let it = session (forced Inquery.Planner.Intersect) in
+      let auto = session Inquery.Planner.Auto in
+      let bytes = sum (fun r -> r.Core.Engine.topk_bytes_read) in
+      let class_row cls =
+        let mine = List.filteri (fun i _ -> String.equal qclasses.(i) cls) in
+        match mine auto with
+        | [] -> None
+        | auto ->
+          (* The shape-dispatch baseline is the pre-planner policy: flat
+             shapes take max-score, everything else runs exhaustive. *)
+          let shape = mine (if String.equal cls "flat" then ms else ex) in
+          let plans p = List.length (List.filter (fun r -> r.Core.Engine.topk_plan = p) auto) in
+          Some
+            [ cls; int (List.length auto); int (bytes (mine ex)); int (bytes (mine ms));
+              int (bytes (mine it)); int (bytes shape); int (bytes auto);
+              ratio (bytes shape) (bytes auto);
+              int (sum (fun r -> r.Core.Engine.topk_est_bytes) auto);
+              Printf.sprintf "%d/%d/%d" (plans Inquery.Planner.Maxscore)
+                (plans Inquery.Planner.Intersect) (plans Inquery.Planner.Exhaustive) ]
+      in
+      List.mapi
+        (fun i row -> (if i = 0 then name else "") :: row)
+        (List.filter_map class_row classes)
     in
-    let rows =
-      List.map
-        (fun name ->
-          let model = Collections.Presets.find ~scale name in
-          let prepared = Core.Experiment.prepare ~progress model in
-          let spec = Collections.Presets.planner_queries model in
-          let queries = Collections.Querygen.generate model spec in
-          let queries =
-            match n_queries with
-            | None -> queries
-            | Some n -> List.filteri (fun i _ -> i < n) queries
-          in
-          let qclasses = List.map (fun q -> class_of (Inquery.Query.parse_exn q)) queries in
-          (* One engine session per mode so buffer state cannot leak
-             between the baseline and the measured runs. *)
-          let run_mode choice =
-            let engine = Core.Experiment.open_engine prepared Core.Experiment.Mneme_cache in
-            List.map
-              (fun q ->
-                match Core.Engine.run_topk_string ~audit ~plan:choice ~k engine q with
-                | r -> r
-                | exception Inquery.Infnet.Audit_mismatch msg ->
-                  Printf.eprintf "plan: AUDIT FAILED on %s: %s\n  query: %s\n" name msg q;
-                  exit 1)
-              queries
-          in
-          let ex = run_mode (Inquery.Planner.Forced Inquery.Planner.Exhaustive) in
-          let ms = run_mode (Inquery.Planner.Forced Inquery.Planner.Maxscore) in
-          let it = run_mode (Inquery.Planner.Forced Inquery.Planner.Intersect) in
-          let auto = run_mode Inquery.Planner.Auto in
-          (* Per-class aggregation.  The shape-dispatch baseline is the
-             pre-planner policy: flat shapes take max-score, everything
-             else runs exhaustive. *)
-          let per_class =
-            List.map
-              (fun cls ->
-                let sum field rs =
-                  List.fold_left2
-                    (fun acc c r -> if String.equal c cls then acc + field r else acc)
-                    0 qclasses rs
-                in
-                let count = List.length (List.filter (String.equal cls) qclasses) in
-                let bytes r = r.Core.Engine.topk_bytes_read in
-                let shape_bytes =
-                  List.fold_left2
-                    (fun acc c (r_ms, r_ex) ->
-                      if not (String.equal c cls) then acc
-                      else if String.equal cls "flat" then acc + bytes r_ms
-                      else acc + bytes r_ex)
-                    0 qclasses (List.combine ms ex)
-                in
-                let plan_count p =
-                  List.fold_left2
-                    (fun acc c r ->
-                      if String.equal c cls && r.Core.Engine.topk_plan = p then acc + 1
-                      else acc)
-                    0 qclasses auto
-                in
-                ( cls,
-                  count,
-                  (sum bytes ex, sum bytes ms, sum bytes it),
-                  shape_bytes,
-                  sum bytes auto,
-                  sum (fun r -> r.Core.Engine.topk_est_bytes) auto,
-                  ( plan_count Inquery.Planner.Maxscore,
-                    plan_count Inquery.Planner.Intersect,
-                    plan_count Inquery.Planner.Exhaustive ) ))
-              classes
-            |> List.filter (fun (_, count, _, _, _, _, _) -> count > 0)
-          in
-          (name, List.length queries, per_class))
-        names
-    in
-    Printf.printf "%-10s %-12s %7s %12s %12s %12s %7s %12s %14s\n" "collection" "class"
-      "queries" "exhaustive" "shape" "auto" "ratio" "auto est" "plans m/i/e";
-    List.iter
-      (fun (name, _, per_class) ->
-        List.iteri
-          (fun i (cls, count, (ex_b, _, _), shape_b, auto_b, est_b, (pm, pi, pe)) ->
-            let ratio =
-              if auto_b > 0 then float_of_int shape_b /. float_of_int auto_b else infinity
-            in
-            Printf.printf "%-10s %-12s %7d %12d %12d %12d %6.2fx %12d %8d/%d/%d\n"
-              (if i = 0 then name else "")
-              cls count ex_b shape_b auto_b ratio est_b pm pi pe)
-          per_class)
-      rows;
+    emit json
+      [ ( Printf.sprintf "Query planner, k = %d: record bytes decoded per query class" k,
+          table ~left:2
+            [ "collection"; "class"; "queries"; "exhaustive"; "maxscore"; "intersect"; "shape";
+              "auto"; "ratio"; "auto est"; "plans m/i/e" ]
+            (List.concat_map rows names) ) ];
     if audit then
-      Printf.printf "audit: every plan's ranking matched the exhaustive one bit-for-bit\n";
-    match json_file with
-    | None -> ()
-    | Some file ->
-      let oc = open_out file in
-      let class_json (cls, count, (ex_b, ms_b, it_b), shape_b, auto_b, est_b, (pm, pi, pe)) =
-        let ratio =
-          if auto_b > 0 then float_of_int shape_b /. float_of_int auto_b else 0.0
-        in
-        Printf.sprintf
-          "      { \"class\": %S, \"queries\": %d,\n\
-          \        \"bytes\": { \"exhaustive\": %d, \"maxscore\": %d, \"intersect\": %d,\n\
-          \                   \"shape_dispatch\": %d, \"auto\": %d },\n\
-          \        \"ratio_shape_over_auto\": %.4f, \"auto_est_bytes\": %d,\n\
-          \        \"auto_plans\": { \"maxscore\": %d, \"intersect\": %d, \"exhaustive\": %d } }"
-          cls count ex_b ms_b it_b shape_b auto_b ratio est_b pm pi pe
-      in
-      let row_json (name, nq, per_class) =
-        Printf.sprintf
-          "  { \"collection\": %S, \"queries\": %d, \"k\": %d, \"audited\": %b,\n\
-          \    \"classes\": [\n%s\n    ] }"
-          name nq k audit
-          (String.concat ",\n" (List.map class_json per_class))
-      in
-      Printf.fprintf oc "[\n%s\n]\n" (String.concat ",\n" (List.map row_json rows));
-      close_out oc;
-      Printf.printf "wrote %s\n" file
+      print_endline "audit: every plan's ranking matched the exhaustive one bit-for-bit"
   in
   let doc =
     "Measure the cost-based query planner on the mixed-workload sets: \
-     per-class record bytes decoded under the exhaustive baseline, the \
-     old shape-based dispatch, and the planner's auto choice, with the \
-     planner's own byte estimates alongside and an optional bit-identity \
-     audit of every plan."
+     per-class record bytes decoded under the exhaustive baseline, each \
+     forced plan, the old shape-based dispatch, and the planner's auto \
+     choice, with the planner's own byte estimates alongside and an \
+     optional bit-identity audit of every plan."
   in
   Cmd.v (Cmd.info "plan" ~doc)
     Term.(const run $ scale_arg $ collections_arg $ k_arg $ queries_arg $ audit_arg $ json_arg)
@@ -493,18 +385,6 @@ let plan_cmd =
 (* --- cache -------------------------------------------------------- *)
 
 let cache_cmd =
-  let collections_arg =
-    let doc = "Collections to measure (default: all four)." in
-    Arg.(value & pos_all string [] & info [] ~docv:"COLLECTION" ~doc)
-  in
-  let k_arg =
-    let doc = "Ranked documents per query." in
-    Arg.(value & opt int 10 & info [ "k" ] ~docv:"K" ~doc)
-  in
-  let queries_arg =
-    let doc = "Evaluate only the first N queries of each set." in
-    Arg.(value & opt (some int) None & info [ "queries" ] ~docv:"N" ~doc)
-  in
   let passes_arg =
     let doc =
       "Replays of the query set (the reuse the result cache exists for); \
@@ -513,154 +393,97 @@ let cache_cmd =
     Arg.(value & opt int 3 & info [ "passes" ] ~docv:"N" ~doc)
   in
   let audit_arg =
-    let doc =
+    audit_arg
       "Re-run every query with both caches disabled and fail unless the \
        rankings are bit-identical, then run the churn torture: random \
        add/delete mutations with pinned epochs read back through the \
        caches."
-    in
-    Arg.(value & flag & info [ "audit" ] ~doc)
-  in
-  let json_arg =
-    let doc = "Write the per-collection numbers as JSON to $(docv)." in
-    Arg.(value & opt (some string) None & info [ "json" ] ~docv:"FILE" ~doc)
   in
   let fingerprint ranked =
     List.map
       (fun r -> (r.Inquery.Ranking.doc, Printf.sprintf "%.9f" r.Inquery.Ranking.score))
       ranked
   in
-  let run scale names k n_queries passes audit json_file =
-    if k <= 0 || passes <= 0 then begin
-      Printf.eprintf "cache: --k and --passes must be positive\n";
-      exit 2
-    end;
-    let names =
-      match names with [] -> [ "cacm"; "legal"; "tipster1"; "tipster" ] | ns -> ns
-    in
-    let rows =
-      List.map
-        (fun name ->
-          let model = Collections.Presets.find ~scale name in
-          let prepared = Core.Experiment.prepare ~progress model in
-          let spec = Collections.Presets.topk_queries model in
-          let queries = Collections.Querygen.generate model spec in
-          let queries =
-            match n_queries with
-            | None -> queries
-            | Some n -> List.filteri (fun i _ -> i < n) queries
-          in
-          (* One frontend per configuration so neither cache state nor
-             buffer state leaks between the cached run and the
-             caches-off baseline.  The OS cache is purged before every
-             pass in both runs, so bytes read measure what each
-             configuration must physically fetch. *)
-          let measure ~result_bytes ~block_bytes =
-            let fe =
-              Core.Frontend.of_prepared prepared ~names:[ "a" ]
-                ~result_cache_bytes:result_bytes ~block_cache_bytes:block_bytes
-            in
-            let vfs = Core.Frontend.replica_vfs fe ~name:"a" in
-            let c0 = Vfs.counters vfs in
-            let decoded = ref 0 and result_hits = ref 0 in
-            let rankings = ref [] in
-            for _pass = 1 to passes do
-              Vfs.purge_os_cache vfs;
-              List.iter
-                (fun q ->
-                  let r = Core.Frontend.run_query_string ~top_k:k fe q in
-                  decoded := !decoded + r.Core.Frontend.postings_decoded;
-                  if r.Core.Frontend.cached then incr result_hits;
-                  rankings := fingerprint r.Core.Frontend.ranked :: !rankings)
-                queries
-            done;
-            let c1 = Vfs.diff_counters ~later:(Vfs.counters vfs) ~earlier:c0 in
-            (fe, List.rev !rankings, !decoded, !result_hits, c1)
-          in
-          let fe, cached_rankings, dec_on, result_hits, on =
-            measure ~result_bytes:(4 * 1024 * 1024) ~block_bytes:(8 * 1024 * 1024)
-          in
-          let _, plain_rankings, dec_off, _, off = measure ~result_bytes:0 ~block_bytes:0 in
-          if audit then
-            List.iteri
-              (fun i (a, b) ->
-                if a <> b then begin
-                  Printf.eprintf
-                    "cache: AUDIT FAILED on %s: query %d of pass %d ranks differently \
-                     with caches on\n"
-                    name (i mod List.length queries) (1 + (i / List.length queries));
-                  exit 1
-                end)
-              (List.combine cached_rankings plain_rankings);
-          let tiers = Core.Frontend.cache_tiers fe in
-          (name, List.length queries, result_hits, tiers, dec_on, dec_off, on, off))
-        names
-    in
-    (* Table-6-style tier hit-rate table: the buffer pool was the
-       paper's only tier; the result cache sits above it, and the block
-       cache's segment frames catch its misses. *)
-    Printf.printf "%-10s %-8s %10s %10s %8s\n" "collection" "tier" "refs" "hits" "rate";
-    List.iter
-      (fun (name, _, _, tiers, _, _, _, _) ->
+  let run scale names k n passes audit json =
+    if k <= 0 || passes <= 0 then usage "cache: -k and --passes must be positive";
+    let collection name =
+      let _, prepared, queries = workload ~scale ?n Collections.Presets.topk_queries name in
+      (* One frontend per configuration so neither cache state nor
+         buffer state leaks between the cached run and the
+         caches-off baseline.  The OS cache is purged before every
+         pass in both runs, so bytes read measure what each
+         configuration must physically fetch. *)
+      let measure ~result_bytes ~block_bytes =
+        let fe =
+          Core.Frontend.of_prepared prepared ~names:[ "a" ]
+            ~result_cache_bytes:result_bytes ~block_cache_bytes:block_bytes
+        in
+        let vfs = Core.Frontend.replica_vfs fe ~name:"a" in
+        let c0 = Vfs.counters vfs in
+        let decoded = ref 0 and result_hits = ref 0 in
+        let rankings = ref [] in
+        for _pass = 1 to passes do
+          Vfs.purge_os_cache vfs;
+          List.iter
+            (fun q ->
+              let r = Core.Frontend.run_query_string ~top_k:k fe q in
+              decoded := !decoded + r.Core.Frontend.postings_decoded;
+              if r.Core.Frontend.cached then incr result_hits;
+              rankings := fingerprint r.Core.Frontend.ranked :: !rankings)
+            queries
+        done;
+        let c1 = Vfs.diff_counters ~later:(Vfs.counters vfs) ~earlier:c0 in
+        (fe, List.rev !rankings, !decoded, !result_hits, c1)
+      in
+      let fe, cached_rankings, dec_on, rhits, on =
+        measure ~result_bytes:(4 * 1024 * 1024) ~block_bytes:(8 * 1024 * 1024)
+      in
+      let _, plain_rankings, dec_off, _, off = measure ~result_bytes:0 ~block_bytes:0 in
+      if audit then
         List.iteri
-          (fun i (tier, s) ->
-            Printf.printf "%-10s %-8s %10d %10d %7.1f%%\n"
-              (if i = 0 then name else "")
-              tier s.Util.Cache_stats.refs s.Util.Cache_stats.hits
-              (100.0 *. Util.Cache_stats.hit_rate s))
-          tiers)
-      rows;
-    (* Fetches are the replica's file accesses: with caches on, a
-       record read from a resident frame makes none. *)
-    Printf.printf "\n%-10s %8s %7s %12s %12s %7s %12s %12s %7s %12s %12s %7s\n" "collection"
-      "queries" "rhits" "decoded:off" "decoded:on" "ratio" "bytes:off" "bytes:on" "ratio"
-      "fetches:off" "fetches:on" "ratio";
-    List.iter
-      (fun (name, nq, rhits, _, dec_on, dec_off, on, off) ->
-        let ratio a b = float_of_int a /. float_of_int (max 1 b) in
-        let bytes_off = off.Vfs.bytes_read and bytes_on = on.Vfs.bytes_read in
-        let fetches_off = off.Vfs.file_accesses and fetches_on = on.Vfs.file_accesses in
-        Printf.printf "%-10s %4dx%-3d %7d %12d %12d %6.2fx %12d %12d %6.2fx %12d %12d %6.2fx\n"
-          name nq passes rhits dec_off dec_on (ratio dec_off dec_on) bytes_off bytes_on
-          (ratio bytes_off bytes_on) fetches_off fetches_on (ratio fetches_off fetches_on))
-      rows;
+          (fun i (a, b) ->
+            if a <> b then begin
+              Printf.eprintf
+                "cache: AUDIT FAILED on %s: query %d of pass %d ranks differently \
+                 with caches on\n"
+                name (i mod List.length queries) (1 + (i / List.length queries));
+              exit 1
+            end)
+          (List.combine cached_rankings plain_rankings);
+      let tier i (tier, s) =
+        Util.Cache_stats.
+          [ (if i = 0 then name else ""); tier; int s.refs; int s.hits;
+            Printf.sprintf "%.1f%%" (100.0 *. hit_rate s); int s.evictions;
+            int s.invalidations; int s.resident_bytes; int s.resident_entries ]
+      in
+      (* Fetches are the replica's file accesses: with caches on, a
+         record read from a resident frame makes none. *)
+      ( List.mapi tier (Core.Frontend.cache_tiers fe),
+        Vfs.
+          [ name; Printf.sprintf "%dx%d" (List.length queries) passes; int rhits; int dec_off;
+            int dec_on; ratio dec_off dec_on; int off.bytes_read; int on.bytes_read;
+            ratio off.bytes_read on.bytes_read; int off.file_accesses; int on.file_accesses;
+            ratio off.file_accesses on.file_accesses ] )
+    in
+    let rows = List.map collection names in
     let churn = if audit then Some (Core.Torture.cache ()) else None in
-    Option.iter print_report churn;
+    (* The buffer pool was the paper's only tier; the result cache sits
+       above it, and the block cache's segment frames catch its misses. *)
+    emit ?audit:churn json
+      [ ( Printf.sprintf "Read-path cache tiers, k = %d" k,
+          table ~left:2
+            [ "collection"; "tier"; "refs"; "hits"; "rate"; "evictions"; "invalidations";
+              "resident bytes"; "resident entries" ]
+            (List.concat_map fst rows) );
+        ( "Caches on vs off: postings decoded, bytes read and fetches over every pass",
+          table
+            [ "collection"; "queries"; "rhits"; "decoded:off"; "decoded:on"; "ratio";
+              "bytes:off"; "bytes:on"; "ratio"; "fetches:off"; "fetches:on"; "ratio" ]
+            (List.map snd rows) ) ];
     if Option.fold ~none:false ~some:Core.Torture.ok churn then
       Printf.printf
         "audit: rankings bit-identical with caches off on %d collection(s); churn leg clean\n"
         (List.length rows);
-    (match json_file with
-    | None -> ()
-    | Some file ->
-      let oc = open_out file in
-      let tier_json (tier, s) =
-        Printf.sprintf
-          "      { \"tier\": %S, \"refs\": %d, \"hits\": %d, \"evictions\": %d, \
-           \"invalidations\": %d, \"resident_bytes\": %d, \"resident_entries\": %d }"
-          tier s.Util.Cache_stats.refs s.Util.Cache_stats.hits s.Util.Cache_stats.evictions
-          s.Util.Cache_stats.invalidations s.Util.Cache_stats.resident_bytes
-          s.Util.Cache_stats.resident_entries
-      in
-      let row_json (name, nq, rhits, tiers, dec_on, dec_off, on, off) =
-        Printf.sprintf
-          "  { \"collection\": %S, \"queries\": %d, \"passes\": %d, \"k\": %d,\n\
-          \    \"result_cache_hits\": %d,\n\
-          \    \"postings_decoded\": { \"caches_off\": %d, \"caches_on\": %d },\n\
-          \    \"bytes_read\": { \"caches_off\": %d, \"caches_on\": %d },\n\
-          \    \"fetches\": { \"caches_off\": %d, \"caches_on\": %d },\n\
-          \    \"tiers\": [\n%s\n    ],\n\
-          \    \"audited\": %b }"
-          name nq passes k rhits dec_off dec_on off.Vfs.bytes_read on.Vfs.bytes_read
-          off.Vfs.file_accesses on.Vfs.file_accesses
-          (String.concat ",\n" (List.map tier_json tiers))
-          audit
-      in
-      Printf.fprintf oc "{ \"collections\": [\n%s\n]%s\n}\n"
-        (String.concat ",\n" (List.map row_json rows))
-        (audit_json churn);
-      close_out oc;
-      Printf.printf "wrote %s\n" file);
     Option.iter exit_on_problems churn
   in
   let doc =
@@ -677,123 +500,62 @@ let cache_cmd =
 (* --- parallel ----------------------------------------------------- *)
 
 let parallel_cmd =
-  let collections_arg =
-    let doc = "Collections to measure (default: all four)." in
-    Arg.(value & pos_all string [] & info [] ~docv:"COLLECTION" ~doc)
-  in
   let domains_arg =
     let doc = "Domain counts to sweep (repeatable; default 1, 2, 4, 8)." in
-    Arg.(value & opt_all int [] & info [ "domains"; "d" ] ~docv:"N" ~doc)
-  in
-  let queries_arg =
-    let doc = "Serve only the first N queries of each set." in
-    Arg.(value & opt (some int) None & info [ "queries" ] ~docv:"N" ~doc)
+    Arg.(value & opt_all int [ 1; 2; 4; 8 ] & info [ "domains"; "d" ] ~docv:"N" ~doc)
   in
   let audit_arg =
-    let doc =
+    audit_arg
       "After each parallel run, re-run the set serially and fail unless \
        every ranking is bit-identical (documents and beliefs)."
-    in
-    Arg.(value & flag & info [ "audit" ] ~doc)
   in
-  let json_arg =
-    let doc = "Also write the scaling numbers as JSON to FILE." in
-    Arg.(value & opt (some string) None & info [ "json" ] ~docv:"FILE" ~doc)
-  in
-  let run scale names domains n_queries audit json_file =
-    let domains = match domains with [] -> [ 1; 2; 4; 8 ] | ds -> ds in
-    if List.exists (fun d -> d <= 0) domains then begin
-      Printf.eprintf "parallel: every --domains must be positive\n";
-      exit 2
-    end;
-    let names =
-      match names with [] -> [ "cacm"; "legal"; "tipster1"; "tipster" ] | ns -> ns
-    in
-    let results =
+  let run scale names domains n audit json =
+    if List.exists (fun d -> d <= 0) domains then
+      usage "parallel: every --domains must be positive";
+    let first_set model = snd (List.hd (Collections.Presets.query_sets model)) in
+    let ms = Util.Tables.fmt_float ~decimals:1 in
+    let rows name =
+      let _, prepared, queries = workload ~scale ?n first_set name in
+      let reports =
+        List.map
+          (fun d ->
+            match
+              Core.Parallel.run_query_set ~domains:d ~audit prepared Core.Experiment.Mneme_cache
+                ~queries
+            with
+            | r -> r
+            | exception Core.Parallel.Audit_mismatch msg ->
+              Printf.eprintf "parallel: AUDIT FAILED on %s at %d domains: %s\n" name d msg;
+              exit 1)
+          domains
+      in
+      let base = match reports with r :: _ -> r.Core.Parallel.sim_makespan_ms | [] -> 0.0 in
       List.map
-        (fun name ->
-          let model = Collections.Presets.find ~scale name in
-          let prepared = Core.Experiment.prepare ~progress model in
-          let _, spec = List.hd (Collections.Presets.query_sets model) in
-          let queries = Collections.Querygen.generate model spec in
-          let queries =
-            match n_queries with
-            | None -> queries
-            | Some n -> List.filteri (fun i _ -> i < n) queries
-          in
-          let reports =
-            List.map
-              (fun d ->
-                match
-                  Core.Parallel.run_query_set ~domains:d ~audit prepared
-                    Core.Experiment.Mneme_cache ~queries
-                with
-                | r -> r
-                | exception Core.Parallel.Audit_mismatch msg ->
-                  Printf.eprintf "parallel: AUDIT FAILED on %s at %d domains: %s\n" name d msg;
-                  exit 1)
-              domains
-          in
-          (name, List.length queries, reports))
-        names
+        (fun (r : Core.Parallel.report) ->
+          let speedup = if r.sim_makespan_ms > 0.0 then base /. r.sim_makespan_ms else 0.0 in
+          [ name; int (List.length queries); int r.domains; ms r.sim_serial_ms;
+            ms r.sim_makespan_ms; Printf.sprintf "%.2fx" speedup; int r.steals;
+            ms r.real_elapsed_ms ])
+        reports
     in
-    Printf.printf "%-10s %8s %8s %12s %12s %9s %7s %10s\n" "collection" "queries" "domains"
-      "serial ms" "makespan ms" "speedup" "steals" "real ms";
-    List.iter
-      (fun (name, nq, reports) ->
-        let base =
-          match reports with r :: _ -> r.Core.Parallel.sim_makespan_ms | [] -> 0.0
-        in
-        List.iter
-          (fun (r : Core.Parallel.report) ->
-            let speedup =
-              if r.Core.Parallel.sim_makespan_ms > 0.0 then
-                base /. r.Core.Parallel.sim_makespan_ms
-              else 0.0
-            in
-            Printf.printf "%-10s %8d %8d %12.1f %12.1f %8.2fx %7d %10.1f\n" name nq
-              r.Core.Parallel.domains r.Core.Parallel.sim_serial_ms
-              r.Core.Parallel.sim_makespan_ms speedup r.Core.Parallel.steals
-              r.Core.Parallel.real_elapsed_ms)
-          reports)
-      results;
+    emit json
+      [ ( "Parallel serving, simulated ms (with more than one domain, makespan, speedup and \
+           steals follow host scheduling and vary run to run; real ms is host time)",
+          table
+            [ "collection"; "queries"; "domains"; "serial ms"; "makespan ms"; "speedup";
+              "steals"; "real ms" ]
+            (List.concat_map rows names) ) ];
     if audit then
-      Printf.printf "audit: every parallel ranking matched the serial run bit-for-bit\n";
-    match json_file with
-    | None -> ()
-    | Some file ->
-      let oc = open_out file in
-      let row_json name nq base (r : Core.Parallel.report) =
-        let speedup =
-          if r.Core.Parallel.sim_makespan_ms > 0.0 then base /. r.Core.Parallel.sim_makespan_ms
-          else 0.0
-        in
-        Printf.sprintf
-          "  { \"collection\": %S, \"queries\": %d, \"domains\": %d,\n\
-          \    \"sim_serial_ms\": %.3f, \"sim_makespan_ms\": %.3f, \"speedup\": %.3f,\n\
-          \    \"steals\": %d, \"real_elapsed_ms\": %.3f, \"audited\": %b }"
-          name nq r.Core.Parallel.domains r.Core.Parallel.sim_serial_ms
-          r.Core.Parallel.sim_makespan_ms speedup r.Core.Parallel.steals
-          r.Core.Parallel.real_elapsed_ms r.Core.Parallel.audited
-      in
-      let rows =
-        List.concat_map
-          (fun (name, nq, reports) ->
-            let base =
-              match reports with r :: _ -> r.Core.Parallel.sim_makespan_ms | [] -> 0.0
-            in
-            List.map (row_json name nq base) reports)
-          results
-      in
-      Printf.fprintf oc "[\n%s\n]\n" (String.concat ",\n" rows);
-      close_out oc;
-      Printf.printf "wrote %s\n" file
+      print_endline "audit: every parallel ranking matched the serial run bit-for-bit"
   in
   let doc =
     "Serve each collection's query set across 1/2/4/8 OCaml domains — \
      one session (private buffers, file copy, clock) per domain, \
      work-stealing distribution — and report the simulated-time scaling \
-     table; --audit verifies bit-identical rankings against a serial run."
+     table; --audit verifies bit-identical rankings against a serial run.  \
+     Which worker steals which query follows host scheduling, so the \
+     multi-domain makespans, speedups and steals differ between identical \
+     runs; only the one-domain rows and the audit are reproducible."
   in
   Cmd.v (Cmd.info "parallel" ~doc)
     Term.(const run $ scale_arg $ collections_arg $ domains_arg $ queries_arg $ audit_arg
@@ -815,10 +577,8 @@ let torture_cmd =
     Arg.(value & opt int 3 & info [ "batches" ] ~docv:"N" ~doc)
   in
   let run seed docs update_batches =
-    if docs < 0 || update_batches < 0 then begin
-      Printf.eprintf "torture: --docs and --batches must be non-negative\n";
-      exit 2
-    end;
+    if docs < 0 || update_batches < 0 then
+      usage "torture: --docs and --batches must be non-negative";
     let r = Core.Torture.(sweep (prepare (store ~seed ~docs ~update_batches ()))) in
     print_report r;
     exit_on_problems r
@@ -845,10 +605,8 @@ let standbys_arg =
 
 let failover_cmd =
   let run seed docs batches standbys =
-    if docs <= 0 || batches <= 0 || standbys <= 0 then begin
-      Printf.eprintf "failover: --docs, --batches and --standbys must be positive\n";
-      exit 2
-    end;
+    if docs <= 0 || batches <= 0 || standbys <= 0 then
+      usage "failover: --docs, --batches and --standbys must be positive";
     let r = Core.Torture.(sweep (prepare (failover ~seed ~docs ~batches ~standbys ()))) in
     print_report r;
     exit_on_problems r
@@ -863,44 +621,32 @@ let failover_cmd =
 
 (* --- epoch and ingest --------------------------------------------- *)
 
-(* The golden run's timeline, then, with --audit, its crash sweep; the
-   JSON carries both.  [steps] names the timeline's rows in the header
-   line; [steps_key] and [rows_key] name them in the JSON. *)
-let timeline_run plan ~seed ~docs ~steps ~steps_key ~rows_key audit json_file =
+(* The golden run's timeline, then, with --audit, its crash sweep.  The
+   text layout is pinned by test/golden/audits.txt; the JSON carries the
+   timeline as a table under the header line, and the sweep's report.
+   [steps] names the timeline's rows in the header line. *)
+let timeline_run plan ~docs ~steps audit json =
   let rows = Core.Torture.table plan in
-  Printf.printf "golden run: %d %s over %d documents, %d crash points\n" (List.length rows) steps
-    docs (Core.Torture.points plan);
+  let header =
+    Printf.sprintf "golden run: %d %s over %d documents, %d crash points" (List.length rows) steps
+      docs (Core.Torture.points plan)
+  in
+  print_endline header;
   let line cell row = print_endline (String.concat " " (List.map cell row)) in
-  (match rows with
-  | [] -> ()
-  | first :: _ ->
-    line (fun (name, _) -> Printf.sprintf "%10s" name) first;
-    List.iter (line (fun (_, v) -> Printf.sprintf "%10d" v)) rows);
+  let names = match rows with [] -> [] | first :: _ -> List.map fst first in
+  if names <> [] then line (Printf.sprintf "%10s") names;
+  List.iter (line (fun (_, v) -> Printf.sprintf "%10d" v)) rows;
   let golden_problems = Core.Torture.golden_problems plan in
   List.iter (Printf.printf "golden run problem: %s\n") golden_problems;
   let report = if audit then Some (Core.Torture.sweep plan) else None in
   Option.iter print_report report;
-  (match json_file with
-  | None -> ()
-  | Some f ->
-    let row_json row =
-      Printf.sprintf "    {%s}"
-        (String.concat ", " (List.map (fun (name, v) -> Printf.sprintf "%S: %d" name v) row))
-    in
-    let oc = open_out f in
-    Printf.fprintf oc
-      "{\n  \"seed\": %d,\n  \"docs\": %d,\n  %S: %d,\n  \"crash_points\": %d,\n\
-      \  %S: [\n%s\n  ]%s\n}\n"
-      seed docs steps_key (List.length rows) (Core.Torture.points plan) rows_key
-      (String.concat ",\n" (List.map row_json rows))
-      (audit_json report);
-    close_out oc);
+  Option.iter
+    (fun file ->
+      write_json ?audit:report file
+        [ (header, table ~left:0 names (List.map (List.map (fun (_, v) -> int v)) rows)) ])
+    json;
   if golden_problems <> [] then exit 1;
   Option.iter exit_on_problems report
-
-let json_arg =
-  let doc = "Write the outcome as JSON to $(docv)." in
-  Arg.(value & opt (some string) None & info [ "json" ] ~docv:"FILE" ~doc)
 
 let epoch_cmd =
   let docs_arg =
@@ -908,21 +654,14 @@ let epoch_cmd =
     Arg.(value & opt int 8 & info [ "docs" ] ~docv:"N" ~doc)
   in
   let audit_arg =
-    let doc =
+    audit_arg
       "Crash the workload at every physical I/O, recover each image, and audit that the \
        surviving root is wholly old or wholly new, fsck-clean, and gc-drainable."
-    in
-    Arg.(value & flag & info [ "audit" ] ~doc)
   in
-  let run seed docs audit json_file =
-    if docs <= 0 then begin
-      Printf.eprintf "epoch: --docs must be positive\n";
-      exit 2
-    end;
-    timeline_run
-      (Core.Torture.(prepare (epoch ~seed ~docs ())))
-      ~seed ~docs ~steps:"epochs published" ~steps_key:"mutations" ~rows_key:"epochs" audit
-      json_file
+  let run seed docs audit json =
+    if docs <= 0 then usage "epoch: --docs must be positive";
+    timeline_run (Core.Torture.(prepare (epoch ~seed ~docs ()))) ~docs ~steps:"epochs published"
+      audit json
   in
   let doc =
     "Publish epochs through a journaled live index (snapshot-isolated COW mutation) and, with \
@@ -937,23 +676,16 @@ let ingest_cmd =
     Arg.(value & opt int 8 & info [ "docs" ] ~docv:"N" ~doc)
   in
   let audit_arg =
-    let doc =
+    audit_arg
       "Crash the workload at every physical I/O, recover each image with WAL replay, and \
        audit exactly-once durability: every acknowledged document present exactly once, \
        rankings byte-identical to the golden run at the recovered frontier, and the merge \
        resuming to a clean drain."
-    in
-    Arg.(value & flag & info [ "audit" ] ~doc)
   in
-  let run seed docs audit json_file =
-    if docs <= 0 then begin
-      Printf.eprintf "ingest: --docs must be positive\n";
-      exit 2
-    end;
-    timeline_run
-      (Core.Torture.(prepare (ingest ~seed ~docs ())))
-      ~seed ~docs ~steps:"operations" ~steps_key:"operations" ~rows_key:"timeline" audit
-      json_file
+  let run seed docs audit json =
+    if docs <= 0 then usage "ingest: --docs must be positive";
+    timeline_run (Core.Torture.(prepare (ingest ~seed ~docs ()))) ~docs ~steps:"operations" audit
+      json
   in
   let doc =
     "Ingest documents online through the WAL-backed write buffer and budgeted merge and, \
@@ -976,25 +708,23 @@ let scrub_cmd =
     Arg.(value & opt_all int [] & info [ "budget" ] ~docv:"BUDGET" ~doc)
   in
   let run seed docs batches standbys budgets =
-    if docs <= 0 || batches <= 0 || standbys <= 0 then begin
-      Printf.eprintf "scrub: --docs, --batches and --standbys must be positive\n";
-      exit 2
-    end;
-    if List.exists (fun b -> b <= 0) budgets then begin
-      Printf.eprintf "scrub: every --budget must be positive\n";
-      exit 2
-    end;
+    if docs <= 0 || batches <= 0 || standbys <= 0 then
+      usage "scrub: --docs, --batches and --standbys must be positive";
+    if List.exists (fun b -> b <= 0) budgets then usage "scrub: every --budget must be positive";
     match budgets with
     | _ :: _ ->
+      let row (r : Core.Torture.sweep_row) =
+        Util.Tables.
+          [ int r.sw_budget; int r.sw_steps; fmt_float r.sw_detect_ms; fmt_float r.sw_stall_ms;
+            fmt_float r.sw_heal_ms; fmt_float r.sw_query_ms ]
+      in
       let rows = Core.Torture.scrub_budget_sweep ~seed ~docs ~batches ~standbys ~budgets () in
-      Printf.printf "%10s %6s %10s %10s %10s %10s\n" "budget B" "steps" "detect ms" "stall ms"
-        "heal ms" "query ms";
-      List.iter
-        (fun r ->
-          Printf.printf "%10d %6d %10.2f %10.2f %10.2f %10.2f\n" r.Core.Torture.sw_budget
-            r.Core.Torture.sw_steps r.Core.Torture.sw_detect_ms r.Core.Torture.sw_stall_ms
-            r.Core.Torture.sw_heal_ms r.Core.Torture.sw_query_ms)
-        rows
+      emit None
+        [ ( "Scrub budget sweep: one rotted segment detected and healed under each per-step \
+             byte budget (simulated ms)",
+            table ~left:0
+              [ "budget B"; "steps"; "detect ms"; "stall ms"; "heal ms"; "query ms" ]
+              (List.map row rows) ) ]
     | [] ->
       let r = Core.Torture.scrub ~seed ~docs ~batches ~standbys () in
       print_report r;
@@ -1038,10 +768,7 @@ let frontend_cmd =
     Arg.(value & opt int 10 & info [ "top"; "k" ] ~docv:"K" ~doc)
   in
   let run scale name query replicas deadline degrade top_k =
-    if replicas <= 0 then begin
-      Printf.eprintf "frontend: --replicas must be positive\n";
-      exit 2
-    end;
+    if replicas <= 0 then usage "frontend: --replicas must be positive";
     let model = Collections.Presets.find ~scale name in
     let prepared = Core.Experiment.prepare ~progress model in
     let names = List.init replicas (fun i -> Printf.sprintf "r%d" (i + 1)) in
@@ -1115,61 +842,30 @@ let shard_cmd =
   in
   let shards_arg =
     let doc = "Shard count to measure (repeatable; default 1, 2, 4, 8)." in
-    Arg.(value & opt_all int [] & info [ "shards" ] ~docv:"N" ~doc)
+    Arg.(value & opt_all int [ 1; 2; 4; 8 ] & info [ "shards" ] ~docv:"N" ~doc)
   in
   let replicas_arg =
     let doc = "Replicas per shard." in
     Arg.(value & opt int 2 & info [ "replicas" ] ~docv:"N" ~doc)
   in
-  let k_arg =
-    let doc = "Ranked documents per query." in
-    Arg.(value & opt int 10 & info [ "k" ] ~docv:"K" ~doc)
-  in
-  let queries_arg =
-    let doc = "Evaluate only the first N queries of the set." in
-    Arg.(value & opt (some int) None & info [ "queries" ] ~docv:"N" ~doc)
-  in
   let audit_arg =
-    let doc =
+    audit_arg
       "Run the shard torture: replay the scatter with one member crashed, stalled or \
        bit-flipped at every serving I/O (plus whole-shard blackouts and brownouts) and \
        audit bit-identical full results, exactly-restricted partial results, and the \
        one-fetch deadline overshoot bound."
-    in
-    Arg.(value & flag & info [ "audit" ] ~doc)
   in
-  let json_arg =
-    let doc = "Write the scaling table (and audit outcome) as JSON to $(docv)." in
-    Arg.(value & opt (some string) None & info [ "json" ] ~docv:"FILE" ~doc)
-  in
-  let run scale name shard_counts replicas k n_queries audit json_file =
-    if replicas <= 0 || k <= 0 then begin
-      Printf.eprintf "shard: --replicas and --k must be positive\n";
-      exit 2
-    end;
-    if List.exists (fun s -> s <= 0) shard_counts then begin
-      Printf.eprintf "shard: every --shards must be positive\n";
-      exit 2
-    end;
-    let shard_counts = match shard_counts with [] -> [ 1; 2; 4; 8 ] | l -> l in
-    let model = Collections.Presets.find ~scale name in
-    let prepared = Core.Experiment.prepare ~progress model in
-    let spec = Collections.Presets.topk_queries model in
-    let queries = Collections.Querygen.generate model spec in
-    let queries =
-      match n_queries with
-      | None -> queries
-      | Some n -> List.filteri (fun i _ -> i < n) queries
-    in
+  let run scale name shard_counts replicas k n audit json =
+    if replicas <= 0 || k <= 0 then usage "shard: --replicas and -k must be positive";
+    if List.exists (fun s -> s <= 0) shard_counts then
+      usage "shard: every --shards must be positive";
+    let model, prepared, queries = workload ~scale ?n Collections.Presets.topk_queries name in
+    let ranking = List.map (fun r -> (r.Inquery.Ranking.doc, r.Inquery.Ranking.score)) in
     (* The unsharded oracle the merged rankings must reproduce. *)
-    let engine = Core.Experiment.open_engine prepared Core.Experiment.Mneme_cache in
     let oracle =
       List.map
-        (fun q ->
-          List.map
-            (fun r -> (r.Inquery.Ranking.doc, r.Inquery.Ranking.score))
-            (Core.Engine.run_topk_string ~k engine q).Core.Engine.topk_ranked)
-        queries
+        (fun r -> ranking r.Core.Engine.topk_ranked)
+        (topk_session "shard" name prepared ~audit:false ~k queries)
     in
     let measure ~global_bound shards =
       let coord =
@@ -1191,12 +887,8 @@ let shard_cmd =
                 if rep.Core.Shard.r_postings_decoded > !per_shard_max then
                   per_shard_max := rep.Core.Shard.r_postings_decoded)
               res.Core.Shard.reports;
-            let got =
-              List.map
-                (fun r -> (r.Inquery.Ranking.doc, r.Inquery.Ranking.score))
-                res.Core.Shard.ranked
-            in
-            if (not res.Core.Shard.complete) || got <> gold then exact := false)
+            if (not res.Core.Shard.complete) || ranking res.Core.Shard.ranked <> gold then
+              exact := false)
         queries oracle;
       (!makespan, !decoded, !per_shard_max, !exact)
     in
@@ -1211,49 +903,22 @@ let shard_cmd =
           else begin
             let makespan, decoded, per_shard, exact = measure ~global_bound:true shards in
             let _, decoded_nobound, _, _ = measure ~global_bound:false shards in
-            Some (shards, makespan, decoded, per_shard, decoded_nobound, exact)
+            Some (exact, [ int shards; Util.Tables.fmt_float makespan; int decoded; int per_shard;
+                           int decoded_nobound; (if exact then "yes" else "NO") ])
           end)
         shard_counts
     in
-    Printf.printf "%s: %d queries, top-%d, %d replicas per shard\n" name (List.length queries) k
-      replicas;
-    Printf.printf "%7s %13s %14s %14s %16s %6s\n" "shards" "makespan ms" "decoded(bound)"
-      "max per shard" "decoded(nobound)" "exact";
-    List.iter
-      (fun (s, mk, d, ps, dn, exact) ->
-        Printf.printf "%7d %13.2f %14d %14d %16d %6s\n" s mk d ps dn
-          (if exact then "yes" else "NO"))
-      rows;
-    let all_exact = List.for_all (fun (_, _, _, _, _, e) -> e) rows in
+    let all_exact = List.for_all fst rows in
     if not all_exact then
       Printf.eprintf "shard: some merged rankings diverged from the unsharded index\n";
     let outcome = if audit then Some (Core.Torture.shard ()) else None in
-    Option.iter print_report outcome;
-    (match json_file with
-    | None -> ()
-    | Some f ->
-      let oc = open_out f in
-      let rows_json =
-        String.concat ",\n"
-          (List.map
-             (fun (s, mk, d, ps, dn, exact) ->
-               Printf.sprintf
-                 "    {\"shards\": %d, \"makespan_ms\": %.3f, \"postings_decoded\": %d, \
-                  \"max_per_shard\": %d, \"postings_decoded_no_bound\": %d, \"exact\": %b}"
-                 s mk d ps dn exact)
-             rows)
-      in
-      Printf.fprintf oc
-        "{\n\
-        \  \"collection\": %S,\n\
-        \  \"scale\": %g,\n\
-        \  \"queries\": %d,\n\
-        \  \"k\": %d,\n\
-        \  \"replicas\": %d,\n\
-        \  \"rows\": [\n%s\n  ]%s\n\
-         }\n"
-        name scale (List.length queries) k replicas rows_json (audit_json outcome);
-      close_out oc);
+    emit ?audit:outcome json
+      [ ( Printf.sprintf "%s: %d queries, top-%d, %d replicas per shard" name
+            (List.length queries) k replicas,
+          table ~left:0
+            [ "shards"; "makespan ms"; "decoded(bound)"; "max per shard"; "decoded(nobound)";
+              "exact" ]
+            (List.map snd rows) ) ];
     if not all_exact then exit 1;
     Option.iter exit_on_problems outcome
   in

@@ -124,7 +124,6 @@ type topk_result = {
   topk_postings_scored : int;
   topk_record_lookups : int;
   topk_plan : Inquery.Planner.plan;
-  topk_pruned : bool;
   topk_postings_total : int;
   topk_postings_decoded : int;
   topk_blocks_skipped : int;
@@ -154,7 +153,6 @@ let run_topk ?(audit = false) ?plan ?(k = 10) t query =
     topk_postings_scored = stats.Inquery.Infnet.postings_scored;
     topk_record_lookups = stats.Inquery.Infnet.record_lookups;
     topk_plan = tk.Inquery.Infnet.tk_plan;
-    topk_pruned = tk.Inquery.Infnet.tk_pruned;
     topk_postings_total = tk.Inquery.Infnet.tk_postings_total;
     topk_postings_decoded = tk.Inquery.Infnet.tk_postings_decoded;
     topk_blocks_skipped = tk.Inquery.Infnet.tk_blocks_skipped;

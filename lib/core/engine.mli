@@ -99,7 +99,6 @@ type topk_result = {
   topk_postings_scored : int;
   topk_record_lookups : int;
   topk_plan : Inquery.Planner.plan;  (** the plan that executed *)
-  topk_pruned : bool;  (** a pruning plan ran (vs. exhaustive) *)
   topk_postings_total : int;
   topk_postings_decoded : int;
   topk_blocks_skipped : int;

@@ -286,15 +286,15 @@ let fig3 ?sizes ctx =
     (Experiment.large_buffer_sweep p ~queries:qs ~sizes);
   t
 
-let all ctx =
+let items =
   [
-    ("Figure 1: cumulative inverted-list size distribution (Legal)", fig1 ctx);
-    ("Table 1: document collection statistics (sizes in KB)", table1 ctx);
-    ("Figure 2: frequency of use by record size, Legal query set 2", fig2 ctx);
-    ("Table 2: Mneme buffer sizes (KB)", table2 ctx);
-    ("Table 3: wall-clock times (seconds, simulated)", table3 ctx);
-    ("Table 4: system CPU plus I/O times (seconds, simulated)", table4 ctx);
-    ("Table 5: I/O statistics (I = disk inputs, A = accesses/lookup, B = KB read)", table5 ctx);
-    ("Table 6: buffer hit rates (Mneme, Cache)", table6 ctx);
-    ("Figure 3: large-object buffer hit rate vs size (TIPSTER query set 1)", fig3 ctx);
+    ("fig1", "Figure 1: cumulative inverted-list size distribution (Legal)", fig1);
+    ("table1", "Table 1: document collection statistics (sizes in KB)", table1);
+    ("fig2", "Figure 2: frequency of use by record size, Legal query set 2", fig2);
+    ("table2", "Table 2: Mneme buffer sizes (KB)", table2);
+    ("table3", "Table 3: wall-clock times (seconds, simulated)", table3);
+    ("table4", "Table 4: system CPU plus I/O times (seconds, simulated)", table4);
+    ("table5", "Table 5: I/O statistics", table5);
+    ("table6", "Table 6: buffer hit rates (Mneme, Cache)", table6);
+    ("fig3", "Figure 3: large-object buffer hit rate vs size", fun ctx -> fig3 ctx);
   ]

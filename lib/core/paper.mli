@@ -55,5 +55,7 @@ val fig3 : ?sizes:int list -> ctx -> Util.Tables.t
 (** Large-object buffer hit rate vs buffer size (TIPSTER query set 1).
     [sizes] defaults to a sweep from one segment to ~6x the default. *)
 
-val all : ctx -> (string * Util.Tables.t) list
-(** Every table and figure, labelled, in presentation order. *)
+val items : (string * string * (ctx -> Util.Tables.t)) list
+(** Every table and figure as [(id, label, build)], in presentation
+    order: the ids [repro tables --only] accepts and the labels it
+    prints above each table. *)

@@ -10,22 +10,8 @@ type report = {
 
 let ok r = r.problems = []
 
-(* A JSON string literal: quotes, backslashes and every byte outside
-   printable ASCII escaped, so any problem message parses. *)
-let json_string s =
-  let b = Buffer.create (String.length s + 2) in
-  Buffer.add_char b '"';
-  String.iter
-    (function
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | c when c < ' ' || c > '~' -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.add_char b '"';
-  Buffer.contents b
-
 let json r =
+  let json_string = Util.Tables.json_string in
   let count (name, n) = Printf.sprintf "%s: %d" (json_string name) n in
   let problem (k, p) =
     Printf.sprintf "\n      { \"point\": %d, \"problem\": %s }" k (json_string p)

@@ -42,9 +42,8 @@ val ok : report -> bool
 
 val json : report -> string
 (** The report as one JSON object (family, points, counts, problems),
-    indented to sit one level inside an enclosing object.  Every problem
-    message is escaped: quotes, backslashes and bytes outside printable
-    ASCII. *)
+    indented to sit one level inside an enclosing object.  Every string
+    is escaped by {!Util.Tables.json_string}. *)
 
 (** {1 Crash families} *)
 

@@ -187,7 +187,7 @@ let member_records source dict ?stopwords ~stem stats ~require_all words =
     match List.filter_map Fun.id records with [] -> None | rs -> Some rs
   end
 
-let eval source dict ?df_of ?stopwords ?(stem = false) query =
+let eval source dict ?stopwords ?(stem = false) query =
   let n = source.max_doc_id + 1 in
   let stats = { postings_scored = 0; nodes_visited = 0; record_lookups = 0 } in
   let default_array () = Array.make n default_belief in
@@ -200,7 +200,7 @@ let eval source dict ?df_of ?stopwords ?(stem = false) query =
       match source.fetch entry with
       | None -> ()
       | Some record ->
-        let df = record_df ?df_of entry record in
+        let df, _ = Postings.stats record in
         Postings.fold_docs record ~init:() ~f:(fun () ~doc ~tf ->
             stats.postings_scored <- stats.postings_scored + 1;
             if doc < n then
@@ -421,7 +421,6 @@ let eval_daat source dict ?df_of ?stopwords ?(stem = false) query =
 
 type topk_stats = {
   tk_plan : Planner.plan;
-  tk_pruned : bool;
   tk_postings_total : int;
   tk_postings_decoded : int;
   tk_blocks_skipped : int;
@@ -882,7 +881,6 @@ let eval_topk source dict ?df_of ?floor ?stopwords ?(stem = false) ?(audit = fal
     stats,
     {
       tk_plan = requested;
-      tk_pruned = requested <> Planner.Exhaustive;
       tk_postings_total = total;
       tk_postings_decoded = decoded;
       tk_blocks_skipped = skipped;

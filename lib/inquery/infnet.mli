@@ -44,7 +44,6 @@ val default_belief : float
 val eval :
   source ->
   Dictionary.t ->
-  ?df_of:(Dictionary.entry -> int) ->
   ?stopwords:Stopwords.t ->
   ?stem:bool ->
   Query.t ->
@@ -53,14 +52,7 @@ val eval :
     document id, length [max_doc_id + 1]) and the event counts.  Query
     terms are optionally stemmed and stop-filtered before dictionary
     lookup; out-of-vocabulary terms contribute the default belief and
-    no record lookup.
-
-    [df_of] overrides the document frequency a term leaf scores with
-    (default: the fetched record's own header df).  A doc-partitioned
-    shard passes the {e global} df here so its per-document beliefs are
-    bit-identical to the unsharded index; positional leaves
-    ([#phrase]/[#od]/[#uw]/[#syn]) always use their match count and are
-    unaffected. *)
+    no record lookup. *)
 
 type scored = { doc : int; belief : float }
 
@@ -85,12 +77,17 @@ val eval_daat :
     belief a document matching nothing would get) — identical to
     [eval]'s beliefs on those documents (tested), except that
     pure-negation evidence ([#not] raising belief of documents that
-    merely {e lack} a term) is not enumerated. *)
+    merely {e lack} a term) is not enumerated.
+
+    [df_of] overrides the document frequency a term leaf scores with
+    (default: the fetched record's own header df).  A doc-partitioned
+    shard passes the {e global} df here so its per-document beliefs are
+    bit-identical to the unsharded index; positional leaves
+    ([#phrase]/[#od]/[#uw]/[#syn]) always use their match count and are
+    unaffected. *)
 
 type topk_stats = {
   tk_plan : Planner.plan;  (** The plan that actually executed. *)
-  tk_pruned : bool;
-      (** A pruning executor ran ([tk_plan <> Exhaustive]). *)
   tk_postings_total : int;
       (** Postings carried by the records the query opened (cursor dfs
           on the pruned plans; header dfs per leaf occurrence on the
@@ -157,7 +154,7 @@ val eval_topk :
       co-occurring documents.
     - {e Exhaustive}, for every other shape ([#or], [#not], nested
       operators, …) and whenever it prices no worse: full
-      {!eval_daat} plus bounded top-k selection ([tk_pruned = false]).
+      {!eval_daat} plus bounded top-k selection.
 
     Whatever the plan, returned beliefs are bit-identical to taking the
     first [k] of {!eval_daat}'s results sorted by belief descending
@@ -171,7 +168,8 @@ val eval_topk :
     partial scores that decide pruning, so a planned run never charges
     more than the exhaustive one.
 
-    @param df_of override the df a term leaf scores with, as in {!eval}
+    @param df_of override the df a term leaf scores with, as in
+    {!eval_daat}
     (the sharding hook: global statistics over local records).
     @param floor seed the pruning threshold with an externally known
     kth score (the scatter-gather coordinator's current global bound):

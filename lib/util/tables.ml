@@ -57,6 +57,34 @@ let render t =
 
 let print t = print_string (render t)
 
+let json_string s =
+  let b = Buffer.create (String.length s + 2) in
+  Buffer.add_char b '"';
+  String.iter
+    (function
+      | '"' -> Buffer.add_string b "\\\""
+      | '\\' -> Buffer.add_string b "\\\\"
+      | c when c < ' ' || c > '~' -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
+      | c -> Buffer.add_char b c)
+    s;
+  Buffer.add_char b '"';
+  Buffer.contents b
+
+let to_json tables =
+  let strings cells = "[" ^ String.concat ", " (List.map json_string cells) ^ "]" in
+  let table (label, t) =
+    let rows =
+      List.filter_map
+        (function Cells cells -> Some ("\n        " ^ strings cells) | Separator -> None)
+        (List.rev t.rows)
+    in
+    Printf.sprintf "\n    { \"label\": %s,\n      \"columns\": %s,\n      \"rows\": [%s ] }"
+      (json_string label)
+      (strings (List.map fst t.columns))
+      (String.concat "," rows)
+  in
+  "[" ^ String.concat "," (List.map table tables) ^ "\n  ]"
+
 let fmt_float ?(decimals = 2) x = Printf.sprintf "%.*f" decimals x
 let fmt_pct x = Printf.sprintf "%.0f%%" (x *. 100.0)
 let fmt_kbytes bytes = string_of_int ((bytes + 1023) / 1024)

@@ -1,8 +1,9 @@
-(** Fixed-width plain-text table rendering for experiment reports.
+(** Fixed-width plain-text and JSON rendering of experiment reports.
 
-    Every table and figure series in the benchmark harness is printed
-    through this module so the reproduction output lines up with the
-    paper's tables visually. *)
+    Every table, figure series and measurement the [repro] commands
+    report is built as a [t] and printed through this module, so the
+    reproduction output lines up with the paper's tables visually and
+    its JSON form carries exactly the cells the text shows. *)
 
 type align = Left | Right
 
@@ -23,6 +24,16 @@ val render : t -> string
 
 val print : t -> unit
 (** [print t] writes [render t] to stdout. *)
+
+val json_string : string -> string
+(** A JSON string literal: quotes, backslashes and every byte outside
+    printable ASCII escaped (as [\u00XX]), so any text parses. *)
+
+val to_json : (string * t) list -> string
+(** Labelled tables as a JSON array, one
+    [{"label": _, "columns": [_], "rows": [[_]]}] object per table in
+    list order.  Columns and cells stay the strings [render] prints, in
+    order; separator rows are skipped. *)
 
 val fmt_float : ?decimals:int -> float -> string
 (** Fixed-point formatting, default 2 decimals. *)

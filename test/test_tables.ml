@@ -43,6 +43,45 @@ let test_formatters () =
   Alcotest.(check string) "kbytes exact" "1" (Util.Tables.fmt_kbytes 1024);
   Alcotest.(check string) "kbytes zero" "0" (Util.Tables.fmt_kbytes 0)
 
+(* [s] with the whitespace outside JSON string literals removed, so the
+   JSON test checks content and order, not layout. *)
+let compact s =
+  let b = Buffer.create (String.length s) in
+  let in_string = ref false and escaped = ref false in
+  String.iter
+    (fun c ->
+      if !in_string then begin
+        Buffer.add_char b c;
+        if !escaped then escaped := false
+        else if c = '\\' then escaped := true
+        else if c = '"' then in_string := false
+      end
+      else if c = '"' then begin
+        Buffer.add_char b c;
+        in_string := true
+      end
+      else if not (List.mem c [ ' '; '\n'; '\t' ]) then Buffer.add_char b c)
+    s;
+  Buffer.contents b
+
+let test_json () =
+  let t = Util.Tables.create ~columns:[ ("name", Util.Tables.Left); ("n", Util.Tables.Right) ] in
+  Util.Tables.add_row t [ "a"; "1" ];
+  Util.Tables.add_separator t;
+  Util.Tables.add_row t [ "b b"; "2" ];
+  let u = Util.Tables.create ~columns:[ ("q\"b\\s", Util.Tables.Left) ] in
+  Util.Tables.add_row u [ "tab\tnl\ndel\x7f\xc3\xa9" ];
+  let empty = Util.Tables.create ~columns:[ ("x", Util.Tables.Left) ] in
+  Alcotest.(check string) "labels, columns and cells in order; separator skipped; escaped"
+    ({|[{"label":"first","columns":["name","n"],"rows":[["a","1"],["b b","2"]]},|}
+    ^ {|{"label":"second","columns":["q\"b\\s"],|}
+    ^ {|"rows":[["tab\u0009nl\u000adel\u007f\u00c3\u00a9"]]},|}
+    ^ {|{"label":"3\u00c2\u00b0","columns":["x"],"rows":[]}]|})
+    (compact (Util.Tables.to_json [ ("first", t); ("second", u); ("3\xc2\xb0", empty) ]));
+  Alcotest.(check string) "no tables" "[]" (compact (Util.Tables.to_json []));
+  Alcotest.(check string) "string literal" {|"a\"b\\c\u0000~\u0080"|}
+    (Util.Tables.json_string "a\"b\\c\000~\x80")
+
 let suite =
   [
     Alcotest.test_case "render alignment" `Quick test_render_alignment;
@@ -50,4 +89,5 @@ let suite =
     Alcotest.test_case "cell count mismatch" `Quick test_cell_count_mismatch;
     Alcotest.test_case "separator" `Quick test_separator;
     Alcotest.test_case "formatters" `Quick test_formatters;
+    Alcotest.test_case "json" `Quick test_json;
   ]

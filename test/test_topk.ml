@@ -79,15 +79,17 @@ let fallback_queries =
     "#sum( retrieval #phrase( information retrieval ) )";
     "#sum( apple #and( banana cherry ) )"; "#wsum( 1.0 banana -0.5 elderberry )" ]
 
+let check_plan msg expect t =
+  Alcotest.(check string) msg (Inquery.Planner.plan_name expect)
+    (Inquery.Planner.plan_name t.Inquery.Infnet.tk_plan)
+
 let test_pruned_path_runs () =
   let source, dict = make () in
   List.iter
     (fun query ->
       let q = Inquery.Query.parse_exn query in
       let _, _, t = Inquery.Infnet.eval_topk source dict ~k:3 q in
-      Alcotest.(check bool) ("pruned path: " ^ query) true t.Inquery.Infnet.tk_pruned;
-      Alcotest.(check bool) ("maxscore plan: " ^ query) true
-        (t.Inquery.Infnet.tk_plan = Inquery.Planner.Maxscore))
+      check_plan ("maxscore plan: " ^ query) Inquery.Planner.Maxscore t)
     pruned_queries
 
 let test_intersect_shapes () =
@@ -96,9 +98,7 @@ let test_intersect_shapes () =
     (fun query ->
       let q = Inquery.Query.parse_exn query in
       let got, _, t = Inquery.Infnet.eval_topk source dict ~k:4 q in
-      Alcotest.(check bool) ("intersect plan: " ^ query) true
-        (t.Inquery.Infnet.tk_plan = Inquery.Planner.Intersect);
-      Alcotest.(check bool) ("pruned: " ^ query) true t.Inquery.Infnet.tk_pruned;
+      check_plan ("intersect plan: " ^ query) Inquery.Planner.Intersect t;
       let expect = reference source dict q ~k:4 in
       Alcotest.(check bool) ("identical: " ^ query) true (got = expect))
     intersect_queries
@@ -109,9 +109,7 @@ let test_fallback_shapes () =
     (fun query ->
       let q = Inquery.Query.parse_exn query in
       let got, _, t = Inquery.Infnet.eval_topk source dict ~k:4 q in
-      Alcotest.(check bool) ("fallback: " ^ query) false t.Inquery.Infnet.tk_pruned;
-      Alcotest.(check bool) ("exhaustive plan: " ^ query) true
-        (t.Inquery.Infnet.tk_plan = Inquery.Planner.Exhaustive);
+      check_plan ("exhaustive plan: " ^ query) Inquery.Planner.Exhaustive t;
       let expect = reference source dict q ~k:4 in
       Alcotest.(check bool) ("identical: " ^ query) true (got = expect))
     fallback_queries
@@ -143,7 +141,7 @@ let test_exhaustive_flag () =
     Inquery.Infnet.eval_topk source dict
       ~plan:(Inquery.Planner.Forced Inquery.Planner.Exhaustive) ~k:3 q
   in
-  Alcotest.(check bool) "forced fallback" false t.Inquery.Infnet.tk_pruned;
+  check_plan "forced fallback" Inquery.Planner.Exhaustive t;
   Alcotest.(check bool) "identical" true (got = reference source dict q ~k:3)
 
 let test_edge_ks () =
@@ -174,7 +172,7 @@ let test_pruning_decodes_fewer () =
   let source, dict = source_of_docs big_docs in
   let q = Inquery.Query.parse_exn "#sum( rare filler )" in
   let got, _, t = Inquery.Infnet.eval_topk source dict ~audit:true ~k:5 q in
-  Alcotest.(check bool) "pruned path" true t.Inquery.Infnet.tk_pruned;
+  check_plan "pruned path" Inquery.Planner.Maxscore t;
   Alcotest.(check int) "total = sum of df" 618 t.Inquery.Infnet.tk_postings_total;
   Alcotest.(check bool) "decodes strictly fewer" true
     (t.Inquery.Infnet.tk_postings_decoded < t.Inquery.Infnet.tk_postings_total);
@@ -212,7 +210,7 @@ let test_v1_records_still_exact () =
   in
   let q = Inquery.Query.parse_exn "#sum( rare filler )" in
   let got, _, t = Inquery.Infnet.eval_topk v1_source dict ~audit:true ~k:5 q in
-  Alcotest.(check bool) "pruned path still runs" true t.Inquery.Infnet.tk_pruned;
+  check_plan "pruned path still runs" Inquery.Planner.Maxscore t;
   Alcotest.(check bool) "identical over v1 records" true
     (got = reference v1_source dict q ~k:5)
 
