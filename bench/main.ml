@@ -262,7 +262,10 @@ let bench_parallel =
    (sealed root + header switch in one transaction) vs unjournaled
    (in-memory publish), and what a pinned read costs over a live one.
    Each mutation benchmark runs a steady-state add+delete+gc cycle so
-   the store does not grow across iterations. *)
+   the store does not grow across iterations.  The cycle still takes a
+   fresh document id each time, and a ranking allocates a belief per
+   id, so the two read benchmarks have a fixture of their own that
+   nothing mutates. *)
 let epoch_fixture journal =
   lazy
     (let file = if journal then "bench-epoch-j.mneme" else "bench-epoch.mneme" in
@@ -283,16 +286,17 @@ let epoch_cycle live =
 let bench_epoch =
   let plain = epoch_fixture false in
   let journaled = epoch_fixture true in
+  let reads = epoch_fixture false in
   [
     Test.make ~name:"epoch publish cycle (unjournaled)"
       (Staged.stage (fun () -> epoch_cycle (Lazy.force plain)));
     Test.make ~name:"epoch publish cycle (journaled)"
       (Staged.stage (fun () -> epoch_cycle (Lazy.force journaled)));
     Test.make ~name:"search (latest epoch)"
-      (Staged.stage (fun () -> Core.Live_index.search ~top_k:10 (Lazy.force plain) "alpha"));
+      (Staged.stage (fun () -> Core.Live_index.search ~top_k:10 (Lazy.force reads) "alpha"));
     Test.make ~name:"pin + rank pinned + release"
       (Staged.stage (fun () ->
-           let live = Lazy.force plain in
+           let live = Lazy.force reads in
            let p = Core.Live_index.pin live in
            let r = Core.Live_index.rank ~top_k:10 live (Core.Live_index.pinned live p) "alpha" in
            Core.Live_index.release live p;
@@ -300,36 +304,73 @@ let bench_epoch =
   ]
 
 (* Online ingestion: what a WAL-acknowledged add costs, a budgeted merge
-   fold, and a union query with memory segments pending.  The add
-   benchmark drains on backpressure so the buffer stays steady-state
-   across iterations. *)
-let ingest_fixture =
+   fold, and a union query with memory segments pending.  Each benchmark
+   has a fixture of its own, twenty documents folded to disk, whose size
+   does not depend on how many calls ran before: the add benchmark
+   deletes each document while it is still buffered, so none reaches
+   the disk index, and drains and collects on backpressure; the merge
+   benchmark adds, folds, deletes, folds and collects on every call, as
+   [epoch_cycle] does; the search fixture holds ten more documents in
+   memory segments and is never mutated.  Each fixture's term count is
+   printed before and after the group, and a count that moved fails the
+   run. *)
+let ingest_fixture ~file ~pending =
   lazy
-    (let t = Core.Ingest.create (Vfs.create ()) ~file:"bench-ingest.mneme" () in
-     for i = 0 to 19 do
+    (let t = Core.Ingest.create (Vfs.create ()) ~file () in
+     let add i =
        ignore
          (Core.Ingest.add_document t
             (Printf.sprintf "alpha beta gamma doc%d term%d term%d" i (i mod 7) (i mod 11)))
+     in
+     for i = 0 to 19 do
+       add i
+     done;
+     Core.Ingest.drain t;
+     for i = 20 to 19 + pending do
+       add i
      done;
      t)
 
-let bench_ingest =
-  let fix = ingest_fixture in
-  let budget = Mneme.Budget.create ~max_bytes:4096 () in
+let ingest_fixtures =
   [
-    Test.make ~name:"add_document (WAL fsync ack)"
+    ("add", ingest_fixture ~file:"bench-ingest-add.mneme" ~pending:0);
+    ("merge", ingest_fixture ~file:"bench-ingest-merge.mneme" ~pending:0);
+    ("search", ingest_fixture ~file:"bench-ingest-search.mneme" ~pending:10);
+  ]
+
+let ingest_terms () =
+  List.map
+    (fun (name, fix) ->
+      (name, List.length (Core.Live_index.directory (Core.Ingest.live (Lazy.force fix)))))
+    ingest_fixtures
+
+let ingest_gc t = ignore (Core.Live_index.gc (Core.Ingest.live t))
+
+let bench_ingest =
+  let fixture name = Lazy.force (List.assoc name ingest_fixtures) in
+  let budget = Mneme.Budget.create ~max_bytes:4096 () in
+  let text = "alpha beta gamma delta epsilon" in
+  [
+    Test.make ~name:"add + delete (WAL fsync acks)"
       (Staged.stage (fun () ->
-           let t = Lazy.force fix in
-           match Core.Ingest.add_document t "alpha beta gamma delta epsilon" with
-           | Core.Ingest.Acked _ -> ()
-           | Core.Ingest.Overloaded -> Core.Ingest.drain t));
-    Test.make ~name:"add + budgeted merge step"
+           let t = fixture "add" in
+           match Core.Ingest.add_document t text with
+           | Core.Ingest.Acked { doc; _ } -> ignore (Core.Ingest.delete_document t doc)
+           | Core.Ingest.Overloaded ->
+             Core.Ingest.drain t;
+             ingest_gc t));
+    Test.make ~name:"add, fold, delete, fold, gc"
       (Staged.stage (fun () ->
-           let t = Lazy.force fix in
-           ignore (Core.Ingest.add_document t "alpha beta gamma delta epsilon");
-           ignore (Core.Ingest.merge_step ~budget t)));
+           let t = fixture "merge" in
+           match Core.Ingest.add_document t text with
+           | Core.Ingest.Acked { doc; _ } ->
+             ignore (Core.Ingest.merge_step ~budget t);
+             ignore (Core.Ingest.delete_document t doc);
+             ignore (Core.Ingest.merge_step ~budget t);
+             ingest_gc t
+           | Core.Ingest.Overloaded -> invalid_arg "bench: the merge fixture overflowed"));
     Test.make ~name:"union search (segments pending)"
-      (Staged.stage (fun () -> Core.Ingest.search ~top_k:10 (Lazy.force fix) "alpha"));
+      (Staged.stage (fun () -> Core.Ingest.search ~top_k:10 (fixture "search") "alpha"));
   ]
 
 let () =
@@ -351,6 +392,7 @@ let () =
   let cfg = Benchmark.cfg ~limit:1000 ~quota:(Time.second 0.4) ~stabilize:false () in
   let instances = Instance.[ monotonic_clock ] in
   print_endline "=== Bechamel micro-benchmarks (ns per call) ===";
+  let terms_before = ingest_terms () in
   List.iter
     (fun (group, tests) ->
       Printf.printf "\n[%s]\n" group;
@@ -364,4 +406,13 @@ let () =
           | Some [] | None -> Printf.printf "  %-34s (no estimate)\n" name)
         (List.sort compare rows))
     groups;
-  print_newline ()
+  let terms_after = ingest_terms () in
+  Printf.printf "\n[ingest fixtures: terms before -> after]\n";
+  List.iter2
+    (fun (name, before) (_, after) -> Printf.printf "  %-34s %6d -> %d\n" name before after)
+    terms_before terms_after;
+  print_newline ();
+  if terms_before <> terms_after then begin
+    prerr_endline "bench: an ingest fixture's term count moved";
+    exit 1
+  end

@@ -1,5 +1,6 @@
 module Tmap = Map.Make (String)
 module Imap = Map.Make (Int)
+module Iset = Set.Make (Int)
 
 (* ------------------------------------------------------------------ *)
 (* Epoch snapshots                                                     *)
@@ -44,7 +45,9 @@ type mneme_state = {
   epochs : Mneme.Epoch.t;
   chains : (string, int list) Hashtbl.t; (* the latest state's chunks per term *)
   mutable snap : snapshot; (* the latest published epoch's image *)
-  mutable root_oid : int; (* sealed root of [snap]; -1 = never published *)
+  mutable parts : int list;
+      (* the sealed root of [snap] as its chain of parts, base first: the
+         header names the last; [] = never published *)
   journaled : bool;
   fitted : bool; (* buffers sized by [fit_buffers]; false keeps the caller's *)
 }
@@ -74,33 +77,58 @@ let empty_snapshot epoch =
     sn_meta = Tmap.empty;
   }
 
-(* The root payload.  Integers are v-byte varints except the u32 counts
+(* The sealed root is a chain of 1..[max_chunks] immutable parts,
+   oldest first, and the header names the newest.  Each part is the root
+   some earlier epoch sealed, an ordinary object in the EPRT envelope, so
+   the chain adds no object kind.  A base part holds the whole
+   directory.  Every later part, a delta, holds only what its own
+   publication changed since the epoch before: each term whose chunk
+   list, df or cf changed, as a whole entry, or a tombstone for a term
+   removed; the documents added and removed; next-doc, the total length
+   and the metadata as absolute values; and the oids of the parts before
+   it.  A publication that would make a fifth part seals a fresh base
+   instead and retires every old part, the rule a full chunk chain
+   follows.  On ingest-mixed seed 1 the roots of folds 1-4 were 65, 103,
+   144 and 176 KB while each held the whole directory; as a base and
+   three deltas they are 65, 72, 93 and 99 KB.  A cumulative delta
+   against one base would not pay at that cadence: the entries changed
+   since fold 1 outgrow the base by fold 2.
+
+   A part's payload.  Integers are v-byte varints except the u32 counts
    and next-doc and the u64 total length:
+   - the number of earlier parts (0 for a base), then their oids, base
+     first;
    - next-doc, total length;
-   - the document count, then per document in id order its gap from
-     the previous id (the first from -1, so every gap is at least 1)
-     and its length;
-   - the term count, then per term in [Tmap] order the term front-coded
-     against the one before it (the length of the prefix they share,
-     shifted left by [count_bits] and or-ed with its chunk count; the
-     suffix length; the suffix bytes), its chunk oids oldest first, df
+   - the added documents: their count, then per document in id order
+     its gap from the previous id (the first from -1, so every gap is at
+     least 1) and its length;
+   - the removed documents: their count, then their gaps;
+   - the term entries: their count, then per term in [Tmap] order the
+     term front-coded against the one before it (the length of the
+     prefix they share, shifted left by [count_bits] and or-ed with its
+     chunk count, 0 for a tombstone; the suffix length; the suffix
+     bytes), then, unless a tombstone, its chunk oids oldest first, df
      and cf;
    - the metadata count, then each key and value as a u32-length string,
      keys ascending.
-   Every publication rewrites the whole root, and it was about a third
-   of a fold's bytes, most of them term strings: front coding stores
-   each term's shared prefix once.  Tmap/Imap iteration is sorted, so
-   the encoding is deterministic — byte-identical roots for identical
-   directories, whatever mutation order built them.  [decode_snapshot]
-   accepts this canonical form alone and raises [Mneme.Store.Corrupt]
-   on anything else: a shared prefix that is not exactly the common
-   prefix with the previous term (longer than that term, say), a
-   document id, term or key not strictly after the one before it, a
-   chunk count outside 1..[max_chunks], a chunk oid named twice or equal
-   to the root's own, and bytes left over after the metadata.  The
-   count rides the shared-prefix varint, so a one-chunk entry costs
-   what a bare locator did whenever the shared prefix is under 16
-   bytes. *)
+   Front coding stores each term's shared prefix once.  Tmap/Imap
+   iteration is sorted, so the encoding is deterministic: byte-identical
+   parts for identical changes, whatever mutation order built them.
+   [decode_snapshot] accepts this canonical form alone and raises
+   [Mneme.Store.Corrupt] on anything else.  Within a part: a shared
+   prefix that is not exactly the common prefix with the previous term
+   (longer than that term, say), a document id, term or key not strictly
+   after the one before it, a chunk count above [max_chunks], an entry
+   equal to the one the earlier parts already give, a tombstone for a
+   term they lack, an added document they hold or a removed one they
+   lack, and bytes left over after the metadata.  Across the chain: more
+   than [max_chunks] parts, the root's own oid listed as a part, a part
+   whose own part list is not the chain before it, part epochs that do
+   not strictly ascend, and an oid named twice across the parts and the
+   chunks of the directory they give, or a chunk oid equal to the
+   root's.  The chunk count rides the shared-prefix varint, so a
+   one-chunk entry costs what a bare locator did whenever the shared
+   prefix is under 16 bytes. *)
 let count_bits = 3
 let () = assert (max_chunks < 1 lsl count_bits)
 
@@ -109,32 +137,48 @@ let common_prefix a b =
   let rec go i = if i < n && a.[i] = b.[i] then go (i + 1) else i in
   go 0
 
-let encode_snapshot snap =
+(* One part over the chain [earlier]: [entries] maps each changed term
+   to its new entry ([None] a tombstone), [added] and [removed] are the
+   documents; next-doc, the total length and the metadata are [snap]'s. *)
+let encode_part ~earlier ~entries ~added ~removed snap =
   let b = Buffer.create 4096 in
+  Util.Varint.encode b (List.length earlier);
+  List.iter (Util.Varint.encode b) earlier;
   Util.Bin.buf_u32 b snap.sn_next_doc;
   Util.Bin.buf_u64 b snap.sn_total_len;
-  Util.Bin.buf_u32 b (Imap.cardinal snap.sn_doc_lens);
+  Util.Bin.buf_u32 b (Imap.cardinal added);
   ignore
     (Imap.fold
        (fun doc len prev ->
          Util.Varint.encode b (doc - prev);
          Util.Varint.encode b len;
          doc)
-       snap.sn_doc_lens (-1));
-  Util.Bin.buf_u32 b (Tmap.cardinal snap.sn_terms);
+       added (-1));
+  Util.Bin.buf_u32 b (Iset.cardinal removed);
+  ignore
+    (Iset.fold
+       (fun doc prev ->
+         Util.Varint.encode b (doc - prev);
+         doc)
+       removed (-1));
+  Util.Bin.buf_u32 b (Tmap.cardinal entries);
   ignore
     (Tmap.fold
-       (fun term ti prev ->
+       (fun term entry prev ->
          let shared = common_prefix prev term in
          let suffix = String.length term - shared in
-         Util.Varint.encode b ((shared lsl count_bits) lor List.length ti.ti_chunks);
+         let chunks = match entry with Some ti -> ti.ti_chunks | None -> [] in
+         Util.Varint.encode b ((shared lsl count_bits) lor List.length chunks);
          Util.Varint.encode b suffix;
          Buffer.add_substring b term shared suffix;
-         List.iter (Util.Varint.encode b) ti.ti_chunks;
-         Util.Varint.encode b ti.ti_df;
-         Util.Varint.encode b ti.ti_cf;
+         Option.iter
+           (fun ti ->
+             List.iter (Util.Varint.encode b) ti.ti_chunks;
+             Util.Varint.encode b ti.ti_df;
+             Util.Varint.encode b ti.ti_cf)
+           entry;
          term)
-       snap.sn_terms "");
+       entries "");
   Util.Bin.buf_u32 b (Tmap.cardinal snap.sn_meta);
   Tmap.iter
     (fun k v ->
@@ -143,82 +187,158 @@ let encode_snapshot snap =
     snap.sn_meta;
   Buffer.to_bytes b
 
-let decode_snapshot ~epoch ~root payload =
-  let corrupt what = raise (Mneme.Store.Corrupt ("Live_index: root payload " ^ what)) in
-  let pos = ref 0 in
-  let u32 () =
-    let v = Util.Bin.get_u32 payload !pos in
-    pos := !pos + 4;
-    v
-  in
-  let varint () =
+(* The directory the chain of [root], sealed for [epoch] with [payload],
+   gives, and the chain's oids, base first.  [part oid] reads an earlier
+   part as its sealed epoch and payload. *)
+let decode_snapshot ~epoch ~root ~part payload =
+  let corrupt what = raise (Mneme.Store.Corrupt ("Live_index: root " ^ what)) in
+  let varint payload pos =
     let v = Util.Varint.read payload pos in
     if v < 0 then corrupt "holds a varint past the int range";
     v
   in
-  let add_ascending what key v map =
-    (match Tmap.max_binding_opt map with
-    | Some (last, _) when String.compare key last <= 0 -> corrupt (what ^ " out of order")
-    | _ -> ());
-    Tmap.add key v map
+  let part_list payload pos =
+    let n = varint payload pos in
+    if n >= max_chunks then corrupt (Printf.sprintf "lists %d earlier parts" n);
+    List.init n (fun _ -> varint payload pos)
   in
-  try
+  (* One part's payload after its part list, applied to [snap], the
+     directory the parts before it give. *)
+  let apply snap payload pos =
+    let u32 () =
+      let v = Util.Bin.get_u32 payload !pos in
+      pos := !pos + 4;
+      v
+    in
+    let varint () = varint payload pos in
     let next_doc = u32 () in
     let total_len = Util.Bin.get_u64 payload !pos in
     pos := !pos + 8;
-    let doc_lens = ref Imap.empty and doc = ref (-1) in
-    for _ = 1 to u32 () do
-      let next = !doc + varint () in
-      if next <= !doc then corrupt "lists a document id out of order";
-      doc := next;
-      doc_lens := Imap.add next (varint ()) !doc_lens
-    done;
-    let terms = ref Tmap.empty and prev = ref "" in
-    let named = Hashtbl.create 1024 in
+    let docs = ref snap.sn_doc_lens in
+    let ascending f =
+      let doc = ref (-1) in
+      for _ = 1 to u32 () do
+        let next = !doc + varint () in
+        if next <= !doc then corrupt "lists a document id out of order";
+        doc := next;
+        f next
+      done
+    in
+    ascending (fun doc ->
+        let len = varint () in
+        if Imap.mem doc snap.sn_doc_lens then corrupt "adds a document already present";
+        docs := Imap.add doc len !docs);
+    ascending (fun doc ->
+        if not (Imap.mem doc snap.sn_doc_lens) then corrupt "removes a document that is absent";
+        docs := Imap.remove doc !docs);
+    let terms = ref snap.sn_terms and prev = ref None in
     for _ = 1 to u32 () do
       let head = varint () in
       let shared = head lsr count_bits and count = head land ((1 lsl count_bits) - 1) in
       let suffix = varint () in
+      let last = Option.value ~default:"" !prev in
       if
-        shared > String.length !prev
-        || (shared < String.length !prev && suffix > 0 && Bytes.get payload !pos = !prev.[shared])
+        shared > String.length last
+        || (shared < String.length last && suffix > 0 && Bytes.get payload !pos = last.[shared])
       then corrupt "front-codes a term against a prefix it does not share";
-      let term = String.sub !prev 0 shared ^ Bytes.sub_string payload !pos suffix in
+      let term = String.sub last 0 shared ^ Bytes.sub_string payload !pos suffix in
       pos := !pos + suffix;
-      if count < 1 || count > max_chunks then
-        corrupt (Printf.sprintf "names a chain of %d chunks" count);
-      let chunks = ref [] in
-      for _ = 1 to count do
-        let oid = varint () in
-        if oid = root then corrupt "names its own oid as a chunk";
-        if Hashtbl.mem named oid then corrupt "names a chunk oid twice";
-        Hashtbl.replace named oid ();
-        chunks := oid :: !chunks
-      done;
-      let ti_df = varint () in
-      let ti_cf = varint () in
-      terms :=
-        add_ascending "lists a term" term { ti_chunks = List.rev !chunks; ti_df; ti_cf } !terms;
-      prev := term
+      (match !prev with
+      | Some p when String.compare term p <= 0 -> corrupt "lists a term out of order"
+      | _ -> ());
+      prev := Some term;
+      let was = Tmap.find_opt term snap.sn_terms in
+      if count = 0 then begin
+        if was = None then corrupt "tombstones a term the earlier parts lack";
+        terms := Tmap.remove term !terms
+      end
+      else begin
+        if count > max_chunks then corrupt (Printf.sprintf "names a chain of %d chunks" count);
+        let ti_chunks = List.init count (fun _ -> varint ()) in
+        let ti_df = varint () in
+        let ti_cf = varint () in
+        let ti = { ti_chunks; ti_df; ti_cf } in
+        if was = Some ti then corrupt "repeats an entry the earlier parts give";
+        terms := Tmap.add term ti !terms
+      end
     done;
     let meta = ref Tmap.empty in
     for _ = 1 to u32 () do
       let k, p = Util.Bin.get_string payload !pos in
       let v, p = Util.Bin.get_string payload p in
-      meta := add_ascending "lists a metadata key" k v !meta;
+      (match Tmap.max_binding_opt !meta with
+      | Some (last, _) when String.compare k last <= 0 ->
+        corrupt "lists a metadata key out of order"
+      | _ -> ());
+      meta := Tmap.add k v !meta;
       pos := p
     done;
     if !pos <> Bytes.length payload then corrupt "has bytes left over after the metadata";
     {
-      sn_epoch = epoch;
+      snap with
       sn_terms = !terms;
-      sn_doc_lens = !doc_lens;
+      sn_doc_lens = !docs;
       sn_total_len = total_len;
       sn_next_doc = next_doc;
       sn_meta = !meta;
     }
-  with Invalid_argument _ | Failure _ ->
-    raise (Mneme.Store.Corrupt "Live_index: root payload is malformed")
+  in
+  try
+    let pos = ref 0 in
+    let earlier = part_list payload pos in
+    if List.mem root earlier then corrupt "lists its own oid as a part";
+    let snap, _ =
+      List.fold_left
+        (fun (snap, before) oid ->
+          let e, p = part oid in
+          if e <= snap.sn_epoch then corrupt "holds parts whose epochs do not ascend";
+          let at = ref 0 in
+          if part_list p at <> List.rev before then
+            corrupt
+              (Printf.sprintf "holds part %d, whose own part list is not the chain before it" oid);
+          (apply { snap with sn_epoch = e } p at, oid :: before))
+        (empty_snapshot (-1), [])
+        earlier
+    in
+    if epoch <= snap.sn_epoch then corrupt "holds parts whose epochs do not ascend";
+    let snap = apply { snap with sn_epoch = epoch } payload pos in
+    let named = Hashtbl.create 1024 in
+    let name oid =
+      if Hashtbl.mem named oid then corrupt "names an oid twice";
+      Hashtbl.replace named oid ()
+    in
+    List.iter name earlier;
+    Tmap.iter
+      (fun _ ti ->
+        List.iter
+          (fun oid ->
+            if oid = root then corrupt "names its own oid as a chunk";
+            name oid)
+          ti.ti_chunks)
+      snap.sn_terms;
+    (snap, earlier @ [ root ])
+  with Invalid_argument _ | Failure _ -> raise (Mneme.Store.Corrupt "Live_index: root is malformed")
+
+(* The directory the store's published root chain gives, and the chain. *)
+let read_root store =
+  let corrupt what = raise (Mneme.Store.Corrupt ("Live_index: " ^ what)) in
+  let epoch = Mneme.Store.epoch store in
+  let root =
+    match Mneme.Store.root store with
+    | Some oid -> oid
+    | None -> corrupt "store has no published root"
+  in
+  let sealed oid =
+    match Mneme.Store.get_opt store oid with
+    | None -> corrupt (Printf.sprintf "root part %d resolves to no object" oid)
+    | Some b -> (
+      match Mneme.Epoch.unseal b with
+      | Ok sealed -> sealed
+      | Error msg -> corrupt (Printf.sprintf "root part %d: %s" oid msg))
+  in
+  let e, payload = sealed root in
+  if e <> epoch then corrupt (Printf.sprintf "root sealed for epoch %d, header says %d" e epoch);
+  decode_snapshot ~epoch ~root ~part:sealed payload
 
 (* ------------------------------------------------------------------ *)
 (* Construction                                                        *)
@@ -302,6 +422,8 @@ let snapshot_of_dict ~epoch ?(meta = Tmap.empty) dict chains doc_lens ~total_len
 
 let wrap_mneme ?stopwords ?stem ?(thresholds = Partition.default) vfs ~store ~dict ~doc_lengths
     =
+  if Mneme.Store.root store <> None then
+    invalid_arg "Live_index.wrap_mneme: the store has a published root; open it with open_mneme";
   let epoch = Mneme.Store.epoch store in
   let epochs = Mneme.Epoch.create ~epoch in
   (* Everything already in the store is live in the current epoch;
@@ -322,7 +444,7 @@ let wrap_mneme ?stopwords ?stem ?(thresholds = Partition.default) vfs ~store ~di
       epochs;
       chains;
       snap = empty_snapshot epoch;
-      root_oid = (match Mneme.Store.root store with Some oid -> oid | None -> -1);
+      parts = [];
       journaled = Mneme.Store.journal store <> None;
       fitted = false;
     }
@@ -353,7 +475,8 @@ let standard_pools ?(buffers = Buffer_sizing.no_cache) store =
    segments that hold a chunk the published directory names.  The next
    fold consolidates exactly those chunks and searches read them, so
    they stay resident.  Every other resident segment holds only retired
-   chunks (or the sealed root, which the writer never re-reads) and is
+   chunks (or parts of the sealed root, which the writer never re-reads
+   but to audit) and is
    dropped here, unless a reader has it pinned: left in place it can be
    warmer than a live segment no search has touched lately, and the
    next fault would evict the live one.  Runs at every publication, on
@@ -401,7 +524,7 @@ let create_mneme ?stopwords ?stem ?buffers ?journal vfs ~file () =
       epochs = Mneme.Epoch.create ~epoch:0;
       chains = Hashtbl.create 1024;
       snap = empty_snapshot 0;
-      root_oid = -1;
+      parts = [];
       journaled = journal <> None;
       fitted = Option.is_none buffers;
     }
@@ -418,31 +541,7 @@ let open_mneme ?stopwords ?stem ?buffers ?(thresholds = Partition.default) ?jour
   (match journal with
   | Some log_file -> Mneme.Store.enable_journal store ~log_file
   | None -> ());
-  let epoch = Mneme.Store.epoch store in
-  let root_oid =
-    match Mneme.Store.root store with
-    | Some oid -> oid
-    | None -> raise (Mneme.Store.Corrupt "Live_index.open_mneme: store has no published root")
-  in
-  let sealed =
-    match Mneme.Store.get_opt store root_oid with
-    | Some b -> b
-    | None ->
-      raise
-        (Mneme.Store.Corrupt
-           (Printf.sprintf "Live_index.open_mneme: root oid %d resolves to no object" root_oid))
-  in
-  let payload =
-    match Mneme.Epoch.unseal sealed with
-    | Ok (e, p) when e = epoch -> p
-    | Ok (e, _) ->
-      raise
-        (Mneme.Store.Corrupt
-           (Printf.sprintf "Live_index.open_mneme: root sealed for epoch %d, header says %d" e
-              epoch))
-    | Error msg -> raise (Mneme.Store.Corrupt ("Live_index.open_mneme: " ^ msg))
-  in
-  let snap = decode_snapshot ~epoch ~root:root_oid payload in
+  let snap, parts = read_root store in
   (* Rebuild the latest view from the snapshot.  Tmap iteration is
      sorted, so dictionary ids are assigned deterministically. *)
   let dict = Inquery.Dictionary.create () in
@@ -455,15 +554,15 @@ let open_mneme ?stopwords ?stem ?buffers ?(thresholds = Partition.default) ?jour
       Hashtbl.replace chains term ti.ti_chunks)
     snap.sn_terms;
   let doc_lengths = Imap.fold (fun d l acc -> (d, l) :: acc) snap.sn_doc_lens [] |> List.rev in
-  (* Every chunk the root names (plus the root itself) is live; anything
-     else in the store is an orphan of an unpublished or superseded
-     epoch — stale, immediately reclaimable by [gc]. *)
-  let epochs = Mneme.Epoch.create ~epoch in
+  (* Every chunk the root chain names, and every part of the chain, is
+     live; anything else in the store is an orphan of an unpublished or
+     superseded epoch — stale, immediately reclaimable by [gc]. *)
+  let epochs = Mneme.Epoch.create ~epoch:snap.sn_epoch in
   let directory = Hashtbl.create 256 in
   Tmap.iter
     (fun _ ti -> List.iter (fun oid -> Hashtbl.replace directory oid ()) ti.ti_chunks)
     snap.sn_terms;
-  Hashtbl.replace directory root_oid ();
+  List.iter (fun oid -> Hashtbl.replace directory oid ()) parts;
   census_oids ~sized:true store ~f:(fun ~oid ~size ->
       if Hashtbl.mem directory oid then Mneme.Epoch.adopt epochs ~oid ~size
       else Mneme.Epoch.adopt_stale epochs ~oid ~size);
@@ -474,7 +573,7 @@ let open_mneme ?stopwords ?stem ?buffers ?(thresholds = Partition.default) ?jour
       epochs;
       chains;
       snap;
-      root_oid;
+      parts;
       journaled = journal <> None;
       fitted = Option.is_none buffers;
     }
@@ -525,9 +624,10 @@ let cow_pool st size =
    it replaces are retired, never overwritten or freed — readers pinned
    to earlier epochs keep fetching them untouched until {!gc} proves no
    pin can reach them. *)
-let allocate st bytes =
+let allocate ?pool st bytes =
   let size = Bytes.length bytes in
-  let oid = Mneme.Store.allocate (cow_pool st size) bytes in
+  let pool = match pool with Some pool -> pool | None -> cow_pool st size in
+  let oid = Mneme.Store.allocate pool bytes in
   Mneme.Epoch.born st.epochs ~oid ~size;
   oid
 
@@ -557,31 +657,90 @@ let rewrite_record t entry record =
    batch, so the CRC-sealed commit record is the single point at which
    the new epoch — objects, directory, header root switch — becomes
    real.  A crash anywhere before the log fsync recovers to the old
-   epoch in full; anywhere after, to the new epoch in full. *)
-let install_root t st =
-  let epoch = Mneme.Epoch.latest st.epochs + 1 in
-  let snap =
-    snapshot_of_dict ~epoch ~meta:t.live_meta t.dict st.chains t.doc_lens ~total_len:t.total_len
-      ~next_doc:t.next_doc_id
-  in
-  let root = allocate st (Mneme.Epoch.seal ~epoch (encode_snapshot snap)) in
-  if st.root_oid >= 0 then Mneme.Epoch.retired st.epochs ~oid:st.root_oid;
-  Mneme.Store.set_root st.pools.store ~epoch ~root:(Some root);
-  (snap, root)
+   epoch in full; anywhere after, to the new epoch in full.
 
-(* Run one mutation and publish the epoch it creates.  Journaled: the
-   whole thing — COW writes, sealed root, finalized tables and header —
-   is one transaction.  Unjournaled: the epoch is published in memory
-   and persists at the next [flush] (no crash-safety claim, exactly as
+   [terms] and [docs] name everything the batch touched: the new
+   directory is the previous one with those entries brought up to date
+   (the persistent maps share the rest), and a delta part encodes just
+   the ones that changed.  A base part encodes the whole directory and
+   retires every part of the chain it replaces. *)
+let install_root t st ~terms ~docs =
+  let epoch = Mneme.Epoch.latest st.epochs + 1 in
+  let prev = st.snap in
+  let entries =
+    List.fold_left
+      (fun acc term ->
+        let now =
+          Option.map
+            (fun ti_chunks ->
+              let e = Option.get (Inquery.Dictionary.find t.dict term) in
+              { ti_chunks; ti_df = e.Inquery.Dictionary.df; ti_cf = e.Inquery.Dictionary.cf })
+            (Hashtbl.find_opt st.chains term)
+        in
+        if now = Tmap.find_opt term prev.sn_terms then acc else Tmap.add term now acc)
+      Tmap.empty terms
+  in
+  let added, removed =
+    List.fold_left
+      (fun (added, removed) doc ->
+        match (Imap.mem doc prev.sn_doc_lens, Hashtbl.find_opt t.doc_lens doc) with
+        | false, Some len -> (Imap.add doc len added, removed)
+        | true, None -> (added, Iset.add doc removed)
+        | _ -> (added, removed))
+      (Imap.empty, Iset.empty) docs
+  in
+  let snap =
+    {
+      sn_epoch = epoch;
+      sn_terms =
+        Tmap.fold
+          (fun term now acc ->
+            match now with Some ti -> Tmap.add term ti acc | None -> Tmap.remove term acc)
+          entries prev.sn_terms;
+      sn_doc_lens = Imap.fold Imap.add added (Iset.fold Imap.remove removed prev.sn_doc_lens);
+      sn_total_len = t.total_len;
+      sn_next_doc = t.next_doc_id;
+      sn_meta = t.live_meta;
+    }
+  in
+  let base = st.parts = [] || List.length st.parts = max_chunks in
+  let payload =
+    if base then
+      encode_part ~earlier:[]
+        ~entries:(Tmap.map Option.some snap.sn_terms)
+        ~added:snap.sn_doc_lens ~removed:Iset.empty snap
+    else encode_part ~earlier:st.parts ~entries ~added ~removed snap
+  in
+  (* A delta goes to its base's pool, whose size class follows the
+     directory rather than the change: a one-document delta of a large
+     directory then stays out of the medium pool's packed segments, and
+     the records there, which every deletion sweep reads, span fewer
+     segments (the dynamic-update ablation deletes in 5,667 ms/doc, and
+     in 6,090 with each delta placed by its own size). *)
+  let pool =
+    match st.parts with
+    | b :: _ when not base -> Mneme.Store.pool_of_oid st.pools.store b
+    | _ -> None
+  in
+  let root = allocate ?pool st (Mneme.Epoch.seal ~epoch payload) in
+  if base then List.iter (fun oid -> Mneme.Epoch.retired st.epochs ~oid) st.parts;
+  Mneme.Store.set_root st.pools.store ~epoch ~root:(Some root);
+  (snap, if base then [ root ] else st.parts @ [ root ])
+
+(* Run one mutation — [f] returns the terms and documents it touched —
+   and publish the epoch it creates.  Journaled: the whole thing — COW
+   writes, sealed root, finalized tables and header — is one
+   transaction.  Unjournaled: the epoch is published in memory and
+   persists at the next [flush] (no crash-safety claim, exactly as
    before).  If the mutation raises (journaled case: the batch aborts),
    the in-memory handle may disagree with the store — discard it and
    re-open, the {!Mneme.Store.transact} contract. *)
 let mutate t st f =
   let body () =
-    f ();
-    install_root t st
+    let terms, docs = f () in
+    install_root t st ~terms ~docs
   in
-  let snap, root =
+  let snap, parts =
     if st.journaled then
       Mneme.Store.transact st.pools.store (fun () ->
           let r = body () in
@@ -591,7 +750,7 @@ let mutate t st f =
   in
   ignore (Mneme.Epoch.publish st.epochs);
   st.snap <- snap;
-  st.root_oid <- root;
+  st.parts <- parts;
   fit_buffers st;
   (* Publication hooks fire only once the new epoch is installed and the
      in-memory handle serves it — the point at which anything cached
@@ -642,10 +801,11 @@ let apply_postings t term addition =
   entry.Inquery.Dictionary.df <- entry.Inquery.Dictionary.df + df;
   entry.Inquery.Dictionary.cf <- entry.Inquery.Dictionary.cf + cf
 
-(* Remove a set of documents in one dictionary sweep.  No forward index:
-   every inverted list must be examined — the cost structure the paper
-   describes for deletion. *)
+(* Remove a set of documents in one dictionary sweep, and return the
+   terms it rewrote.  No forward index: every inverted list must be
+   examined — the cost structure the paper describes for deletion. *)
 let delete_docs t docs =
+  let rewritten = ref [] in
   let doomed = Hashtbl.create (List.length docs) in
   List.iter
     (fun doc ->
@@ -666,6 +826,7 @@ let delete_docs t docs =
                 end))
           chunks;
         if !df > 0 then begin
+          rewritten := entry.Inquery.Dictionary.term :: !rewritten;
           rewrite_record t entry
             (Inquery.Postings.concat ~keep:(fun d -> not (Hashtbl.mem doomed d)) chunks);
           entry.Inquery.Dictionary.df <- entry.Inquery.Dictionary.df - !df;
@@ -676,7 +837,8 @@ let delete_docs t docs =
         Hashtbl.remove t.doc_lens doc;
         t.total_len <- t.total_len - len)
       doomed
-  end
+  end;
+  !rewritten
 
 (* The one mutation: [add_document] and [delete_document] are
    one-document batches, and an {!Ingest} fold is a batch of many. *)
@@ -691,11 +853,12 @@ let fold_batch t ?(meta = []) ~docs ~postings ~deletes () =
         if doc >= t.next_doc_id then t.next_doc_id <- doc + 1)
       docs;
     List.iter (fun (term, record) -> apply_postings t term record) postings;
-    delete_docs t deletes;
-    List.iter (fun (k, v) -> t.live_meta <- Tmap.add k v t.live_meta) meta
+    let rewritten = delete_docs t deletes in
+    List.iter (fun (k, v) -> t.live_meta <- Tmap.add k v t.live_meta) meta;
+    (List.rev_append (List.map fst postings) rewritten, List.rev_append (List.map fst docs) deletes)
   in
   match t.backend with
-  | Btree_backend _ -> body ()
+  | Btree_backend _ -> ignore (body ())
   | Mneme_backend st -> mutate t st body
 
 let add_document t ?doc_id text =
@@ -903,6 +1066,8 @@ let mneme_store t =
   | Btree_backend _ -> None
   | Mneme_backend st -> Some st.pools.store
 
+let root_parts t = match t.backend with Btree_backend _ -> [] | Mneme_backend st -> st.parts
+
 let chains t =
   match t.backend with
   | Btree_backend _ -> []
@@ -1030,7 +1195,23 @@ let audit t =
         (Printf.sprintf "snapshot epoch %d vs manager %d" snap.sn_epoch
            (Mneme.Epoch.latest st.epochs));
     if not (Tmap.equal String.equal snap.sn_meta t.live_meta) then
-      flag "snapshot" "snapshot metadata disagrees with the live view");
+      flag "snapshot" "snapshot metadata disagrees with the live view";
+    (* The root chain on disk must decode to the published snapshot. *)
+    if st.parts <> [] then
+      match read_root st.pools.store with
+      | exception Mneme.Store.Corrupt msg -> flag "root" msg
+      | disk, parts ->
+        if parts <> st.parts then
+          flag "root"
+            (Printf.sprintf "chain on disk %s, published %s" (oids parts) (oids st.parts));
+        if
+          disk.sn_epoch <> snap.sn_epoch
+          || (not (Tmap.equal ( = ) disk.sn_terms snap.sn_terms))
+          || (not (Imap.equal ( = ) disk.sn_doc_lens snap.sn_doc_lens))
+          || disk.sn_total_len <> snap.sn_total_len
+          || disk.sn_next_doc <> snap.sn_next_doc
+          || not (Tmap.equal String.equal disk.sn_meta snap.sn_meta)
+        then flag "root" "the chain on disk decodes to another directory than the published one");
   List.rev !problems
 
 (* ------------------------------------------------------------------ *)

@@ -41,11 +41,28 @@
     {b Snapshot isolation (Mneme backend).}  Writers never overwrite or
     free a live object.  Every mutation allocates new objects for the
     records it touches, then publishes a new {e epoch}: a sealed root
-    object ({!Mneme.Epoch.seal}) holding the complete object directory
-    — each term's chunk oids, df/cf, document lengths — is written and
-    the store header switched to it.  A chunk is never modified, so a
-    pinned epoch's chains stay readable, unchanged, after any number of
-    later appends and consolidations.  With a journal enabled
+    object ({!Mneme.Epoch.seal}) is written and the store header switched
+    to it.  A chunk is never modified, so a pinned epoch's chains stay
+    readable, unchanged, after any number of later appends and
+    consolidations.
+
+    {b The root is a chain of parts.}  The object directory — each
+    term's chunk oids, df/cf, document lengths, next-doc, the total
+    length and the metadata — is the fold of a chain of 1 to
+    {!max_chunks} immutable sealed parts, oldest first, and the header
+    names the newest.  The oldest, the {e base}, holds the whole
+    directory.  Every later part, a {e delta}, holds only what its own
+    publication changed: each term whose chunks, df or cf changed, as a
+    whole entry, or a tombstone for a removed term; the documents added
+    and removed; next-doc, the total length and the metadata as
+    absolute values; and the oids of the parts before it.  So a
+    publication writes what it changed, not the whole directory.  A
+    publication that would make a fifth part seals a fresh base instead
+    and retires every part of the old chain — the rule a full chunk
+    chain follows.  A base goes to the pool of its own size class, a
+    delta to its base's.  Every part is some earlier epoch's sealed root, so
+    the chain adds no object kind: the census, {!gc} and fsck treat a
+    part like a chunk.  With a journal enabled
     ([?journal]), the COW writes, the sealed root and the header switch
     ride {e one} transaction whose CRC-sealed commit record is the
     single commit point: a crash recovers to wholly the old epoch or
@@ -92,7 +109,9 @@ val wrap_mneme :
     not censused, so GC byte
     accounting covers only objects written through this live index
     ({!gc} reads a pre-existing object's size from the store, so
-    {!Mneme.Store.wasted_bytes} stays exact). *)
+    {!Mneme.Store.wasted_bytes} stays exact).  Raises
+    [Invalid_argument] if the store has a published root: reopen such a
+    store with {!open_mneme}. *)
 
 val create_btree :
   ?stopwords:Inquery.Stopwords.t -> ?stem:bool -> Vfs.t -> file:string -> unit -> t
@@ -114,7 +133,7 @@ val create_mneme :
     segments that hold a chunk the new directory names — the chunks
     the next fold consolidates and searches read — and every other
     resident segment is dropped unless a reader has it pinned.  The
-    sealed root is not counted.  An explicit [buffers] keeps fixed
+    root's parts are not counted.  An explicit [buffers] keeps fixed
     capacities instead.
     With [?journal] the store's writes go through a redo journal in that
     log file and every mutation commits — objects, sealed root, header —
@@ -132,20 +151,27 @@ val open_mneme :
   unit ->
   t
 (** Re-open a live index from its published root: run journal recovery
-    (when [?journal] is given), read the store's root envelope, and
-    rebuild the dictionary, chains, document lengths and epoch manager
-    from the sealed directory; every chunk the root names is live.
+    (when [?journal] is given), read the root chain the header names,
+    and rebuild the dictionary, chains, document lengths and epoch
+    manager from the directory its parts give; every part of the chain
+    and every chunk the directory names is live.
     Objects the root does not name — orphans of
     epochs that never committed or were superseded — are censused as
     stale and reclaimed by the next {!gc}.  [buffers] is as for
     {!create_mneme}: without it the pools are sized to the reopened
     epoch.  Raises
-    [Mneme.Store.Corrupt] if no root was ever published, if the root
-    envelope is torn or disagrees with the header, or if the sealed
-    directory is not in its one canonical form (front-coded terms in
-    strictly ascending order, 1 to {!max_chunks} chunks per term, no
-    chunk oid named twice or equal to the root's, ascending document
-    ids, no trailing bytes). *)
+    [Mneme.Store.Corrupt] if no root was ever published, if a part's
+    envelope is missing or torn, if the root's disagrees with the
+    header, or if the chain is not in its one canonical form.  Within a
+    part: front-coded terms in strictly ascending order, 1 to
+    {!max_chunks} chunks per entry (0 for a tombstone), ascending
+    document ids, no trailing bytes, no entry equal to the one the
+    earlier parts give, no tombstone for a term they lack, no added
+    document they hold and no removed one they lack.  Across the chain:
+    at most {!max_chunks} parts, the root's own oid not among them, each
+    part's own part list the chain before it, part epochs strictly
+    ascending, and no oid named twice across the parts and the chunks
+    of the directory they give, nor a chunk oid equal to the root's. *)
 
 val backend_name : t -> string
 (** "btree" or "mneme". *)
@@ -320,6 +346,10 @@ val max_chunks : int
 (** The bound on a term's chunk chain (4): a fold that finds a chain
     this long consolidates it with the new postings into one record. *)
 
+val root_parts : t -> int list
+(** The published root as its chain of parts, base first: the header
+    names the last ([] before the first publication and on B-tree). *)
+
 val chains : t -> (string * int list) list
 (** [(term, chunk oids oldest first)] for every term of the latest
     {e published} directory, sorted by term ([] on B-tree). *)
@@ -333,9 +363,9 @@ val audit : t -> (string * string) list
     deep-validates every chunk and every record and cross-checks df/cf
     against the dictionary ({!Catalog.verify_records}), checks the
     aggregate length/count invariants, and — on Mneme — verifies every
-    chain holds 1 to {!max_chunks} chunks and the published snapshot
+    chain holds 1 to {!max_chunks} chunks, the published snapshot
     agrees exactly with the live chains, dictionary and document
-    table. *)
+    table, and the root chain on disk decodes to that snapshot. *)
 
 val flush : t -> unit
 (** Persist backend metadata (B-tree header / Mneme finalize; journaled

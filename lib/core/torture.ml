@@ -161,6 +161,8 @@ let points (Plan p) = p.points
 let table (Plan p) = p.spec.table p.golden
 let golden_problems (Plan p) = List.rev_map snd p.golden_log.l_problems
 let pinned_consolidations (Plan p) = p.consolidated
+let pinned_base_rewrites (Plan p) =
+  Option.fold ~none:0 ~some:( ! ) (List.assoc_opt "base_rewrites" p.golden_log.l_counts)
 
 (* Replay [k]: arm a crash at physical I/O [k], run the workload into
    it, and hand the crash image to the oracle. *)
@@ -915,18 +917,37 @@ let scrub_budget_sweep ?(seed = 42) ?(docs = 12) ?(batches = 3) ?(standbys = 1) 
 (* Consolidations a pin reaches.  [w_pinned] holds every chunk the
    epoch of some held pin names; [w_held] those of them a later
    publication retired by consolidating a full chain
-   ({!Live_index.max_chunks} chunks) into one record.  Chains are read
-   from memory, so watching adds no I/O to the workload. *)
+   ({!Live_index.max_chunks} chunks) into one record.  [w_rewrites]
+   counts the publications that, while some pin was held, sealed a
+   fresh base and retired the root's whole chain of parts.  Chains are
+   read from memory, so watching adds no I/O to the workload. *)
 type chain_watch = {
   mutable w_chains : (string * int list) list; (* as last published *)
   w_pinned : (int, unit) Hashtbl.t;
   mutable w_held : int list;
+  mutable w_parts : int list; (* the root's chain as last published *)
+  mutable w_pins : int;
+  mutable w_rewrites : int;
 }
 
-let chain_watch () = { w_chains = []; w_pinned = Hashtbl.create 64; w_held = [] }
+let chain_watch () =
+  {
+    w_chains = [];
+    w_pinned = Hashtbl.create 64;
+    w_held = [];
+    w_parts = [];
+    w_pins = 0;
+    w_rewrites = 0;
+  }
 
-(* After every step: what the latest publication consolidated. *)
+(* After every step: what the latest publication consolidated, and
+   whether it rewrote the root's base. *)
 let watch_publish w live =
+  (match Live_index.root_parts live with
+  | [ _ ] as parts when w.w_parts <> [] && parts <> w.w_parts && w.w_pins > 0 ->
+    w.w_rewrites <- w.w_rewrites + 1
+  | _ -> ());
+  w.w_parts <- Live_index.root_parts live;
   let now = Live_index.chains live in
   let after = Hashtbl.of_seq (List.to_seq now) in
   List.iter
@@ -943,6 +964,7 @@ let watch_publish w live =
 
 (* When a pin is taken on the latest epoch. *)
 let watch_pin w =
+  w.w_pins <- w.w_pins + 1;
   List.iter
     (fun (_, chain) -> List.iter (fun oid -> Hashtbl.replace w.w_pinned oid ()) chain)
     w.w_chains
@@ -957,6 +979,7 @@ type pin_audit = {
   held : int; (* consolidated chunks a pin still read *)
   held_lost : int; (* of them, reclaimed by the gc under the pins *)
   held_left : int; (* of them, still stored after the release and final gc *)
+  rewrites : int; (* root bases rewritten while a pin was held *)
 }
 
 let pin_phase live ~pins ~watch ~view ~release ~drift =
@@ -979,6 +1002,7 @@ let pin_phase live ~pins ~watch ~view ~release ~drift =
     held = List.length watch.w_held;
     held_lost;
     held_left = stored ();
+    rewrites = watch.w_rewrites;
   }
 
 (* The golden run's verdict on that phase: every pinned reader ranked as
@@ -1009,7 +1033,8 @@ let audit_pin_phase log a ~last ~ranked_at =
     note log 0 "invariant audit after the pin phase (%d problems; %s: %s)" (List.length a.drift)
       where p);
   add log "reclaimed"
-    (a.gc_pinned.Mneme.Epoch.reclaimed_objects + a.gc_final.Mneme.Epoch.reclaimed_objects)
+    (a.gc_pinned.Mneme.Epoch.reclaimed_objects + a.gc_final.Mneme.Epoch.reclaimed_objects);
+  add log "base_rewrites" a.rewrites
 
 (* After recovery: gc drains every byte the interrupted step stranded
    and leaves a store that still deep-checks clean. *)
@@ -1165,7 +1190,14 @@ let epoch_oracle views ~seen _ img log k =
       Live_index.release live p;
       fsck log k ~what:"fsck" (Option.get (Live_index.mneme_store live));
       gc_drains log k live ~what:"fsck after gc";
-      report_drift log k ~what:"stat drift after recovery" (Live_index.audit live)
+      report_drift log k ~what:"stat drift after recovery" (Live_index.audit live);
+      (* The gc reclaimed nothing the root's chain still names: the store
+         reopens to the same directory. *)
+      match Live_index.open_mneme ~journal:epoch_log img ~file:epoch_file () with
+      | exception Mneme.Store.Corrupt msg -> note log k "epoch %d: unopenable after gc: %s" g msg
+      | again ->
+        if Live_index.directory again <> gold.eg_directory then
+          note log k "epoch %d: directory differs from golden after gc and a reopen" g
     end;
     true
 
@@ -1176,7 +1208,10 @@ let epoch ?(seed = 42) ?(docs = 8) () =
       name = "epoch";
       outcomes = ("opened", "unopenable");
       census =
-        [ "wholly_old"; "wholly_new"; "replayed"; "discarded"; "clean"; "epochs"; "reclaimed" ];
+        [
+          "wholly_old"; "wholly_new"; "replayed"; "discarded"; "clean"; "epochs"; "reclaimed";
+          "base_rewrites";
+        ];
       setup = fresh_device;
       trace = (fun () -> { e_started = 0; e_views = []; e_audit = None });
       consolidated = (fun tr -> Option.fold ~none:0 ~some:(fun a -> a.held) tr.e_audit);
@@ -1425,7 +1460,7 @@ let ingest ?(seed = 42) ?(docs = 8) () =
       census =
         [
           "wholly_old"; "wholly_new"; "replayed"; "discarded"; "clean"; "operations"; "acked";
-          "folds"; "redelivered"; "reclaimed";
+          "folds"; "redelivered"; "reclaimed"; "base_rewrites";
         ];
       setup = fresh_device;
       trace = (fun () -> { i_inflight = None; i_obs = []; i_audit = None });

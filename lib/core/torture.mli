@@ -83,10 +83,12 @@ val epoch : ?seed:int -> ?docs:int -> unit -> crash
     retain and strand nothing.  Every recovered root must be wholly the
     old epoch or wholly the new one — document count, directory, records
     and rankings identical to the golden view — fsck-clean before and
-    after a gc that drains every stranded byte.  Census: opened,
-    unopenable, wholly_old, wholly_new, replayed, discarded, clean,
-    epochs, reclaimed (objects the golden gc passes freed).  Raises
-    [Invalid_argument] on a non-positive [docs]. *)
+    after a gc that drains every stranded byte, and reopening after that
+    gc to the same directory (a gc that reclaimed a part of the root's
+    chain fails there).  Census: opened, unopenable, wholly_old,
+    wholly_new, replayed, discarded, clean, epochs, reclaimed (objects
+    the golden gc passes freed), base_rewrites ({!pinned_base_rewrites}).
+    Raises [Invalid_argument] on a non-positive [docs]. *)
 
 val ingest : ?seed:int -> ?docs:int -> unit -> crash
 (** An {!Ingest} index under [docs] (default 8) WAL-acknowledged
@@ -100,7 +102,8 @@ val ingest : ?seed:int -> ?docs:int -> unit -> crash
     the WAL and leave nothing stranded.  Census: opened, unopenable,
     wholly_old, wholly_new, replayed, discarded, clean, operations,
     acked, folds, redelivered (WAL records recovery re-applied),
-    reclaimed.  Raises [Invalid_argument] on a non-positive [docs]. *)
+    reclaimed, base_rewrites.  Raises [Invalid_argument] on a
+    non-positive [docs]. *)
 
 val scrub_repair :
   ?seed:int -> ?docs:int -> ?batches:int -> ?standbys:int -> segment:int -> unit -> crash
@@ -135,6 +138,12 @@ val pinned_consolidations : plan -> int
     {!ingest}; 0 for the rest).  The golden audit
     requires the gc under the pins to keep every one of them and the gc
     after their release to reclaim them all. *)
+
+val pinned_base_rewrites : plan -> int
+(** Publications of the golden run that sealed a fresh root base, and
+    retired the root's whole chain of {!Live_index.max_chunks} parts,
+    while a pin was held: the golden run's [base_rewrites] census count
+    ({!epoch} and {!ingest}; 0 for the rest). *)
 
 val replay : plan -> int -> string list
 (** Replay with a crash at physical I/O [k], hand the crash image to the

@@ -220,54 +220,163 @@ let test_flush_and_reopen_mneme () =
   let store = Mneme.Store.open_existing vfs "fl.mneme" in
   Alcotest.(check bool) "objects persisted" true (Mneme.Store.object_count store > 0)
 
-(* Every malformed root payload is [Mneme.Store.Corrupt] and nothing
-   else.  Each variant is resealed under the published epoch, so the
-   envelope's CRC passes and only the payload decoder can object. *)
-let test_malformed_roots_are_corrupt () =
+(* --- the sealed root chain ---------------------------------------- *)
+
+(* The root fixture: five documents and seven publications.  The fifth
+   publication seals a fresh base (the chain would have grown to five
+   parts), and the two after it seal deltas, so the header names the
+   third part of a chain [base; delta; delta]. *)
+type root_fixture = {
+  rf_vfs : Vfs.t;
+  rf_live : Core.Live_index.t;
+  rf_base : bytes; (* the base part's payload as published *)
+  rf_base_dir : string list; (* the terms it holds *)
+  rf_parts : int list; (* the final chain, base first *)
+}
+
+let rf_file = "mr.mneme"
+
+let payload_of store oid =
+  match Mneme.Epoch.unseal (Mneme.Store.get store oid) with
+  | Ok (_, p) -> p
+  | Error e -> Alcotest.fail e
+
+let root_fixture () =
   let vfs = Vfs.create () in
-  let live = Core.Live_index.create_mneme vfs ~file:"mr.mneme" () in
+  let live = Core.Live_index.create_mneme vfs ~file:rf_file () in
   List.iter
     (fun text -> ignore (Core.Live_index.add_document live text))
     [ "alpha alphabet beta"; "alpha beta gamma"; "zeta 42 alphabets" ];
   ignore (Core.Live_index.delete_document live 1);
   (* The deletion rewrote "alpha" and "beta" whole; one more document
      makes "beta" and "zeta" two-chunk chains. *)
-  ignore (Core.Live_index.add_document live "zeta beta");
-  Core.Live_index.fold_batch live ~meta:[ ("key", "value") ] ~docs:[] ~postings:[] ~deletes:[] ();
+  let terms, len = Core.Live_index.tokenize live "zeta beta" in
+  Core.Live_index.fold_batch live ~meta:[ ("key", "value") ]
+    ~docs:[ (3, len) ]
+    ~postings:(List.map (fun (term, ps) -> (term, Inquery.Postings.encode [ (3, ps) ])) terms)
+    ~deletes:[] ();
   let store = Option.get (Core.Live_index.mneme_store live) in
-  let epoch = Mneme.Store.epoch store in
-  let root = Option.get (Mneme.Store.root store) in
-  let payload =
-    match Mneme.Epoch.unseal (Mneme.Store.get store root) with
-    | Ok (_, p) -> p
-    | Error e -> Alcotest.fail e
+  let base = List.hd (Core.Live_index.root_parts live) in
+  Alcotest.(check (list int)) "the fifth publication seals a base" [ base ]
+    (Core.Live_index.root_parts live);
+  let rf_base = payload_of store base in
+  let rf_base_dir = List.map (fun (term, _, _) -> term) (Core.Live_index.directory live) in
+  (* A delta that adds a term, and one that removes a document and
+     tombstones the one term only it held. *)
+  ignore (Core.Live_index.add_document live "alpha omega");
+  ignore (Core.Live_index.delete_document live 0);
+  Core.Live_index.flush live;
+  { rf_vfs = vfs; rf_live = live; rf_base; rf_base_dir; rf_parts = Core.Live_index.root_parts live }
+
+(* Open a copy of the fixture's store in which each [(oid, payload,
+   epoch)] of [reseal] replaces that object's contents, sealed for
+   [epoch] (default the header's): "opened", "Corrupt: <why>", or
+   whatever else was raised. *)
+let open_resealed rf reseal =
+  let img = Vfs.create () in
+  Vfs.copy_file rf.rf_vfs rf_file ~into:img;
+  let store = Mneme.Store.open_existing img rf_file in
+  List.iter
+    (fun name ->
+      Mneme.Store.attach_buffer (Mneme.Store.pool store name)
+        (Mneme.Buffer_pool.create ~name ~capacity:0 ()))
+    [ "small"; "medium"; "large" ];
+  List.iter
+    (fun (oid, payload, epoch) ->
+      let epoch = Option.value epoch ~default:(Mneme.Store.epoch store) in
+      Mneme.Store.modify store oid (Mneme.Epoch.seal ~epoch payload))
+    reseal;
+  Mneme.Store.finalize store;
+  match Core.Live_index.open_mneme img ~file:rf_file () with
+  | _ -> "opened"
+  | exception Mneme.Store.Corrupt why -> "Corrupt: " ^ why
+  | exception e -> Printexc.to_string e
+
+let root_of rf = List.nth rf.rf_parts (List.length rf.rf_parts - 1)
+
+let contains s sub =
+  let n = String.length sub in
+  let rec at i = i + n <= String.length s && (String.sub s i n = sub || at (i + 1)) in
+  at 0
+
+(* The header's root resealed to hold [payload]. *)
+let open_root rf payload = open_resealed rf [ (root_of rf, payload, None) ]
+
+let count_bits = 3
+
+(* A part's payload written from its fields, independently of the
+   library's encoder: the earlier parts, next-doc, total length, the
+   added documents with their lengths and the removed ones, each term's
+   entry ([None] a tombstone) front-coded in the order given, and the
+   metadata. *)
+let part ~earlier ~next_doc ~total ?(added = []) ?(removed = []) ~entries ~meta () =
+  let b = Buffer.create 256 in
+  let gaps f docs =
+    Util.Bin.buf_u32 b (List.length docs);
+    ignore
+      (List.fold_left
+         (fun prev d ->
+           Util.Varint.encode b (fst d - prev);
+           f d;
+           fst d)
+         (-1) docs)
   in
-  let reopen variant =
-    Mneme.Store.modify store root (Mneme.Epoch.seal ~epoch variant);
-    Mneme.Store.finalize store;
-    let img = Vfs.create () in
-    Vfs.copy_file vfs "mr.mneme" ~into:img;
-    match Core.Live_index.open_mneme img ~file:"mr.mneme" () with
-    | _ -> "opened"
-    | exception Mneme.Store.Corrupt _ -> "Corrupt"
-    | exception e -> Printexc.to_string e
+  Util.Varint.encode b (List.length earlier);
+  List.iter (Util.Varint.encode b) earlier;
+  Util.Bin.buf_u32 b next_doc;
+  Util.Bin.buf_u64 b total;
+  gaps (fun (_, len) -> Util.Varint.encode b len) added;
+  gaps ignore (List.map (fun d -> (d, ())) removed);
+  Util.Bin.buf_u32 b (List.length entries);
+  ignore
+    (List.fold_left
+       (fun prev (term, entry) ->
+         let n = min (String.length prev) (String.length term) in
+         let rec shared i = if i < n && prev.[i] = term.[i] then shared (i + 1) else i in
+         let shared = shared 0 in
+         let chunks, stats =
+           match entry with Some (c, df, cf) -> (c, [ df; cf ]) | None -> ([], [])
+         in
+         Util.Varint.encode b ((shared lsl count_bits) lor List.length chunks);
+         Util.Varint.encode b (String.length term - shared);
+         Buffer.add_substring b term shared (String.length term - shared);
+         List.iter (Util.Varint.encode b) (chunks @ stats);
+         term)
+       "" entries);
+  Util.Bin.buf_u32 b (List.length meta);
+  List.iter
+    (fun (k, v) ->
+      Util.Bin.buf_string b k;
+      Util.Bin.buf_string b v)
+    meta;
+  Buffer.to_bytes b
+
+(* Every malformed base is [Mneme.Store.Corrupt] and nothing else.  Each
+   variant is resealed under the published epoch, so the envelope's CRC
+   passes and only the payload decoder can object. *)
+let test_malformed_bases_are_corrupt () =
+  let rf = root_fixture () in
+  let payload = rf.rf_base in
+  let corrupt what variant =
+    let got = open_root rf variant in
+    if not (String.starts_with ~prefix:"Corrupt" got) then Alcotest.failf "%s: %s" what got
   in
-  let corrupt what variant = Alcotest.(check string) what "Corrupt" (reopen variant) in
   (* Walk the layout: each document's (offset, gap), then each term
      entry's offset, shared prefix and suffix length, and its chunk oids
-     with their offset and byte length.  The shared-prefix varint holds
-     the chunk count in its low [count_bits] bits. *)
-  let count_bits = 3 in
-  let pos = ref 16 in
+     with their offset and byte length.  A base lists no earlier part
+     (one varint byte) and no removed document; the shared-prefix varint
+     holds the chunk count in its low [count_bits] bits. *)
+  let pos = ref 17 in
   let docs =
-    Array.init (Util.Bin.get_u32 payload 12) (fun _ ->
+    Array.init (Util.Bin.get_u32 payload 13) (fun _ ->
         let at = !pos in
         let gap = Util.Varint.read payload pos in
         ignore (Util.Varint.read payload pos);
         (at, gap))
   in
-  let n_terms = Util.Bin.get_u32 payload !pos in
-  pos := !pos + 4;
+  Alcotest.(check int) "a base removes no document" 0 (Util.Bin.get_u32 payload !pos);
+  let n_terms = Util.Bin.get_u32 payload (!pos + 4) in
+  pos := !pos + 8;
   let terms =
     Array.init n_terms (fun _ ->
         let at = !pos in
@@ -322,16 +431,15 @@ let test_malformed_roots_are_corrupt () =
     let _, _, _, (_, c, _) = terms.(i) in
     c
   in
-  let dir = List.map (fun (term, _, _) -> term) (Core.Live_index.directory live) in
   Alcotest.(check (list string))
     "the directory the variants start from"
     [ "42"; "alpha"; "alphabet"; "alphabets"; "beta"; "zeta" ]
-    dir;
-  Alcotest.(check string) "the untouched payload opens" "opened" (reopen payload);
+    rf.rf_base_dir;
+  Alcotest.(check string) "the base alone opens" "opened" (open_root rf payload);
   for n = 0 to Bytes.length payload - 1 do
     corrupt (Printf.sprintf "truncated to %d bytes" n) (Bytes.sub payload 0 n)
   done;
-  (* Documents 0 and 2 survive; a zero gap repeats document 0. *)
+  (* Documents 0, 2 and 3 survive; a zero gap repeats document 0. *)
   corrupt "a repeated document id" (regap 1 0);
   (* Term 2 is "alphabet", front-coded against "alpha". *)
   corrupt "a shared prefix longer than the previous term" (recode 2 ~shared:6 ~suffix:"bet");
@@ -345,15 +453,164 @@ let test_malformed_roots_are_corrupt () =
   Alcotest.(check int) "the chain the variants start from" 2 (List.length (chunks 4));
   let first = List.hd (chunks 4) in
   Alcotest.(check string) "the chain rewritten as it was opens" "opened"
-    (reopen (rechain 4 ~count:2 (chunks 4)));
-  corrupt "a chain of no chunks" (rechain 4 ~count:0 []);
+    (open_root rf (rechain 4 ~count:2 (chunks 4)));
+  corrupt "a tombstone in a base" (rechain 4 ~count:0 []);
   corrupt "a chain past the bound" (rechain 4 ~count:5 (chunks 4 @ [ 1001; 1002; 1003 ]));
   corrupt "a chunk oid repeated in one chain" (rechain 4 ~count:2 [ first; first ]);
   corrupt "a chunk oid another term names"
     (rechain 4 ~count:2 (List.hd (chunks 5) :: List.tl (chunks 4)));
-  corrupt "the root's oid as a chunk" (rechain 4 ~count:2 [ first; root ]);
-  corrupt "a truncated chunk list" (rechain 4 ~count:2 [ first ]);
-  Alcotest.(check string) "the untouched payload still opens" "opened" (reopen payload)
+  corrupt "the root's oid as a chunk" (rechain 4 ~count:2 [ first; root_of rf ]);
+  corrupt "a truncated chunk list" (rechain 4 ~count:2 [ first ])
+
+(* Every rule of the chain's canonical form, one case each: the case
+   must fail with that rule's own reason, so dropping any one rule from
+   the decoder fails it. *)
+let test_malformed_chains_are_corrupt () =
+  let rf = root_fixture () in
+  let live = rf.rf_live in
+  let store = Option.get (Core.Live_index.mneme_store live) in
+  let base, delta, root =
+    match rf.rf_parts with
+    | [ b; d; r ] -> (b, d, r)
+    | parts -> Alcotest.failf "a chain of %d parts" (List.length parts)
+  in
+  let chains = Core.Live_index.chains live and dir = Core.Live_index.directory live in
+  let entry term =
+    let _, df, cf = List.find (fun (t, _, _) -> t = term) dir in
+    Some (List.assoc term chains, df, cf)
+  in
+  (* The last delta deleted document 0, "alpha alphabet beta": "alpha"
+     and "beta" were rewritten and "alphabet", which only it held, is a
+     tombstone. *)
+  let delta_part ?(earlier = [ base; delta ]) ?(added = []) ?(removed = [ 0 ]) ?entries () =
+    let entries =
+      Option.value entries
+        ~default:[ ("alpha", entry "alpha"); ("alphabet", None); ("beta", entry "beta") ]
+    in
+    part ~earlier ~next_doc:(Core.Live_index.next_doc live)
+      ~total:(Core.Live_index.latest live).Core.Live_index.total_len ~added ~removed ~entries
+      ~meta:(Core.Live_index.meta live) ()
+  in
+  Alcotest.(check bool) "the published delta is the part written from its fields" true
+    (Bytes.equal (payload_of store root) (delta_part ()));
+  Alcotest.(check string) "the chain opens" "opened" (open_root rf (delta_part ()));
+  let corrupt what ~why reseal =
+    let got = open_resealed rf reseal in
+    if not (String.starts_with ~prefix:"Corrupt" got && contains got why) then
+      Alcotest.failf "%s: expected Corrupt for %S, got %s" what why got
+  in
+  let corrupt_root what ~why payload = corrupt what ~why [ (root, payload, None) ] in
+  corrupt_root "an entry the earlier parts already give" ~why:"repeats an entry"
+    (delta_part
+       ~entries:
+         [
+           ("alpha", entry "alpha");
+           ("alphabet", None);
+           ("beta", entry "beta");
+           ("zeta", entry "zeta");
+         ]
+       ());
+  corrupt_root "a tombstone for a term the earlier parts lack" ~why:"tombstones a term"
+    (delta_part
+       ~entries:
+         [ ("alpha", entry "alpha"); ("alphabet", None); ("beta", entry "beta"); ("gamma", None) ]
+       ());
+  corrupt_root "an added document already present" ~why:"adds a document already present"
+    (delta_part ~added:[ (2, 3) ] ());
+  corrupt_root "a removed document that is absent" ~why:"removes a document that is absent"
+    (delta_part ~removed:[ 0; 1 ] ());
+  corrupt_root "parts out of order" ~why:"own part list is not the chain before it"
+    (delta_part ~earlier:[ delta; base ] ());
+  corrupt "part epochs that do not ascend" ~why:"epochs do not ascend"
+    [ (delta, payload_of store delta, Some (Mneme.Store.epoch store - 2)) ];
+  corrupt "a part sealed at the root's epoch" ~why:"epochs do not ascend"
+    [ (delta, payload_of store delta, None) ];
+  corrupt_root "five parts" ~why:"lists 4 earlier parts"
+    (delta_part ~earlier:[ base; delta; 1001; 1002 ] ());
+  corrupt_root "a part's oid as a chunk" ~why:"names an oid twice"
+    (delta_part
+       ~entries:
+         [
+           ("alpha", Option.map (fun (_, df, cf) -> ([ base ], df, cf)) (entry "alpha"));
+           ("alphabet", None);
+           ("beta", entry "beta");
+         ]
+       ());
+  corrupt_root "the root's oid as a part" ~why:"lists its own oid as a part"
+    (delta_part ~earlier:[ base; delta; root ] ());
+  corrupt_root "a chunk as a part" ~why:"root part"
+    (delta_part ~earlier:[ base; List.hd (List.assoc "zeta" chains) ] ());
+  corrupt_root "a part that resolves to no object" ~why:"resolves to no object"
+    (delta_part ~earlier:[ base; 1_000_000 ] ());
+  Alcotest.(check string) "the chain still opens" "opened" (open_root rf (delta_part ()));
+  (* The audit decodes the chain on disk against the published snapshot:
+     a root that no longer removes document 0 still decodes, to another
+     directory. *)
+  Alcotest.(check (list (pair string string))) "the audit is clean" [] (Core.Live_index.audit live);
+  Mneme.Store.modify store root
+    (Mneme.Epoch.seal ~epoch:(Mneme.Store.epoch store) (delta_part ~removed:[] ()));
+  Alcotest.(check (list string))
+    "the audit finds the chain on disk changed" [ "root" ]
+    (List.map fst (Core.Live_index.audit live))
+
+(* A delta goes to its base's pool: a base over 4 KB is in the large
+   pool, and a one-word delta follows it there rather than into the
+   medium pool among the records. *)
+let test_deltas_follow_their_base () =
+  let live = Core.Live_index.create_mneme (Vfs.create ()) ~file:"dp.mneme" () in
+  ignore
+    (Core.Live_index.add_document live
+       (String.concat " " (List.init 600 (fun i -> Printf.sprintf "term%d" i))));
+  ignore (Core.Live_index.add_document live "term1");
+  let store = Option.get (Core.Live_index.mneme_store live) in
+  let pool oid = Mneme.Store.pool_name (Option.get (Mneme.Store.pool_of_oid store oid)) in
+  let size oid = Option.get (Mneme.Store.object_size store oid) in
+  match Core.Live_index.root_parts live with
+  | [ base; delta ] ->
+    Alcotest.(check bool) "a base over 4 KB" true (size base > 4096);
+    Alcotest.(check bool) "a delta under 4 KB" true (size delta < 4096);
+    Alcotest.(check (list string)) "both in the large pool" [ "large"; "large" ]
+      [ pool base; pool delta ]
+  | parts -> Alcotest.failf "a chain of %d parts" (List.length parts)
+
+(* Whatever a root holds, opening it returns an index or raises
+   [Mneme.Store.Corrupt]: arbitrary bytes, and truncations and 1-4-byte
+   overwrites of the real base and delta payloads, each resealed under
+   the header's epoch at the header's root. *)
+let prop_root_decoder_total =
+  let rf = lazy (root_fixture ()) in
+  let payloads =
+    lazy
+      (let rf = Lazy.force rf in
+       let store = Option.get (Core.Live_index.mneme_store rf.rf_live) in
+       Array.of_list (List.map (payload_of store) rf.rf_parts))
+  in
+  let gen =
+    let open QCheck.Gen in
+    let real = map (fun i -> (Lazy.force payloads).(i)) (int_range 0 2) in
+    frequency
+      [
+        (1, map Bytes.of_string (string_size (int_range 0 200)));
+        ( 2,
+          real >>= fun p ->
+          map (fun n -> Bytes.sub p 0 (n mod (Bytes.length p + 1))) nat );
+        ( 7,
+          real >>= fun p ->
+          map
+            (fun writes ->
+              let p = Bytes.copy p in
+              List.iter
+                (fun (at, c) -> Bytes.set p (at mod Bytes.length p) (Char.chr c))
+                writes;
+              p)
+            (list_size (int_range 1 4) (pair nat (int_range 0 255))) );
+      ]
+  in
+  QCheck.Test.make ~name:"the root decoder is total" ~count:10_000
+    (QCheck.make ~print:(fun b -> String.escaped (Bytes.to_string b)) gen)
+    (fun payload ->
+      let got = open_root (Lazy.force rf) payload in
+      got = "opened" || String.starts_with ~prefix:"Corrupt" got)
 
 let test_backend_names () =
   both_backends (fun live ->
@@ -568,7 +825,10 @@ let suite =
     Alcotest.test_case "avg length tracking" `Quick test_avg_length_tracking;
     Alcotest.test_case "compact live index" `Quick test_compact_live_index;
     Alcotest.test_case "compact btree rejected" `Quick test_compact_btree_rejected;
-    Alcotest.test_case "malformed roots are Corrupt" `Quick test_malformed_roots_are_corrupt;
+    Alcotest.test_case "malformed roots are Corrupt" `Quick test_malformed_bases_are_corrupt;
+    Alcotest.test_case "malformed root chains are Corrupt" `Quick test_malformed_chains_are_corrupt;
+    QCheck_alcotest.to_alcotest prop_root_decoder_total;
+    Alcotest.test_case "a delta is sealed in its base's pool" `Quick test_deltas_follow_their_base;
     Alcotest.test_case "pools sized to the published epoch" `Quick test_pools_sized_to_epoch;
     Alcotest.test_case "explicit buffers stay fixed" `Quick test_explicit_buffers_stay_fixed;
     Alcotest.test_case "a repeated query term is read once" `Quick test_repeated_term_read_once;

@@ -72,7 +72,9 @@ let root_vocab =
 (* The first operation is an add, so that an epoch is published and
    the store has a root to reopen.  At least five more follow, so that
    words the vocabulary repeats fill their chunk chains (four chunks)
-   and consolidate, and deletions rewrite chains whole. *)
+   and consolidate, deletions rewrite chains whole, and the root's chain
+   of parts fills and is rewritten as a base; gc runs between
+   publications. *)
 let root_ops_gen =
   let open QCheck.Gen in
   let text = list_size (int_range 1 5) (int_range 0 (Array.length root_vocab - 1)) in
@@ -82,10 +84,13 @@ let root_ops_gen =
         (6, map (fun ws -> `Add ws) text);
         (2, map (fun d -> `Delete d) (int_range 0 25));
         (1, map3 (fun ws d v -> `Fold (ws, d, v)) text (int_range 0 25) (int_range 0 999));
+        (1, pure `Gc);
       ]
   in
   map2 (fun ws ops -> `Add ws :: ops) text (list_size (int_range 5 24) op)
 
+(* Reopened after every operation, the store gives the live index's
+   directory, whatever the length of the root's chain. *)
 let prop_directory_survives_reopen =
   QCheck.Test.make ~name:"the live index's directory survives a reopen" ~count:100
     (QCheck.make root_ops_gen)
@@ -93,10 +98,12 @@ let prop_directory_survives_reopen =
       let vfs = Vfs.create () in
       let live = Core.Live_index.create_mneme ~journal:"dr.log" vfs ~file:"dr.mneme" () in
       let text ws = String.concat " " (List.map (fun w -> root_vocab.(w)) ws) in
-      List.iter
-        (function
+      List.for_all
+        (fun op ->
+          (match op with
           | `Add ws -> ignore (Core.Live_index.add_document live (text ws))
           | `Delete d -> ignore (Core.Live_index.delete_document live d)
+          | `Gc -> ignore (Core.Live_index.gc live)
           | `Fold (ws, d, v) ->
             (* One document, one deletion and a metadata pair as one
                epoch, the way an ingestion merge publishes. *)
@@ -107,20 +114,24 @@ let prop_directory_survives_reopen =
               ~docs:[ (doc, len) ]
               ~postings:
                 (List.map (fun (term, ps) -> (term, Inquery.Postings.encode [ (doc, ps) ])) terms)
-              ~deletes:[ d ] ())
-        ops;
-      let re =
-        Core.Live_index.open_mneme ~journal:"dr.log" (Vfs.crash_image vfs) ~file:"dr.mneme" ()
-      in
-      let open Core.Live_index in
-      directory re = directory live
-      && chains re = chains live
-      && doc_lengths re = doc_lengths live
-      && meta re = meta live
-      && next_doc re = next_doc live
-      && (latest re).total_len = (latest live).total_len
-      && epoch re = epoch live
-      && audit re = [])
+              ~deletes:[ d ] ());
+          let re =
+            Core.Live_index.open_mneme ~journal:"dr.log" (Vfs.crash_image vfs) ~file:"dr.mneme" ()
+          in
+          let open Core.Live_index in
+          let parts = List.length (root_parts live) in
+          parts >= 1 && parts <= max_chunks
+          && root_parts re = root_parts live
+          && directory re = directory live
+          && chains re = chains live
+          && doc_lengths re = doc_lengths live
+          && meta re = meta live
+          && next_doc re = next_doc live
+          && (latest re).total_len = (latest live).total_len
+          && epoch re = epoch live
+          && audit re = []
+          && audit live = [])
+        ops)
 
 (* --- Journal vs direct writes ---------------------------------------- *)
 

@@ -92,7 +92,8 @@ let test_driver_audits_every_point () =
    consolidate them while a pin still reads the old chunks: the golden
    audit then proves pinned rankings stay bit-identical, the gc under
    the pins keeps every such chunk and the gc after their release
-   reclaims them all. *)
+   reclaims them all.  Both also fill the root's chain of parts and
+   rewrite its base while a pin is held. *)
 let test_golden_runs_consolidate_under_pins () =
   List.iter
     (fun (name, family) ->
@@ -102,7 +103,11 @@ let test_golden_runs_consolidate_under_pins () =
       Alcotest.(check bool)
         (name ^ ": a pinned chain was consolidated")
         true
-        (Core.Torture.pinned_consolidations plan > 0))
+        (Core.Torture.pinned_consolidations plan > 0);
+      Alcotest.(check bool)
+        (name ^ ": a root base was rewritten under a pin")
+        true
+        (Core.Torture.pinned_base_rewrites plan > 0))
     [ ("epoch", Core.Torture.epoch ~docs:16 ()); ("ingest", Core.Torture.ingest ~docs:16 ()) ]
 
 let test_json_escapes_problems () =
