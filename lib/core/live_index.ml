@@ -18,7 +18,22 @@ module Iset = Set.Make (Int)
    twice as often. *)
 let max_chunks = 4
 
-type term_info = { ti_chunks : int list; ti_df : int; ti_cf : int }
+(* A chunk of at most [inline_max] bytes rides inline in its term's
+   root entry; a larger one is a Mneme object in the size class of its
+   own bytes.  Most inverted lists stay that short: on ingest-mixed seed
+   1, 6,900-7,600 of the ~8,300 chunks a fold writes are, 7 bytes on
+   average, and as objects each took a 16-byte slot and a 2-3-byte oid
+   in the root, their small-pool segments the largest thing a fold
+   wrote.  Inline bytes are immutable, so every snapshot naming a chunk
+   shares them. *)
+type chunk = Object of int | Inline of string
+
+(* The bound is the paper's small-pool payload, [Partition.default]'s
+   [small_max] (12 bytes), and part of the root's format: the writer and
+   every reader apply the same one. *)
+let inline_max = Partition.default.Partition.small_max
+
+type term_info = { ti_chunks : chunk list; ti_df : int; ti_cf : int }
 
 (* An immutable image of the object directory at one published epoch:
    everything a reader needs to evaluate queries against that version
@@ -41,9 +56,8 @@ type mneme_pools = {
 
 type mneme_state = {
   mutable pools : mneme_pools;
-  thresholds : Partition.thresholds;
   epochs : Mneme.Epoch.t;
-  chains : (string, int list) Hashtbl.t; (* the latest state's chunks per term *)
+  chains : (string, chunk list) Hashtbl.t; (* the latest state's chunks per term *)
   mutable snap : snapshot; (* the latest published epoch's image *)
   mutable parts : int list;
       (* the sealed root of [snap] as its chain of parts, base first: the
@@ -82,17 +96,24 @@ let empty_snapshot epoch =
    some earlier epoch sealed, an ordinary object in the EPRT envelope, so
    the chain adds no object kind.  A base part holds the whole
    directory.  Every later part, a delta, holds only what its own
-   publication changed since the epoch before: each term whose chunk
-   list, df or cf changed, as a whole entry, or a tombstone for a term
+   publication changed since the epoch before: each term whose chunks,
+   df or cf changed, as an extension listing only the chunks appended to
+   its chain since the part before, or, when the term is new,
+   consolidated or rewritten, as a whole entry; a tombstone for a term
    removed; the documents added and removed; next-doc, the total length
    and the metadata as absolute values; and the oids of the parts before
-   it.  A publication that would make a fifth part seals a fresh base
-   instead and retires every old part, the rule a full chunk chain
-   follows.  On ingest-mixed seed 1 the roots of folds 1-4 were 65, 103,
-   144 and 176 KB while each held the whole directory; as a base and
-   three deltas they are 65, 72, 93 and 99 KB.  A cumulative delta
-   against one base would not pay at that cadence: the entries changed
-   since fold 1 outgrow the base by fold 2.
+   it.  An inline chunk is thus written once by the part that introduces
+   it, and again only when a base is sealed: with whole entries every
+   later touch of a term would copy its inline chunks again.  A
+   publication that would make a fifth part seals a fresh base instead
+   and retires every old part, the rule a full chunk chain follows.  On
+   ingest-mixed seed 1 the roots of folds 1-4 were 65, 103, 144 and 176
+   KB while each held the whole directory, and 65, 72, 93 and 99 KB as
+   a base and three deltas; with chunks of at most 12 bytes inline they
+   are 108, 106, 113 and 104 KB, and the 112-120 KiB of small-pool
+   segments each fold wrote are gone.  A cumulative delta against one
+   base would not pay at that cadence: the entries changed since fold 1
+   outgrow the base by fold 2.
 
    A part's payload.  Integers are v-byte varints except the u32 counts
    and next-doc and the u64 total length:
@@ -105,10 +126,13 @@ let empty_snapshot epoch =
    - the removed documents: their count, then their gaps;
    - the term entries: their count, then per term in [Tmap] order the
      term front-coded against the one before it (the length of the
-     prefix they share, shifted left by [count_bits] and or-ed with its
-     chunk count, 0 for a tombstone; the suffix length; the suffix
-     bytes), then, unless a tombstone, its chunk oids oldest first, df
-     and cf;
+     prefix they share, shifted left by [count_bits] and or-ed with the
+     number of chunks the entry lists, 0 for a tombstone; the suffix
+     length, shifted left by one and or-ed with 1 for an extension; the
+     suffix bytes), then, unless a tombstone, the chunks it lists oldest
+     first, df and cf.  A chunk is one varint, an object's oid shifted
+     left by one, or an inline chunk's length shifted left by one and
+     or-ed with 1 and followed by its bytes;
    - the metadata count, then each key and value as a u32-length string,
      keys ascending.
    Front coding stores each term's shared prefix once.  Tmap/Imap
@@ -118,17 +142,23 @@ let empty_snapshot epoch =
    [Mneme.Store.Corrupt] on anything else.  Within a part: a shared
    prefix that is not exactly the common prefix with the previous term
    (longer than that term, say), a document id, term or key not strictly
-   after the one before it, a chunk count above [max_chunks], an entry
-   equal to the one the earlier parts already give, a tombstone for a
-   term they lack, an added document they hold or a removed one they
-   lack, and bytes left over after the metadata.  Across the chain: more
-   than [max_chunks] parts, the root's own oid listed as a part, a part
-   whose own part list is not the chain before it, part epochs that do
-   not strictly ascend, and an oid named twice across the parts and the
-   chunks of the directory they give, or a chunk oid equal to the
-   root's.  The chunk count rides the shared-prefix varint, so a
+   after the one before it, a chunk count above [max_chunks], an inline
+   chunk that is empty, longer than [inline_max] or not a record
+   [Inquery.Postings.validate] accepts, inline chunks of one chain whose
+   documents do not ascend from chunk to chunk, an extension in a base, of a
+   term the earlier parts lack, that appends no chunk or that makes a
+   chain longer than [max_chunks], a whole entry whose chain extends the
+   one the earlier parts give, an entry equal to the one they already
+   give, a tombstone for a term they lack, an added document they hold
+   or a removed one they lack, and bytes left over after the metadata.
+   Across the chain: more than [max_chunks] parts, the root's own oid
+   listed as a part, a part whose own part list is not the chain before
+   it, part epochs that do not strictly ascend, and an oid named twice
+   across the parts and the object chunks of the directory they give, or
+   a chunk oid equal to the root's.  The chunk count rides the
+   shared-prefix varint and the extension flag the suffix length's, so a
    one-chunk entry costs what a bare locator did whenever the shared
-   prefix is under 16 bytes. *)
+   prefix is under 16 bytes and the suffix under 64. *)
 let count_bits = 3
 let () = assert (max_chunks < 1 lsl count_bits)
 
@@ -137,9 +167,25 @@ let common_prefix a b =
   let rec go i = if i < n && a.[i] = b.[i] then go (i + 1) else i in
   go 0
 
+let encode_chunk b = function
+  | Object oid -> Util.Varint.encode b (oid lsl 1)
+  | Inline s ->
+    Util.Varint.encode b ((String.length s lsl 1) lor 1);
+    Buffer.add_string b s
+
+(* Whether [chain] is [earlier] followed by at least one more chunk. *)
+let rec extends earlier chain =
+  match (earlier, chain) with
+  | [], _ :: _ -> true
+  | e :: earlier, c :: chain -> e = c && extends earlier chain
+  | _ -> false
+
 (* One part over the chain [earlier]: [entries] maps each changed term
-   to its new entry ([None] a tombstone), [added] and [removed] are the
-   documents; next-doc, the total length and the metadata are [snap]'s. *)
+   to its new entry and how many of its chunks head the chain the
+   earlier parts give, which an extension does not list again (0 for a
+   whole entry), or to [None] for a tombstone; [added] and [removed] are
+   the documents; next-doc, the total length and the metadata are
+   [snap]'s. *)
 let encode_part ~earlier ~entries ~added ~removed snap =
   let b = Buffer.create 4096 in
   Util.Varint.encode b (List.length earlier);
@@ -167,13 +213,17 @@ let encode_part ~earlier ~entries ~added ~removed snap =
        (fun term entry prev ->
          let shared = common_prefix prev term in
          let suffix = String.length term - shared in
-         let chunks = match entry with Some ti -> ti.ti_chunks | None -> [] in
-         Util.Varint.encode b ((shared lsl count_bits) lor List.length chunks);
-         Util.Varint.encode b suffix;
+         let listed, kept =
+           match entry with
+           | Some (ti, kept) -> (List.filteri (fun i _ -> i >= kept) ti.ti_chunks, kept)
+           | None -> ([], 0)
+         in
+         Util.Varint.encode b ((shared lsl count_bits) lor List.length listed);
+         Util.Varint.encode b ((suffix lsl 1) lor Bool.to_int (kept > 0));
          Buffer.add_substring b term shared suffix;
          Option.iter
-           (fun ti ->
-             List.iter (Util.Varint.encode b) ti.ti_chunks;
+           (fun (ti, _) ->
+             List.iter (encode_chunk b) listed;
              Util.Varint.encode b ti.ti_df;
              Util.Varint.encode b ti.ti_cf)
            entry;
@@ -203,14 +253,29 @@ let decode_snapshot ~epoch ~root ~part payload =
     List.init n (fun _ -> varint payload pos)
   in
   (* One part's payload after its part list, applied to [snap], the
-     directory the parts before it give. *)
-  let apply snap payload pos =
+     directory the parts before it give ([base]: none). *)
+  let apply ~base snap payload pos =
     let u32 () =
       let v = Util.Bin.get_u32 payload !pos in
       pos := !pos + 4;
       v
     in
     let varint () = varint payload pos in
+    let chunk () =
+      let head = varint () in
+      if head land 1 = 0 then Object (head lsr 1)
+      else begin
+        let len = head lsr 1 in
+        if len = 0 then corrupt "holds an empty inline chunk";
+        if len > inline_max then corrupt (Printf.sprintf "holds an inline chunk of %d bytes" len);
+        let s = Bytes.sub_string payload !pos len in
+        pos := !pos + len;
+        (match Inquery.Postings.validate (Bytes.unsafe_of_string s) with
+        | Ok () -> ()
+        | Error e -> corrupt ("holds an inline chunk that is not a postings record: " ^ e));
+        Inline s
+      end
+    in
     let next_doc = u32 () in
     let total_len = Util.Bin.get_u64 payload !pos in
     pos := !pos + 8;
@@ -235,7 +300,8 @@ let decode_snapshot ~epoch ~root ~part payload =
     for _ = 1 to u32 () do
       let head = varint () in
       let shared = head lsr count_bits and count = head land ((1 lsl count_bits) - 1) in
-      let suffix = varint () in
+      let tail = varint () in
+      let suffix = tail lsr 1 and extension = tail land 1 = 1 in
       let last = Option.value ~default:"" !prev in
       if
         shared > String.length last
@@ -248,15 +314,42 @@ let decode_snapshot ~epoch ~root ~part payload =
       | _ -> ());
       prev := Some term;
       let was = Tmap.find_opt term snap.sn_terms in
-      if count = 0 then begin
+      if count = 0 && not extension then begin
         if was = None then corrupt "tombstones a term the earlier parts lack";
         terms := Tmap.remove term !terms
       end
       else begin
         if count > max_chunks then corrupt (Printf.sprintf "names a chain of %d chunks" count);
-        let ti_chunks = List.init count (fun _ -> varint ()) in
+        let listed = List.init count (fun _ -> chunk ()) in
         let ti_df = varint () in
         let ti_cf = varint () in
+        let ti_chunks =
+          match was with
+          | Some w when (not extension) && extends w.ti_chunks listed ->
+            corrupt "lists whole a chain that extends the earlier one"
+          | _ when not extension -> listed
+          | _ when base -> corrupt "extends a chain in a base"
+          | None -> corrupt "extends a term the earlier parts lack"
+          | Some w ->
+            if count = 0 then corrupt "extends a chain by no chunk";
+            let n = List.length w.ti_chunks + count in
+            if n > max_chunks then corrupt (Printf.sprintf "extends a chain to %d chunks" n);
+            w.ti_chunks @ listed
+        in
+        (* A chain's chunks cover ascending, disjoint document ranges,
+           or [Postings.concat] on the query path rejects them.  The
+           decoder holds an inline chunk's bytes, not an object's, so it
+           checks the documents of the inline chunks in chain order. *)
+        ignore
+          (List.fold_left
+             (fun last -> function
+               | Object _ -> last
+               | Inline s ->
+                 Inquery.Postings.fold_docs (Bytes.unsafe_of_string s) ~init:last
+                   ~f:(fun last ~doc ~tf:_ ->
+                     if doc <= last then corrupt "holds inline chunks whose documents overlap";
+                     doc))
+             (-1) ti_chunks);
         let ti = { ti_chunks; ti_df; ti_cf } in
         if was = Some ti then corrupt "repeats an entry the earlier parts give";
         terms := Tmap.add term ti !terms
@@ -296,12 +389,12 @@ let decode_snapshot ~epoch ~root ~part payload =
           if part_list p at <> List.rev before then
             corrupt
               (Printf.sprintf "holds part %d, whose own part list is not the chain before it" oid);
-          (apply { snap with sn_epoch = e } p at, oid :: before))
+          (apply ~base:(before = []) { snap with sn_epoch = e } p at, oid :: before))
         (empty_snapshot (-1), [])
         earlier
     in
     if epoch <= snap.sn_epoch then corrupt "holds parts whose epochs do not ascend";
-    let snap = apply { snap with sn_epoch = epoch } payload pos in
+    let snap = apply ~base:(earlier = []) { snap with sn_epoch = epoch } payload pos in
     let named = Hashtbl.create 1024 in
     let name oid =
       if Hashtbl.mem named oid then corrupt "names an oid twice";
@@ -311,9 +404,11 @@ let decode_snapshot ~epoch ~root ~part payload =
     Tmap.iter
       (fun _ ti ->
         List.iter
-          (fun oid ->
-            if oid = root then corrupt "names its own oid as a chunk";
-            name oid)
+          (function
+            | Object oid ->
+              if oid = root then corrupt "names its own oid as a chunk";
+              name oid
+            | Inline _ -> ())
           ti.ti_chunks)
       snap.sn_terms;
     (snap, earlier @ [ root ])
@@ -420,8 +515,7 @@ let snapshot_of_dict ~epoch ?(meta = Tmap.empty) dict chains doc_lens ~total_len
     sn_meta = meta;
   }
 
-let wrap_mneme ?stopwords ?stem ?(thresholds = Partition.default) vfs ~store ~dict ~doc_lengths
-    =
+let wrap_mneme ?stopwords ?stem vfs ~store ~dict ~doc_lengths =
   if Mneme.Store.root store <> None then
     invalid_arg "Live_index.wrap_mneme: the store has a published root; open it with open_mneme";
   let epoch = Mneme.Store.epoch store in
@@ -436,11 +530,10 @@ let wrap_mneme ?stopwords ?stem ?(thresholds = Partition.default) vfs ~store ~di
   let chains = Hashtbl.create (max 64 (Inquery.Dictionary.size dict)) in
   Inquery.Dictionary.iter dict (fun e ->
       if e.Inquery.Dictionary.locator >= 0 then
-        Hashtbl.replace chains e.Inquery.Dictionary.term [ e.Inquery.Dictionary.locator ]);
+        Hashtbl.replace chains e.Inquery.Dictionary.term [ Object e.Inquery.Dictionary.locator ]);
   let st =
     {
       pools = pools_of_store store;
-      thresholds;
       epochs;
       chains;
       snap = empty_snapshot epoch;
@@ -472,9 +565,9 @@ let standard_pools ?(buffers = Buffer_sizing.no_cache) store =
     ]
 
 (* Size each pool's buffer to the writer's working set: the flushed
-   segments that hold a chunk the published directory names.  The next
-   fold consolidates exactly those chunks and searches read them, so
-   they stay resident.  Every other resident segment holds only retired
+   segments that hold an object chunk the published directory names.
+   The next fold consolidates exactly those chunks and searches read
+   them, so they stay resident.  Every other resident segment holds only retired
    chunks (or parts of the sealed root, which the writer never re-reads
    but to audit) and is
    dropped here, unless a reader has it pinned: left in place it can be
@@ -488,10 +581,13 @@ let fit_buffers st =
     Tmap.iter
       (fun _ ti ->
         List.iter
-          (fun oid ->
-            match Mneme.Store.segment_of st.pools.store oid with
-            | Some (pool, pseg, len) -> Hashtbl.replace segs (Mneme.Store.pool_name pool, pseg) len
-            | None -> ())
+          (function
+            | Object oid -> (
+              match Mneme.Store.segment_of st.pools.store oid with
+              | Some (pool, pseg, len) ->
+                Hashtbl.replace segs (Mneme.Store.pool_name pool, pseg) len
+              | None -> ())
+            | Inline _ -> ())
           ti.ti_chunks)
       st.snap.sn_terms;
     List.iter
@@ -520,7 +616,6 @@ let create_mneme ?stopwords ?stem ?buffers ?journal vfs ~file () =
   let st =
     {
       pools = pools_of_store store;
-      thresholds = Partition.default;
       epochs = Mneme.Epoch.create ~epoch:0;
       chains = Hashtbl.create 1024;
       snap = empty_snapshot 0;
@@ -531,8 +626,7 @@ let create_mneme ?stopwords ?stem ?buffers ?journal vfs ~file () =
   in
   make ?stopwords ?stem vfs (Mneme_backend st) (Inquery.Dictionary.create ()) []
 
-let open_mneme ?stopwords ?stem ?buffers ?(thresholds = Partition.default) ?journal vfs
-    ~file () =
+let open_mneme ?stopwords ?stem ?buffers ?journal vfs ~file () =
   (match journal with
   | Some log_file -> ignore (Mneme.Store.recover_journal vfs ~file ~log_file)
   | None -> ());
@@ -554,13 +648,17 @@ let open_mneme ?stopwords ?stem ?buffers ?(thresholds = Partition.default) ?jour
       Hashtbl.replace chains term ti.ti_chunks)
     snap.sn_terms;
   let doc_lengths = Imap.fold (fun d l acc -> (d, l) :: acc) snap.sn_doc_lens [] |> List.rev in
-  (* Every chunk the root chain names, and every part of the chain, is
-     live; anything else in the store is an orphan of an unpublished or
-     superseded epoch — stale, immediately reclaimable by [gc]. *)
+  (* Every object chunk the root chain names, and every part of the
+     chain, is live; anything else in the store is an orphan of an
+     unpublished or superseded epoch — stale, immediately reclaimable by
+     [gc].  Inline chunks are bytes of the parts. *)
   let epochs = Mneme.Epoch.create ~epoch:snap.sn_epoch in
   let directory = Hashtbl.create 256 in
   Tmap.iter
-    (fun _ ti -> List.iter (fun oid -> Hashtbl.replace directory oid ()) ti.ti_chunks)
+    (fun _ ti ->
+      List.iter
+        (function Object oid -> Hashtbl.replace directory oid () | Inline _ -> ())
+        ti.ti_chunks)
     snap.sn_terms;
   List.iter (fun oid -> Hashtbl.replace directory oid ()) parts;
   census_oids ~sized:true store ~f:(fun ~oid ~size ->
@@ -569,7 +667,6 @@ let open_mneme ?stopwords ?stem ?buffers ?(thresholds = Partition.default) ?jour
   let st =
     {
       pools = pools_of_store store;
-      thresholds;
       epochs;
       chains;
       snap;
@@ -592,16 +689,19 @@ let backend_name t = match t.backend with Btree_backend _ -> "btree" | Mneme_bac
 let chain st term = Option.value ~default:[] (Hashtbl.find_opt st.chains term)
 
 (* A chain's chunks as stored, oldest first; [None] if one of them
-   resolves to no object. *)
-let read_chain st oids =
+   resolves to no object.  An inline chunk is read from the snapshot
+   that names it, with no store read: its immutable bytes are handed out
+   as they are, so no reader may mutate what a chain read returns. *)
+let read_chain st chunks =
   let rec go acc = function
     | [] -> Some (List.rev acc)
-    | oid :: rest -> (
+    | Inline s :: rest -> go (Bytes.unsafe_of_string s :: acc) rest
+    | Object oid :: rest -> (
       match Mneme.Store.get_opt st.pools.store oid with
       | Some b -> go (b :: acc) rest
       | None -> None)
   in
-  go [] oids
+  go [] chunks
 
 (* A term's stored record as chunks, oldest first; [] when it has none.
    The B-tree holds one. *)
@@ -614,7 +714,7 @@ let fetch_chunks t entry =
 let fetch_record t entry = Inquery.Postings.concat (fetch_chunks t entry)
 
 let cow_pool st size =
-  match Partition.classify ~thresholds:st.thresholds size with
+  match Partition.classify size with
   | Partition.Small -> st.pools.small
   | Partition.Medium -> st.pools.medium
   | Partition.Large -> st.pools.large
@@ -631,9 +731,15 @@ let allocate ?pool st bytes =
   Mneme.Epoch.born st.epochs ~oid ~size;
   oid
 
+(* A new chunk: inline up to [inline_max] bytes, else an object. *)
+let new_chunk st bytes =
+  if Bytes.length bytes <= inline_max then Inline (Bytes.to_string bytes)
+  else Object (allocate st bytes)
+
 (* Replace [entry]'s whole record with [record], or remove it on [None].
    The B-tree replaces in place (a removed record no longer counts as
-   attached); Mneme retires every chunk and starts a one-chunk chain. *)
+   attached); Mneme retires every object chunk and starts a one-chunk
+   chain. *)
 let rewrite_record t entry record =
   match t.backend with
   | Btree_backend tree -> (
@@ -644,9 +750,11 @@ let rewrite_record t entry record =
       entry.Inquery.Dictionary.locator <- -1)
   | Mneme_backend st -> (
     let term = entry.Inquery.Dictionary.term in
-    List.iter (fun oid -> Mneme.Epoch.retired st.epochs ~oid) (chain st term);
+    List.iter
+      (function Object oid -> Mneme.Epoch.retired st.epochs ~oid | Inline _ -> ())
+      (chain st term);
     match record with
-    | Some r -> Hashtbl.replace st.chains term [ allocate st r ]
+    | Some r -> Hashtbl.replace st.chains term [ new_chunk st r ]
     | None -> Hashtbl.remove st.chains term)
 
 (* ------------------------------------------------------------------ *)
@@ -662,14 +770,16 @@ let rewrite_record t entry record =
    [terms] and [docs] name everything the batch touched: the new
    directory is the previous one with those entries brought up to date
    (the persistent maps share the rest), and a delta part encodes just
-   the ones that changed.  A base part encodes the whole directory and
-   retires every part of the chain it replaces. *)
+   the ones that changed, a chain that extends the previous one as an
+   extension.  A base part encodes the whole directory and retires every
+   part of the chain it replaces. *)
 let install_root t st ~terms ~docs =
   let epoch = Mneme.Epoch.latest st.epochs + 1 in
   let prev = st.snap in
   let entries =
     List.fold_left
       (fun acc term ->
+        let was = Tmap.find_opt term prev.sn_terms in
         let now =
           Option.map
             (fun ti_chunks ->
@@ -677,7 +787,12 @@ let install_root t st ~terms ~docs =
               { ti_chunks; ti_df = e.Inquery.Dictionary.df; ti_cf = e.Inquery.Dictionary.cf })
             (Hashtbl.find_opt st.chains term)
         in
-        if now = Tmap.find_opt term prev.sn_terms then acc else Tmap.add term now acc)
+        let kept =
+          match (was, now) with
+          | Some w, Some n when extends w.ti_chunks n.ti_chunks -> List.length w.ti_chunks
+          | _ -> 0
+        in
+        if now = was then acc else Tmap.add term (Option.map (fun ti -> (ti, kept)) now) acc)
       Tmap.empty terms
   in
   let added, removed =
@@ -695,7 +810,7 @@ let install_root t st ~terms ~docs =
       sn_terms =
         Tmap.fold
           (fun term now acc ->
-            match now with Some ti -> Tmap.add term ti acc | None -> Tmap.remove term acc)
+            match now with Some (ti, _) -> Tmap.add term ti acc | None -> Tmap.remove term acc)
           entries prev.sn_terms;
       sn_doc_lens = Imap.fold Imap.add added (Iset.fold Imap.remove removed prev.sn_doc_lens);
       sn_total_len = t.total_len;
@@ -707,7 +822,7 @@ let install_root t st ~terms ~docs =
   let payload =
     if base then
       encode_part ~earlier:[]
-        ~entries:(Tmap.map Option.some snap.sn_terms)
+        ~entries:(Tmap.map (fun ti -> Some (ti, 0)) snap.sn_terms)
         ~added:snap.sn_doc_lens ~removed:Iset.empty snap
     else encode_part ~earlier:st.parts ~entries ~added ~removed snap
   in
@@ -794,7 +909,7 @@ let apply_postings t term addition =
   let entry = Inquery.Dictionary.intern t.dict term in
   (match t.backend with
   | Mneme_backend st when List.length (chain st term) < max_chunks ->
-    Hashtbl.replace st.chains term (chain st term @ [ allocate st addition ])
+    Hashtbl.replace st.chains term (chain st term @ [ new_chunk st addition ])
   | Btree_backend _ | Mneme_backend _ ->
     rewrite_record t entry (Inquery.Postings.concat (fetch_chunks t entry @ [ addition ])));
   let df, cf = Inquery.Postings.stats addition in
@@ -1106,17 +1221,17 @@ let audit t =
       collection_bytes = t.total_len;
     }
   in
-  (* A chain is read as its concatenation, so each chunk is validated on
-     its own first: re-encoding would hide a flaw inside one. *)
+  (* A chain is read as its concatenation, so each chunk, inline or an
+     object, is validated on its own first: re-encoding would hide a flaw
+     inside one. *)
   let fetch entry =
     let chunks = fetch_chunks t entry in
-    if List.length chunks > 1 then
-      List.iteri
-        (fun i chunk ->
-          match Inquery.Postings.validate chunk with
-          | Ok () -> ()
-          | Error e -> failwith (Printf.sprintf "chunk %d: %s" i e))
-        chunks;
+    List.iteri
+      (fun i chunk ->
+        match Inquery.Postings.validate chunk with
+        | Ok () -> ()
+        | Error e -> failwith (Printf.sprintf "chunk %d: %s" i e))
+      chunks;
     Inquery.Postings.concat chunks
   in
   List.iter
@@ -1151,6 +1266,14 @@ let audit t =
   | Mneme_backend st ->
     let snap = st.snap in
     let oids ch = String.concat "," (List.map string_of_int ch) in
+    let chunks ch =
+      String.concat ","
+        (List.map
+           (function
+             | Object oid -> string_of_int oid
+             | Inline s -> Printf.sprintf "%d inline bytes" (String.length s))
+           ch)
+    in
     Hashtbl.iter
       (fun term ch ->
         if ch = [] || List.length ch > max_chunks then
@@ -1166,7 +1289,7 @@ let audit t =
           if ti.ti_chunks <> ch || ti.ti_df <> df || ti.ti_cf <> cf then
             flag ("term " ^ term)
               (Printf.sprintf "snapshot (chunks %s, df %d, cf %d) vs dictionary (%s, %d, %d)"
-                 (oids ti.ti_chunks) ti.ti_df ti.ti_cf (oids ch) df cf))
+                 (chunks ti.ti_chunks) ti.ti_df ti.ti_cf (chunks ch) df cf))
       st.chains;
     if Tmap.cardinal snap.sn_terms <> Hashtbl.length st.chains then
       flag "snapshot"

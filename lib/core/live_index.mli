@@ -17,12 +17,19 @@
       in; the old extent is freed and may be recycled.  Under Mneme the
       index is {e copy-on-write} (see below) and a term's record is a
       {e chain} of immutable chunks: an addition stores the term's new
-      postings as one more chunk, in the size class of its own bytes,
-      and reads nothing.
+      postings as one more chunk, and reads nothing.
+    - {b two kinds of chunk}: a chunk of at most 12 bytes
+      ({!Partition.default}'s [small_max], the payload of the paper's
+      small-pool slot, fixed for the format) is stored {e inline}, in its term's entry
+      of the sealed root, and is never allocated as an object; a larger
+      one is a Mneme object in the size class of its own bytes.  The
+      rule covers every chunk a fold, a consolidation or a deletion
+      writes; the records a wrapped store adopted stay objects, whatever
+      their size.
     - {b consolidation}: a chain holds at most {!max_chunks} chunks.  An
       addition to a full chain writes the chain and the new postings as
-      one record instead, in the size class that record now belongs
-      to (small → medium → large), and retires every chunk.  What a
+      one record instead, inline or in the size class that record now
+      belongs to (inline → medium → large), and retires every chunk.  What a
       fold writes stays proportional to the change, and a read walks a
       bounded chain.
     - {b deletion} must visit {e every} inverted list, since there is no
@@ -34,9 +41,11 @@
     record, and a chain's document ranges are disjoint and ascending, so
     {!Inquery.Postings.concat} over the chain is byte for byte the
     record a rewrite would have stored: {!term_record}, the {!view}s,
-    rankings and {!audit} see no chunking at all.  The chunks are
-    ordinary Mneme objects named by the sealed root, so fsck, scrub and
-    {!gc} need no new object kind.
+    rankings and {!audit} see no chunking at all.  Object chunks are
+    ordinary Mneme objects named by the sealed root, and inline chunks
+    are bytes of the root's own parts, so fsck, scrub and {!gc} need no
+    new object kind.  An inline chunk is read from the snapshot that
+    names it: no store read, no frame and no I/O.
 
     {b Snapshot isolation (Mneme backend).}  Writers never overwrite or
     free a live object.  Every mutation allocates new objects for the
@@ -52,17 +61,22 @@
     {!max_chunks} immutable sealed parts, oldest first, and the header
     names the newest.  The oldest, the {e base}, holds the whole
     directory.  Every later part, a {e delta}, holds only what its own
-    publication changed: each term whose chunks, df or cf changed, as a
-    whole entry, or a tombstone for a removed term; the documents added
-    and removed; next-doc, the total length and the metadata as
-    absolute values; and the oids of the parts before it.  So a
-    publication writes what it changed, not the whole directory.  A
+    publication changed: each term whose chunks, df or cf changed, as an
+    {e extension} listing only the chunks appended to its chain since
+    the part before, or, when the term is new, consolidated or
+    rewritten, as a whole entry; a tombstone for a removed term; the
+    documents added and removed; next-doc, the total length and the
+    metadata as absolute values; and the oids of the parts before it.
+    So a publication writes what it changed, not the whole directory,
+    and an inline chunk is written by the part that introduces it and
+    again only when a base is sealed.  A
     publication that would make a fifth part seals a fresh base instead
     and retires every part of the old chain — the rule a full chunk
     chain follows.  A base goes to the pool of its own size class, a
     delta to its base's.  Every part is some earlier epoch's sealed root, so
     the chain adds no object kind: the census, {!gc} and fsck treat a
-    part like a chunk.  With a journal enabled
+    part like an object chunk, and the inline chunks a part carries live
+    and die with it.  With a journal enabled
     ([?journal]), the COW writes, the sealed root and the header switch
     ride {e one} transaction whose CRC-sealed commit record is the
     single commit point: a crash recovers to wholly the old epoch or
@@ -94,7 +108,6 @@ val wrap_btree :
 val wrap_mneme :
   ?stopwords:Inquery.Stopwords.t ->
   ?stem:bool ->
-  ?thresholds:Partition.thresholds ->
   Vfs.t ->
   store:Mneme.Store.t ->
   dict:Inquery.Dictionary.t ->
@@ -105,7 +118,8 @@ val wrap_mneme :
     caller set them.  Raises [Not_found] if a pool is missing.  Every
     object already in the store is treated as live in the current
     epoch, and each record the dictionary locates is a one-chunk chain
-    (the locators are not read again); sizes of pre-existing objects are
+    of an object chunk, whatever its size (the locators are not read
+    again); sizes of pre-existing objects are
     not censused, so GC byte
     accounting covers only objects written through this live index
     ({!gc} reads a pre-existing object's size from the store, so
@@ -130,8 +144,8 @@ val create_mneme :
     pools.  Without [buffers], each pool's buffer is sized to the
     published epoch: at every publication (and on {!open_mneme} and
     {!compact}) its capacity becomes the summed length of the flushed
-    segments that hold a chunk the new directory names — the chunks
-    the next fold consolidates and searches read — and every other
+    segments that hold an object chunk the new directory names — the
+    chunks the next fold consolidates and searches read — and every other
     resident segment is dropped unless a reader has it pinned.  The
     root's parts are not counted.  An explicit [buffers] keeps fixed
     capacities instead.
@@ -144,7 +158,6 @@ val open_mneme :
   ?stopwords:Inquery.Stopwords.t ->
   ?stem:bool ->
   ?buffers:Buffer_sizing.t ->
-  ?thresholds:Partition.thresholds ->
   ?journal:string ->
   Vfs.t ->
   file:string ->
@@ -164,14 +177,21 @@ val open_mneme :
     envelope is missing or torn, if the root's disagrees with the
     header, or if the chain is not in its one canonical form.  Within a
     part: front-coded terms in strictly ascending order, 1 to
-    {!max_chunks} chunks per entry (0 for a tombstone), ascending
-    document ids, no trailing bytes, no entry equal to the one the
-    earlier parts give, no tombstone for a term they lack, no added
-    document they hold and no removed one they lack.  Across the chain:
+    {!max_chunks} chunks per entry (0 for a tombstone), inline chunks of
+    1 to 12 bytes that {!Inquery.Postings.validate} accepts, whose
+    documents ascend across the chain's inline chunks, ascending
+    document ids, no
+    trailing bytes, no entry equal to the one the earlier parts give,
+    no whole entry whose chain extends theirs, no tombstone for a term
+    they lack, no added document they hold and no removed one they
+    lack, and extensions only in a delta, of a term the earlier parts
+    give, by at least one chunk and to at most {!max_chunks}.  Across the chain:
     at most {!max_chunks} parts, the root's own oid not among them, each
     part's own part list the chain before it, part epochs strictly
-    ascending, and no oid named twice across the parts and the chunks
-    of the directory they give, nor a chunk oid equal to the root's. *)
+    ascending, and no oid named twice across the parts and the object
+    chunks of the directory they give, nor a chunk oid equal to the
+    root's.  An opened root therefore never hands the query path an
+    inline record it cannot decode. *)
 
 val backend_name : t -> string
 (** "btree" or "mneme". *)
@@ -243,7 +263,8 @@ val avg_doc_length : t -> float
 
 val term_record : t -> string -> bytes option
 (** The current inverted record for a (normalised) term: its chain's
-    concatenation. *)
+    concatenation.  Read-only: a one-chunk inline record is the
+    snapshot's own bytes. *)
 
 (** {2 Views and ranking} *)
 
@@ -256,7 +277,8 @@ type view = {
       (** the same term's record as stored, oldest chunk first: its
           {!Inquery.Postings.concat} is [record]'s bytes, so a reader
           that unions it with more postings decodes each chunk once;
-          [[]] exactly when [record] is [None] *)
+          [[]] exactly when [record] is [None].  Read-only: inline
+          chunks are the snapshot's own bytes *)
   doc_len : int -> int option;
       (** a document's indexed length; [None] marks a document outside
           the view *)
@@ -350,8 +372,13 @@ val root_parts : t -> int list
 (** The published root as its chain of parts, base first: the header
     names the last ([] before the first publication and on B-tree). *)
 
-val chains : t -> (string * int list) list
-(** [(term, chunk oids oldest first)] for every term of the latest
+type chunk =
+  | Object of int  (** a Mneme object, by oid *)
+  | Inline of string  (** a record of at most 12 bytes *)
+(** One chunk of a term's chain, as the root names it. *)
+
+val chains : t -> (string * chunk list) list
+(** [(term, chunks oldest first)] for every term of the latest
     {e published} directory, sorted by term ([] on B-tree). *)
 
 val directory : t -> (string * int * int) list
@@ -360,7 +387,7 @@ val directory : t -> (string * int * int) list
 
 val audit : t -> (string * string) list
 (** Statistics-drift audit, [(where, problem)] pairs, empty when clean:
-    deep-validates every chunk and every record and cross-checks df/cf
+    deep-validates every chunk, inline ones included, and every record and cross-checks df/cf
     against the dictionary ({!Catalog.verify_records}), checks the
     aggregate length/count invariants, and — on Mneme — verifies every
     chain holds 1 to {!max_chunks} chunks, the published snapshot

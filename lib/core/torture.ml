@@ -914,15 +914,17 @@ let scrub_budget_sweep ?(seed = 42) ?(docs = 12) ?(batches = 3) ?(standbys = 1) 
    index's own invariant audit.  The workload gathers it, so the golden
    run and every replay perform the identical I/O sequence. *)
 
-(* Consolidations a pin reaches.  [w_pinned] holds every chunk the
-   epoch of some held pin names; [w_held] those of them a later
+(* Consolidations a pin reaches.  [w_pinned] holds every object chunk
+   the epoch of some held pin names; [w_held] those of them a later
    publication retired by consolidating a full chain
-   ({!Live_index.max_chunks} chunks) into one record.  [w_rewrites]
-   counts the publications that, while some pin was held, sealed a
-   fresh base and retired the root's whole chain of parts.  Chains are
-   read from memory, so watching adds no I/O to the workload. *)
+   ({!Live_index.max_chunks} chunks) into one record.  An inline chunk
+   is bytes of the pinned snapshot, not the gc's to keep or reclaim, so
+   the watch leaves it out.  [w_rewrites] counts the publications that,
+   while some pin was held, sealed a fresh base and retired the root's
+   whole chain of parts.  Chains are read from memory, so watching adds
+   no I/O to the workload. *)
 type chain_watch = {
-  mutable w_chains : (string * int list) list; (* as last published *)
+  mutable w_chains : (string * Live_index.chunk list) list; (* as last published *)
   w_pinned : (int, unit) Hashtbl.t;
   mutable w_held : int list;
   mutable w_parts : int list; (* the root's chain as last published *)
@@ -956,7 +958,9 @@ let watch_publish w live =
       | Some [ one ]
         when List.length before = Live_index.max_chunks && not (List.mem one before) ->
         List.iter
-          (fun oid -> if Hashtbl.mem w.w_pinned oid then w.w_held <- oid :: w.w_held)
+          (function
+            | Live_index.Object oid when Hashtbl.mem w.w_pinned oid -> w.w_held <- oid :: w.w_held
+            | _ -> ())
           before
       | _ -> ())
     w.w_chains;
@@ -966,7 +970,10 @@ let watch_publish w live =
 let watch_pin w =
   w.w_pins <- w.w_pins + 1;
   List.iter
-    (fun (_, chain) -> List.iter (fun oid -> Hashtbl.replace w.w_pinned oid ()) chain)
+    (fun (_, chain) ->
+      List.iter
+        (function Live_index.Object oid -> Hashtbl.replace w.w_pinned oid () | _ -> ())
+        chain)
     w.w_chains
 
 type pin_audit = {
@@ -976,7 +983,7 @@ type pin_audit = {
   stranded : int;
   fsck_ok : bool;
   drift : (string * string) list;
-  held : int; (* consolidated chunks a pin still read *)
+  held : int; (* consolidated object chunks a pin still read *)
   held_lost : int; (* of them, reclaimed by the gc under the pins *)
   held_left : int; (* of them, still stored after the release and final gc *)
   rewrites : int; (* root bases rewritten while a pin was held *)
@@ -1307,11 +1314,18 @@ let ingest_workload ~seed ~docs vfs tr =
       watch_pin watch
     end
   in
+  (* Each document is its text twice over: the records of the terms it
+     repeats outgrow the 12 bytes an inline chunk holds, so chains of
+     objects as well as inline chunks are consolidated under the pins. *)
+  let text doc =
+    let t = Collections.Synth.document_text doc in
+    t ^ " " ^ t
+  in
   Array.iteri
     (fun d doc ->
       step Ik_add (fun () ->
           ids.(d) <-
-            (match Ingest.add_document t (Collections.Synth.document_text doc) with
+            (match Ingest.add_document t (text doc) with
             | Ingest.Acked { doc; _ } -> doc
             | Ingest.Overloaded -> failwith "Torture.ingest_workload: unexpected backpressure"));
       (* Every third document, retire the one accepted two steps ago —

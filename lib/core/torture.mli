@@ -132,12 +132,13 @@ val golden_problems : plan -> string list
 (** Violations the golden run's own audit found ([] = clean). *)
 
 val pinned_consolidations : plan -> int
-(** Chunks the golden run's publications retired while a held pin still
-    read them, each by consolidating a full chain
+(** Object chunks the golden run's publications retired while a held
+    pin still read them, each by consolidating a full chain
     ({!Live_index.max_chunks} chunks) into one record ({!epoch} and
-    {!ingest}; 0 for the rest).  The golden audit
-    requires the gc under the pins to keep every one of them and the gc
-    after their release to reclaim them all. *)
+    {!ingest}; 0 for the rest).  An inline chunk is bytes of the pinned
+    root and is not counted.  The golden audit requires the gc under the
+    pins to keep every one of them and the gc after their release to
+    reclaim them all. *)
 
 val pinned_base_rewrites : plan -> int
 (** Publications of the golden run that sealed a fresh root base, and

@@ -784,11 +784,24 @@ let reserve t oids =
 (* ------------------------------------------------------------------ *)
 (* Finalize                                                            *)
 
+(* The persisted auxiliary tables: the directory and the pool tables it
+   points to. *)
+let aux_table_bytes t =
+  match t.aux with
+  | None -> 0
+  | Some (_, len) ->
+    Hashtbl.fold
+      (fun _ pool acc -> acc + match pool.blob with Some (_, l) -> l | None -> 0)
+      t.pools len
+
+(* Every call writes the tables afresh at the data tail, so the ones it
+   supersedes are wasted. *)
 let finalize t =
   let pools = List.rev t.pool_list in
   List.iter ensure_loaded pools;
   List.iter flush_open_pseg pools;
   List.iter (fun p -> p.cur_lseg <- -1) pools;
+  t.wasted <- t.wasted + aux_table_bytes t;
   let blobs =
     List.map
       (fun pool ->
@@ -844,7 +857,6 @@ let pool_object_count pool =
   ensure_loaded pool;
   pool.obj_count
 let wasted_bytes t = t.wasted
-let aux_table_bytes t = match t.aux with None -> 0 | Some (_, len) -> len
 
 (* ------------------------------------------------------------------ *)
 (* The versioned root                                                   *)

@@ -131,8 +131,11 @@ val reserve : t -> Oid.t list -> (unit -> unit)
 
 val finalize : t -> unit
 (** Flush open creation segments, persist the auxiliary tables and
-    header.  Idempotent; must be called before [open_existing] can see
-    the data. *)
+    header; must be called before [open_existing] can see the data.
+    Idempotent in content, not in space: every call writes the whole
+    directory and every pool's table afresh at the data tail, and counts
+    the tables it supersedes ({!aux_table_bytes} before the call) in
+    {!wasted_bytes}. *)
 
 val vfs : t -> Vfs.t
 (** The file system this store lives in. *)
@@ -148,8 +151,9 @@ val wasted_bytes : t -> int
     "space management problem" made measurable. *)
 
 val aux_table_bytes : t -> int
-(** Size of the persisted auxiliary tables (0 before finalize); compare
-    with the paper's footnote that all of TIPSTER's tables fit 512 KB. *)
+(** Size of the persisted auxiliary tables, the directory and every
+    pool table it points to (0 before finalize); compare with the
+    paper's footnote that all of TIPSTER's tables fit 512 KB. *)
 
 (** {2 The versioned root}
 

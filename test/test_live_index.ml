@@ -225,7 +225,9 @@ let test_flush_and_reopen_mneme () =
 (* The root fixture: five documents and seven publications.  The fifth
    publication seals a fresh base (the chain would have grown to five
    parts), and the two after it seal deltas, so the header names the
-   third part of a chain [base; delta; delta]. *)
+   third part of a chain [base; delta; delta].  "beta" and "zeta" occur
+   ten times a document, so their chunks are objects; every other
+   record is at most 12 bytes and rides inline. *)
 type root_fixture = {
   rf_vfs : Vfs.t;
   rf_live : Core.Live_index.t;
@@ -241,16 +243,18 @@ let payload_of store oid =
   | Ok (_, p) -> p
   | Error e -> Alcotest.fail e
 
+let ten word = String.concat " " (List.init 10 (fun _ -> word))
+
 let root_fixture () =
   let vfs = Vfs.create () in
   let live = Core.Live_index.create_mneme vfs ~file:rf_file () in
   List.iter
     (fun text -> ignore (Core.Live_index.add_document live text))
-    [ "alpha alphabet beta"; "alpha beta gamma"; "zeta 42 alphabets" ];
+    [ "alpha alphabet " ^ ten "beta"; "alpha beta gamma"; ten "zeta" ^ " 42 alphabets" ];
   ignore (Core.Live_index.delete_document live 1);
   (* The deletion rewrote "alpha" and "beta" whole; one more document
      makes "beta" and "zeta" two-chunk chains. *)
-  let terms, len = Core.Live_index.tokenize live "zeta beta" in
+  let terms, len = Core.Live_index.tokenize live (ten "zeta" ^ " " ^ ten "beta") in
   Core.Live_index.fold_batch live ~meta:[ ("key", "value") ]
     ~docs:[ (3, len) ]
     ~postings:(List.map (fun (term, ps) -> (term, Inquery.Postings.encode [ (3, ps) ])) terms)
@@ -261,7 +265,8 @@ let root_fixture () =
     (Core.Live_index.root_parts live);
   let rf_base = payload_of store base in
   let rf_base_dir = List.map (fun (term, _, _) -> term) (Core.Live_index.directory live) in
-  (* A delta that adds a term, and one that removes a document and
+  (* A delta that extends "alpha" by an inline chunk and adds a term,
+     and one that removes a document, rewrites "alpha" and "beta" and
      tombstones the one term only it held. *)
   ignore (Core.Live_index.add_document live "alpha omega");
   ignore (Core.Live_index.delete_document live 0);
@@ -304,11 +309,25 @@ let open_root rf payload = open_resealed rf [ (root_of rf, payload, None) ]
 
 let count_bits = 3
 
+(* One chunk as a part lists it: an object's oid shifted left by one,
+   or an inline chunk's length shifted left by one and or-ed with 1,
+   then its bytes. *)
+let put_chunk b = function
+  | Core.Live_index.Object oid -> Util.Varint.encode b (oid lsl 1)
+  | Core.Live_index.Inline s ->
+    Util.Varint.encode b ((String.length s lsl 1) lor 1);
+    Buffer.add_string b s
+
+let chunk_bytes chunks =
+  let b = Buffer.create 16 in
+  List.iter (put_chunk b) chunks;
+  Buffer.to_bytes b
+
 (* A part's payload written from its fields, independently of the
    library's encoder: the earlier parts, next-doc, total length, the
    added documents with their lengths and the removed ones, each term's
-   entry ([None] a tombstone) front-coded in the order given, and the
-   metadata. *)
+   entry front-coded in the order given — [`Whole (chunks, df, cf)],
+   [`Extend (appended chunks, df, cf)] or [`Tomb] — and the metadata. *)
 let part ~earlier ~next_doc ~total ?(added = []) ?(removed = []) ~entries ~meta () =
   let b = Buffer.create 256 in
   let gaps f docs =
@@ -334,13 +353,17 @@ let part ~earlier ~next_doc ~total ?(added = []) ?(removed = []) ~entries ~meta 
          let n = min (String.length prev) (String.length term) in
          let rec shared i = if i < n && prev.[i] = term.[i] then shared (i + 1) else i in
          let shared = shared 0 in
-         let chunks, stats =
-           match entry with Some (c, df, cf) -> (c, [ df; cf ]) | None -> ([], [])
+         let chunks, stats, extension =
+           match entry with
+           | `Whole (c, df, cf) -> (c, [ df; cf ], 0)
+           | `Extend (c, df, cf) -> (c, [ df; cf ], 1)
+           | `Tomb -> ([], [], 0)
          in
          Util.Varint.encode b ((shared lsl count_bits) lor List.length chunks);
-         Util.Varint.encode b (String.length term - shared);
+         Util.Varint.encode b (((String.length term - shared) lsl 1) lor extension);
          Buffer.add_substring b term shared (String.length term - shared);
-         List.iter (Util.Varint.encode b) (chunks @ stats);
+         List.iter (put_chunk b) chunks;
+         List.iter (Util.Varint.encode b) stats;
          term)
        "" entries);
   Util.Bin.buf_u32 b (List.length meta);
@@ -351,21 +374,38 @@ let part ~earlier ~next_doc ~total ?(added = []) ?(removed = []) ~entries ~meta 
     meta;
   Buffer.to_bytes b
 
+(* A one-document inline chunk. *)
+let inline doc positions =
+  Core.Live_index.Inline (Bytes.to_string (Inquery.Postings.encode [ (doc, positions) ]))
+
+(* A one-document record of exactly [n] bytes: its positions are 0, 1,
+   2, ..., each a one-byte gap. *)
+let record_of_length ?(doc = 9) n =
+  let rec go k =
+    if k > 64 then Alcotest.failf "no one-document record of %d bytes" n
+    else
+      let r = Inquery.Postings.encode [ (doc, List.init k Fun.id) ] in
+      if Bytes.length r = n then r else go (k + 1)
+  in
+  go 1
+
 (* Every malformed base is [Mneme.Store.Corrupt] and nothing else.  Each
    variant is resealed under the published epoch, so the envelope's CRC
    passes and only the payload decoder can object. *)
 let test_malformed_bases_are_corrupt () =
   let rf = root_fixture () in
   let payload = rf.rf_base in
-  let corrupt what variant =
+  let corrupt ?(why = "") what variant =
     let got = open_root rf variant in
-    if not (String.starts_with ~prefix:"Corrupt" got) then Alcotest.failf "%s: %s" what got
+    if not (String.starts_with ~prefix:"Corrupt" got && contains got why) then
+      Alcotest.failf "%s: expected Corrupt for %S, got %s" what why got
   in
   (* Walk the layout: each document's (offset, gap), then each term
-     entry's offset, shared prefix and suffix length, and its chunk oids
-     with their offset and byte length.  A base lists no earlier part
-     (one varint byte) and no removed document; the shared-prefix varint
-     holds the chunk count in its low [count_bits] bits. *)
+     entry's offset, shared prefix and suffix length, and its chunks with
+     their offset and byte length.  A base lists no earlier part (one
+     varint byte) and no removed document; the shared-prefix varint
+     holds the chunk count in its low [count_bits] bits, and the suffix
+     length's low bit is clear (no extension). *)
   let pos = ref 17 in
   let docs =
     Array.init (Util.Bin.get_u32 payload 13) (fun _ ->
@@ -381,11 +421,18 @@ let test_malformed_bases_are_corrupt () =
     Array.init n_terms (fun _ ->
         let at = !pos in
         let head = Util.Varint.read payload pos in
-        let suffix = Util.Varint.read payload pos in
+        let suffix = Util.Varint.read payload pos lsr 1 in
         pos := !pos + suffix;
         let chunks_at = !pos in
         let chunks =
-          List.init (head land ((1 lsl count_bits) - 1)) (fun _ -> Util.Varint.read payload pos)
+          List.init (head land ((1 lsl count_bits) - 1)) (fun _ ->
+              let v = Util.Varint.read payload pos in
+              if v land 1 = 0 then Core.Live_index.Object (v lsr 1)
+              else begin
+                let s = Bytes.sub_string payload !pos (v lsr 1) in
+                pos := !pos + (v lsr 1);
+                Core.Live_index.Inline s
+              end)
         in
         let chunks_len = !pos - chunks_at in
         for _ = 1 to 2 do
@@ -404,25 +451,30 @@ let test_malformed_bases_are_corrupt () =
     splice at ~len:(Util.Varint.encoded_size old) (Util.Varint.encode_list [ gap ])
   in
   let head ~shared ~count = (shared lsl count_bits) lor count in
-  let recode i ~shared ~suffix =
+  let recode ?(extension = 0) i ~shared ~suffix =
     let at, s, n, (_, chunks, _) = terms.(i) in
     let count = List.length chunks in
     splice at
-      ~len:(Util.Varint.encoded_size (head ~shared:s ~count) + Util.Varint.encoded_size n + n)
+      ~len:
+        (Util.Varint.encoded_size (head ~shared:s ~count) + Util.Varint.encoded_size (n lsl 1) + n)
       (Bytes.cat
-         (Util.Varint.encode_list [ head ~shared ~count; String.length suffix ])
+         (Util.Varint.encode_list
+            [ head ~shared ~count; (String.length suffix lsl 1) lor extension ])
          (Bytes.of_string suffix))
   in
-  (* Term [i]'s entry with [count] in its head and [oids] for its chain. *)
-  let rechain i ~count oids =
-    let at, s, n, (chunks_at, chunks, chunks_len) = terms.(i) in
-    let old_head = head ~shared:s ~count:(List.length chunks) in
+  (* Term [i]'s entry with [count] in its head and [chunks] for its
+     chain. *)
+  let rechain i ~count chunks =
+    let at, s, n, (chunks_at, old, chunks_len) = terms.(i) in
+    let old_head = head ~shared:s ~count:(List.length old) in
     let entry =
       Bytes.concat Bytes.empty
         [
-          Util.Varint.encode_list [ head ~shared:s ~count; n ];
-          Bytes.sub payload (at + Util.Varint.encoded_size old_head + Util.Varint.encoded_size n) n;
-          Util.Varint.encode_list oids;
+          Util.Varint.encode_list [ head ~shared:s ~count; n lsl 1 ];
+          Bytes.sub payload
+            (at + Util.Varint.encoded_size old_head + Util.Varint.encoded_size (n lsl 1))
+            n;
+          chunk_bytes chunks;
         ]
     in
     splice at ~len:(chunks_at + chunks_len - at) entry
@@ -449,18 +501,30 @@ let test_malformed_bases_are_corrupt () =
   corrupt "a repeated term" (recode 5 ~shared:4 ~suffix:"");
   corrupt "a term before the previous one" (recode 5 ~shared:0 ~suffix:"44");
   corrupt "one trailing byte" (Bytes.cat payload (Bytes.make 1 '\000'));
-  (* Term 4 is "beta", a two-chunk chain. *)
+  (* Term 4 is "beta", a chain of two objects; term 1, "alpha", is one
+     inline chunk. *)
   Alcotest.(check int) "the chain the variants start from" 2 (List.length (chunks 4));
   let first = List.hd (chunks 4) in
+  let obj = function Core.Live_index.Object oid -> oid | Core.Live_index.Inline _ -> -1 in
+  Alcotest.(check bool) "beta's chunks are objects" true
+    (List.for_all (fun c -> obj c >= 0) (chunks 4 @ chunks 5));
+  Alcotest.(check bool) "alpha is inline" true (obj (List.hd (chunks 1)) < 0);
   Alcotest.(check string) "the chain rewritten as it was opens" "opened"
     (open_root rf (rechain 4 ~count:2 (chunks 4)));
   corrupt "a tombstone in a base" (rechain 4 ~count:0 []);
-  corrupt "a chain past the bound" (rechain 4 ~count:5 (chunks 4 @ [ 1001; 1002; 1003 ]));
+  corrupt "a chain past the bound"
+    (rechain 4 ~count:5
+       (chunks 4 @ List.map (fun oid -> Core.Live_index.Object oid) [ 1001; 1002; 1003 ]));
   corrupt "a chunk oid repeated in one chain" (rechain 4 ~count:2 [ first; first ]);
   corrupt "a chunk oid another term names"
     (rechain 4 ~count:2 (List.hd (chunks 5) :: List.tl (chunks 4)));
-  corrupt "the root's oid as a chunk" (rechain 4 ~count:2 [ first; root_of rf ]);
-  corrupt "a truncated chunk list" (rechain 4 ~count:2 [ first ])
+  corrupt "the root's oid as a chunk"
+    (rechain 4 ~count:2 [ first; Core.Live_index.Object (root_of rf) ]);
+  corrupt "a truncated chunk list" (rechain 4 ~count:2 [ first ]);
+  corrupt "an extension in a base" ~why:"extends a chain in a base"
+    (recode ~extension:1 5 ~shared:0 ~suffix:"zeta");
+  corrupt "an inline chunk of 0 bytes" ~why:"holds an empty inline chunk"
+    (rechain 1 ~count:1 [ Core.Live_index.Inline "" ])
 
 (* Every rule of the chain's canonical form, one case each: the case
    must fail with that rule's own reason, so dropping any one rule from
@@ -475,24 +539,45 @@ let test_malformed_chains_are_corrupt () =
     | parts -> Alcotest.failf "a chain of %d parts" (List.length parts)
   in
   let chains = Core.Live_index.chains live and dir = Core.Live_index.directory live in
-  let entry term =
+  let stats term =
     let _, df, cf = List.find (fun (t, _, _) -> t = term) dir in
-    Some (List.assoc term chains, df, cf)
+    (df, cf)
   in
-  (* The last delta deleted document 0, "alpha alphabet beta": "alpha"
-     and "beta" were rewritten and "alphabet", which only it held, is a
-     tombstone. *)
+  let entry term =
+    let df, cf = stats term in
+    `Whole (List.assoc term chains, df, cf)
+  in
+  (* The last delta deleted document 0, "alpha alphabet beta ...":
+     "alpha" (now one inline chunk) and "beta" were rewritten and
+     "alphabet", which only it held, is a tombstone. *)
   let delta_part ?(earlier = [ base; delta ]) ?(added = []) ?(removed = [ 0 ]) ?entries () =
     let entries =
       Option.value entries
-        ~default:[ ("alpha", entry "alpha"); ("alphabet", None); ("beta", entry "beta") ]
+        ~default:[ ("alpha", entry "alpha"); ("alphabet", `Tomb); ("beta", entry "beta") ]
     in
     part ~earlier ~next_doc:(Core.Live_index.next_doc live)
       ~total:(Core.Live_index.latest live).Core.Live_index.total_len ~added ~removed ~entries
       ~meta:(Core.Live_index.meta live) ()
   in
+  (match List.assoc "alpha" chains with
+  | [ Core.Live_index.Inline _ ] -> ()
+  | _ -> Alcotest.fail "alpha is not one inline chunk");
   Alcotest.(check bool) "the published delta is the part written from its fields" true
     (Bytes.equal (payload_of store root) (delta_part ()));
+  (* The delta before it added document 4, "alpha omega": it extended
+     "alpha" by one inline chunk and added "omega" whole.  Document 0,
+     which the last delta removed, is 12 words long. *)
+  Alcotest.(check bool) "the extending delta is the part written from its fields" true
+    (Bytes.equal (payload_of store delta)
+       (part ~earlier:[ base ] ~next_doc:5
+          ~total:((Core.Live_index.latest live).Core.Live_index.total_len + 12)
+          ~added:[ (4, 2) ]
+          ~entries:
+            [
+              ("alpha", `Extend ([ inline 4 [ 0 ] ], 2, 2));
+              ("omega", `Whole ([ inline 4 [ 1 ] ], 1, 1));
+            ]
+          ~meta:(Core.Live_index.meta live) ()));
   Alcotest.(check string) "the chain opens" "opened" (open_root rf (delta_part ()));
   let corrupt what ~why reseal =
     let got = open_resealed rf reseal in
@@ -500,21 +585,47 @@ let test_malformed_chains_are_corrupt () =
       Alcotest.failf "%s: expected Corrupt for %S, got %s" what why got
   in
   let corrupt_root what ~why payload = corrupt what ~why [ (root, payload, None) ] in
+  (* The last delta with one more entry, for a term after "beta". *)
+  let plus extra =
+    delta_part
+      ~entries:[ ("alpha", entry "alpha"); ("alphabet", `Tomb); ("beta", entry "beta"); extra ]
+      ()
+  in
   corrupt_root "an entry the earlier parts already give" ~why:"repeats an entry"
-    (delta_part
-       ~entries:
-         [
-           ("alpha", entry "alpha");
-           ("alphabet", None);
-           ("beta", entry "beta");
-           ("zeta", entry "zeta");
-         ]
-       ());
+    (plus ("zeta", entry "zeta"));
   corrupt_root "a tombstone for a term the earlier parts lack" ~why:"tombstones a term"
-    (delta_part
-       ~entries:
-         [ ("alpha", entry "alpha"); ("alphabet", None); ("beta", entry "beta"); ("gamma", None) ]
-       ());
+    (plus ("gamma", `Tomb));
+  (* "zeta" is a chain of two objects, df 2 and cf 20. *)
+  let zeta = List.assoc "zeta" chains in
+  Alcotest.(check (pair int int)) "zeta's statistics" (2, 20) (stats "zeta");
+  Alcotest.(check string) "zeta extended by an inline chunk opens" "opened"
+    (open_root rf (plus ("zeta", `Extend ([ inline 9 [ 0 ] ], 3, 21))));
+  corrupt_root "an extension of a term the earlier parts lack"
+    ~why:"extends a term the earlier parts lack"
+    (plus ("gamma", `Extend ([ inline 9 [ 0 ] ], 1, 1)));
+  corrupt_root "an extension that appends nothing" ~why:"extends a chain by no chunk"
+    (plus ("zeta", `Extend ([], 2, 20)));
+  corrupt_root "inline chunks whose documents do not ascend"
+    ~why:"holds inline chunks whose documents overlap"
+    (plus ("zeta", `Extend ([ inline 9 [ 0 ]; inline 8 [ 0 ] ], 4, 22)));
+  corrupt_root "an extension past the bound" ~why:"extends a chain to 5 chunks"
+    (plus ("zeta", `Extend ([ inline 9 [ 0 ]; inline 10 [ 0 ]; inline 11 [ 0 ] ], 5, 23)));
+  corrupt_root "a whole entry that extends the earlier chain"
+    ~why:"lists whole a chain that extends the earlier one"
+    (plus ("zeta", `Whole (zeta @ [ inline 9 [ 0 ] ], 3, 21)));
+  let bound = 12 in
+  corrupt_root "an inline chunk over the bound"
+    ~why:(Printf.sprintf "holds an inline chunk of %d bytes" (bound + 1))
+    (plus
+       ( "zeta",
+         `Extend
+           ([ Core.Live_index.Inline (Bytes.to_string (record_of_length (bound + 1))) ], 3, 21) ));
+  Alcotest.(check bool) "the bytes the next case inlines are no record" true
+    (Result.is_error (Inquery.Postings.validate (Bytes.of_string "\255")));
+  corrupt_root "an inline chunk that is no postings record" ~why:"not a postings record"
+    (plus ("zeta", `Extend ([ Core.Live_index.Inline "\255" ], 3, 21)));
+  corrupt_root "an empty inline chunk" ~why:"holds an empty inline chunk"
+    (plus ("zeta", `Extend ([ Core.Live_index.Inline "" ], 3, 21)));
   corrupt_root "an added document already present" ~why:"adds a document already present"
     (delta_part ~added:[ (2, 3) ] ());
   corrupt_root "a removed document that is absent" ~why:"removes a document that is absent"
@@ -531,15 +642,17 @@ let test_malformed_chains_are_corrupt () =
     (delta_part
        ~entries:
          [
-           ("alpha", Option.map (fun (_, df, cf) -> ([ base ], df, cf)) (entry "alpha"));
-           ("alphabet", None);
+           ( "alpha",
+             let df, cf = stats "alpha" in
+             `Whole ([ Core.Live_index.Object base ], df, cf) );
+           ("alphabet", `Tomb);
            ("beta", entry "beta");
          ]
        ());
   corrupt_root "the root's oid as a part" ~why:"lists its own oid as a part"
     (delta_part ~earlier:[ base; delta; root ] ());
-  corrupt_root "a chunk as a part" ~why:"root part"
-    (delta_part ~earlier:[ base; List.hd (List.assoc "zeta" chains) ] ());
+  let zeta_oid = match zeta with Core.Live_index.Object oid :: _ -> oid | _ -> assert false in
+  corrupt_root "a chunk as a part" ~why:"root part" (delta_part ~earlier:[ base; zeta_oid ] ());
   corrupt_root "a part that resolves to no object" ~why:"resolves to no object"
     (delta_part ~earlier:[ base; 1_000_000 ] ());
   Alcotest.(check string) "the chain still opens" "opened" (open_root rf (delta_part ()));
@@ -612,6 +725,156 @@ let prop_root_decoder_total =
       let got = open_root (Lazy.force rf) payload in
       got = "opened" || String.starts_with ~prefix:"Corrupt" got)
 
+(* --- inline chunks ------------------------------------------------- *)
+
+let kinds chain =
+  List.map
+    (function Core.Live_index.Object _ -> "object" | Core.Live_index.Inline _ -> "inline")
+    chain
+
+(* The same one-document batches folded into a Mneme index and its
+   B-tree twin. *)
+let fold_twins twins ~doc postings =
+  List.iter
+    (fun live -> Core.Live_index.fold_batch live ~docs:[ (doc, 1) ] ~postings ~deletes:[] ())
+    twins
+
+(* A fold whose additions are at most 12 bytes allocates no object for
+   them, and reads them back as the B-tree stores them; a 13-byte
+   addition is an object. *)
+let test_tiny_chunks_ride_inline () =
+  let mneme = Core.Live_index.create_mneme (Vfs.create ()) ~file:"in.mneme" () in
+  let btree = Core.Live_index.create_btree (Vfs.create ()) ~file:"in.btree" () in
+  let store = Option.get (Core.Live_index.mneme_store mneme) in
+  let count name = Mneme.Store.pool_object_count (Mneme.Store.pool store name) in
+  let tiny = Inquery.Postings.encode [ (0, [ 0 ]) ] and twelve = record_of_length ~doc:0 12 in
+  Alcotest.(check bool) "a tiny record" true (Bytes.length tiny < 12);
+  let small = count "small" in
+  fold_twins [ mneme; btree ] ~doc:0 [ ("tiny", tiny); ("twelve", twelve) ];
+  Alcotest.(check int) "no small-pool object" small (count "small");
+  let chain term = List.assoc term (Core.Live_index.chains mneme) in
+  Alcotest.(check (list (list string)))
+    "both inline" [ [ "inline" ]; [ "inline" ] ]
+    [ kinds (chain "tiny"); kinds (chain "twelve") ];
+  let medium = count "medium" in
+  fold_twins [ mneme; btree ] ~doc:1
+    [ ("thirteen", record_of_length ~doc:1 13); ("tiny", Inquery.Postings.encode [ (1, [ 5 ]) ]) ];
+  Alcotest.(check int) "still no small-pool object" small (count "small");
+  (match chain "thirteen" with
+  | [ Core.Live_index.Object oid ] ->
+    Alcotest.(check (option int)) "a 13-byte object" (Some 13) (Mneme.Store.object_size store oid)
+  | c -> Alcotest.failf "thirteen: %s" (String.concat "," (kinds c)));
+  Alcotest.(check int) "the 13-byte chunk and the delta part are medium objects" (medium + 2)
+    (count "medium");
+  Alcotest.(check (list string)) "tiny is a chain of two inline chunks" [ "inline"; "inline" ]
+    (kinds (chain "tiny"));
+  List.iter
+    (fun term ->
+      Alcotest.(check (option bytes))
+        (term ^ " as the B-tree stores it")
+        (Core.Live_index.term_record btree term)
+        (Core.Live_index.term_record mneme term))
+    [ "tiny"; "twelve"; "thirteen" ];
+  (* An inline record is read from the snapshot, with no I/O. *)
+  let vfs = Mneme.Store.vfs store in
+  let before = Vfs.counters vfs in
+  ignore (Core.Live_index.term_record mneme "tiny");
+  let io = Vfs.diff_counters ~later:(Vfs.counters vfs) ~earlier:before in
+  Alcotest.(check (pair int int)) "no file access, no byte read" (0, 0)
+    (io.Vfs.file_accesses, io.Vfs.bytes_read)
+
+(* A batch that adds a document and deletes it again rewrites "echo"
+   back to the inline record its published entry already names; the
+   delta lists no entry for it (one equal to the published entry is
+   not canonical), so the root reopens. *)
+let test_batch_restoring_an_entry () =
+  let vfs = Vfs.create () in
+  let live = Core.Live_index.create_mneme ~journal:"re.log" vfs ~file:"re.mneme" () in
+  ignore (Core.Live_index.add_document live "echo");
+  let before = Core.Live_index.chains live in
+  Core.Live_index.fold_batch live ~docs:[ (1, 1) ]
+    ~postings:[ ("echo", Inquery.Postings.encode [ (1, [ 0 ]) ]) ]
+    ~deletes:[ 1 ] ();
+  Alcotest.(check bool) "echo's entry as published before" true
+    (Core.Live_index.chains live = before);
+  Alcotest.(check (list (pair string string))) "the audit is clean" [] (Core.Live_index.audit live);
+  let re = Core.Live_index.open_mneme ~journal:"re.log" vfs ~file:"re.mneme" () in
+  Alcotest.(check bool) "the reopened directory" true
+    (Core.Live_index.directory re = Core.Live_index.directory live)
+
+(* A full chain of inline and object chunks consolidates at the fifth
+   touch into exactly the record the B-tree's rewrite stores. *)
+let test_mixed_chain_consolidates () =
+  let mneme = Core.Live_index.create_mneme (Vfs.create ()) ~file:"mx.mneme" () in
+  let btree = Core.Live_index.create_btree (Vfs.create ()) ~file:"mx.btree" () in
+  let addition doc =
+    if doc mod 2 = 0 then Inquery.Postings.encode [ (doc, [ 0 ]) ] else record_of_length ~doc 20
+  in
+  for doc = 0 to 3 do
+    fold_twins [ mneme; btree ] ~doc [ ("mix", addition doc) ]
+  done;
+  let chain () = List.assoc "mix" (Core.Live_index.chains mneme) in
+  Alcotest.(check (list string)) "a full mixed chain" [ "inline"; "object"; "inline"; "object" ]
+    (kinds (chain ()));
+  fold_twins [ mneme; btree ] ~doc:4 [ ("mix", addition 4) ];
+  Alcotest.(check int) "consolidated into one chunk" 1 (List.length (chain ()));
+  let record = Core.Live_index.term_record mneme "mix" in
+  Alcotest.(check (option bytes))
+    "the record a rewrite stores"
+    (Core.Live_index.term_record btree "mix")
+    record;
+  Alcotest.(check (option bytes)) "the five additions as one record"
+    (Inquery.Postings.concat (List.init 5 addition))
+    record;
+  Alcotest.(check (list (pair string string))) "the audit is clean" [] (Core.Live_index.audit mneme)
+
+(* An inline chunk is bytes of the snapshot that names it: a pin reads
+   it with no I/O, after the base that first carried it has been
+   retired and collected, and while its own base is retired and held
+   for it. *)
+let test_pin_reads_inline_after_its_base_is_collected () =
+  let vfs = Vfs.create () in
+  let live = Core.Live_index.create_mneme ~journal:"pi.log" vfs ~file:"pi.mneme" () in
+  let store = Option.get (Core.Live_index.mneme_store live) in
+  let add text = ignore (Core.Live_index.add_document live text) in
+  add "solo";
+  let first_base = List.hd (Core.Live_index.root_parts live) in
+  let solo = Core.Live_index.term_record live "solo" in
+  Alcotest.(check (list string)) "solo is inline" [ "inline" ]
+    (kinds (List.assoc "solo" (Core.Live_index.chains live)));
+  (* The fifth publication seals a fresh base, copying solo's chunk. *)
+  for i = 1 to 4 do
+    add (Printf.sprintf "filler%d" i)
+  done;
+  let pinned_base =
+    match Core.Live_index.root_parts live with
+    | [ b ] when b <> first_base -> b
+    | _ -> Alcotest.fail "no fresh base"
+  in
+  let p = Core.Live_index.pin live in
+  for i = 5 to 8 do
+    add (Printf.sprintf "filler%d" i)
+  done;
+  Alcotest.(check bool) "the pinned base retired" true
+    (not (List.mem pinned_base (Core.Live_index.root_parts live)));
+  ignore (Core.Live_index.gc live);
+  Alcotest.(check (pair bool bool))
+    "the first base collected, the pinned one held" (false, true)
+    (Mneme.Store.exists store first_base, Mneme.Store.exists store pinned_base);
+  let before = Vfs.counters vfs in
+  let read = Option.map (fun (r, _, _) -> r) ((Core.Live_index.pinned live p).record "solo") in
+  let io = Vfs.diff_counters ~later:(Vfs.counters vfs) ~earlier:before in
+  Alcotest.(check (option bytes)) "the pin reads solo" solo read;
+  Alcotest.(check (pair int int)) "with no file access" (0, 0)
+    (io.Vfs.file_accesses, io.Vfs.bytes_read);
+  Core.Live_index.release live p;
+  ignore (Core.Live_index.gc live);
+  Alcotest.(check bool) "the pinned base collected after the release" false
+    (Mneme.Store.exists store pinned_base);
+  Alcotest.(check (option bytes)) "the latest epoch reads solo" solo
+    (Core.Live_index.term_record live "solo");
+  Alcotest.(check (list (pair string string))) "the audit is clean" [] (Core.Live_index.audit live)
+
 let test_backend_names () =
   both_backends (fun live ->
       Alcotest.(check bool) "name" true
@@ -665,9 +928,16 @@ let test_repeated_term_read_once () =
     Core.Live_index.create_mneme ~buffers:Core.Buffer_sizing.no_cache ~journal:"rt.log" vfs
       ~file:"rt.mneme" ()
   in
+  (* Ten occurrences a document make every "alpha" and "beta" chunk an
+     object, read from the store. *)
   List.iter
     (fun text -> ignore (Core.Live_index.add_document live text))
-    [ "alpha beta gamma"; "alpha delta"; "beta beta epsilon"; "alpha alpha beta" ];
+    [
+      ten "alpha" ^ " " ^ ten "beta" ^ " gamma";
+      ten "alpha" ^ " delta";
+      ten "beta" ^ " epsilon";
+      ten "alpha" ^ " " ^ ten "beta";
+    ];
   let searched q =
     let before = Vfs.counters vfs in
     let ranked = Core.Live_index.search live q in
@@ -677,7 +947,12 @@ let test_repeated_term_read_once () =
   let ranked, twice = searched "#sum( alpha alpha beta )" in
   (* Each document was its own fold, so "alpha" (documents 0, 1, 3) and
      "beta" (0, 2, 3) are three-chunk chains. *)
-  let chunks term = List.length (List.assoc term (Core.Live_index.chains live)) in
+  let chunks term =
+    let chain = List.assoc term (Core.Live_index.chains live) in
+    if List.exists (function Core.Live_index.Inline _ -> true | _ -> false) chain then
+      Alcotest.failf "%s has an inline chunk" term;
+    List.length chain
+  in
   Alcotest.(check (pair int int)) "three chunks each" (3, 3) (chunks "alpha", chunks "beta");
   Alcotest.(check int) "one file access per chunk of each distinct term"
     (chunks "alpha" + chunks "beta") twice.Vfs.file_accesses;
@@ -752,8 +1027,12 @@ let test_pools_sized_to_epoch () =
     (capacities live);
   add_sized_docs live;
   sized "after adds" live;
-  Alcotest.(check bool) "every pool holds records" true
-    (List.for_all (fun (_, c) -> c > 0) (capacities live));
+  (* Every chunk of at most 12 bytes rides inline in the root, so the
+     small pool holds no record. *)
+  Alcotest.(check (list (pair string bool)))
+    "every pool but the small one holds records"
+    [ ("small", false); ("medium", true); ("large", true) ]
+    (List.map (fun (pool, c) -> (pool, c > 0)) (capacities live));
   Core.Live_index.fold_batch live
     ~docs:[ (40, 3) ]
     ~postings:
@@ -829,6 +1108,13 @@ let suite =
     Alcotest.test_case "malformed root chains are Corrupt" `Quick test_malformed_chains_are_corrupt;
     QCheck_alcotest.to_alcotest prop_root_decoder_total;
     Alcotest.test_case "a delta is sealed in its base's pool" `Quick test_deltas_follow_their_base;
+    Alcotest.test_case "chunks of at most 12 bytes ride inline" `Quick test_tiny_chunks_ride_inline;
+    Alcotest.test_case "a mixed chain consolidates into the rewrite's record" `Quick
+      test_mixed_chain_consolidates;
+    Alcotest.test_case "a batch that restores an inline entry reopens" `Quick
+      test_batch_restoring_an_entry;
+    Alcotest.test_case "a pin reads inline chunks after their base is collected" `Quick
+      test_pin_reads_inline_after_its_base_is_collected;
     Alcotest.test_case "pools sized to the published epoch" `Quick test_pools_sized_to_epoch;
     Alcotest.test_case "explicit buffers stay fixed" `Quick test_explicit_buffers_stay_fixed;
     Alcotest.test_case "a repeated query term is read once" `Quick test_repeated_term_read_once;

@@ -119,7 +119,40 @@ let test_persistence_roundtrip () =
       Alcotest.(check bytes) "persisted" expect (Mneme.Store.get store2 oid))
     objs;
   Alcotest.(check int) "count persisted" 400 (Mneme.Store.object_count store2);
-  Alcotest.(check bool) "aux tables persisted" true (Mneme.Store.aux_table_bytes store2 > 0)
+  (* The directory the header names (offset at byte 7, length at 15),
+     and each pool table it lists: name, u64 offset, u32 length. *)
+  let file = Vfs.open_file vfs "p.mneme" in
+  let header = Vfs.read file ~off:0 ~len:64 in
+  let dir_len = Util.Bin.get_u64 header 15 in
+  let dir = Vfs.read file ~off:(Util.Bin.get_u64 header 7) ~len:dir_len in
+  let pos = ref 2 and tables = ref dir_len in
+  for _ = 1 to Util.Bin.get_u16 dir 0 do
+    let _, p = Util.Bin.get_string dir !pos in
+    tables := !tables + Util.Bin.get_u32 dir (p + 8);
+    pos := p + 12
+  done;
+  Alcotest.(check int) "three pool tables" 3 (Util.Bin.get_u16 dir 0);
+  Alcotest.(check int) "aux tables persisted" !tables (Mneme.Store.aux_table_bytes store2)
+
+(* Each finalize writes the tables afresh: the ones it supersedes are
+   wasted, and compaction drops them. *)
+let test_refinalize_wastes_old_tables () =
+  let vfs = Vfs.create () in
+  let store = Mneme.Store.create vfs "w.mneme" in
+  let medium = Mneme.Store.add_pool store Mneme.Policy.medium in
+  Mneme.Store.attach_buffer medium (Mneme.Buffer_pool.create ~name:"m" ~capacity:100_000 ());
+  for i = 0 to 599 do
+    ignore (Mneme.Store.allocate medium (payload i 200))
+  done;
+  Mneme.Store.finalize store;
+  let tables = Mneme.Store.aux_table_bytes store and size = Mneme.Store.file_size store in
+  Alcotest.(check int) "nothing wasted after the first finalize" 0 (Mneme.Store.wasted_bytes store);
+  Mneme.Store.finalize store;
+  Alcotest.(check int) "the same tables again" tables (Mneme.Store.aux_table_bytes store);
+  Alcotest.(check int) "the file grew by the tables" (size + tables) (Mneme.Store.file_size store);
+  Alcotest.(check int) "the superseded tables are wasted" tables (Mneme.Store.wasted_bytes store);
+  let dst = Mneme.Store.compact store ~file:"w2.mneme" in
+  Alcotest.(check int) "compaction reclaims them" 0 (Mneme.Store.wasted_bytes dst)
 
 let test_open_missing_and_unfinalized () =
   let vfs = Vfs.create () in
@@ -562,6 +595,8 @@ let suite =
     Alcotest.test_case "get missing" `Quick test_get_missing;
     Alcotest.test_case "exists does not fault" `Quick test_exists_no_fault;
     Alcotest.test_case "persistence roundtrip" `Quick test_persistence_roundtrip;
+    Alcotest.test_case "a second finalize wastes the first one's tables" `Quick
+      test_refinalize_wastes_old_tables;
     Alcotest.test_case "open missing/unfinalized" `Quick test_open_missing_and_unfinalized;
     Alcotest.test_case "allocation after reopen" `Quick test_allocation_continues_after_reopen;
     Alcotest.test_case "modify in place" `Quick test_modify_in_place;

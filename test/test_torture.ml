@@ -89,10 +89,10 @@ let test_driver_audits_every_point () =
     (Lazy.force small_plans)
 
 (* At 16 documents both live-index families fill chunk chains and
-   consolidate them while a pin still reads the old chunks: the golden
-   audit then proves pinned rankings stay bit-identical, the gc under
-   the pins keeps every such chunk and the gc after their release
-   reclaims them all.  Both also fill the root's chain of parts and
+   consolidate them while a pin still reads the old chunks, objects
+   among them: the golden audit then proves pinned rankings stay
+   bit-identical, the gc under the pins keeps every such object chunk
+   and the gc after their release reclaims them all.  Both also fill the root's chain of parts and
    rewrite its base while a pin is held. *)
 let test_golden_runs_consolidate_under_pins () =
   List.iter
