@@ -97,30 +97,10 @@ type t = {
   tombs : (int, int) Hashtbl.t; (* doc -> deleting op's seq *)
   union : (int, int) Hashtbl.t; (* doc -> indexed length, the serving view *)
   mutable union_len : int;
-  (* counters *)
-  mutable c_docs : int;
-  mutable c_deletes : int;
-  mutable c_overloads : int;
-  mutable c_seals : int;
-  mutable c_folds : int;
-  mutable c_folded_docs : int;
-  mutable c_folded_bytes : int;
-  mutable c_wal_bytes : int;
-  mutable c_replayed : int;
+  mutable stats : stats;
 }
 
-let stats t =
-  {
-    docs_absorbed = t.c_docs;
-    deletes_absorbed = t.c_deletes;
-    overloads = t.c_overloads;
-    seals = t.c_seals;
-    folds = t.c_folds;
-    folded_docs = t.c_folded_docs;
-    folded_bytes = t.c_folded_bytes;
-    wal_bytes = t.c_wal_bytes;
-    replayed_ops = t.c_replayed;
-  }
+let stats t = t.stats
 
 let meta_key = "ingest_seq"
 let wal_file file = file ^ ".wal"
@@ -176,7 +156,7 @@ let wal_append t op =
      crash-durable; a crash mid-flush leaves at worst a torn tail the
      CRC rejects on replay. *)
   Vfs.fsync t.wal;
-  t.c_wal_bytes <- t.c_wal_bytes + Bytes.length frame
+  t.stats <- { t.stats with wal_bytes = t.stats.wal_bytes + Bytes.length frame }
 
 (* Scan the WAL's valid prefix: every record whose frame fits and whose
    CRC verifies, stopping at the first violation (the torn tail of a
@@ -325,7 +305,7 @@ let seal t =
     a.a_bytes <- 0;
     a.a_seq_lo <- -1;
     a.a_seq_hi <- -1;
-    t.c_seals <- t.c_seals + 1;
+    t.stats <- { t.stats with seals = t.stats.seals + 1 };
     tier_combine t
   end
 
@@ -383,7 +363,7 @@ let buffer_delete t ~seq ~doc =
 
 let add_document t text =
   if buffered_bytes t >= t.config.buffer_budget then begin
-    t.c_overloads <- t.c_overloads + 1;
+    t.stats <- { t.stats with overloads = t.stats.overloads + 1 };
     Overloaded
   end
   else begin
@@ -391,7 +371,7 @@ let add_document t text =
     wal_append t (Op_add { seq; doc; text });
     t.next_seq <- seq + 1;
     buffer_add t ~seq ~doc text;
-    t.c_docs <- t.c_docs + 1;
+    t.stats <- { t.stats with docs_absorbed = t.stats.docs_absorbed + 1 };
     Acked { doc; seq }
   end
 
@@ -402,7 +382,7 @@ let delete_document t doc =
     wal_append t (Op_delete { seq; doc });
     t.next_seq <- seq + 1;
     ignore (buffer_delete t ~seq ~doc);
-    t.c_deletes <- t.c_deletes + 1;
+    t.stats <- { t.stats with deletes_absorbed = t.stats.deletes_absorbed + 1 };
     true
   end
 
@@ -470,9 +450,13 @@ let merge_step ?(budget = Mneme.Budget.unlimited) t =
       Hashtbl.fold (fun doc seq acc -> if seq <= frontier then doc :: acc else acc) t.tombs []
     in
     List.iter (fun doc -> Hashtbl.remove t.tombs doc) settled;
-    t.c_folds <- t.c_folds + 1;
-    t.c_folded_docs <- t.c_folded_docs + List.length docs;
-    t.c_folded_bytes <- t.c_folded_bytes + Mneme.Budget.bytes meter;
+    t.stats <-
+      {
+        t.stats with
+        folds = t.stats.folds + 1;
+        folded_docs = t.stats.folded_docs + List.length docs;
+        folded_bytes = t.stats.folded_bytes + Mneme.Budget.bytes meter;
+      };
     (* Nothing left to replay: every WAL record is at or below the
        frontier, so the log can be cut.  Truncation is journaled
        metadata — durable immediately, no crash point. *)
@@ -498,40 +482,31 @@ let segment_run sg term =
   if !lo < Array.length sg.sg_runs && fst sg.sg_runs.(!lo) = term then Some (snd sg.sg_runs.(!lo))
   else None
 
-(* The union record for one normalised term: the disk record's chunks,
-   then the sealed runs oldest first, then the active run, with every
-   tombstoned document dropped — each decoded once and encoded once, so
-   the result is exactly the record a from-scratch index of the union's
-   documents would hold, and its header statistics are the union's.
-   With no tombstone pending, a term held only on disk in one chunk is
-   that chunk's bytes. *)
-let union_record (disk : Live_index.view) ~segs ~active ~tombs term =
-  let runs = List.filter_map (fun sg -> segment_run sg term) segs @ Option.to_list active in
-  Inquery.Postings.concat ?keep:(tombstone_filter tombs) (disk.Live_index.chunks term @ runs)
-  |> Option.map (fun r ->
-         let df, cf = Inquery.Postings.stats r in
-         (r, df, cf))
-
-(* A union's record is one record, so its chunks are that record. *)
-let union_view ~record ~doc_len ~n_docs ~total_len ~next_doc =
-  {
-    Live_index.record;
-    chunks = (fun term -> Option.fold ~none:[] ~some:(fun (r, _, _) -> [ r ]) (record term));
-    doc_len;
-    n_docs;
-    total_len;
-    next_doc;
-  }
+(* A union view's chunks of one normalised term: the disk record's
+   chunks, then the term's runs in [segs] oldest first, then its run in
+   [active], if any.  Consecutive segments and the active run cover
+   disjoint ascending document ranges past the disk's, so with the
+   tombstone filter as [keep], {!Live_index.record} over them is exactly
+   the record a from-scratch index of the union's documents would hold:
+   each input decoded once and the union encoded once, and with no
+   tombstone pending, a term held only on disk in one chunk is that
+   chunk's bytes. *)
+let union_chunks (disk : Live_index.view) ~segs ~active term =
+  disk.chunks term
+  @ List.filter_map (fun sg -> segment_run sg term) segs
+  @ Option.to_list
+      (Option.bind active (fun a -> Option.map materialize (Hashtbl.find_opt a.a_runs term)))
 
 let latest t =
-  let disk = Live_index.latest t.live in
-  union_view
-    ~record:(fun term ->
-      union_record disk ~segs:t.sealed
-        ~active:(Option.map materialize (Hashtbl.find_opt t.active.a_runs term))
-        ~tombs:t.tombs term)
-    ~doc_len:(Hashtbl.find_opt t.union) ~n_docs:(Hashtbl.length t.union) ~total_len:t.union_len
-    ~next_doc:t.next_doc
+  {
+    Live_index.chunks =
+      union_chunks (Live_index.latest t.live) ~segs:t.sealed ~active:(Some t.active);
+    keep = tombstone_filter t.tombs;
+    doc_len = Hashtbl.find_opt t.union;
+    n_docs = Hashtbl.length t.union;
+    total_len = t.union_len;
+    next_doc = t.next_doc;
+  }
 
 let search ?top_k t query = Live_index.rank ?top_k t.live (latest t) query
 
@@ -563,11 +538,15 @@ let pin t =
 let release t p = Live_index.release t.live p.ip_live
 
 let pinned t p =
-  let disk = Live_index.pinned t.live p.ip_live in
-  union_view
-    ~record:(union_record disk ~segs:p.ip_segments ~active:None ~tombs:p.ip_tombs)
-    ~doc_len:(Hashtbl.find_opt p.ip_docs) ~n_docs:(Hashtbl.length p.ip_docs)
-    ~total_len:p.ip_total ~next_doc:p.ip_next
+  {
+    Live_index.chunks =
+      union_chunks (Live_index.pinned t.live p.ip_live) ~segs:p.ip_segments ~active:None;
+    keep = tombstone_filter p.ip_tombs;
+    doc_len = Hashtbl.find_opt p.ip_docs;
+    n_docs = Hashtbl.length p.ip_docs;
+    total_len = p.ip_total;
+    next_doc = p.ip_next;
+  }
 
 (* ------------------------------------------------------------------ *)
 (* Construction and recovery                                           *)
@@ -586,15 +565,18 @@ let make vfs live ~wal ~config ~merged_seq =
     tombs = Hashtbl.create 64;
     union = Hashtbl.create 256;
     union_len = 0;
-    c_docs = 0;
-    c_deletes = 0;
-    c_overloads = 0;
-    c_seals = 0;
-    c_folds = 0;
-    c_folded_docs = 0;
-    c_folded_bytes = 0;
-    c_wal_bytes = 0;
-    c_replayed = 0;
+    stats =
+      {
+        docs_absorbed = 0;
+        deletes_absorbed = 0;
+        overloads = 0;
+        seals = 0;
+        folds = 0;
+        folded_docs = 0;
+        folded_bytes = 0;
+        wal_bytes = 0;
+        replayed_ops = 0;
+      };
   }
 
 let seed_union t =
@@ -664,7 +646,7 @@ let open_ ?(config = default_config) ?stopwords ?stem vfs ~file () =
         (match op with
         | Op_add { seq; doc; text } -> buffer_add t ~seq ~doc text
         | Op_delete { seq; doc } -> ignore (buffer_delete t ~seq ~doc));
-        t.c_replayed <- t.c_replayed + 1
+        t.stats <- { t.stats with replayed_ops = t.stats.replayed_ops + 1 }
       end)
     ops;
   (* A crash can land between a fold's commit and its WAL cut; if the

@@ -26,14 +26,15 @@
 
     {b Union queries.}  {!latest} is the union of disk and memory as a
     {!Live_index.view} with exact collection statistics: per query term
-    the disk record's chunks, the sealed runs and the active run are
-    concatenated in one pass ({!Inquery.Postings.concat}: each decoded
-    once, the union encoded once) and pending deletions dropped, so the
-    record — and hence df, tf and every belief — is bit-identical to a
-    from-scratch index of the union's documents.  {!search} ranks it
-    with {!Live_index.rank}.  {!pin} freezes the whole union (disk epoch
-    pin + sealed segment list), and ranking its {!pinned} view gives
-    bit-identical re-reads under churn. *)
+    its chunks are the disk record's chunks, the sealed runs and the
+    active run, oldest first, and its [keep] drops pending deletions, so
+    {!Live_index.record} concatenates them in one pass
+    ({!Inquery.Postings.concat}: each decoded once, the union encoded
+    once) into a record — and hence df, tf and every belief —
+    bit-identical to a from-scratch index of the union's documents.
+    {!search} ranks it with {!Live_index.rank}.  {!pin} freezes the
+    whole union (disk epoch pin + sealed segment list), and ranking its
+    {!pinned} view gives bit-identical re-reads under churn. *)
 
 type config = {
   buffer_budget : int;
@@ -119,14 +120,13 @@ val drain : ?budget:Mneme.Budget.t -> t -> unit
 
 val latest : t -> Live_index.view
 (** The union of the memory buffer and the disk index, less pending
-    deletions: each term's record is one {!Inquery.Postings.concat} of
-    the disk record's chunks ({!Live_index.view.chunks}), then the
-    sealed runs oldest first, then the active run, with tombstoned
-    documents dropped — byte for byte the record a single index holding
-    the union's documents would store, with its df and cf.  With no
-    deletion pending, a term stored on disk as one chunk and buffered
-    nowhere is that chunk's bytes, decoded by no one.  The view's
-    [chunks] is that one record. *)
+    deletions: each term's chunks are the disk record's chunks, then the
+    sealed runs oldest first, then the active run, and [keep] drops the
+    tombstoned documents ([None] while no deletion is pending), so its
+    {!Live_index.record} is byte for byte the record a single index
+    holding the union's documents would store, with its df and cf.
+    With no deletion pending, a term stored on disk as one chunk and
+    buffered nowhere is that chunk's bytes, decoded by no one. *)
 
 val search : ?top_k:int -> t -> string -> Inquery.Ranking.ranked list
 (** [Live_index.rank ?top_k (live t) (latest t)]: rankings are

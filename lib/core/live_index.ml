@@ -711,8 +711,6 @@ let fetch_chunks t entry =
   | Mneme_backend st ->
     Option.value ~default:[] (read_chain st (chain st entry.Inquery.Dictionary.term))
 
-let fetch_record t entry = Inquery.Postings.concat (fetch_chunks t entry)
-
 let cow_pool st size =
   match Partition.classify size with
   | Partition.Small -> st.pools.small
@@ -1007,14 +1005,6 @@ let avg_doc_length t =
   let n = document_count t in
   if n = 0 then 0.0 else float_of_int t.total_len /. float_of_int n
 
-let term_record t term =
-  match normalise t term with
-  | None -> None
-  | Some term -> (
-    match Inquery.Dictionary.find t.dict term with
-    | None -> None
-    | Some entry -> fetch_record t entry)
-
 let doc_lengths t =
   Hashtbl.fold (fun d l acc -> (d, l) :: acc) t.doc_lens [] |> List.sort compare
 
@@ -1054,50 +1044,43 @@ let pinned_epochs t =
 (* Views and ranking                                                   *)
 
 type view = {
-  record : string -> (bytes * int * int) option;
   chunks : string -> bytes list;
+  keep : (int -> bool) option;
   doc_len : int -> int option;
   n_docs : int;
   total_len : int;
   next_doc : int;
 }
 
+let record view term = Inquery.Postings.concat ?keep:view.keep (view.chunks term)
+
 (* Terms are already normalised: stemming is not idempotent, so
    normalising again here would miss. *)
 let latest t =
-  let chunks term =
-    match Inquery.Dictionary.find t.dict term with None -> [] | Some e -> fetch_chunks t e
-  in
   {
-    record =
+    chunks =
       (fun term ->
-        match Inquery.Dictionary.find t.dict term with
-        | None -> None
-        | Some e ->
-          Option.map
-            (fun r -> (r, e.Inquery.Dictionary.df, e.Inquery.Dictionary.cf))
-            (fetch_record t e));
-    chunks;
+        match Inquery.Dictionary.find t.dict term with None -> [] | Some e -> fetch_chunks t e);
+    keep = None;
     doc_len = Hashtbl.find_opt t.doc_lens;
     n_docs = Hashtbl.length t.doc_lens;
     total_len = t.total_len;
     next_doc = t.next_doc_id;
   }
 
-(* The pinned snapshot's directory and statistics, with records fetched
-   through the pinned chains, whose chunks the epoch pin keeps alive. *)
+let term_record t term = Option.bind (normalise t term) (record (latest t))
+
+(* The pinned snapshot's directory and statistics, with chunks read
+   through the pinned chains, which the epoch pin keeps alive. *)
 let pinned t p =
   let st = mneme_state t and snap = p.p_snap in
-  let chunks ti = Option.value ~default:[] (read_chain st ti.ti_chunks) in
   {
-    record =
+    chunks =
       (fun term ->
         match Tmap.find_opt term snap.sn_terms with
-        | Some ti ->
-          Option.map (fun r -> (r, ti.ti_df, ti.ti_cf)) (Inquery.Postings.concat (chunks ti))
-        | None -> None);
-    chunks =
-      (fun term -> match Tmap.find_opt term snap.sn_terms with Some ti -> chunks ti | None -> []);
+        | Some ti -> Option.value ~default:[] (read_chain st ti.ti_chunks)
+        | None -> []);
+    keep = None;
     doc_len = (fun d -> Imap.find_opt d snap.sn_doc_lens);
     n_docs = Imap.cardinal snap.sn_doc_lens;
     total_len = snap.sn_total_len;
@@ -1106,30 +1089,24 @@ let pinned t p =
 
 let rank ?(top_k = 10) t view query =
   let q = Inquery.Query.parse_exn query in
-  (* Every record is fetched before evaluation, once per distinct
-     normalised term, into a per-query dictionary carrying the view's
-     df and cf: the evaluator then sees nothing but the view. *)
-  let dict = Inquery.Dictionary.create () in
+  (* Every record is read before evaluation, once per distinct
+     normalised term.  The evaluators score with each record's own
+     header statistics, so the per-query dictionary only names the terms
+     that have one: a handful, hence its few buckets. *)
+  let dict = Inquery.Dictionary.create ~initial_buckets:16 () in
   let records = Hashtbl.create 8 in
   List.iter
     (fun w ->
       match normalise t w with
       | Some w when not (Hashtbl.mem records w) ->
-        let found = view.record w in
+        let found = record view w in
         Hashtbl.replace records w found;
-        Option.iter
-          (fun (_, df, cf) ->
-            let e = Inquery.Dictionary.intern dict w in
-            e.Inquery.Dictionary.df <- df;
-            e.Inquery.Dictionary.cf <- cf)
-          found
+        if Option.is_some found then ignore (Inquery.Dictionary.intern dict w)
       | _ -> ())
     (Inquery.Query.terms q);
   let source =
     {
-      Inquery.Infnet.fetch =
-        (fun e ->
-          Option.map (fun (r, _, _) -> r) (Hashtbl.find records e.Inquery.Dictionary.term));
+      Inquery.Infnet.fetch = (fun e -> Hashtbl.find records e.Inquery.Dictionary.term);
       n_docs = max 1 view.n_docs;
       max_doc_id = max 0 (view.next_doc - 1);
       avg_doc_len =

@@ -40,7 +40,7 @@
     {b A read equals a rewrite.}  Every chunk is a canonical postings
     record, and a chain's document ranges are disjoint and ascending, so
     {!Inquery.Postings.concat} over the chain is byte for byte the
-    record a rewrite would have stored: {!term_record}, the {!view}s,
+    record a rewrite would have stored: {!term_record}, {!record},
     rankings and {!audit} see no chunking at all.  Object chunks are
     ordinary Mneme objects named by the sealed root, and inline chunks
     are bytes of the root's own parts, so fsck, scrub and {!gc} need no
@@ -262,23 +262,22 @@ val contains_document : t -> int -> bool
 val avg_doc_length : t -> float
 
 val term_record : t -> string -> bytes option
-(** The current inverted record for a (normalised) term: its chain's
-    concatenation.  Read-only: a one-chunk inline record is the
-    snapshot's own bytes. *)
+(** The current inverted record for a term, after the index's stopword
+    and stemming pass: {!record} of {!latest}.  Read-only: a one-chunk
+    inline record is the snapshot's own bytes. *)
 
 (** {2 Views and ranking} *)
 
 type view = {
-  record : string -> (bytes * int * int) option;
-      (** [(record, df, cf)] for an {e already-normalised} term — no
-          stopword or stemming pass, unlike {!term_record} (stemming is
-          not idempotent); [None] if the view holds no posting of it *)
   chunks : string -> bytes list;
-      (** the same term's record as stored, oldest chunk first: its
-          {!Inquery.Postings.concat} is [record]'s bytes, so a reader
-          that unions it with more postings decodes each chunk once;
-          [[]] exactly when [record] is [None].  Read-only: inline
-          chunks are the snapshot's own bytes *)
+      (** an {e already-normalised} term's postings as stored, oldest
+          first — no stopword or stemming pass, unlike {!term_record}
+          (stemming is not idempotent): postings records whose
+          documents ascend across the list; [[]] if the view holds none.
+          Read-only: inline chunks are the snapshot's own bytes *)
+  keep : (int -> bool) option;
+      (** the documents of [chunks] the view holds; [None] when it holds
+          every one *)
   doc_len : int -> int option;
       (** a document's indexed length; [None] marks a document outside
           the view *)
@@ -286,21 +285,30 @@ type view = {
   total_len : int;  (** their summed indexed lengths *)
   next_doc : int;  (** one past the largest document id ever assigned *)
 }
-(** Everything a ranking reads: one version of the collection, its
-    records and its collection statistics. *)
+(** Everything a ranking reads: one version of the collection, each
+    term's stored postings and its collection statistics. *)
+
+val record : view -> string -> bytes option
+(** A term's record in the view, [Inquery.Postings.concat ?keep chunks]:
+    each chunk decoded once and the record encoded once, byte for byte
+    what an index holding just the view's documents would store, its
+    header df and cf the view's; with no [keep], a lone chunk already
+    in its layout is returned as is.  [None] if no document of the term
+    remains.  The only code that assembles a view's record. *)
 
 val latest : t -> view
 (** The live state: the in-memory dictionary and document table, which
-    under Mneme equal the latest published epoch. *)
+    under Mneme equal the latest published epoch.  Its [keep] is
+    [None]: a stored record holds only documents of the index. *)
 
 val rank : ?top_k:int -> t -> view -> string -> Inquery.Ranking.ranked list
-(** Parse a query, fetch each distinct normalised query term's record
-    from the view once, in order of first occurrence and before
-    evaluation starts, evaluate term-at-a-time ({!Inquery.Infnet.eval})
-    with the view's statistics, mask every document outside the view,
-    and keep the [top_k] (default 10).  [t] supplies the stopword and
-    stemming configuration.  Raises [Invalid_argument] on syntax
-    errors. *)
+(** Parse a query, read each distinct normalised query term's {!record}
+    once, in order of first occurrence and before evaluation starts,
+    evaluate term-at-a-time ({!Inquery.Infnet.eval}), which scores with
+    each record's header df, over the view's collection statistics, mask
+    every document outside the view, and keep the [top_k] (default 10).
+    [t] supplies the stopword and stemming configuration.  Raises
+    [Invalid_argument] on syntax errors. *)
 
 val search : ?top_k:int -> t -> string -> Inquery.Ranking.ranked list
 (** [rank ?top_k t (latest t)]. *)
@@ -335,11 +343,11 @@ val release : t -> pin -> unit
     reclaimable.  Raises [Invalid_argument] on double release. *)
 
 val pinned : t -> pin -> view
-(** The pinned epoch: every record and every collection statistic comes
+(** The pinned epoch: every chunk and every collection statistic comes
     from the pinned snapshot, through locators the pin keeps alive, so
     {!rank} over it is bit-identical to what {!search} returned when
     that epoch was current — no matter how many mutations have been
-    published since. *)
+    published since.  Its [keep] is [None]. *)
 
 val pinned_epochs : t -> int list
 (** Currently pinned epochs, ascending, with multiplicity ([] on

@@ -1778,16 +1778,16 @@ let cache () =
     let view = Live_index.pinned live p in
     List.iter
       (fun (term, _, _) ->
-        match view.record term with
+        match Live_index.record view term with
         | None -> ()
-        | Some (framed, _, _) -> (
+        | Some framed -> (
           incr comparisons;
           Mneme.Store.set_frames store None;
-          let plain = view.record term in
+          let plain = Live_index.record view term in
           Mneme.Store.set_frames store (Some bc);
           match plain with
           | None -> note log m "pinned epoch %d: term %S is gone with frames off" e term
-          | Some (record, _, _) ->
+          | Some record ->
             if not (Bytes.equal framed record) then
               note log m "pinned epoch %d: term %S's record differs through frames" e term))
       (List.filteri (fun i _ -> i < 4) (Live_index.pin_directory p))

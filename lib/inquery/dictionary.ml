@@ -15,11 +15,8 @@ type t = {
 }
 
 let create ?(initial_buckets = 1024) () =
-  {
-    buckets = Array.init (max 16 initial_buckets) (fun _ -> ref Nil);
-    by_id = Array.make 1024 None;
-    count = 0;
-  }
+  let width = max 16 initial_buckets in
+  { buckets = Array.init width (fun _ -> ref Nil); by_id = Array.make width None; count = 0 }
 
 (* FNV-1a: stable across runs, unlike [Hashtbl.hash] seeds. *)
 let hash s =

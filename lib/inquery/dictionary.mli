@@ -23,6 +23,9 @@ type entry = {
 }
 
 val create : ?initial_buckets:int -> unit -> t
+(** [initial_buckets] (default 1024, at least 16) sizes both the hash
+    table and the id index; each grows on demand, so the size changes
+    no id, no {!iter} order and no {!serialize} byte. *)
 
 val intern : t -> string -> entry
 (** Find or add; new entries get the next id and zeroed statistics. *)

@@ -349,7 +349,7 @@ let prop_churn_coherence =
             | None -> ()
             | Some term ->
               let record () =
-                Option.map (fun (r, _, _) -> r) ((Core.Live_index.latest live).record term)
+                Core.Live_index.record (Core.Live_index.latest live) term
               in
               let first = record () in
               let second = record () in

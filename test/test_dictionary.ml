@@ -59,6 +59,39 @@ let test_growth () =
       Alcotest.fail (Printf.sprintf "lost term%d" i)
   done
 
+(* The id index starts at the table's width and doubles as terms
+   arrive: a dictionary started at the floor of 16 buckets hands out the
+   ids, the iteration order and the serialized bytes of a default-sized
+   one. *)
+let test_small_start_matches_default () =
+  let small = Inquery.Dictionary.create ~initial_buckets:16 () in
+  let default = Inquery.Dictionary.create () in
+  let n = 5000 in
+  for i = 0 to n - 1 do
+    List.iter
+      (fun d ->
+        let e = Inquery.Dictionary.intern d (Printf.sprintf "term%d" ((i * 7919) mod n)) in
+        e.Inquery.Dictionary.df <- i;
+        e.Inquery.Dictionary.cf <- 3 * i;
+        e.Inquery.Dictionary.locator <- i - 1)
+      [ small; default ]
+  done;
+  Alcotest.(check int) "all interned" n (Inquery.Dictionary.size small);
+  for i = 0 to n - 1 do
+    let term = Printf.sprintf "term%d" ((i * 7919) mod n) in
+    match Inquery.Dictionary.find_by_id small i with
+    | Some e when e.Inquery.Dictionary.term = term && e.Inquery.Dictionary.id = i -> ()
+    | _ -> Alcotest.failf "id %d is not %s, the %dth term interned" i term i
+  done;
+  let ids = ref [] in
+  Inquery.Dictionary.iter small (fun e ->
+      if Inquery.Dictionary.find_by_id small e.Inquery.Dictionary.id <> Some e then
+        Alcotest.failf "iter and find_by_id disagree at %d" e.Inquery.Dictionary.id;
+      ids := e.Inquery.Dictionary.id :: !ids);
+  Alcotest.(check (list int)) "iter in id order" (List.init n Fun.id) (List.rev !ids);
+  Alcotest.(check bool) "the serialized bytes of a default-sized one" true
+    (Bytes.equal (Inquery.Dictionary.serialize small) (Inquery.Dictionary.serialize default))
+
 let test_iter_in_id_order () =
   let d = Inquery.Dictionary.create () in
   List.iter (fun w -> ignore (Inquery.Dictionary.intern d w)) [ "c"; "a"; "b" ];
@@ -127,6 +160,8 @@ let suite =
     Alcotest.test_case "statistics mutation" `Quick test_statistics_mutation;
     Alcotest.test_case "growth" `Quick test_growth;
     Alcotest.test_case "iter in id order" `Quick test_iter_in_id_order;
+    Alcotest.test_case "a 16-bucket start matches a default one" `Quick
+      test_small_start_matches_default;
     Alcotest.test_case "serialize roundtrip" `Quick test_serialize_roundtrip;
     Alcotest.test_case "deserialize corrupt" `Quick test_deserialize_corrupt;
     Alcotest.test_case "empty string key" `Quick test_empty_string_key;

@@ -179,7 +179,7 @@ let test_folds_read_nothing_they_did_not_write () =
     done;
     let view = Core.Live_index.latest live in
     List.iter
-      (fun (term, _, _) -> ignore (view.Core.Live_index.record term))
+      (fun (term, _, _) -> ignore (Core.Live_index.record view term))
       (Core.Live_index.directory live);
     let pool, buffer = List.nth buffers (f mod List.length buffers) in
     let pinned = Mneme.Buffer_pool.resident_segments buffer in
@@ -240,9 +240,10 @@ let test_merge_resume_byte_identical () =
   in
   let disk_image t =
     let live = Core.Ingest.live t in
+    let view = Core.Live_index.latest live in
     let records =
       List.map
-        (fun (term, _, _) -> (term, Option.get ((Core.Live_index.latest live).record term)))
+        (fun (term, _, _) -> (term, Option.get (Core.Live_index.record view term)))
         (Core.Live_index.directory live)
     in
     (records, Core.Live_index.doc_lengths live, Core.Ingest.merged_seq t)
@@ -401,12 +402,16 @@ let prop_union_matches_twin_on_presets =
       let alive = ref [] in
       let ok = ref true in
       let check b = if not b then ok := false in
-      (* Byte level: every term the twin holds has the twin's record,
-         df and cf in the union, and the collection statistics agree. *)
+      (* Byte level: every term the twin holds has the twin's record in
+         the union, whose header statistics are the twin's df and cf,
+         and the collection statistics agree. *)
       let check_records () =
         let union = Core.Ingest.latest t and tw = Core.Live_index.latest twin in
         List.iter
-          (fun (term, _, _) -> check (union.record term = tw.record term))
+          (fun (term, df, cf) ->
+            let record = Core.Live_index.record union term in
+            check (record = Core.Live_index.record tw term);
+            check (Option.map Inquery.Postings.stats record = Some (df, cf)))
           (Core.Live_index.directory twin);
         check (union.n_docs = tw.n_docs && union.total_len = tw.total_len)
       in

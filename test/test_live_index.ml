@@ -862,7 +862,7 @@ let test_pin_reads_inline_after_its_base_is_collected () =
     "the first base collected, the pinned one held" (false, true)
     (Mneme.Store.exists store first_base, Mneme.Store.exists store pinned_base);
   let before = Vfs.counters vfs in
-  let read = Option.map (fun (r, _, _) -> r) ((Core.Live_index.pinned live p).record "solo") in
+  let read = Core.Live_index.record (Core.Live_index.pinned live p) "solo" in
   let io = Vfs.diff_counters ~later:(Vfs.counters vfs) ~earlier:before in
   Alcotest.(check (option bytes)) "the pin reads solo" solo read;
   Alcotest.(check (pair int int)) "with no file access" (0, 0)

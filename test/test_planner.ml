@@ -334,7 +334,7 @@ let test_pinned_epoch_plans () =
   let source =
     {
       Inquery.Infnet.fetch =
-        (fun e -> Option.map (fun (r, _, _) -> r) (view.record e.Inquery.Dictionary.term));
+        (fun e -> Core.Live_index.record view e.Inquery.Dictionary.term);
       n_docs = view.n_docs;
       max_doc_id = max 0 (view.next_doc - 1);
       avg_doc_len = float_of_int view.total_len /. float_of_int (max 1 view.n_docs);
