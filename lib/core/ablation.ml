@@ -1,5 +1,6 @@
 type ctx = {
   prepared : Experiment.prepared;
+  catalog : Catalog.t;
   queries : string list;
   mutable variant_counter : int;
 }
@@ -16,73 +17,51 @@ let create ?(progress = fun _ -> ()) ?(scale = 1.0) () =
     Collections.Querygen.make ~set_name:"ablation" ~n_queries:40 ~mean_terms:10.0 ~pool_size:120
       ~pool_top_bias:300 ~pool_skew:1.0 ~fresh_prob:0.15 ~phrase_prob:0.05 ~seed:313 ()
   in
-  { prepared; queries = Collections.Querygen.generate model spec; variant_counter = 0 }
+  {
+    prepared;
+    catalog = Catalog.of_indexer prepared.Experiment.indexer;
+    queries = Collections.Querygen.generate model spec;
+    variant_counter = 0;
+  }
 
-type variant_stats = {
-  io_inputs : int;
-  accesses : int;
-  lookups : int;
-  kbytes : float;
-  sys_io_s : float;
-  file_kb : int;
-  large_hit_rate : float;
-}
+(* A study's timed batch over [session], ranked with the build's
+   statistics held in memory (a catalog read would add I/O to the
+   study's own) and [dict]'s locators. *)
+let measure ?reserve ctx version ~dict session =
+  let vfs = ctx.prepared.Experiment.vfs in
+  Experiment.measure vfs version
+    (Experiment.engine ?reserve vfs session { ctx.catalog with Catalog.dict })
+    ~queries:ctx.queries
 
-(* Build a fresh Mneme variant of the ablation collection and run the
-   query set against it.  Rebuilding per row keeps the dictionary
-   locators consistent with the store being measured. *)
-let run_variant ctx ?thresholds ?policies ?policy ?(reserve = true) ?buffers () =
+(* A variant build writes its locators into a private copy of the
+   dictionary, so the shared one keeps naming the prepared Mneme file
+   that the other studies read. *)
+let private_dict ctx =
+  Inquery.Dictionary.deserialize (Inquery.Dictionary.serialize ctx.catalog.Catalog.dict)
+
+(* Build a fresh Mneme variant of the ablation collection, run the query
+   set against it, and release its file space; returns the run and the
+   variant's file size in KB.  Rebuilding per row keeps the locators
+   consistent with the store being measured. *)
+let run_variant ctx ?thresholds ?policies ?policy ?reserve ?buffers () =
   ctx.variant_counter <- ctx.variant_counter + 1;
   let p = ctx.prepared in
   let vfs = p.Experiment.vfs in
   let file = Printf.sprintf "ablation-%d.mneme" ctx.variant_counter in
+  let dict = private_dict ctx in
   let store =
-    Mneme_backend.build ?thresholds ?policies vfs ~file ~dict:p.Experiment.dict
+    Mneme_backend.build ?thresholds ?policies vfs ~file ~dict
       (Inquery.Indexer.to_records p.Experiment.indexer)
   in
-  let buffers =
-    match buffers with
-    | Some b -> b
-    | None -> Buffer_sizing.compute ~largest_record:p.Experiment.largest_record ()
-  in
+  let buffers = match buffers with Some b -> b | None -> Experiment.default_buffers p in
   Vfs.purge_os_cache vfs;
-  let session = Mneme_backend.open_session ?policy vfs ~file ~buffers in
-  let engine =
-    Engine.create ~vfs ~store:session ~dict:p.Experiment.dict
-      ~n_docs:p.Experiment.model.Collections.Docmodel.n_docs
-      ~avg_doc_len:(Inquery.Indexer.avg_doc_length p.Experiment.indexer)
-      ~doc_len:(Inquery.Indexer.doc_length p.Experiment.indexer)
-      ~reserve ()
+  let run =
+    measure ?reserve ctx Experiment.Mneme_cache ~dict
+      (Mneme_backend.open_session ?policy vfs ~file ~buffers)
   in
-  let clock = Vfs.clock vfs in
-  let c0 = Vfs.counters vfs in
-  let k0 = Vfs.Clock.snapshot clock in
-  let results = Engine.run_batch engine ctx.queries in
-  let k1 = Vfs.Clock.snapshot clock in
-  let c1 = Vfs.counters vfs in
-  let io = Vfs.diff_counters ~later:c1 ~earlier:c0 in
-  let interval = Vfs.Clock.diff ~later:k1 ~earlier:k0 in
-  let lookups = List.fold_left (fun acc r -> acc + r.Engine.record_lookups) 0 results in
-  let large_hit_rate =
-    Option.fold ~none:0.0 ~some:Util.Cache_stats.hit_rate
-      (List.assoc_opt "large" (session.Index_store.buffer_stats ()))
-  in
-  (* Release the variant's file space in the simulated FS. *)
-  let stats =
-    {
-      io_inputs = io.Vfs.disk_inputs;
-      accesses = io.Vfs.file_accesses;
-      lookups;
-      kbytes = float_of_int io.Vfs.bytes_read /. 1024.0;
-      sys_io_s = Vfs.Clock.sys_io_ms interval /. 1000.0;
-      file_kb = Mneme.Store.file_size store / 1024;
-      large_hit_rate;
-    }
-  in
+  let file_kb = Mneme.Store.file_size store / 1024 in
   Vfs.delete_file vfs file;
-  stats
-
-let a_of s = if s.lookups = 0 then 0.0 else float_of_int s.accesses /. float_of_int s.lookups
+  (run, file_kb)
 
 let policy_table ctx =
   let t =
@@ -100,22 +79,22 @@ let policy_table ctx =
   (* A tight large buffer makes replacement decisions matter. *)
   let tight =
     Buffer_sizing.with_large
-      (Buffer_sizing.compute ~largest_record:ctx.prepared.Experiment.largest_record ())
+      (Experiment.default_buffers ctx.prepared)
       (ctx.prepared.Experiment.largest_record * 5 / 4)
   in
   List.iter
     (fun (name, policy) ->
       List.iter
         (fun reserve ->
-          let s = run_variant ctx ~policy ~reserve ~buffers:tight () in
+          let r, _ = run_variant ctx ~policy ~reserve ~buffers:tight () in
           Util.Tables.add_row t
             [
               name;
               (if reserve then "on" else "off");
-              string_of_int s.io_inputs;
-              Util.Tables.fmt_float (a_of s);
-              Util.Tables.fmt_float ~decimals:0 s.kbytes;
-              Util.Tables.fmt_float s.large_hit_rate;
+              string_of_int r.Experiment.io_inputs;
+              Util.Tables.fmt_float (Experiment.accesses_per_lookup r);
+              Util.Tables.fmt_float ~decimals:0 r.Experiment.kbytes_read;
+              Util.Tables.fmt_float (Experiment.large_hit_rate r);
             ])
         [ true; false ])
     [ ("lru", Mneme.Buffer_pool.Lru); ("fifo", Mneme.Buffer_pool.Fifo);
@@ -139,15 +118,15 @@ let medium_pseg_table ctx =
     (fun pseg_size ->
       let medium = Mneme.Policy.make ~name:"medium" ~pseg_size ~align:pseg_size () in
       let policies = (Mneme.Policy.small, medium, Mneme.Policy.large) in
-      let s = run_variant ctx ~policies () in
+      let r, file_kb = run_variant ctx ~policies () in
       Util.Tables.add_row t
         [
           string_of_int (pseg_size / 1024);
-          string_of_int s.io_inputs;
-          Util.Tables.fmt_float (a_of s);
-          Util.Tables.fmt_float ~decimals:0 s.kbytes;
-          string_of_int s.file_kb;
-          Util.Tables.fmt_float s.sys_io_s;
+          string_of_int r.Experiment.io_inputs;
+          Util.Tables.fmt_float (Experiment.accesses_per_lookup r);
+          Util.Tables.fmt_float ~decimals:0 r.Experiment.kbytes_read;
+          string_of_int file_kb;
+          Util.Tables.fmt_float r.Experiment.sys_io_s;
         ])
     [ 2048; 4096; 8192; 16384; 32768 ];
   t
@@ -184,15 +163,15 @@ let threshold_table ctx =
           (small, Mneme.Policy.medium, Mneme.Policy.large)
         end
       in
-      let s = run_variant ctx ~thresholds ~policies () in
+      let r, file_kb = run_variant ctx ~thresholds ~policies () in
       Util.Tables.add_row t
         [
           string_of_int small_max;
           string_of_int (large_min - 1);
-          string_of_int s.io_inputs;
-          Util.Tables.fmt_float (a_of s);
-          Util.Tables.fmt_float ~decimals:0 s.kbytes;
-          string_of_int s.file_kb;
+          string_of_int r.Experiment.io_inputs;
+          Util.Tables.fmt_float (Experiment.accesses_per_lookup r);
+          Util.Tables.fmt_float ~decimals:0 r.Experiment.kbytes_read;
+          string_of_int file_kb;
         ])
     [ (12, 4097); (0, 4097); (64, 4097); (12, 1025); (12, 16385); (12, 257) ];
   t
@@ -358,43 +337,15 @@ let btree_cache_table ctx =
       (* Open the tree directly so the number of held node pages can be
          reported alongside the I/O savings it buys. *)
       let tree = Btree.open_existing ~cached_levels vfs p.Experiment.btree_file in
-      let session =
-        {
-          Index_store.name = "btree";
-          fetch = (fun entry -> Btree.lookup tree entry.Inquery.Dictionary.id);
-          reserve = Index_store.no_reserve;
-          buffer_stats = (fun () -> []);
-          reset_buffer_stats = (fun () -> ());
-          file_size = (fun () -> Btree.file_size tree);
-          epoch = (fun () -> 0);
-          attach_frames = Index_store.no_frames;
-          fetch_resident = Index_store.never_resident;
-        }
-      in
-      let engine =
-        Engine.create ~vfs ~store:session ~dict:p.Experiment.dict
-          ~n_docs:p.Experiment.model.Collections.Docmodel.n_docs
-          ~avg_doc_len:(Inquery.Indexer.avg_doc_length p.Experiment.indexer)
-          ~doc_len:(Inquery.Indexer.doc_length p.Experiment.indexer)
-          ()
-      in
-      let clock = Vfs.clock vfs in
-      let c0 = Vfs.counters vfs in
-      let k0 = Vfs.Clock.snapshot clock in
-      let results = Engine.run_batch engine ctx.queries in
-      let k1 = Vfs.Clock.snapshot clock in
-      let c1 = Vfs.counters vfs in
-      let io = Vfs.diff_counters ~later:c1 ~earlier:c0 in
-      let lookups = List.fold_left (fun acc r -> acc + r.Engine.record_lookups) 0 results in
-      let a = if lookups = 0 then 0.0 else float_of_int io.Vfs.file_accesses /. float_of_int lookups in
+      let r = measure ctx Experiment.Btree ~dict:p.Experiment.dict (Btree_backend.session tree) in
       Util.Tables.add_row t
         [
           string_of_int cached_levels;
-          string_of_int io.Vfs.disk_inputs;
-          Util.Tables.fmt_float a;
-          Util.Tables.fmt_float ~decimals:0 (float_of_int io.Vfs.bytes_read /. 1024.0);
+          string_of_int r.Experiment.io_inputs;
+          Util.Tables.fmt_float (Experiment.accesses_per_lookup r);
+          Util.Tables.fmt_float ~decimals:0 r.Experiment.kbytes_read;
           string_of_int (Btree.cached_nodes tree);
-          Util.Tables.fmt_float (Vfs.Clock.sys_io_ms (Vfs.Clock.diff ~later:k1 ~earlier:k0) /. 1000.0);
+          Util.Tables.fmt_float r.Experiment.sys_io_s;
         ])
     [ 0; 1; 2; 3 ];
   t
@@ -423,27 +374,24 @@ let journal_table ctx =
     ctx.variant_counter <- ctx.variant_counter + 1;
     let file = Printf.sprintf "journal-%d.mneme" ctx.variant_counter in
     let log_file = file ^ ".jnl" in
+    let dict = private_dict ctx in
     let clock = Vfs.clock vfs in
     let c0 = Vfs.counters vfs in
     let k0 = Vfs.Clock.snapshot clock in
     let store = Mneme.Store.create vfs file in
-    let pools =
-      List.map
-        (fun policy ->
-          let pool = Mneme.Store.add_pool store policy in
-          Mneme.Store.attach_buffer pool
-            (Mneme.Buffer_pool.create ~name:policy.Mneme.Policy.name ~capacity:0 ());
-          (policy.Mneme.Policy.name, pool))
-        [ Mneme.Policy.small; Mneme.Policy.medium; Mneme.Policy.large ]
-    in
+    List.iter
+      (fun policy ->
+        Mneme.Store.attach_buffer (Mneme.Store.add_pool store policy)
+          (Mneme.Buffer_pool.create ~name:policy.Mneme.Policy.name ~capacity:0 ()))
+      [ Mneme.Policy.small; Mneme.Policy.medium; Mneme.Policy.large ];
     if journaled then Mneme.Store.enable_journal store ~log_file;
     let allocate_all records =
       Seq.iter
         (fun (term_id, record) ->
           let cls = Partition.classify (Bytes.length record) in
-          let pool = List.assoc (Partition.class_name cls) pools in
+          let pool = Mneme.Store.pool store (Partition.class_name cls) in
           let oid = Mneme.Store.allocate pool record in
-          match Inquery.Dictionary.find_by_id p.Experiment.dict term_id with
+          match Inquery.Dictionary.find_by_id dict term_id with
           | Some entry -> entry.Inquery.Dictionary.locator <- oid
           | None -> ())
         records
@@ -481,32 +429,18 @@ let journal_table ctx =
     (* Query phase: fresh session over the built file (queries never
        write, so the journal is idle). *)
     Vfs.purge_os_cache vfs;
-    let buffers = Buffer_sizing.compute ~largest_record:p.Experiment.largest_record () in
-    let session = Mneme_backend.open_session vfs ~file ~buffers in
-    let engine =
-      Engine.create ~vfs ~store:session ~dict:p.Experiment.dict
-        ~n_docs:p.Experiment.model.Collections.Docmodel.n_docs
-        ~avg_doc_len:(Inquery.Indexer.avg_doc_length p.Experiment.indexer)
-        ~doc_len:(Inquery.Indexer.doc_length p.Experiment.indexer)
-        ()
+    let r =
+      measure ctx Experiment.Mneme_cache ~dict
+        (Mneme_backend.open_session vfs ~file ~buffers:(Experiment.default_buffers p))
     in
-    let qc0 = Vfs.counters vfs in
-    let qk0 = Vfs.Clock.snapshot clock in
-    let results = Engine.run_batch engine ctx.queries in
-    let qk1 = Vfs.Clock.snapshot clock in
-    let qc1 = Vfs.counters vfs in
-    let qio = Vfs.diff_counters ~later:qc1 ~earlier:qc0 in
-    let lookups = List.fold_left (fun acc r -> acc + r.Engine.record_lookups) 0 results in
-    let a = if lookups = 0 then 0.0 else float_of_int qio.Vfs.file_accesses /. float_of_int lookups in
-    let query_s = Vfs.Clock.sys_io_ms (Vfs.Clock.diff ~later:qk1 ~earlier:qk0) /. 1000.0 in
     Util.Tables.add_row t
       [
         (if journaled then "journaled (2000-record batches)" else "no journal");
         string_of_int build_io.Vfs.disk_outputs;
         Util.Tables.fmt_float (float_of_int build_io.Vfs.bytes_written /. 1048576.0);
         Util.Tables.fmt_float build_s;
-        Util.Tables.fmt_float a;
-        Util.Tables.fmt_float query_s;
+        Util.Tables.fmt_float (Experiment.accesses_per_lookup r);
+        Util.Tables.fmt_float r.Experiment.sys_io_s;
       ];
     Vfs.delete_file vfs file;
     Vfs.delete_file vfs log_file
@@ -766,16 +700,21 @@ let seek_model_table ?(progress = fun _ -> ()) () =
     ];
   t
 
+(* Each study runs in the order it is printed. *)
 let all ctx =
-  [
-    ("Ablation: replacement policy x reservation (tight large buffer)", policy_table ctx);
-    ("Ablation: medium physical-segment size", medium_pseg_table ctx);
-    ("Ablation: partition thresholds", threshold_table ctx);
-    ("Ablation: term-at-a-time vs document-at-a-time", daat_table ctx);
-    ("Ablation: dynamic update micro-study", update_table ());
-    ("Ablation: journaling overhead (transactions + recovery)", journal_table ctx);
-    ("Ablation: B-tree index-node cache depth", btree_cache_table ctx);
-    ("Ablation: posting compression schemes", compression_table ctx);
-    ("Ablation: inverted file vs signature file (conjunctive queries)", signature_table ctx);
-    ("Ablation: seek-aware disk model", seek_model_table ());
-  ]
+  List.map
+    (fun (label, table) -> (label, table ()))
+    [
+      ( "Ablation: replacement policy x reservation (tight large buffer)",
+        fun () -> policy_table ctx );
+      ("Ablation: medium physical-segment size", fun () -> medium_pseg_table ctx);
+      ("Ablation: partition thresholds", fun () -> threshold_table ctx);
+      ("Ablation: term-at-a-time vs document-at-a-time", fun () -> daat_table ctx);
+      ("Ablation: dynamic update micro-study", fun () -> update_table ());
+      ("Ablation: journaling overhead (transactions + recovery)", fun () -> journal_table ctx);
+      ("Ablation: B-tree index-node cache depth", fun () -> btree_cache_table ctx);
+      ("Ablation: posting compression schemes", fun () -> compression_table ctx);
+      ( "Ablation: inverted file vs signature file (conjunctive queries)",
+        fun () -> signature_table ctx );
+      ("Ablation: seek-aware disk model", fun () -> seek_model_table ());
+    ]

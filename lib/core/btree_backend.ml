@@ -3,8 +3,7 @@ let build vfs ~file records =
   Btree.bulk_load tree records;
   tree
 
-let open_session ?cached_levels vfs ~file =
-  let tree = Btree.open_existing ?cached_levels vfs file in
+let session tree =
   {
     Index_store.name = "btree";
     fetch = (fun entry -> Btree.lookup tree entry.Inquery.Dictionary.id);
@@ -16,3 +15,5 @@ let open_session ?cached_levels vfs ~file =
     attach_frames = Index_store.no_frames;
     fetch_resident = Index_store.never_resident;
   }
+
+let open_session vfs ~file = session (Btree.open_existing vfs file)

@@ -11,7 +11,10 @@ val build : Vfs.t -> file:string -> (int * bytes) Seq.t -> Btree.t
 (** Create and bulk-load; returns the tree (callers usually only need
     the side effect).  Raises like {!Btree.create}/{!Btree.bulk_load}. *)
 
-val open_session : ?cached_levels:int -> Vfs.t -> file:string -> Index_store.t
-(** [cached_levels] as in {!Btree.open_existing} (default 1, the
-    paper's root-only baseline).  Raises [Failure] if the file is
-    missing or corrupt. *)
+val session : Btree.t -> Index_store.t
+(** An index session over an already-open tree: each lookup is a
+    {!Btree.lookup} by term id, with the tree's own node caching. *)
+
+val open_session : Vfs.t -> file:string -> Index_store.t
+(** {!session} over the tree re-opened with the paper's root-only node
+    cache.  Raises [Failure] if the file is missing or corrupt. *)

@@ -22,7 +22,7 @@ let avg_doc_length t =
   if t.n_docs = 0 then 0.0
   else float_of_int (Array.fold_left ( + ) 0 t.doc_lens) /. float_of_int t.n_docs
 
-let doc_length t d = if d < 0 || d >= Array.length t.doc_lens then None else Some (float_of_int t.doc_lens.(d))
+let doc_len t d = if d < 0 || d >= Array.length t.doc_lens then 0 else t.doc_lens.(d)
 
 let save vfs ~file t =
   let dict_blob = Inquery.Dictionary.serialize t.dict in

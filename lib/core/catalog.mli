@@ -22,8 +22,9 @@ val of_indexer : Inquery.Indexer.t -> t
 (** Snapshot a finished build. *)
 
 val avg_doc_length : t -> float
-val doc_length : t -> int -> float option
-(** None when the id is out of range. *)
+val doc_len : t -> int -> int
+(** A document's indexed length; 0 when the id is out of range (the
+    [doc_len] an {!Engine} ranks with). *)
 
 val save : Vfs.t -> file:string -> t -> unit
 (** Write (replacing any previous contents). *)

@@ -92,43 +92,29 @@ let open_store ?policy ?buffers prepared version =
     in
     Mneme_backend.open_session ?policy prepared.vfs ~file:prepared.mneme_file ~buffers
 
-(* A fresh session loads the catalog from disk (a new in-memory hash
-   dictionary per session, as a new process would have) and wires the
-   engine over the chosen store. *)
-let make_engine prepared store =
-  let catalog = Catalog.load prepared.vfs ~file:prepared.catalog_file in
-  let doc_lens = catalog.Catalog.doc_lens in
-  Engine.create ~vfs:prepared.vfs ~store ~dict:catalog.Catalog.dict
-    ~n_docs:catalog.Catalog.n_docs
-    ~avg_doc_len:(Catalog.avg_doc_length catalog)
-    ~doc_len:(fun d -> if d < 0 || d >= Array.length doc_lens then 0 else doc_lens.(d))
-    ()
+let engine ?reserve vfs store (catalog : Catalog.t) =
+  Engine.create ~vfs ~store ~dict:catalog.Catalog.dict ~n_docs:catalog.Catalog.n_docs
+    ~avg_doc_len:(Catalog.avg_doc_length catalog) ~doc_len:(Catalog.doc_len catalog) ?reserve ()
 
+(* The chill file: no inverted data survives in the OS cache between
+   runs; then the files are opened and initialisation (including the
+   catalog read, a new in-memory hash dictionary per session, as a new
+   process would have) completes before timing starts. *)
 let open_engine ?buffers ?policy prepared version =
   Vfs.purge_os_cache prepared.vfs;
-  make_engine prepared (open_store ?policy ?buffers prepared version)
-
-let run_query_set ?buffers ?policy prepared version ~queries =
-  (* The chill file: no inverted data survives in the OS cache between
-     runs; then the files are opened and initialisation (including the
-     catalog read) completes before timing starts. *)
-  Vfs.purge_os_cache prepared.vfs;
   let store = open_store ?policy ?buffers prepared version in
-  let engine = make_engine prepared store in
-  let clock = Vfs.clock prepared.vfs in
-  let counters0 = Vfs.counters prepared.vfs in
+  engine prepared.vfs store (Catalog.load prepared.vfs ~file:prepared.catalog_file)
+
+let measure vfs version engine ~queries =
+  let clock = Vfs.clock vfs in
+  let counters0 = Vfs.counters vfs in
   let clock0 = Vfs.Clock.snapshot clock in
   let results = Engine.run_batch engine queries in
   let clock1 = Vfs.Clock.snapshot clock in
-  let counters1 = Vfs.counters prepared.vfs in
+  let counters1 = Vfs.counters vfs in
   let interval = Vfs.Clock.diff ~later:clock1 ~earlier:clock0 in
   let io = Vfs.diff_counters ~later:counters1 ~earlier:counters0 in
-  let record_lookups =
-    List.fold_left (fun acc r -> acc + r.Engine.record_lookups) 0 results
-  in
-  let postings_scored =
-    List.fold_left (fun acc r -> acc + r.Engine.postings_scored) 0 results
-  in
+  let total f = List.fold_left (fun acc r -> acc + f r) 0 results in
   {
     version;
     n_queries = List.length queries;
@@ -137,19 +123,21 @@ let run_query_set ?buffers ?policy prepared version ~queries =
     engine_cpu_s = interval.Vfs.Clock.engine_cpu_ms /. 1000.0;
     io_inputs = io.Vfs.disk_inputs;
     file_accesses = io.Vfs.file_accesses;
-    record_lookups;
+    record_lookups = total (fun r -> r.Engine.record_lookups);
     kbytes_read = float_of_int io.Vfs.bytes_read /. 1024.0;
-    postings_scored;
-    buffers = store.Index_store.buffer_stats ();
+    postings_scored = total (fun r -> r.Engine.postings_scored);
+    buffers = (Engine.store engine).Index_store.buffer_stats ();
   }
+
+let run_query_set ?buffers ?policy prepared version ~queries =
+  measure prepared.vfs version (open_engine ?buffers ?policy prepared version) ~queries
+
+let large_hit_rate run =
+  Option.fold ~none:0.0 ~some:Util.Cache_stats.hit_rate (List.assoc_opt "large" run.buffers)
 
 let large_buffer_sweep prepared ~queries ~sizes =
   List.map
     (fun size ->
       let buffers = Buffer_sizing.with_large (default_buffers prepared) size in
-      let run = run_query_set ~buffers prepared Mneme_cache ~queries in
-      let hit_rate =
-        Option.fold ~none:0.0 ~some:Util.Cache_stats.hit_rate (List.assoc_opt "large" run.buffers)
-      in
-      (size, hit_rate))
+      (size, large_hit_rate (run_query_set ~buffers prepared Mneme_cache ~queries)))
     sizes

@@ -121,9 +121,7 @@ let of_prepared ?buffers ?hedge_after_ms ?window ?trip_after ?cooldown_ms ?resul
   in
   create ~replicas ~dict:catalog.Catalog.dict ~n_docs:catalog.Catalog.n_docs
     ~avg_doc_len:(Catalog.avg_doc_length catalog)
-    ~doc_len:(fun d ->
-      if d < 0 || d >= Array.length catalog.Catalog.doc_lens then 0
-      else catalog.Catalog.doc_lens.(d))
+    ~doc_len:(Catalog.doc_len catalog)
     ?hedge_after_ms ?window ?trip_after ?cooldown_ms ?result_cache_bytes ?block_cache_bytes
     ?on_corrupt ()
 

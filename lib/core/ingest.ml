@@ -25,7 +25,12 @@
    The buffer itself follows Asadi & Lin: one growing delta-compressed
    run per term (v-byte doc-gap/tf/position-gaps, the postings v1 body),
    sealed into immutable segments at a byte threshold and combined
-   tier-by-tier in memory, so a fold writes few, large records. *)
+   tier-by-tier in memory.  A fold concatenates each chosen segment's
+   runs per term whatever their tiers, so the combine does not shape
+   what a fold writes; it buys capacity and search speed: a combined
+   segment holds each term's name and record header once, so a buffer
+   at its byte budget sheds later, and a union search joins fewer runs
+   per term. *)
 
 type config = {
   buffer_budget : int;
@@ -240,13 +245,15 @@ let concat_runs ?keep segs =
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
 (* Combine [fanout] consecutive same-tier segments into one of the next
-   tier — pure in-memory work, no I/O. *)
+   tier — pure in-memory work, no I/O.  The combined segment is charged
+   as [buffer_add] charges: each run's term name and bytes, plus the
+   doc tax. *)
 let merge_segments group =
   let tier = 1 + (List.hd group).sg_tier in
   let docs = Array.concat (List.map (fun sg -> sg.sg_docs) group) in
   let run_list = concat_runs group in
   let bytes =
-    List.fold_left (fun acc (_, r) -> acc + Bytes.length r) 0 run_list
+    List.fold_left (fun acc (term, r) -> acc + String.length term + Bytes.length r) 0 run_list
     + (Array.length docs * doc_tax)
   in
   {

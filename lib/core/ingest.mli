@@ -9,7 +9,11 @@
     (v-byte doc-gap/tf/position-gaps — the postings v1 body).  Full
     buffers are sealed into immutable segments and combined
     tier-by-tier in memory; a background {!merge_step} folds the oldest
-    segments into Mneme postings objects under a {!Mneme.Budget}.
+    segments into Mneme postings objects under a {!Mneme.Budget}.  A
+    fold concatenates each segment's runs per term whatever their
+    tiers; the combine buys capacity and search speed instead: a
+    combined segment holds each term's name and header once, so the
+    buffer sheds load later, and a union search joins fewer runs.
 
     {b Exactly-once durability.}  Every accepted operation is written
     to a write-ahead log and fsynced before its acknowledgement
@@ -168,6 +172,9 @@ val last_seq : t -> int
 (** The highest acknowledged operation (-1 if none ever). *)
 
 val buffered_bytes : t -> int
+(** The buffer's charge against [buffer_budget]: per segment, each
+    run's term name and record bytes plus 16 bytes per document. *)
+
 val buffered_docs : t -> int
 
 val segments : t -> (int * int * int) list

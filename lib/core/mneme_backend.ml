@@ -25,22 +25,13 @@ let build ?thresholds ?(policies = default_policies) vfs ~file ~dict records =
   Mneme.Store.finalize store;
   store
 
-let open_session ?(policy = Mneme.Buffer_pool.Lru) vfs ~file ~buffers =
-  let store = Mneme.Store.open_existing vfs file in
-  let capacities =
-    [
-      ("small", buffers.Buffer_sizing.small);
-      ("medium", buffers.Buffer_sizing.medium);
-      ("large", buffers.Buffer_sizing.large);
-    ]
-  in
+let pool_names = [ "small"; "medium"; "large" ]
+
+let session store =
   let bufs =
     List.map
-      (fun (name, capacity) ->
-        let buffer = Mneme.Buffer_pool.create ~name ~capacity ~policy () in
-        Mneme.Store.attach_buffer (Mneme.Store.pool store name) buffer;
-        (name, buffer))
-      capacities
+      (fun name -> (name, Option.get (Mneme.Store.buffer (Mneme.Store.pool store name))))
+      pool_names
   in
   let cached =
     if List.for_all (fun (_, b) -> Mneme.Buffer_pool.capacity b = 0) bufs then "mneme-nocache"
@@ -75,3 +66,13 @@ let open_session ?(policy = Mneme.Buffer_pool.Lru) vfs ~file ~buffers =
     attach_frames = (fun cache -> Mneme.Store.set_frames store (Some cache));
     fetch_resident;
   }
+
+let open_session ?(policy = Mneme.Buffer_pool.Lru) vfs ~file ~buffers =
+  let store = Mneme.Store.open_existing vfs file in
+  List.iter2
+    (fun name capacity ->
+      Mneme.Store.attach_buffer (Mneme.Store.pool store name)
+        (Mneme.Buffer_pool.create ~name ~capacity ~policy ()))
+    pool_names
+    [ buffers.Buffer_sizing.small; buffers.Buffer_sizing.medium; buffers.Buffer_sizing.large ];
+  session store

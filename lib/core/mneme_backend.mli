@@ -25,12 +25,20 @@ val build :
     names small/medium/large; raises [Invalid_argument] otherwise) —
     the segment-size ablations use this. *)
 
+val session : Mneme.Store.t -> Index_store.t
+(** An index session over an already-open store holding the three
+    pools, each with a buffer attached: the buffers serve the faults and
+    report the statistics, and a session whose buffers all have
+    capacity 0 is named "mneme-nocache".  Raises [Not_found] if a pool
+    is missing and [Invalid_argument] if one has no buffer. *)
+
 val open_session :
   ?policy:Mneme.Buffer_pool.policy ->
   Vfs.t ->
   file:string ->
   buffers:Buffer_sizing.t ->
   Index_store.t
-(** [policy] selects the replacement algorithm for all three buffers
-    (default LRU, as in the paper).  Raises {!Mneme.Store.Corrupt} on a
-    bad file. *)
+(** {!session} over the re-opened store, each pool given a fresh buffer
+    of the requested capacity.  [policy] selects the replacement
+    algorithm for all three buffers (default LRU, as in the paper).
+    Raises {!Mneme.Store.Corrupt} on a bad file. *)

@@ -74,10 +74,11 @@ let run_pool ~domains ~n ~serve =
 (* ------------------------------------------------------------------ *)
 (* Per-domain sessions.  Each worker gets a fresh file system (its own
    simulated clock and cold OS cache) holding a private copy of the
-   finalized index image plus the catalog, and opens its own store
-   session — see the domain-safety contract in Mneme.Store. *)
+   finalized index image plus the catalog, and opens its own session
+   there exactly as a serial run does (Experiment.open_engine) — see the
+   domain-safety contract in Mneme.Store. *)
 
-type session = { s_vfs : Vfs.t; s_store : Index_store.t; s_engine : Engine.t }
+type session = { s_vfs : Vfs.t; s_engine : Engine.t }
 
 let make_session ?policy ~buffers prepared version =
   let src = prepared.Experiment.vfs in
@@ -89,25 +90,10 @@ let make_session ?policy ~buffers prepared version =
   in
   Vfs.copy_file src index_file ~into:vfs;
   Vfs.copy_file src prepared.Experiment.catalog_file ~into:vfs;
-  Vfs.purge_os_cache vfs;
-  let store =
-    match version with
-    | Experiment.Btree -> Btree_backend.open_session vfs ~file:prepared.Experiment.btree_file
-    | Experiment.Mneme_no_cache ->
-      Mneme_backend.open_session ?policy vfs ~file:prepared.Experiment.mneme_file
-        ~buffers:Buffer_sizing.no_cache
-    | Experiment.Mneme_cache ->
-      Mneme_backend.open_session ?policy vfs ~file:prepared.Experiment.mneme_file ~buffers
-  in
-  let catalog = Catalog.load vfs ~file:prepared.Experiment.catalog_file in
-  let doc_lens = catalog.Catalog.doc_lens in
-  let engine =
-    Engine.create ~vfs ~store ~dict:catalog.Catalog.dict ~n_docs:catalog.Catalog.n_docs
-      ~avg_doc_len:(Catalog.avg_doc_length catalog)
-      ~doc_len:(fun d -> if d < 0 || d >= Array.length doc_lens then 0 else doc_lens.(d))
-      ()
-  in
-  { s_vfs = vfs; s_store = store; s_engine = engine }
+  {
+    s_vfs = vfs;
+    s_engine = Experiment.open_engine ?policy ~buffers { prepared with Experiment.vfs } version;
+  }
 
 let ranked_of_mode ~mode ~top_k engine text =
   match mode with
@@ -182,16 +168,16 @@ let run_query_set ?(domains = 1) ?(audit = false) ?(mode = Batch) ?(top_k = 100)
         | Some o -> o
         | None -> raise (Audit_mismatch (Printf.sprintf "query %d was never served" i)))
   in
+  let buffer_stats s = (Engine.store s.s_engine).Index_store.buffer_stats () in
   let buffers_merged =
-    match sessions.(0).s_store.Index_store.buffer_stats () with
+    match buffer_stats sessions.(0) with
     | [] -> []
     | first ->
       List.map
         (fun (pool, _) ->
           let per_session =
             Array.to_list sessions
-            |> List.filter_map (fun s ->
-                   List.assoc_opt pool (s.s_store.Index_store.buffer_stats ()))
+            |> List.filter_map (fun s -> List.assoc_opt pool (buffer_stats s))
           in
           (pool, Util.Cache_stats.merge per_session))
         first

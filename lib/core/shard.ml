@@ -39,8 +39,7 @@ let create ?(shard_replicas = 2) ?(policy = Best_effort 1.0) ?(retries = 1)
     | Some ge -> ge.Inquery.Dictionary.df
     | None -> entry.Inquery.Dictionary.df
   in
-  let doc_lens = catalog.Catalog.doc_lens in
-  let doc_len d = if d < 0 || d >= Array.length doc_lens then 0 else doc_lens.(d) in
+  let doc_len = Catalog.doc_len catalog in
   let avg_doc_len = Catalog.avg_doc_length catalog in
   let cost_model = Vfs.cost_model p.Experiment.vfs in
   let make_shard i =

@@ -74,15 +74,15 @@ let documents ~name ~seed ~docs =
 
 (* The three size-class pools, each behind its own 256 KB buffer. *)
 let attach_pools store =
-  let pool policy name =
-    let pool = Mneme.Store.add_pool store policy in
-    Mneme.Store.attach_buffer pool (Mneme.Buffer_pool.create ~name ~capacity:(256 * 1024) ());
-    pool
-  in
-  let small = pool Mneme.Policy.small "small" in
-  let medium = pool Mneme.Policy.medium "medium" in
-  let large = pool Mneme.Policy.large "large" in
-  (small, medium, large)
+  List.iter
+    (fun policy ->
+      let name = policy.Mneme.Policy.name in
+      Mneme.Store.attach_buffer (Mneme.Store.add_pool store policy)
+        (Mneme.Buffer_pool.create ~name ~capacity:(256 * 1024) ()))
+    [ Mneme.Policy.small; Mneme.Policy.medium; Mneme.Policy.large ]
+
+(* The pool a size class is allocated in. *)
+let pool_of store cls = Mneme.Store.pool store (Partition.class_name cls)
 
 let fsck log k ?object_check ~what store =
   let report = Mneme.Check.run ?object_check store in
@@ -207,16 +207,16 @@ let sweep (Plan p as plan) =
 let store_file = "torture.mneme"
 let store_log = "torture.log"
 
+(* A random object of the given size class: small ones fit the small
+   pool's 12-byte slots. *)
 let payload rng cls =
   let len =
     match cls with
-    | 0 -> 1 + Random.State.int rng 12 (* fits the small pool's 12-byte slots *)
-    | 1 -> 64 + Random.State.int rng 1985
-    | _ -> 5000 + Random.State.int rng 4001
+    | Partition.Small -> 1 + Random.State.int rng 12
+    | Partition.Medium -> 64 + Random.State.int rng 1985
+    | Partition.Large -> 5000 + Random.State.int rng 4001
   in
   Bytes.init len (fun _ -> Char.chr (Random.State.int rng 256))
-
-let class_of_size n = if n <= 12 then 0 else if n <= 4096 then 1 else 2
 
 type store_trace = {
   mutable s_started : int;
@@ -227,15 +227,14 @@ type store_trace = {
 let store_workload ~seed ~docs ~update_batches vfs tr =
   let rng = Random.State.make [| seed |] in
   let store = Mneme.Store.create vfs store_file in
-  let small, medium, large = attach_pools store in
+  attach_pools store;
   Mneme.Store.enable_journal store ~log_file:store_log;
-  let pool_for cls = match cls with 0 -> small | 1 -> medium | _ -> large in
   let mirror = Hashtbl.create 64 in
   let live = ref [] in
   let fresh_object () =
-    let cls = Random.State.int rng 3 in
+    let cls = [| Partition.Small; Partition.Medium; Partition.Large |].(Random.State.int rng 3) in
     let b = payload rng cls in
-    let oid = Mneme.Store.allocate (pool_for cls) b in
+    let oid = Mneme.Store.allocate (pool_of store cls) b in
     Hashtbl.replace mirror oid (Bytes.copy b);
     live := oid :: !live
   in
@@ -249,7 +248,7 @@ let store_workload ~seed ~docs ~update_batches vfs tr =
   (* Transaction 0: the index build. *)
   commit (fun () ->
       let gb = Bytes.of_string "gen 0" in
-      tr.s_gen_oid <- Mneme.Store.allocate small gb;
+      tr.s_gen_oid <- Mneme.Store.allocate (pool_of store Partition.Small) gb;
       Hashtbl.replace mirror tr.s_gen_oid gb;
       for _ = 1 to docs do
         fresh_object ()
@@ -264,7 +263,7 @@ let store_workload ~seed ~docs ~update_batches vfs tr =
           match Hashtbl.find_opt mirror oid with
           | None -> () (* deleted earlier in this batch *)
           | Some old ->
-            let b = payload rng (class_of_size (Bytes.length old)) in
+            let b = payload rng (Partition.classify (Bytes.length old)) in
             Mneme.Store.modify store oid b;
             Hashtbl.replace mirror oid (Bytes.copy b)
         done;
@@ -293,7 +292,7 @@ let store_oracle (snapshots, gen_oid) ~seen _ img log k =
       note log k "store unopenable after %d completed commits: %s" completed msg;
     false
   | store ->
-    ignore (attach_pools store);
+    attach_pools store;
     (match Mneme.Store.get store gen_oid with
     | exception e -> note log k "generation object unreadable: %s" (Printexc.to_string e)
     | gb -> (
@@ -342,26 +341,11 @@ let store ?(seed = 42) ?(docs = 12) ?(update_batches = 3) () =
 let failover_file = "failover.mneme"
 let failover_log = "failover.log"
 
-(* A bare index session over an already-open store: the pools' own
-   buffers serve the faults. *)
-let session_over store =
-  {
-    Index_store.name = "failover";
-    fetch =
-      (fun entry ->
-        let locator = entry.Inquery.Dictionary.locator in
-        if locator < 0 then None else Mneme.Store.get_opt store locator);
-    reserve = Index_store.no_reserve;
-    buffer_stats = (fun () -> []);
-    reset_buffer_stats = (fun () -> ());
-    file_size = (fun () -> Mneme.Store.file_size store);
-    epoch = (fun () -> Mneme.Store.epoch store);
-    attach_frames = Index_store.no_frames;
-    fetch_resident = Index_store.never_resident;
-  }
-
-let engine_over ~vfs store ~dict ~n_docs ~avg_doc_len ~doc_len =
-  Engine.create ~vfs ~store:(session_over store) ~dict ~n_docs ~avg_doc_len ~doc_len ()
+(* An engine over an already-open store: the pools' own buffers serve
+   the faults, and no reservation runs, so a replay's reads are exactly
+   the fetches the queries make. *)
+let engine_over vfs store catalog =
+  Experiment.engine ~reserve:false vfs (Mneme_backend.session store) catalog
 
 let engine_rank engine = rank (fun q -> (Engine.run_query_string ~top_k:10 engine q).Engine.ranked)
 
@@ -382,19 +366,13 @@ let catalog_file_for gen = Printf.sprintf "failover-cat.%d" gen
 let failover_workload ~seed ~docs ~batches ~standbys vfs tr =
   let doc_arr = documents ~name:"failover" ~seed ~docs in
   let store = Mneme.Store.create vfs failover_file in
-  let small, medium, large = attach_pools store in
+  attach_pools store;
   Mneme.Store.enable_journal store ~log_file:failover_log;
   tr.f_group <-
     Some
       (Mneme.Replica.attach store
          ~standbys:
            (List.init standbys (fun i -> (Printf.sprintf "standby-%d" (i + 1), Vfs.create ()))));
-  let pool_of cls =
-    match Partition.class_name cls with
-    | "small" -> small
-    | "medium" -> medium
-    | _ -> large
-  in
   let indexer = Inquery.Indexer.create () in
   let dict = Inquery.Indexer.dictionary indexer in
   let prev = Hashtbl.create 64 in (* term id -> last stored record *)
@@ -430,30 +408,26 @@ let failover_workload ~seed ~docs ~batches ~standbys vfs tr =
                       gets a fresh oid; the dictionary locator follows. *)
                    Mneme.Store.delete store oid;
                    Hashtbl.remove mirror oid;
-                   let oid' = Mneme.Store.allocate (pool_of new_cls) record in
+                   let oid' = Mneme.Store.allocate (pool_of store new_cls) record in
                    entry.Inquery.Dictionary.locator <- oid';
                    Hashtbl.replace mirror oid' (Bytes.copy record)
                  end;
                  Hashtbl.replace prev tid (Bytes.copy record)
                | None ->
                  let cls = Partition.classify (Bytes.length record) in
-                 let oid = Mneme.Store.allocate (pool_of cls) record in
+                 let oid = Mneme.Store.allocate (pool_of store cls) record in
                  entry.Inquery.Dictionary.locator <- oid;
                  Hashtbl.replace mirror oid (Bytes.copy record);
                  Hashtbl.replace prev tid (Bytes.copy record));
         let gb = Bytes.of_string (Printf.sprintf "gen %d" i) in
-        if i = 1 then tr.f_gen_oid <- Mneme.Store.allocate small gb
+        if i = 1 then tr.f_gen_oid <- Mneme.Store.allocate (pool_of store Partition.Small) gb
         else Mneme.Store.modify store tr.f_gen_oid gb;
         Hashtbl.replace mirror tr.f_gen_oid gb;
         Mneme.Store.finalize store);
-    let ranked =
-      engine_rank
-        (engine_over ~vfs store ~dict ~n_docs:(Inquery.Indexer.document_count indexer)
-           ~avg_doc_len:(Inquery.Indexer.avg_doc_length indexer)
-           ~doc_len:(Inquery.Indexer.doc_length indexer))
-    in
+    let catalog = Catalog.of_indexer indexer in
+    let ranked = engine_rank (engine_over vfs store catalog) in
     tr.f_commits <- (Hashtbl.copy mirror, ranked) :: tr.f_commits;
-    Catalog.save tr.f_catalogs ~file:(catalog_file_for i) (Catalog.of_indexer indexer)
+    Catalog.save tr.f_catalogs ~file:(catalog_file_for i) catalog
   done;
   (store, indexer)
 
@@ -482,7 +456,7 @@ let failover_oracle (commits, catalogs, gen_oid) ~seen _ _ log k =
         match Mneme.Store.open_existing svfs failover_file with
         | exception Mneme.Store.Corrupt msg -> note log k "promoted store unopenable: %s" msg
         | store ->
-          ignore (attach_pools store);
+          attach_pools store;
           (match Mneme.Store.get store gen_oid with
           | exception e -> note log k "generation object unreadable: %s" (Printexc.to_string e)
           | gb ->
@@ -493,15 +467,7 @@ let failover_oracle (commits, catalogs, gen_oid) ~seen _ _ log k =
           let snap, golden_ranked = commits.(g) in
           audit_snapshot log k store ~gen:g snap;
           let catalog = Catalog.load catalogs ~file:(catalog_file_for g) in
-          let ranked =
-            engine_rank
-              (engine_over ~vfs:svfs store ~dict:catalog.Catalog.dict
-                 ~n_docs:catalog.Catalog.n_docs
-                 ~avg_doc_len:(Catalog.avg_doc_length catalog)
-                 ~doc_len:(fun d ->
-                   if d < 0 || d >= Array.length catalog.Catalog.doc_lens then 0
-                   else catalog.Catalog.doc_lens.(d)))
-          in
+          let ranked = engine_rank (engine_over svfs store catalog) in
           if ranked <> golden_ranked then
             note log k "ranked results differ from the committed generation %d" g
       end;
@@ -541,10 +507,7 @@ type scrub_scenario = {
   ss_vfs : Vfs.t; (* primary device *)
   ss_store : Mneme.Store.t;
   ss_rep : Mneme.Replica.t;
-  ss_dict : Inquery.Dictionary.t;
-  ss_n_docs : int;
-  ss_avg : float;
-  ss_doc_len : int -> int;
+  ss_catalog : Catalog.t; (* the build's, held in memory *)
   ss_segments : Mneme.Scrub.damage array; (* full census, scrub walk order *)
   ss_members : string array; (* "primary" first, then standbys in attach order *)
   ss_ranked : (int * string) list list; (* golden rankings of [queries] *)
@@ -574,10 +537,7 @@ let build_scrub_scenario ?(seed = 42) ?(docs = 12) ?(batches = 3) ?(standbys = 2
     ss_vfs = vfs;
     ss_store = store;
     ss_rep = rep;
-    ss_dict = Inquery.Indexer.dictionary indexer;
-    ss_n_docs = Inquery.Indexer.document_count indexer;
-    ss_avg = Inquery.Indexer.avg_doc_length indexer;
-    ss_doc_len = Inquery.Indexer.doc_length indexer;
+    ss_catalog = Catalog.of_indexer indexer;
     ss_segments = segments;
     ss_members = members;
     ss_ranked = snd (List.hd tr.f_commits);
@@ -615,7 +575,7 @@ let scenario_rot scn ~member ~segment ?(bits = 1) ~seed () =
 (* A member copy opened as a store of its own, as [(name, device, store)]. *)
 let open_member name vfs =
   let store = Mneme.Store.open_existing vfs failover_file in
-  ignore (attach_pools store);
+  attach_pools store;
   (name, vfs, store)
 
 (* Scrub one member's copy fresh from its disk. *)
@@ -731,10 +691,7 @@ let audit_members log k golden members =
         if not (Bytes.equal gold (bytes_of vfs)) then
           note log k "%s's data file differs byte-for-byte from %s's" name pname)
       rest;
-    let engine =
-      engine_over ~vfs:pvfs pstore ~dict:golden.ss_dict ~n_docs:golden.ss_n_docs
-        ~avg_doc_len:golden.ss_avg ~doc_len:golden.ss_doc_len
-    in
+    let engine = engine_over pvfs pstore golden.ss_catalog in
     if engine_rank engine <> golden.ss_ranked then
       note log k "ranked results differ from the golden run";
     (match Engine.quarantined engine with
@@ -874,10 +831,7 @@ let scrub_budget_sweep ?(seed = 42) ?(docs = 12) ?(batches = 3) ?(standbys = 1) 
         incr steps;
         detect := !detect +. ms;
         if ms > !stall then stall := ms;
-        let engine =
-          engine_over ~vfs:scn.ss_vfs scn.ss_store ~dict:scn.ss_dict ~n_docs:scn.ss_n_docs
-            ~avg_doc_len:scn.ss_avg ~doc_len:scn.ss_doc_len
-        in
+        let engine = engine_over scn.ss_vfs scn.ss_store scn.ss_catalog in
         let q = queries.(!steps mod Array.length queries) in
         qtimes := elapsed (fun () -> ignore (Engine.run_query_string ~top_k:10 engine q)) :: !qtimes;
         if Mneme.Scrub.damages scrubber <> [] || (Mneme.Scrub.progress scrubber).Mneme.Scrub.complete

@@ -110,8 +110,6 @@ let pin t =
   Hashtbl.replace t.pins e (1 + Option.value ~default:0 (Hashtbl.find_opt t.pins e));
   { p_epoch = e; p_released = false }
 
-let pin_epoch p = p.p_epoch
-
 let release t p =
   if p.p_released then invalid_arg "Epoch.release: pin already released";
   p.p_released <- true;
@@ -155,6 +153,4 @@ let collect t ~reclaim =
     retained_bytes = retained_b;
   }
 
-let live_objects t = Hashtbl.length t.live
-let stale_objects t = Hashtbl.length t.stale_tbl
 let stranded_bytes t = Hashtbl.fold (fun _ s acc -> acc + s.s_size) t.stale_tbl 0

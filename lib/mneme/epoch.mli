@@ -96,8 +96,6 @@ val publish : t -> int
 val pin : t -> pin
 (** Pin the latest epoch. *)
 
-val pin_epoch : pin -> int
-
 val release : t -> pin -> unit
 (** Raises [Invalid_argument] on double release. *)
 
@@ -112,9 +110,6 @@ val collect : t -> reclaim:(oid:Oid.t -> size:int -> unit) -> gc_stats
     latest]) — [reclaim] is called once per object (typically
     {!Store.delete}, folding the bytes into {!Store.wasted_bytes}).
     Objects still reachable from a pin are retained and reported. *)
-
-val live_objects : t -> int
-val stale_objects : t -> int
 
 val stranded_bytes : t -> int
 (** Bytes held by stale-but-unreclaimed objects.  Returns to zero after

@@ -62,6 +62,17 @@ let test_signature_table () =
   Alcotest.(check bool) "inverted row" true (Str_find.contains out "inverted file");
   Alcotest.(check bool) "bit-sliced row" true (Str_find.contains out "bit-sliced")
 
+(* A variant build writes its locators into a private dictionary: the
+   DAAT study reads the prepared Mneme file through the shared one, and
+   its rows must not depend on the threshold variants having been built
+   (and deleted) before it. *)
+let test_daat_after_variants () =
+  let ctx = Core.Ablation.create ~scale:0.05 () in
+  let before = Util.Tables.render (Core.Ablation.daat_table ctx) in
+  ignore (Core.Ablation.threshold_table ctx);
+  Alcotest.(check string) "daat rows after the threshold variants" before
+    (Util.Tables.render (Core.Ablation.daat_table ctx))
+
 let suite =
   [
     Alcotest.test_case "policy table" `Quick test_policy_table;
@@ -73,4 +84,6 @@ let suite =
     Alcotest.test_case "btree cache table" `Quick test_btree_cache_table;
     Alcotest.test_case "compression table" `Quick test_compression_table;
     Alcotest.test_case "signature table" `Quick test_signature_table;
+    Alcotest.test_case "daat rows do not depend on earlier variants" `Quick
+      test_daat_after_variants;
   ]

@@ -15,8 +15,9 @@ let test_of_indexer () =
   Alcotest.(check int) "docs" 2 c.Core.Catalog.n_docs;
   Alcotest.(check (array int)) "lengths" [| 3; 2 |] c.Core.Catalog.doc_lens;
   Alcotest.(check (float 1e-9)) "avg" 2.5 (Core.Catalog.avg_doc_length c);
-  Alcotest.(check (option (float 1e-9))) "doc length" (Some 3.0) (Core.Catalog.doc_length c 0);
-  Alcotest.(check (option (float 1e-9))) "out of range" None (Core.Catalog.doc_length c 9)
+  Alcotest.(check int) "doc length" 3 (Core.Catalog.doc_len c 0);
+  Alcotest.(check int) "out of range" 0 (Core.Catalog.doc_len c 9);
+  Alcotest.(check int) "negative id" 0 (Core.Catalog.doc_len c (-1))
 
 let test_save_load_roundtrip () =
   let vfs = Vfs.create () in

@@ -472,6 +472,25 @@ let test_budget_semantics () =
   Alcotest.(check bool) "unlimited never exhausts" true
     (Mneme.Budget.within Mneme.Budget.unlimited m)
 
+(* With every document's terms new to the buffer, no combine can share
+   a term name or a record header between its parts, so the buffer's
+   charge never falls as documents are added: a tier combine charges
+   each run's term name, as [buffer_add] did. *)
+let test_charge_never_falls_with_disjoint_terms () =
+  let vfs = Vfs.create () in
+  let t = Core.Ingest.create ~config:small_config vfs ~file:"c.mneme" () in
+  let last = ref 0 in
+  for d = 0 to 59 do
+    let text = String.concat " " (List.init 8 (fun j -> Printf.sprintf "w%d" ((d * 8) + j))) in
+    ignore (add_acked t text);
+    let now = Core.Ingest.buffered_bytes t in
+    if now < !last then
+      Alcotest.failf "document %d: buffered bytes fell from %d to %d" d !last now;
+    last := now
+  done;
+  Alcotest.(check bool) "some segments were combined" true
+    (List.exists (fun (tier, _, _) -> tier > 0) (Core.Ingest.segments t))
+
 let suite =
   [
     Alcotest.test_case "union rankings match a from-scratch twin" `Quick test_union_matches_twin;
@@ -493,4 +512,6 @@ let suite =
     Alcotest.test_case "budget semantics" `Quick test_budget_semantics;
     Alcotest.test_case "a malformed root frontier is Corrupt" `Quick
       test_malformed_frontier_is_corrupt;
+    Alcotest.test_case "the buffer's charge never falls with disjoint terms" `Quick
+      test_charge_never_falls_with_disjoint_terms;
   ]
